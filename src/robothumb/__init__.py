@@ -4,8 +4,8 @@ robotic thumb that plays piano alongside the natural hand."""
 from .config import GlobalConfig, default_config, load_config
 from .control import CalibrationSet, ControlParams
 from .engine import EventLog, LatencyConfig, SimulationConfig, run
-from .kinematics import FingerGeometry, JointState, MountPose
-from .piano import Key, KeyboardLayout, KeyEvent, build_layout, key_at
+from .kinematics import FingerGeometry, MountPose
+from .piano import Key, KeyboardLayout, KeyEvent, key_at
 from .plant import AxisCommand, AxisState, MotorAxis
 from .sensors import (AccelerometerModel, DividerConfig, FlexSensorModel,
                       SensorSample, SensorTrace)
@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccelerometerModel", "AxisCommand", "AxisState", "CalibrationSet",
     "ControlParams", "DividerConfig", "EventLog", "FingerGeometry",
-    "FlexSensorModel", "GlobalConfig", "JointState", "Key", "KeyEvent",
-    "KeyboardLayout", "LatencyConfig", "MotorAxis", "MountPose",
-    "SensorSample", "SensorTrace", "SimulationConfig", "build_layout",
-    "default_config", "key_at", "load_config", "run",
+    "FlexSensorModel", "GlobalConfig", "Key", "KeyEvent", "KeyboardLayout",
+    "LatencyConfig", "MotorAxis", "MountPose", "SensorSample", "SensorTrace",
+    "SimulationConfig", "default_config", "key_at", "load_config", "run",
 ]

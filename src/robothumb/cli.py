@@ -13,8 +13,8 @@ from pathlib import Path
 
 from . import analysis, engine, midi, synth
 from .config import GlobalConfig, default_config, load_config
-from .control import (CalibrationSet, calibrate_from_trace, load_calibration,
-                      read_kv_file, save_calibration, write_kv_file)
+from .control import (calibrate_from_trace, load_calibration, read_kv_file,
+                      save_calibration, write_kv_file)
 from .errors import RobothumbError
 from .piano import MIDI_A0, note_name
 from .sensors import load_trace, save_trace
@@ -69,17 +69,17 @@ def _cmd_synth(args) -> int:
             raise UsageError("synth press requires --key")
         trace = synth.press_trace(cfg, args.key, speed=args.speed,
                                   repeat=args.repeat, flex_noise=args.flex_noise,
-                                  seed=args.seed or 0)
+                                  seed=cfg.simulation.seed)
         path = out / "press_trace.csv"
         save_trace(trace, path)
         print(f"wrote {path}")
     elif args.scenario == "scale":
         keys = [int(k) for k in args.keys.split(",")] if args.keys else None
         if keys is None:
-            calib_anchor = synth.anchors_from_config(cfg)
-            reachable = analysis.reachable_keys(
-                cfg.layout, cfg.geometry, cfg.mount,
-                _calibration_for_range(cfg, calib_anchor), cfg.axis)
+            calib = calibrate_from_trace(synth.calibration_trace(cfg),
+                                         synth.anchors_from_config(cfg))
+            reachable = analysis.reachable_keys(cfg.layout, cfg.geometry,
+                                                cfg.mount, calib, cfg.axis)
             keys = [k.index for k in reachable if k.color == "white"]
         trace = synth.scale_trace(cfg, keys, speed=args.speed)
         path = out / "scale_trace.csv"
@@ -90,30 +90,15 @@ def _cmd_synth(args) -> int:
             dirs = synth.band_sweep_directions(
                 args.samples, azimuth_span=args.azimuth,
                 elev_min=args.elev_min, elev_max=args.elev_max,
-                seed=args.seed or 0)
+                seed=cfg.simulation.seed)
             path = out / "band_directions.csv"
         else:
             dirs = synth.cap_directions(args.samples, half_angle=args.half_angle,
-                                        seed=args.seed or 0)
+                                        seed=cfg.simulation.seed)
             path = out / "cap_directions.csv"
         analysis.save_directions(dirs, path)
         print(f"wrote {path}")
     return 0
-
-
-def _calibration_for_range(cfg: GlobalConfig, anchors: dict) -> CalibrationSet:
-    """Calibration carrying just the encoder anchors, for reach queries."""
-    flex_min = synth.flex_code(cfg, 0.0)
-    flex_max = synth.flex_code(cfg, cfg.flex.angle_range)
-    y_down, z_rest = synth.accel_codes(cfg, 0.0, 0.0)
-    y_up, _ = synth.accel_codes(cfg, synth.FOOT_UP_PITCH_DEG, 0.0)
-    _, z_active = synth.accel_codes(cfg, 0.0, synth.CAL_LIFT_DYN_G)
-    return CalibrationSet(flex_min=flex_min, flex_max=flex_max,
-                          enc_h_min=anchors["enc_h_min"],
-                          enc_h_max=anchors["enc_h_max"],
-                          y_min=y_down, y_max=y_up, z_min=z_rest, z_max=z_active,
-                          enc_hover=anchors["enc_hover"],
-                          enc_pressed=anchors["enc_pressed"])
 
 
 def _cmd_calibrate(args) -> int:

@@ -20,15 +20,18 @@ emits a key-on whose MIDI velocity encodes the press-axis speed at the
 crossing; rising back above it emits the key-off. Intentions are upward
 crossings of the Z-accelerometer threshold in the raw trace timeline.
 
-Both execution modes produce byte-identical logs: deterministic mode runs
-everything inline, concurrent mode evaluates the two control pipelines on
-worker threads and merges their commands by timestamp with the horizontal
-pipeline winning ties.
+The two axes are separate pipelines that meet only at the fingertip: the
+flex sensor steers the horizontal axis, the foot accelerometer drives the
+vertical axis. Both execution modes produce byte-identical logs: they run
+the two axis pipelines, inline or on two workers, then combine the axis
+states step by step into fingertip positions and key events.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -154,6 +157,37 @@ def intention_detect(trace: SensorTrace, calib: CalibrationSet,
     return out
 
 
+def _run_axis(samples, law, n_steps: int, dt: float, lat: LatencyConfig,
+              axis: plant.MotorAxis) -> list[plant.AxisState]:
+    """One axis pipeline over ``n_steps`` steps; returns its state after each.
+
+    ``law(sample, encoder_count)`` turns a sample into this axis's command;
+    it sees the axis's own encoder count at the instant the sample arrives.
+    """
+    state = plant.AxisState()
+    command = plant.AxisCommand(plant.POSITION, 0, 0.0)
+    pending: deque[tuple[float, plant.AxisCommand]] = deque()  # (effective_t, command)
+    states = []
+    si = 0
+    for k in range(1, n_steps + 1):
+        t = k * dt
+
+        # feed every sample whose sensor path completes within this step
+        while si < len(samples) and samples[si].t + lat.sensor_path <= t:
+            s = samples[si]
+            si += 1
+            pending.append((s.t + lat.data_path, law(s, state.encoder_count)))
+
+        # commands take effect no later than their effective instant:
+        # one falling in (t - dt, t] acts over that whole step
+        while pending and pending[0][0] <= t:
+            command = pending.popleft()[1]
+
+        state = plant.axis_step(state, command, dt, axis)
+        states.append(state)
+    return states
+
+
 def run(trace: SensorTrace, calibration: CalibrationSet,
         config: "GlobalConfig") -> EventLog:
     """Simulate a full trace; returns the event log.
@@ -176,102 +210,64 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
     geometry = config.geometry
     mount = config.mount
     layout = config.layout
-    axis = config.axis
     dt = sim.timestep
 
-    log = EventLog()
-    log.intentions = intention_detect(trace, calibration, params)
-    if not trace.samples:
+    log = EventLog(intentions=intention_detect(trace, calibration, params))
+    samples = trace.samples
+    if not samples:
         return log
 
+    def horizontal(s, encoder_count):
+        return control.horizontal_update(s.flex_adc, calibration, params,
+                                         encoder_count)
+
+    def vertical(s, _encoder_count):
+        return control.vertical_update(s.acc_y_adc, s.acc_z_adc,
+                                       calibration, params)
+
+    end_t = samples[-1].t + lat.data_path + sim.settle_tail_ms
+    n_steps = int(math.ceil(end_t / dt))
+    axis_run = functools.partial(_run_axis, samples, n_steps=n_steps, dt=dt,
+                                 lat=lat, axis=config.axis)
+    if sim.mode == "concurrent":
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            states_h, states_v = pool.map(axis_run, (horizontal, vertical))
+    else:
+        states_h, states_v = map(axis_run, (horizontal, vertical))
+
     press_height = -layout.key_travel  # tip z of a fully pressed key
+    pressed: Key | None = None
+    ii = 0
+    prev_tip_z = mount.base_z - kinematics.press_drop(0.0, geometry)  # drive enable
+    for k, (state_h, state_v) in enumerate(zip(states_h, states_v), start=1):
+        t = k * dt
+        theta_h_world = mount.heading + state_h.angle
+        tip_x, tip_z = kinematics.keyline_position(
+            theta_h_world, state_v.angle, geometry, mount)
 
-    state_h = plant.AxisState()
-    state_v = plant.AxisState()
-    cmd_h = plant.AxisCommand(plant.POSITION, 0, 0.0)
-    cmd_v = plant.AxisCommand(plant.POSITION, 0, 0.0)
+        log.steps.append(StepRecord(t, state_h.encoder_count,
+                                    state_v.encoder_count, tip_x, tip_z))
 
-    # (effective_t, pipeline, command); constant delays keep it time-sorted
-    command_queue: list[tuple[float, int, plant.AxisCommand]] = []
-    qi = 0
+        if pressed is None and prev_tip_z > press_height >= tip_z:
+            key = key_at(tip_x, mount.depth, layout)
+            if key is None:
+                log.air_presses.append(t)
+            else:
+                velocity = midi_velocity(abs(state_v.velocity), params.v_cap)
+                log.events.append(KeyEvent(t, "on", key.index, velocity))
+                pressed = key
+                if ii < len(log.intentions) and log.intentions[ii] <= t:
+                    log.latencies.append(LatencyRecord(log.intentions[ii], t))
+                    ii += 1
+        elif pressed is not None and tip_z > press_height >= prev_tip_z:
+            log.events.append(KeyEvent(t, "off", pressed.index))
+            pressed = None
 
-    executor = ThreadPoolExecutor(max_workers=2) if sim.mode == "concurrent" else None
-    try:
-        samples = trace.samples
-        si = 0
-        ii = 0
-        pressed: Key | None = None
-        prev_tip_z = mount.base_z - kinematics.press_drop(state_v.angle, geometry)
+        prev_tip_z = tip_z
 
-        end_t = samples[-1].t + lat.data_path + sim.settle_tail_ms
-        n_steps = int(math.ceil(end_t / dt))
-        for k in range(1, n_steps + 1):
-            t = k * dt
-
-            # feed every sample whose sensor path completes within this step
-            while si < len(samples) and samples[si].t + lat.sensor_path <= t:
-                s = samples[si]
-                si += 1
-                effective = s.t + lat.data_path
-                if executor is not None:
-                    fut_h = executor.submit(control.horizontal_update, s.flex_adc,
-                                            calibration, params, state_h.encoder_count)
-                    fut_v = executor.submit(control.vertical_update, s.acc_y_adc,
-                                            s.acc_z_adc, calibration, params)
-                    new_h, new_v = fut_h.result(), fut_v.result()
-                else:
-                    new_h = control.horizontal_update(s.flex_adc, calibration,
-                                                      params, state_h.encoder_count)
-                    new_v = control.vertical_update(s.acc_y_adc, s.acc_z_adc,
-                                                    calibration, params)
-                # merged by timestamp; horizontal before vertical on ties
-                command_queue.append((effective, 0, new_h))
-                command_queue.append((effective, 1, new_v))
-
-            # commands take effect no later than their effective instant:
-            # one falling in (t - dt, t] acts over that whole step
-            while qi < len(command_queue) and command_queue[qi][0] <= t:
-                _, pipeline, cmd = command_queue[qi]
-                qi += 1
-                if pipeline == 0:
-                    cmd_h = cmd
-                else:
-                    cmd_v = cmd
-
-            state_h = plant.axis_step(state_h, cmd_h, dt, axis)
-            state_v = plant.axis_step(state_v, cmd_v, dt, axis)
-
-            theta_h_world = mount.heading + state_h.angle
-            tip_x, tip_z = kinematics.keyline_position(
-                theta_h_world, state_v.angle, geometry, mount)
-
-            log.steps.append(StepRecord(t, state_h.encoder_count,
-                                        state_v.encoder_count, tip_x, tip_z))
-
-            if pressed is None and prev_tip_z > press_height >= tip_z:
-                key = key_at(tip_x, mount.depth, layout)
-                if key is None:
-                    log.air_presses.append(t)
-                else:
-                    velocity = midi_velocity(abs(state_v.velocity), params.v_cap)
-                    log.events.append(KeyEvent(t, "on", key.index, velocity))
-                    pressed = key
-                    if ii < len(log.intentions) and log.intentions[ii] <= t:
-                        log.latencies.append(LatencyRecord(log.intentions[ii], t))
-                        ii += 1
-            elif pressed is not None and tip_z > press_height >= prev_tip_z:
-                log.events.append(KeyEvent(t, "off", pressed.index))
-                pressed = None
-
-            prev_tip_z = tip_z
-
-        if pressed is not None:
-            # trace ended mid-press: release so on/off stay balanced
-            log.events.append(KeyEvent(n_steps * dt, "off", pressed.index))
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
-
+    if pressed is not None:
+        # trace ended mid-press: release so on/off stay balanced
+        log.events.append(KeyEvent(n_steps * dt, "off", pressed.index))
     return log
 
 

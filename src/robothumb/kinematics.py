@@ -42,12 +42,6 @@ class FingerGeometry:
 
 
 @dataclass(frozen=True)
-class JointState:
-    theta_h: float  # deg about the vertical axis
-    theta_v: float  # deg about the press axis, positive downward
-
-
-@dataclass(frozen=True)
 class MountPose:
     """Placement of the device base relative to the keyboard.
 
@@ -81,25 +75,6 @@ def press_drop(theta_v: float, geometry: FingerGeometry) -> float:
     bend = math.radians(geometry.bend_angle)
     return (geometry.l1_proximal * math.sin(tv)
             + geometry.l2_distal * math.sin(tv + bend))
-
-
-def _check_joints(joints: JointState, geometry: FingerGeometry) -> None:
-    half = geometry.theta_h_range / 2.0
-    if not -half <= joints.theta_h <= half:
-        raise InputError(f"theta_h {joints.theta_h} outside +/-{half}")
-    if not geometry.theta_v_min <= joints.theta_v <= geometry.theta_v_max:
-        raise InputError(
-            f"theta_v {joints.theta_v} outside "
-            f"[{geometry.theta_v_min}, {geometry.theta_v_max}]")
-
-
-def fingertip_position(joints: JointState, geometry: FingerGeometry) -> tuple[float, float, float]:
-    """Fingertip (x, y, z) in mm in the base frame."""
-    _check_joints(joints, geometry)
-    r = radial_extension(joints.theta_v, geometry)
-    d = press_drop(joints.theta_v, geometry)
-    th = math.radians(joints.theta_h)
-    return (r * math.cos(th), r * math.sin(th), -d)
 
 
 def keyline_position(theta_h_world: float, theta_v: float,

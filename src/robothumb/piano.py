@@ -103,11 +103,6 @@ class KeyboardLayout:
         return (key.center_x - half, key.center_x + half)
 
 
-def build_layout(**params) -> KeyboardLayout:
-    """Construct a validated keyboard layout; see KeyboardLayout for fields."""
-    return KeyboardLayout(**params)
-
-
 def key_at(x: float, depth: float, layout: KeyboardLayout) -> Key | None:
     """Key addressed at lateral position ``x`` (mm) and hand depth ``depth`` (mm).
 

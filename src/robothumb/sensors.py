@@ -102,10 +102,6 @@ class SensorTrace:
                     )
             prev = s.t
 
-    @property
-    def duration(self) -> float:
-        return self.samples[-1].t if self.samples else 0.0
-
 
 def flex_resistance(bend_angle: float, model: FlexSensorModel) -> float:
     """Flex resistance (kOhm), linear between the two measured endpoints."""

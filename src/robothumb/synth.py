@@ -145,33 +145,22 @@ def _pulse_ms(speed: float) -> float:
     return min(Z_PULSE_MS / speed, PRESS_HOLD_MS)
 
 
-def press_trace(cfg: GlobalConfig, key_index: int, speed=0.5, repeat: int = 1,
-                flex_noise: float = 0.0, seed: int = 0) -> SensorTrace:
-    """Repeated presses of one key: thumb holds the target, the foot snaps.
+def _press_rows(cfg: GlobalConfig, flex_target: int, speed: float,
+                repeat: int, span_ms: float) -> list[tuple]:
+    """``span_ms`` of rows: rest for LEAD_MS, ``repeat`` press cycles, then rest.
 
     Each cycle lifts the foot (Y steps up, Z pulses for the lift duration),
-    holds, then drops it (Y steps down with a matching landing pulse).
-    ``speed`` scales the lift acceleration and with it the press dynamics.
+    holds, then drops it (Y steps down with a matching landing pulse) while
+    the thumb holds ``flex_target``.
     """
-    if not 0 <= key_index < cfg.layout.n_keys:
-        raise InputError(f"key index {key_index} outside the keyboard")
-    if repeat < 1:
-        raise InputError("repeat must be >= 1")
-    s = _press_speed(speed)
-    key = cfg.layout.keys[key_index]
-    flex_target = flex_code_for_key(cfg, key)
     y_down, z_rest = accel_codes(cfg, 0.0, 0.0)
     y_up, _ = accel_codes(cfg, FOOT_UP_PITCH_DEG, 0.0)
-    _, z_pulse = accel_codes(cfg, 0.0, s * CAL_LIFT_DYN_G)
-
+    _, z_pulse = accel_codes(cfg, 0.0, speed * CAL_LIFT_DYN_G)
     period = cfg.simulation.timestep
-    pulse = _pulse_ms(s)
-    total_ms = LEAD_MS + repeat * PRESS_CYCLE_MS + TAIL_MS
-    n = int(round(total_ms / period))
+    pulse = _pulse_ms(speed)
     rows = []
-    for i in range(n):
-        t = i * period
-        phase = t - LEAD_MS
+    for i in range(int(round(span_ms / period))):
+        phase = i * period - LEAD_MS
         y, z = y_down, z_rest
         if 0 <= phase < repeat * PRESS_CYCLE_MS:
             in_cycle = phase % PRESS_CYCLE_MS
@@ -180,6 +169,23 @@ def press_trace(cfg: GlobalConfig, key_index: int, speed=0.5, repeat: int = 1,
             if in_cycle < pulse or PRESS_HOLD_MS <= in_cycle < PRESS_HOLD_MS + pulse:
                 z = z_pulse
         rows.append((flex_target, y, z, ""))
+    return rows
+
+
+def press_trace(cfg: GlobalConfig, key_index: int, speed=0.5, repeat: int = 1,
+                flex_noise: float = 0.0, seed: int = 0) -> SensorTrace:
+    """Repeated presses of one key: thumb holds the target, the foot snaps.
+
+    ``speed`` scales the lift acceleration and with it the press dynamics.
+    """
+    if not 0 <= key_index < cfg.layout.n_keys:
+        raise InputError(f"key index {key_index} outside the keyboard")
+    if repeat < 1:
+        raise InputError("repeat must be >= 1")
+    s = _press_speed(speed)
+    flex_target = flex_code_for_key(cfg, cfg.layout.keys[key_index])
+    rows = _press_rows(cfg, flex_target, s, repeat,
+                       LEAD_MS + repeat * PRESS_CYCLE_MS + TAIL_MS)
 
     if flex_noise > 0:
         rng = np.random.default_rng(seed)
@@ -197,29 +203,14 @@ def scale_trace(cfg: GlobalConfig, key_indices, speed=0.5) -> SensorTrace:
     if not key_indices:
         raise InputError("scale needs at least one key")
     s = _press_speed(speed)
-    y_down, z_rest = accel_codes(cfg, 0.0, 0.0)
-    y_up, _ = accel_codes(cfg, FOOT_UP_PITCH_DEG, 0.0)
-    _, z_pulse = accel_codes(cfg, 0.0, s * CAL_LIFT_DYN_G)
-    period = cfg.simulation.timestep
-    pulse = _pulse_ms(s)
-    per_key_ms = LEAD_MS + PRESS_CYCLE_MS
-
     rows = []
     for key_index in key_indices:
         if not 0 <= key_index < cfg.layout.n_keys:
             raise InputError(f"key index {key_index} outside the keyboard")
         flex_target = flex_code_for_key(cfg, cfg.layout.keys[key_index])
-        for i in range(int(round(per_key_ms / period))):
-            t = i * period
-            phase = t - LEAD_MS
-            y, z = y_down, z_rest
-            if 0 <= phase < PRESS_CYCLE_MS:
-                if phase < PRESS_HOLD_MS:
-                    y = y_up
-                if phase < pulse or PRESS_HOLD_MS <= phase < PRESS_HOLD_MS + pulse:
-                    z = z_pulse
-            rows.append((flex_target, y, z, ""))
-    rows.extend((rows[-1][0], y_down, z_rest, "") for _ in range(int(round(TAIL_MS / period))))
+        rows += _press_rows(cfg, flex_target, s, 1, LEAD_MS + PRESS_CYCLE_MS)
+    # no cycles: the thumb holds the last key through the quiet tail
+    rows += _press_rows(cfg, rows[-1][0], s, 0, TAIL_MS)
     return _build_trace(cfg, rows)
 
 

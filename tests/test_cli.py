@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from robothumb.cli import main
@@ -89,6 +91,28 @@ def test_scale_scenario_presses_each_key(workdir):
     rows = (workdir / "scale/events.csv").read_text().splitlines()[1:]
     on_keys = [int(r.split(",")[2]) for r in rows if ",on," in r]
     assert on_keys == [43, 44, 46]
+
+
+def test_scale_without_keys_walks_reachable_white_keys(tmp_path):
+    assert run("synth", "scale", "--out", tmp_path / "auto") == 0
+    assert run("synth", "scale", "--keys", "43,44,46,48",
+               "--out", tmp_path / "listed") == 0
+    auto = (tmp_path / "auto/scale_trace.csv").read_bytes()
+    assert auto == (tmp_path / "listed/scale_trace.csv").read_bytes()
+    assert hashlib.sha256(auto).hexdigest() == (
+        "9c108f0d7d92e36b1e77282cc4aae3babaabe2551b613d56ea8b8bc2705063d9")
+
+
+def test_configured_seed_drives_synth_noise(tmp_path):
+    config = tmp_path / "seed.ini"
+    config.write_text("[simulation]\nseed = 7\n")
+    noisy = ("synth", "press", "--key", 46, "--flex-noise", 2)
+    assert run(*noisy, "--config", config, "--out", tmp_path / "config") == 0
+    assert run(*noisy, "--seed", 7, "--out", tmp_path / "flag") == 0
+    assert run(*noisy, "--out", tmp_path / "default") == 0
+    by_config = (tmp_path / "config/press_trace.csv").read_bytes()
+    assert by_config == (tmp_path / "flag/press_trace.csv").read_bytes()
+    assert by_config != (tmp_path / "default/press_trace.csv").read_bytes()
 
 
 def test_workspace_subcommand(workdir, capsys):

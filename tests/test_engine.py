@@ -140,14 +140,24 @@ def test_latency_composition_instantaneous_plant(cfg, calib):
 
 
 def test_determinism_and_mode_equivalence(cfg, calib):
-    trace = press_fixture(cfg, repeat=2)
-    log_a = run(trace, calib, cfg)
-    log_b = run(trace, calib, cfg)
-    concurrent = dataclasses.replace(
-        cfg, simulation=dataclasses.replace(cfg.simulation, mode="concurrent"))
-    log_c = run(trace, calib, concurrent)
-    log_d = run(trace, calib, concurrent)
-    assert log_a == log_b == log_c == log_d
+    # the rear-zone scale retargets across white and black keys, so the
+    # horizontal law's feedback on its own encoder count matters
+    rear = dataclasses.replace(cfg, mount=dataclasses.replace(cfg.mount, depth=60.0))
+    rear_calib = calibrate_from_trace(synth.calibration_trace(rear),
+                                      synth.anchors_from_config(rear))
+    cases = [(cfg, calib, press_fixture(cfg, repeat=2)),
+             (rear, rear_calib, synth.scale_trace(rear, list(range(43, 49))))]
+    for run_cfg, run_calib, trace in cases:
+        concurrent = dataclasses.replace(
+            run_cfg, simulation=dataclasses.replace(run_cfg.simulation,
+                                                    mode="concurrent"))
+        log_a = run(trace, run_calib, run_cfg)
+        log_b = run(trace, run_calib, run_cfg)
+        log_c = run(trace, run_calib, concurrent)
+        log_d = run(trace, run_calib, concurrent)
+        assert log_a == log_b == log_c == log_d
+    on_keys = {e.key_index for e in log_a.events if e.kind == "on"}
+    assert {45, 47} <= on_keys  # both black keys of the walk were pressed
 
 
 def test_air_press_logged_not_emitted(cfg):

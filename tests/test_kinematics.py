@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from robothumb.errors import InputError, ReachError, TravelRangeError
-from robothumb.kinematics import (FingerGeometry, JointState, MountPose,
-                                  fingertip_position, keyline_position,
+from robothumb.kinematics import (FingerGeometry, MountPose, keyline_position,
                                   press_angle, press_drop, radial_extension,
                                   required_torque, theta_for_key)
 
@@ -33,38 +32,34 @@ def bisect_press_angle(travel, geometry, hover=0.0, tol=1e-12):
 
 
 def test_fingertip_at_rest():
-    x, y, z = fingertip_position(JointState(0.0, 0.0), GEO)
-    assert x == pytest.approx(123.25)
-    assert y == pytest.approx(0.0, abs=1e-12)
-    assert z == pytest.approx(-DROP_AT_HOVER)
+    x, z = keyline_position(0.0, 0.0, GEO, MOUNT)
+    assert x - MOUNT.base_x == pytest.approx(123.25)
+    assert z - MOUNT.base_z == pytest.approx(-DROP_AT_HOVER)
 
 
 def test_fingertip_rotated_90():
-    x, y, z = fingertip_position(JointState(90.0, 0.0), GEO)
-    assert x == pytest.approx(0.0, abs=1e-12)
-    assert y == pytest.approx(123.25)
-    assert z == pytest.approx(-DROP_AT_HOVER)
+    x, z = keyline_position(90.0, 0.0, GEO, MOUNT)
+    assert x - MOUNT.base_x == pytest.approx(0.0, abs=1e-12)
+    assert z - MOUNT.base_z == pytest.approx(-DROP_AT_HOVER)
 
 
 def test_fingertip_pressed_30():
-    x, y, z = fingertip_position(JointState(0.0, 30.0), GEO)
+    x, z = keyline_position(0.0, 30.0, GEO, MOUNT)
     # r = 41 + 58cos30 + 48.5cos90, d = 58sin30 + 48.5sin90
-    assert x == pytest.approx(41.0 + 58.0 * math.cos(math.radians(30.0)), abs=1e-9)
-    assert z == pytest.approx(-77.5)
-
-
-def test_fingertip_rejects_out_of_range_joints():
-    with pytest.raises(InputError):
-        fingertip_position(JointState(0.0, 31.0), GEO)
-    with pytest.raises(InputError):
-        fingertip_position(JointState(0.0, -91.0), GEO)
+    assert x - MOUNT.base_x == pytest.approx(
+        41.0 + 58.0 * math.cos(math.radians(30.0)), abs=1e-9)
+    assert z - MOUNT.base_z == pytest.approx(-77.5)
 
 
 @given(st.floats(min_value=-180.0, max_value=180.0),
        st.floats(min_value=-90.0, max_value=30.0))
 def test_radius_invariant_under_horizontal_rotation(theta_h, theta_v):
-    x, y, _ = fingertip_position(JointState(theta_h, theta_v), GEO)
-    assert math.hypot(x, y) == pytest.approx(radial_extension(theta_v, GEO))
+    x, z = keyline_position(theta_h, theta_v, GEO, MOUNT)
+    x0, z0 = keyline_position(0.0, theta_v, GEO, MOUNT)
+    r = radial_extension(theta_v, GEO)
+    assert z == z0
+    assert x0 - MOUNT.base_x == pytest.approx(r)
+    assert abs(x - MOUNT.base_x) <= r + 1e-9
 
 
 def test_theta_for_key_solutions():

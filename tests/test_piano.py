@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from robothumb.errors import ConfigurationError
-from robothumb.piano import KeyboardLayout, build_layout, key_at, note_name
+from robothumb.piano import KeyboardLayout, key_at, note_name
 
 
 @pytest.fixture(scope="module")
 def layout():
-    return build_layout()
+    return KeyboardLayout()
 
 
 def white_keys(layout):
@@ -38,7 +38,7 @@ def test_white_keys_tile_without_gaps(layout):
 
 
 def test_single_key_layout():
-    layout = build_layout(n_keys=1)
+    layout = KeyboardLayout(n_keys=1)
     (key,) = layout.keys
     assert key.color == "white"
     assert key.midi_note == 21
@@ -124,7 +124,7 @@ def test_black_extent_inside_neighboring_whites(layout):
 @given(st.floats(min_value=0.0, max_value=1222.0, exclude_max=True),
        st.floats(min_value=0.0, max_value=100.0))
 def test_key_at_total_on_keyboard(x, depth):
-    layout = build_layout()
+    layout = KeyboardLayout()
     key = key_at(x, depth, layout)
     assert key is not None
     if key.color == "black":
