@@ -155,7 +155,7 @@ class LatencyStats:
     over_budget: bool
 
 
-def latency_stats(delays_ms, budget_ms: float = LATENCY_BUDGET_MS) -> LatencyStats:
+def latency_stats(delays_ms) -> LatencyStats:
     """Sample statistics over intention-to-action delays (ms)."""
     delays = [float(d) for d in delays_ms]
     if not delays:
@@ -163,7 +163,7 @@ def latency_stats(delays_ms, budget_ms: float = LATENCY_BUDGET_MS) -> LatencySta
     mean = sum(delays) / len(delays)
     variance = sum((d - mean) ** 2 for d in delays) / len(delays)
     return LatencyStats(mean=mean, stddev=math.sqrt(variance), max=max(delays),
-                        count=len(delays), over_budget=mean > budget_ms)
+                        count=len(delays), over_budget=mean > LATENCY_BUDGET_MS)
 
 
 @dataclass(frozen=True)

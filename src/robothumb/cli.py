@@ -103,8 +103,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     trace = load_trace(args.trace)
-    anchors = {k: int(v) for k, v in read_kv_file(args.anchors).items()}
-    calib = calibrate_from_trace(trace, anchors)
+    calib = calibrate_from_trace(trace, read_kv_file(args.anchors))
     out = _out_dir(args)
     path = out / "calibration.txt"
     save_calibration(calib, path)
@@ -206,7 +205,6 @@ def build_parser() -> _Parser:
     common.add_argument("--config", help="configuration file (defaults built in)")
     common.add_argument("--seed", type=int, help="override the configured seed")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--verbose", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -242,6 +240,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--mode", choices=["deterministic", "concurrent"],
                        help="override the configured execution mode")
     p_sim.add_argument("--midi", action="store_true", help="also write a MIDI file")
+    p_sim.add_argument("--verbose", action="store_true",
+                       help="also print one line per key event")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_an = sub.add_parser("analyze", parents=[common],

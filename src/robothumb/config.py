@@ -51,8 +51,7 @@ _FLOAT = float
 _INT = int
 _STR = str
 
-# section -> key -> (constructor kwarg, converter); None kwarg means the key
-# feeds a GlobalConfig scalar of the same name given in the third slot.
+# section -> key -> converter
 _SCHEMA = {
     "layout": {
         "n_keys": _INT, "white_width": _FLOAT, "black_width": _FLOAT,
@@ -64,7 +63,6 @@ _SCHEMA = {
         "divider_vcc": _FLOAT, "divider_r_fixed": _FLOAT,
         "adc_bits": _INT, "adc_v_ref": _FLOAT,
         "accel_sensitivity": _FLOAT, "accel_zero_g_bias": _FLOAT,
-        "accel_noise_sigma": _FLOAT,
     },
     "geometry": {
         "l0_knuckle": _FLOAT, "l1_proximal": _FLOAT, "l2_distal": _FLOAT,
@@ -144,7 +142,7 @@ def load_config(path) -> GlobalConfig:
     sim = values.get("simulation", {})
 
     identity = lambda keys: {k: k for k in keys}
-    sim_kwargs = _take(sim, identity(("timestep", "seed", "mode", "settle_tail_ms")))
+    sim_kwargs = dict(sim)
     if latency:
         sim_kwargs["latency"] = _build("latency", LatencyConfig, latency)
     return _build("mount", GlobalConfig, dict(
@@ -156,17 +154,14 @@ def load_config(path) -> GlobalConfig:
             "divider_vcc": "vcc", "divider_r_fixed": "r_fixed",
             "adc_bits": "adc_bits", "adc_v_ref": "v_ref"})),
         accel=_build("sensors", AccelerometerModel, _take(sensors, {
-            "accel_sensitivity": "sensitivity", "accel_zero_g_bias": "zero_g_bias",
-            "accel_noise_sigma": "noise_sigma"})),
+            "accel_sensitivity": "sensitivity", "accel_zero_g_bias": "zero_g_bias"})),
         geometry=_build("geometry", FingerGeometry, geometry),
         mount=_build("mount", MountPose, _take(mount, identity(
             ("base_x", "base_z", "heading", "depth")))),
         axis=_build("axes", MotorAxis, axes),
         control=_build("control", ControlParams, ctrl),
         simulation=_build("simulation", SimulationConfig, sim_kwargs),
-        device_mass_g=mount.get("mass_g", 310.0),
-        pinkie_reach_x=mount.get("pinkie_reach_x", 580.0),
-        reach_near_x=mount.get("reach_near_x", 599.25),
-        reach_far_x=mount.get("reach_far_x", 669.75),
-        press_overtravel_deg=mount.get("press_overtravel_deg", 1.2),
+        **_take(mount, {"mass_g": "device_mass_g", **identity((
+            "pinkie_reach_x", "reach_near_x", "reach_far_x",
+            "press_overtravel_deg"))}),
     ))

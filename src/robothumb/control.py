@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (CalibrationIncompleteError, ConfigurationError,
                      DegenerateCalibrationError)
-from .plant import POSITION, AxisCommand, MotorAxis, counts_per_output_rev, round_half_away
+from .plant import AxisCommand, MotorAxis, counts_per_output_rev, round_half_away
 from .kinematics import FingerGeometry
 from .sensors import SensorTrace, round_half_up
 
@@ -118,14 +118,14 @@ def calibrate_from_trace(trace: SensorTrace, anchors: dict) -> CalibrationSet:
     return CalibrationSet(
         flex_min=mean_code("flex_min"),
         flex_max=mean_code("flex_max"),
-        enc_h_min=int(anchors["enc_h_min"]),
-        enc_h_max=int(anchors["enc_h_max"]),
+        enc_h_min=whole_number(anchors, "enc_h_min"),
+        enc_h_max=whole_number(anchors, "enc_h_max"),
         y_min=mean_code("foot_down"),
         y_max=mean_code("foot_up"),
         z_min=mean_code("z_rest"),
         z_max=mean_code("z_active"),
-        enc_hover=int(anchors["enc_hover"]),
-        enc_pressed=int(anchors["enc_pressed"]),
+        enc_hover=whole_number(anchors, "enc_hover"),
+        enc_pressed=whole_number(anchors, "enc_pressed"),
     )
 
 
@@ -154,7 +154,7 @@ def horizontal_update(flex_adc: int, calib: CalibrationSet, params: ControlParam
     setpoint = round_half_away(linear_map(
         flex_adc, calib.flex_min, calib.flex_max, calib.enc_h_min, calib.enc_h_max))
     velocity = min(params.kp_h * abs(setpoint - current_counts), params.v_cap)
-    return AxisCommand(mode=POSITION, setpoint=setpoint, velocity_limit=velocity)
+    return AxisCommand(setpoint=setpoint, velocity_limit=velocity)
 
 
 def vertical_update(acc_y_adc: int, acc_z_adc: int, calib: CalibrationSet,
@@ -169,7 +169,7 @@ def vertical_update(acc_y_adc: int, acc_z_adc: int, calib: CalibrationSet,
         acc_y_adc, calib.y_min, calib.y_max, calib.enc_hover, calib.enc_pressed))
     z_norm = (acc_z_adc - calib.z_min) / (calib.z_max - calib.z_min)
     velocity = min(max(params.kv_z * z_norm, params.v_floor), params.v_cap)
-    return AxisCommand(mode=POSITION, setpoint=setpoint, velocity_limit=velocity)
+    return AxisCommand(setpoint=setpoint, velocity_limit=velocity)
 
 
 def save_calibration(calib: CalibrationSet, path) -> None:
@@ -184,7 +184,15 @@ def load_calibration(path) -> CalibrationSet:
     for name in _FIELDS:
         if name not in values:
             raise CalibrationIncompleteError(name)
-    return CalibrationSet(**{name: int(values[name]) for name in _FIELDS})
+    return CalibrationSet(**{name: whole_number(values, name) for name in _FIELDS})
+
+
+def whole_number(values: dict, name: str) -> int:
+    """``values[name]`` as an int; rejects NaN, infinities and fractions."""
+    value = float(values[name])
+    if not value.is_integer():
+        raise ConfigurationError(f"{name} = {value} is not a whole number")
+    return int(value)
 
 
 def read_kv_file(path) -> dict:

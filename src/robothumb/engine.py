@@ -18,7 +18,9 @@ Key events come from the fingertip height: crossing below the full-press
 height (one key travel below the undepressed surface) while over a key
 emits a key-on whose MIDI velocity encodes the press-axis speed at the
 crossing; rising back above it emits the key-off. Intentions are upward
-crossings of the Z-accelerometer threshold in the raw trace timeline.
+crossings of the Z-accelerometer threshold in the raw trace timeline; each
+key-on is charged to the latest intention since the previous press, so a
+foot bump that presses nothing is never charged to a later key.
 
 The two axes are separate pipelines that meet only at the fingertip: the
 flex sensor steers the horizontal axis, the foot accelerometer drives the
@@ -29,6 +31,7 @@ states step by step into fingertip positions and key events.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from collections import deque
@@ -165,7 +168,7 @@ def _run_axis(samples, law, n_steps: int, dt: float, lat: LatencyConfig,
     it sees the axis's own encoder count at the instant the sample arrives.
     """
     state = plant.AxisState()
-    command = plant.AxisCommand(plant.POSITION, 0, 0.0)
+    command = plant.AxisCommand(0, 0.0)
     pending: deque[tuple[float, plant.AxisCommand]] = deque()  # (effective_t, command)
     states = []
     si = 0
@@ -237,7 +240,7 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
 
     press_height = -layout.key_travel  # tip z of a fully pressed key
     pressed: Key | None = None
-    ii = 0
+    ii = 0  # intentions before this index are used up
     prev_tip_z = mount.base_z - kinematics.press_drop(0.0, geometry)  # drive enable
     for k, (state_h, state_v) in enumerate(zip(states_h, states_v), start=1):
         t = k * dt
@@ -249,6 +252,9 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
                                     state_v.encoder_count, tip_x, tip_z))
 
         if pressed is None and prev_tip_z > press_height >= tip_z:
+            # a press, on a key or in the air, uses up every intention so
+            # far; a key-on is charged to the latest one not yet used
+            upto = bisect.bisect_right(log.intentions, t)
             key = key_at(tip_x, mount.depth, layout)
             if key is None:
                 log.air_presses.append(t)
@@ -256,9 +262,9 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
                 velocity = midi_velocity(abs(state_v.velocity), params.v_cap)
                 log.events.append(KeyEvent(t, "on", key.index, velocity))
                 pressed = key
-                if ii < len(log.intentions) and log.intentions[ii] <= t:
-                    log.latencies.append(LatencyRecord(log.intentions[ii], t))
-                    ii += 1
+                if upto > ii:
+                    log.latencies.append(LatencyRecord(log.intentions[upto - 1], t))
+            ii = upto
         elif pressed is not None and tip_z > press_height >= prev_tip_z:
             log.events.append(KeyEvent(t, "off", pressed.index))
             pressed = None

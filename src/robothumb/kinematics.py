@@ -86,16 +86,17 @@ def keyline_position(theta_h_world: float, theta_v: float,
     return x, mount.base_z - d
 
 
-def theta_for_key(key_center_x: float, mount: MountPose, geometry: FingerGeometry,
-                  hover_theta_v: float = 0.0) -> float:
+def theta_for_key(key_center_x: float, mount: MountPose,
+                  geometry: FingerGeometry) -> float:
     """Horizontal angle (deg, world frame) placing the hovering tip over a key center.
 
-    Solved in closed form from the circle of radius r(hover) around the
-    base; of the two intersections the one facing the keyboard (angle in
+    The drive is enabled at hover, so the hovering tip has theta_v = 0.
+    Solved in closed form from the circle of radius r(0) around the base;
+    of the two intersections the one facing the keyboard (angle in
     [0, 180]) is returned. Raises ReachError for keys outside the circle,
     reporting the furthest reachable x.
     """
-    r = radial_extension(hover_theta_v, geometry)
+    r = radial_extension(0.0, geometry)
     dx = key_center_x - mount.base_x
     if abs(dx) > r:
         raise ReachError(
@@ -105,12 +106,11 @@ def theta_for_key(key_center_x: float, mount: MountPose, geometry: FingerGeometr
     return math.degrees(math.acos(dx / r))
 
 
-def press_angle(travel: float, geometry: FingerGeometry,
-                hover_theta_v: float = 0.0) -> float:
-    """Smallest press rotation (deg) that lowers the tip by ``travel`` mm.
+def press_angle(travel: float, geometry: FingerGeometry) -> float:
+    """Smallest press rotation (deg) from hover that lowers the tip by ``travel`` mm.
 
     d(tv) collapses to R*sin(tv + phi), so the press angle has the closed
-    form asin((d(hover) + travel)/R) - phi on the rising branch.
+    form asin((d(0) + travel)/R) - phi on the rising branch.
     """
     if travel < 0:
         raise InputError("travel must be non-negative")
@@ -121,17 +121,17 @@ def press_angle(travel: float, geometry: FingerGeometry,
     b = geometry.l2_distal * math.sin(bend)
     amplitude = math.hypot(a, b)
     phase = math.atan2(b, a)
-    target = press_drop(hover_theta_v, geometry) + travel
-    if target > amplitude:
+    hover_drop = press_drop(0.0, geometry)
+    if hover_drop + travel > amplitude:
         raise TravelRangeError(
             f"travel {travel} mm exceeds the maximum drop "
-            f"{amplitude - press_drop(hover_theta_v, geometry):.2f} mm from hover")
-    theta = math.degrees(math.asin(target / amplitude) - phase)
+            f"{amplitude - hover_drop:.2f} mm from hover")
+    theta = math.degrees(math.asin((hover_drop + travel) / amplitude) - phase)
     if theta > geometry.theta_v_max:
         raise TravelRangeError(
             f"travel {travel} mm needs theta_v {theta:.2f} deg, beyond the "
             f"joint limit {geometry.theta_v_max} deg")
-    return theta - hover_theta_v
+    return theta
 
 
 def required_torque(force: float, theta_v: float, geometry: FingerGeometry) -> float:

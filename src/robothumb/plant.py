@@ -1,12 +1,11 @@
 """Motor axis model: gearhead, quadrature encoder and profile motion.
 
-Each axis mimics a servo drive in profile-position / profile-velocity
-mode: the velocity slews toward its target at no more than ``a_max``,
-position integrates velocity, and in position mode the axis lands exactly
-on the setpoint with no overshoot (the deceleration envelope
-v <= sqrt(2*a_max*dist) is enforced every step). Angles are output-side
-degrees; the encoder count is kept consistent with the angle after every
-update.
+Each axis mimics a servo drive in profile-position mode: the velocity
+slews toward its target at no more than ``a_max``, position integrates
+velocity, and the axis lands exactly on the setpoint with no overshoot
+(the deceleration envelope v <= sqrt(2*a_max*dist) is enforced every
+step). Angles are output-side degrees; the encoder count is kept
+consistent with the angle after every update.
 """
 
 from __future__ import annotations
@@ -15,9 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, InputError
-
-POSITION = "position"
-VELOCITY = "velocity"
 
 
 def round_half_away(x: float) -> int:
@@ -58,14 +54,11 @@ class AxisState:
 
 @dataclass(frozen=True)
 class AxisCommand:
-    mode: str                    # POSITION or VELOCITY
-    setpoint: float              # counts (position) or deg/s (velocity)
-    velocity_limit: float = 0.0  # deg/s profile velocity, position mode only
+    setpoint: float        # counts
+    velocity_limit: float  # deg/s profile velocity
 
     def __post_init__(self):
-        if self.mode not in (POSITION, VELOCITY):
-            raise InputError(f"unknown axis command mode {self.mode!r}")
-        if self.mode == POSITION and self.velocity_limit < 0:
+        if self.velocity_limit < 0:
             raise InputError("velocity_limit must be non-negative")
 
 
@@ -91,14 +84,6 @@ def axis_step(state: AxisState, command: AxisCommand, dt: float,
     if dt <= 0:
         raise InputError("dt must be positive")
     dt_s = dt / 1000.0
-    max_dv = axis.a_max * dt_s
-
-    if command.mode == VELOCITY:
-        target_v = min(max(command.setpoint, -axis.v_max), axis.v_max)
-        velocity = _slew(state.velocity, target_v, max_dv)
-        angle = state.angle + velocity * dt_s
-        return AxisState(angle, velocity, encoder_counts(angle, axis))
-
     target_deg = command.setpoint * 360.0 / counts_per_output_rev(axis)
     dist = target_deg - state.angle
     if dist == 0.0:
@@ -106,9 +91,9 @@ def axis_step(state: AxisState, command: AxisCommand, dt: float,
 
     limit = min(command.velocity_limit, axis.v_max)
     # stay inside the no-overshoot deceleration envelope toward the target
-    stoppable = math.sqrt(2.0 * axis.a_max * abs(dist)) if math.isfinite(axis.a_max) else math.inf
+    stoppable = math.sqrt(2.0 * axis.a_max * abs(dist))
     desired = math.copysign(min(limit, stoppable), dist)
-    velocity = _slew(state.velocity, desired, max_dv)
+    velocity = _slew(state.velocity, desired, axis.a_max * dt_s)
     move = velocity * dt_s
     if (move >= dist if dist > 0 else move <= dist):
         # lands on (or would pass) the setpoint: stop exactly there

@@ -61,7 +61,6 @@ class DividerConfig:
 class AccelerometerModel:
     sensitivity: float = 0.3   # V/g
     zero_g_bias: float = 1.5   # V at 0 g
-    noise_sigma: float = 0.0   # V, std of additive output noise
 
     def __post_init__(self):
         if self.sensitivity <= 0:
@@ -89,6 +88,8 @@ class SensorTrace:
             raise TraceFormatError("sample_period must be positive")
         prev = None
         for s in self.samples:
+            if not math.isfinite(s.t):
+                raise TraceFormatError(f"sample timestamp {s.t} is not finite")
             if s.t < 0:
                 raise TraceFormatError("sample timestamps must be non-negative")
             if prev is not None:
@@ -124,24 +125,18 @@ def adc_quantize(v: float, cfg: DividerConfig) -> int:
     return round_half_up(clamped / cfg.v_ref * cfg.full_scale)
 
 
-def accel_output(foot_pitch: float, dyn_accel: float, model: AccelerometerModel,
-                 rng=None) -> tuple[float, float]:
+def accel_output(foot_pitch: float, dyn_accel: float,
+                 model: AccelerometerModel) -> tuple[float, float]:
     """Accelerometer Y/Z output voltages for a foot pitch (deg) and dynamic accel (g).
 
     Y reads the gravity projection on the foot's long axis, Z reads the
-    vertical gravity component plus any dynamic acceleration. When
-    ``noise_sigma`` is non-zero a seeded random generator must be supplied.
+    vertical gravity component plus any dynamic acceleration.
     """
     if abs(foot_pitch) > 90:
         raise InputError(f"foot_pitch {foot_pitch} outside [-90, 90]")
     pitch = math.radians(foot_pitch)
     v_y = model.zero_g_bias + model.sensitivity * math.sin(pitch)
     v_z = model.zero_g_bias + model.sensitivity * (math.cos(pitch) + dyn_accel)
-    if model.noise_sigma > 0:
-        if rng is None:
-            raise InputError("noise_sigma > 0 requires a random generator")
-        v_y += rng.normal(0.0, model.noise_sigma)
-        v_z += rng.normal(0.0, model.noise_sigma)
     return v_y, v_z
 
 

@@ -153,3 +153,54 @@ def test_runtime_errors_exit_3(tmp_path):
     assert run("simulate", "--trace", tmp_path / "absent.csv",
                "--calibration", tmp_path / "absent.txt",
                "--out", tmp_path) == 3
+
+
+def test_non_finite_trace_timestamps_exit_2(workdir, tmp_path, capsys):
+    trace = tmp_path / "nan.csv"
+    trace.write_text("t_ms,flex_adc,acc_y_adc,acc_z_adc,label\n"
+                     + "nan,2000,1229,1474,\n" * 3)
+    assert run("simulate", "--trace", trace,
+               "--calibration", workdir / "calibration.txt",
+               "--out", tmp_path) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_non_integer_anchor_exits_2(workdir, tmp_path, capsys):
+    lines = (workdir / "anchors.txt").read_text().splitlines()
+    lines = ["enc_h_min = nan" if line.startswith("enc_h_min") else line
+             for line in lines]
+    bad = tmp_path / "anchors.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run("calibrate", "--trace", workdir / "calibration_trace.csv",
+               "--anchors", bad, "--out", tmp_path) == 2
+    assert "enc_h_min" in capsys.readouterr().err
+
+
+def test_fractional_calibration_value_exits_2(workdir, tmp_path, capsys):
+    lines = (workdir / "calibration.txt").read_text().splitlines()
+    lines = [line + ".9" if line.startswith("flex_min") else line for line in lines]
+    bad = tmp_path / "calibration.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run("simulate", "--trace", workdir / "calibration_trace.csv",
+               "--calibration", bad, "--out", tmp_path) == 2
+    assert "flex_min" in capsys.readouterr().err
+
+
+def test_accel_noise_key_exits_2(tmp_path, capsys):
+    config = tmp_path / "noise.ini"
+    config.write_text("[sensors]\naccel_noise_sigma = 0.01\n")
+    assert run("synth", "calibration", "--config", config, "--out", tmp_path) == 2
+    assert "sensors.accel_noise_sigma" in capsys.readouterr().err
+
+
+def test_verbose_only_on_simulate(workdir, tmp_path, capsys):
+    assert run("synth", "calibration", "--verbose", "--out", tmp_path) == 1
+    assert run("synth", "press", "--key", 46, "--out", tmp_path) == 0
+    capsys.readouterr()
+    assert run("simulate", "--trace", tmp_path / "press_trace.csv",
+               "--calibration", workdir / "calibration.txt",
+               "--out", tmp_path, "--verbose") == 0
+    out = capsys.readouterr().out
+    event_lines = [line for line in out.splitlines() if " ms  " in line]
+    assert len(event_lines) == 2  # one press: key-on and key-off
+    assert "on  key 46" in event_lines[0] and "off key 46" in event_lines[1]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from robothumb.config import default_config, load_config
@@ -20,8 +22,9 @@ def test_default_config_is_valid():
 def test_partial_file_keeps_defaults(tmp_path):
     cfg = load_config(write(tmp_path, "[control]\nkp_h = 0.5\n"))
     assert cfg.control.kp_h == 0.5
-    assert cfg.control.v_cap == default_config().control.v_cap
-    assert cfg.layout.white_width == 23.5
+    default = default_config()
+    assert cfg == dataclasses.replace(
+        default, control=dataclasses.replace(default.control, kp_h=0.5))
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -32,6 +35,11 @@ def test_unknown_section_rejected(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigurationError, match="layout.colour"):
         load_config(write(tmp_path, "[layout]\ncolour = red\n"))
+
+
+def test_accel_noise_key_rejected(tmp_path):
+    with pytest.raises(ConfigurationError, match="sensors.accel_noise_sigma"):
+        load_config(write(tmp_path, "[sensors]\naccel_noise_sigma = 0.01\n"))
 
 
 def test_invariant_violation_names_key(tmp_path):

@@ -102,6 +102,22 @@ def test_single_press_walkthrough(cfg, calib):
     assert log.air_presses == []
 
 
+def test_key_on_charged_to_latest_intention(cfg, calib):
+    """A foot bump at t=50 ms that presses nothing (Z pulses, Y stays down)
+    must not be charged to the real press that follows."""
+    press = press_fixture(cfg, key_index=46, repeat=1)
+    _, z_bump = synth.accel_codes(cfg, 0.0, 0.5)
+    samples = tuple(dataclasses.replace(s, acc_z_adc=z_bump)
+                    if 50.0 <= s.t < 130.0 else s for s in press.samples)
+    log = run(SensorTrace(samples=samples, sample_period=1.0), calib, cfg)
+    assert log.intentions == [50.0, synth.LEAD_MS]
+    assert log.air_presses == []
+    [record] = log.latencies
+    assert record.intention_t == synth.LEAD_MS
+    assert record == run(press, calib, cfg).latencies[0]
+    assert 80.0 <= record.delay <= 90.0
+
+
 def test_press_velocity_scales_with_foot_speed(cfg, calib):
     velocities = []
     for speed in (0.3, 0.6, "max"):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from robothumb.errors import ConfigurationError, InputError
-from robothumb.plant import (POSITION, VELOCITY, AxisCommand, AxisState,
-                             MotorAxis, axis_step, counts_per_output_rev,
-                             encoder_counts, torque_margin)
+from robothumb.plant import (AxisCommand, AxisState, MotorAxis, axis_step,
+                             counts_per_output_rev, encoder_counts,
+                             torque_margin)
 
 AXIS = MotorAxis()
 
@@ -45,7 +45,7 @@ def test_axis_step_converged_setpoint():
     angle = 455 * 360.0 / 16384.0
     state = AxisState(angle=angle, velocity=25.0,
                       encoder_count=encoder_counts(angle, AXIS))
-    cmd = AxisCommand(POSITION, 455, velocity_limit=90.0)
+    cmd = AxisCommand(455, velocity_limit=90.0)
     out = axis_step(state, cmd, 1.0, AXIS)
     assert out.angle == angle
     assert out.velocity == 0.0
@@ -57,28 +57,29 @@ def test_axis_step_velocity_limited_move():
     # 1000 counts away, 90 deg/s limit, huge accel, 100 ms: moves 9 deg = 410 counts
     axis = MotorAxis(a_max=1e12)
     state = AxisState()
-    cmd = AxisCommand(POSITION, 1000, velocity_limit=90.0)
+    cmd = AxisCommand(1000, velocity_limit=90.0)
     out = axis_step(state, cmd, 100.0, axis)
     assert out.angle == pytest.approx(9.0)
     assert out.encoder_count == 410
     assert out.velocity == pytest.approx(90.0)
 
 
-def test_axis_step_velocity_mode_slew():
+def test_axis_step_accel_limited_slew():
+    # a far setpoint keeps the deceleration envelope out of the way
     axis = MotorAxis(a_max=500.0)
-    out = axis_step(AxisState(), AxisCommand(VELOCITY, 50.0), 20.0, axis)
+    out = axis_step(AxisState(), AxisCommand(10**9, velocity_limit=50.0), 20.0, axis)
     assert out.velocity == pytest.approx(10.0)  # 500 deg/s^2 * 20 ms
 
 
-def test_velocity_mode_respects_v_max():
-    out = axis_step(AxisState(), AxisCommand(VELOCITY, 1e9), 1000.0, AXIS)
+def test_axis_step_respects_v_max():
+    out = axis_step(AxisState(), AxisCommand(10**9, velocity_limit=1e9), 1000.0, AXIS)
     assert out.velocity == AXIS.v_max
 
 
 def test_time_consistency_constant_velocity():
     # far from target at the limit: dt twice equals 2*dt once
     axis = MotorAxis(a_max=1e12)
-    cmd = AxisCommand(POSITION, 100000, velocity_limit=120.0)
+    cmd = AxisCommand(100000, velocity_limit=120.0)
     start = AxisState(angle=0.0, velocity=120.0, encoder_count=0)
     twice = axis_step(axis_step(start, cmd, 1.0, axis), cmd, 1.0, axis)
     once = axis_step(start, cmd, 2.0, axis)
@@ -91,7 +92,7 @@ def test_time_consistency_constant_velocity():
        st.integers(min_value=1, max_value=40))
 def test_no_overshoot_and_encoder_consistency(setpoint, limit, steps):
     state = AxisState()
-    cmd = AxisCommand(POSITION, setpoint, velocity_limit=limit)
+    cmd = AxisCommand(setpoint, velocity_limit=limit)
     target_deg = setpoint * 360.0 / 16384.0
     for _ in range(steps):
         before = state.angle
@@ -107,7 +108,7 @@ def test_no_overshoot_and_encoder_consistency(setpoint, limit, steps):
 @pytest.mark.parametrize("setpoint", [1, -1, 410, 16384, -5000])
 def test_position_mode_reaches_setpoint_exactly(setpoint):
     state = AxisState()
-    cmd = AxisCommand(POSITION, setpoint, velocity_limit=200.0)
+    cmd = AxisCommand(setpoint, velocity_limit=200.0)
     for _ in range(100000):
         state = axis_step(state, cmd, 1.0, AXIS)
         if state.encoder_count == setpoint and state.velocity == 0.0:
@@ -139,4 +140,4 @@ def test_invalid_axis_rejected():
     with pytest.raises(ConfigurationError):
         MotorAxis(quadrature=3)
     with pytest.raises(InputError):
-        AxisCommand("current", 0)
+        AxisCommand(0, velocity_limit=-1.0)

@@ -1,4 +1,5 @@
-import numpy as np
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,17 +66,6 @@ def test_accel_output_pitch_range():
         accel_output(90.5, 0.0, ACC)
 
 
-def test_accel_noise_requires_rng_and_is_seeded():
-    noisy = AccelerometerModel(noise_sigma=0.01)
-    with pytest.raises(InputError):
-        accel_output(0.0, 0.0, noisy)
-    a = accel_output(0.0, 0.0, noisy, rng=np.random.default_rng(7))
-    b = accel_output(0.0, 0.0, noisy, rng=np.random.default_rng(7))
-    assert a == b
-    c = accel_output(0.0, 0.0, noisy, rng=np.random.default_rng(8))
-    assert a != c
-
-
 @given(st.floats(min_value=0.0, max_value=180.0),
        st.floats(min_value=0.0, max_value=180.0))
 def test_monotonicity_chain(a1, a2):
@@ -104,6 +94,14 @@ def _sample(t, label=""):
 def test_trace_rejects_non_monotone_timestamps():
     with pytest.raises(TraceFormatError):
         SensorTrace(samples=(_sample(0.0), _sample(0.0)), sample_period=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trace_rejects_non_finite_timestamps(bad):
+    with pytest.raises(TraceFormatError, match="not finite"):
+        SensorTrace(samples=(_sample(0.0), _sample(bad)), sample_period=1.0)
+    with pytest.raises(TraceFormatError, match="not finite"):
+        SensorTrace(samples=(_sample(bad),), sample_period=1.0)
 
 
 def test_trace_rejects_irregular_spacing():
