@@ -6,16 +6,16 @@ from .control import CalibrationSet, ControlParams
 from .engine import EventLog, LatencyConfig, SimulationConfig, run
 from .kinematics import FingerGeometry, MountPose
 from .piano import Key, KeyboardLayout, KeyEvent, key_at
-from .plant import AxisCommand, AxisState, MotorAxis
+from .plant import MotorAxis
 from .sensors import (AccelerometerModel, DividerConfig, FlexSensorModel,
                       SensorSample, SensorTrace)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccelerometerModel", "AxisCommand", "AxisState", "CalibrationSet",
-    "ControlParams", "DividerConfig", "EventLog", "FingerGeometry",
-    "FlexSensorModel", "GlobalConfig", "Key", "KeyEvent", "KeyboardLayout",
-    "LatencyConfig", "MotorAxis", "MountPose", "SensorSample", "SensorTrace",
-    "SimulationConfig", "default_config", "key_at", "load_config", "run",
+    "AccelerometerModel", "CalibrationSet", "ControlParams", "DividerConfig",
+    "EventLog", "FingerGeometry", "FlexSensorModel", "GlobalConfig", "Key",
+    "KeyEvent", "KeyboardLayout", "LatencyConfig", "MotorAxis", "MountPose",
+    "SensorSample", "SensorTrace", "SimulationConfig", "default_config",
+    "key_at", "load_config", "run",
 ]

@@ -168,10 +168,8 @@ def latency_stats(delays_ms) -> LatencyStats:
 
 @dataclass(frozen=True)
 class BudgetReport:
-    latency_budget_ms: float
     measured_mean_ms: float
     latency_pass: bool
-    mass_budget_g: float
     configured_mass_g: float
     mass_pass: bool
     torque_required_nm: float
@@ -184,10 +182,10 @@ class BudgetReport:
 
     def kv(self) -> dict:
         return {
-            "latency_budget_ms": self.latency_budget_ms,
+            "latency_budget_ms": LATENCY_BUDGET_MS,
             "latency_measured_ms": round(self.measured_mean_ms, 3),
             "latency_pass": int(self.latency_pass),
-            "mass_budget_g": self.mass_budget_g,
+            "mass_budget_g": MASS_BUDGET_G,
             "mass_configured_g": self.configured_mass_g,
             "mass_pass": int(self.mass_pass),
             "torque_required_nm": round(self.torque_required_nm, 6),
@@ -199,9 +197,9 @@ class BudgetReport:
         def mark(ok: bool) -> str:
             return "pass" if ok else "FAIL"
         return [
-            f"latency: {self.measured_mean_ms:.1f} ms vs {self.latency_budget_ms:.0f} ms "
+            f"latency: {self.measured_mean_ms:.1f} ms vs {LATENCY_BUDGET_MS:.0f} ms "
             f"budget -> {mark(self.latency_pass)}",
-            f"mass:    {self.configured_mass_g:.0f} g vs {self.mass_budget_g:.0f} g "
+            f"mass:    {self.configured_mass_g:.0f} g vs {MASS_BUDGET_G:.0f} g "
             f"budget -> {mark(self.mass_pass)}",
             f"torque:  margin {self.torque_margin:.2f} at {self.torque_required_nm * 1000:.2f} "
             f"mN*m required -> {mark(self.torque_pass)}",
@@ -225,10 +223,8 @@ def budget_check(config, measured_latency_ms: float | None = None) -> BudgetRepo
     margin = torque_margin(required, axis)
     mass = config.device_mass_g
     return BudgetReport(
-        latency_budget_ms=LATENCY_BUDGET_MS,
         measured_mean_ms=measured,
         latency_pass=measured <= LATENCY_BUDGET_MS,
-        mass_budget_g=MASS_BUDGET_G,
         configured_mass_g=mass,
         mass_pass=mass <= MASS_BUDGET_G,
         torque_required_nm=required,

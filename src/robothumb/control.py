@@ -5,16 +5,18 @@ encoder counts (closest to furthest note) and foot Y-accelerometer codes
 to vertical encoder counts (hover to fully pressed). The horizontal
 profile velocity follows a proportional law in the remaining distance,
 the vertical profile velocity follows the foot's Z acceleration so a
-faster lift presses harder.
+faster lift presses harder. Both laws map whole columns of samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (CalibrationIncompleteError, ConfigurationError,
                      DegenerateCalibrationError)
-from .plant import AxisCommand, MotorAxis, counts_per_output_rev, round_half_away
+from .plant import MotorAxis, counts_per_output_rev
 from .kinematics import FingerGeometry
 from .sensors import SensorTrace, round_half_up
 
@@ -73,14 +75,19 @@ class ControlParams:
             raise ConfigurationError("z_refractory_ms must be non-negative")
 
 
-def linear_map(s: float, s_min: float, s_max: float,
-               p_min: float, p_max: float) -> float:
-    """Affine map taking s_min -> p_min and s_max -> p_max, clamped to the p range."""
+def linear_map(s, s_min: float, s_max: float, p_min: float, p_max: float):
+    """Affine map taking s_min -> p_min and s_max -> p_max, clamped to the p
+    range; ``s`` is a number or a numpy array, mapped element by element."""
     if s_min == s_max:
         raise DegenerateCalibrationError("degenerate map: s_min equals s_max")
     p = p_min + (s - s_min) * (p_max - p_min) / (s_max - s_min)
     lo, hi = min(p_min, p_max), max(p_min, p_max)
-    return min(max(p, lo), hi)
+    return np.clip(p, lo, hi)
+
+
+def _round_half_away(x: np.ndarray) -> list[int]:
+    """``plant.round_half_away`` of each element, by the same float operations."""
+    return np.copysign(np.floor(np.abs(x) + 0.5), x).astype(np.int64).tolist()
 
 
 def calibrate_from_trace(trace: SensorTrace, anchors: dict) -> CalibrationSet:
@@ -144,32 +151,31 @@ def validate_calibration_ranges(calib: CalibrationSet, geometry: FingerGeometry,
             raise ConfigurationError(f"{name} outside the vertical joint range")
 
 
-def horizontal_update(flex_adc: int, calib: CalibrationSet, params: ControlParams,
-                      current_counts: int) -> AxisCommand:
-    """Position command for the horizontal axis from one flex reading.
+def horizontal_update(flex_adc: np.ndarray, calib: CalibrationSet) -> list[int]:
+    """Horizontal setpoints (counts), one per flex reading in the column.
 
-    The profile velocity is proportional to the remaining distance, capped
-    at v_cap, so larger repositioning moves run faster.
+    The engine sends each with a profile velocity proportional to the
+    distance left when it arrives, ``min(kp_h * |setpoint - encoder_count|,
+    v_cap)``, so larger repositioning moves run faster.
     """
-    setpoint = round_half_away(linear_map(
+    return _round_half_away(linear_map(
         flex_adc, calib.flex_min, calib.flex_max, calib.enc_h_min, calib.enc_h_max))
-    velocity = min(params.kp_h * abs(setpoint - current_counts), params.v_cap)
-    return AxisCommand(setpoint=setpoint, velocity_limit=velocity)
 
 
-def vertical_update(acc_y_adc: int, acc_z_adc: int, calib: CalibrationSet,
-                    params: ControlParams) -> AxisCommand:
-    """Position command for the vertical axis from one accelerometer reading.
+def vertical_update(acc_y_adc: np.ndarray, acc_z_adc: np.ndarray, calib: CalibrationSet,
+                    params: ControlParams) -> tuple[list[int], list[float]]:
+    """Vertical setpoints (counts) and profile velocities (deg/s) per reading.
 
     Y places the finger between hover (foot down) and full press (foot
     lifted); Z sets how fast it gets there, with a floor so the motion
     always completes.
     """
-    setpoint = round_half_away(linear_map(
+    setpoints = _round_half_away(linear_map(
         acc_y_adc, calib.y_min, calib.y_max, calib.enc_hover, calib.enc_pressed))
     z_norm = (acc_z_adc - calib.z_min) / (calib.z_max - calib.z_min)
-    velocity = min(max(params.kv_z * z_norm, params.v_floor), params.v_cap)
-    return AxisCommand(setpoint=setpoint, velocity_limit=velocity)
+    with np.errstate(invalid="ignore"):  # kv_z = inf at rest: inf * 0 is nan
+        velocity = np.clip(params.kv_z * z_norm, params.v_floor, params.v_cap)
+    return setpoints, velocity.tolist()
 
 
 def save_calibration(calib: CalibrationSet, path) -> None:
@@ -206,10 +212,11 @@ def read_kv_file(path) -> dict:
             if "=" not in line:
                 raise ConfigurationError(f"{path}:{lineno}: expected 'name = value'")
             name, _, raw = line.partition("=")
+            name = name.strip()
             try:
-                values[name.strip()] = float(raw.strip())
+                values[name] = float(raw.strip())
             except ValueError as exc:
-                raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
+                raise ConfigurationError(f"{path}:{lineno}: {name}: {exc}") from exc
     return values
 
 

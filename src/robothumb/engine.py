@@ -24,9 +24,12 @@ foot bump that presses nothing is never charged to a later key.
 
 The two axes are separate pipelines that meet only at the fingertip: the
 flex sensor steers the horizontal axis, the foot accelerometer drives the
-vertical axis. Both execution modes produce byte-identical logs: they run
-the two axis pipelines, inline or on two workers, then combine the axis
-states step by step into fingertip positions and key events.
+vertical axis. The control laws map the sample columns once per trace;
+each axis loop steps a plain ``(angle, velocity, encoder_count)`` tuple,
+adding only the horizontal feedback on its encoder count. Both execution
+modes produce byte-identical logs: they run the two axis loops, inline or
+on two workers, then combine the axis states step by step into fingertip
+positions and key events.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from . import control, kinematics, plant
 from .control import CalibrationSet, ControlParams
@@ -115,20 +120,12 @@ class LatencyRecord:
         return self.action_t - self.intention_t
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    t: float
-    theta_h_counts: int
-    theta_v_counts: int
-    tip_x: float
-    tip_z: float
-
-
 @dataclass
 class EventLog:
     events: list[KeyEvent] = field(default_factory=list)
     latencies: list[LatencyRecord] = field(default_factory=list)
-    steps: list[StepRecord] = field(default_factory=list)
+    # one (t, theta_h_counts, theta_v_counts, tip_x, tip_z) tuple per step
+    steps: list[tuple[float, int, int, float, float]] = field(default_factory=list)
     intentions: list[float] = field(default_factory=list)
     air_presses: list[float] = field(default_factory=list)
 
@@ -160,33 +157,43 @@ def intention_detect(trace: SensorTrace, calib: CalibrationSet,
     return out
 
 
-def _run_axis(samples, law, n_steps: int, dt: float, lat: LatencyConfig,
-              axis: plant.MotorAxis) -> list[plant.AxisState]:
+def _run_axis(law, feedback: tuple[float, float] | None, times: np.ndarray,
+              n_steps: int, dt: float, lat: LatencyConfig,
+              axis: plant.MotorAxis) -> list[tuple]:
     """One axis pipeline over ``n_steps`` steps; returns its state after each.
 
-    ``law(sample, encoder_count)`` turns a sample into this axis's command;
-    it sees the axis's own encoder count at the instant the sample arrives.
+    ``law()`` maps the samples taken at ``times`` to the axis's setpoints,
+    and to their profile velocities when ``feedback`` is None. With
+    ``feedback = (kp, v_cap)`` each velocity is set when its sample arrives,
+    ``min(kp * |setpoint - encoder_count|, v_cap)``.
     """
-    state = plant.AxisState()
-    command = plant.AxisCommand(0, 0.0)
-    pending: deque[tuple[float, plant.AxisCommand]] = deque()  # (effective_t, command)
+    if feedback is None:
+        setpoints, limits = law()
+    else:
+        setpoints, (kp, v_cap) = law(), feedback
+    feed_t = (times + lat.sensor_path).tolist() + [math.inf]  # inf: none left to feed
+    apply_t = (times + lat.data_path).tolist()
+    state = (0.0, 0.0, 0)  # (angle, velocity, encoder_count) at drive enable
+    setpoint, limit = 0, 0.0
+    pending: deque[tuple[float, int, float]] = deque()  # (apply_t, setpoint, limit)
     states = []
     si = 0
     for k in range(1, n_steps + 1):
         t = k * dt
 
         # feed every sample whose sensor path completes within this step
-        while si < len(samples) and samples[si].t + lat.sensor_path <= t:
-            s = samples[si]
+        while feed_t[si] <= t:
+            sp = setpoints[si]
+            v = limits[si] if feedback is None else min(kp * abs(sp - state[2]), v_cap)
+            pending.append((apply_t[si], sp, v))
             si += 1
-            pending.append((s.t + lat.data_path, law(s, state.encoder_count)))
 
         # commands take effect no later than their effective instant:
         # one falling in (t - dt, t] acts over that whole step
         while pending and pending[0][0] <= t:
-            command = pending.popleft()[1]
+            _, setpoint, limit = pending.popleft()
 
-        state = plant.axis_step(state, command, dt, axis)
+        state = plant.axis_step(state, setpoint, limit, dt, axis)
         states.append(state)
     return states
 
@@ -200,12 +207,19 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
     """
     control.validate_calibration_ranges(calibration, config.geometry, config.axis)
     full_scale = config.divider.full_scale
-    for s in trace.samples:
-        for code in (s.flex_adc, s.acc_y_adc, s.acc_z_adc):
-            if not 0 <= code <= full_scale:
-                raise InputError(
-                    f"sample at t={s.t} ms carries ADC code {code} outside "
-                    f"[0, {full_scale}]")
+    samples = trace.samples
+    try:
+        columns = np.array([[s.t for s in samples], [s.flex_adc for s in samples],
+                            [s.acc_y_adc for s in samples],
+                            [s.acc_z_adc for s in samples]], dtype=float)
+    except OverflowError as exc:  # an integer code beyond any float
+        raise InputError(f"ADC code outside [0, {full_scale}]: {exc}") from exc
+    times, flex, acc_y, acc_z = columns
+    in_range = ((columns[1:] >= 0) & (columns[1:] <= full_scale)).all(axis=0)
+    if not in_range.all():
+        s = samples[int(np.argmin(in_range))]
+        raise InputError(f"sample at t={s.t} ms carries ADC codes {s.flex_adc}, "
+                         f"{s.acc_y_adc}, {s.acc_z_adc}, not all in [0, {full_scale}]")
 
     sim = config.simulation
     lat = sim.latency
@@ -216,27 +230,22 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
     dt = sim.timestep
 
     log = EventLog(intentions=intention_detect(trace, calibration, params))
-    samples = trace.samples
     if not samples:
         return log
 
-    def horizontal(s, encoder_count):
-        return control.horizontal_update(s.flex_adc, calibration, params,
-                                         encoder_count)
-
-    def vertical(s, _encoder_count):
-        return control.vertical_update(s.acc_y_adc, s.acc_z_adc,
-                                       calibration, params)
+    laws = (functools.partial(control.horizontal_update, flex, calibration),
+            functools.partial(control.vertical_update, acc_y, acc_z, calibration, params))
+    feedbacks = ((params.kp_h, params.v_cap), None)  # horizontal, vertical
 
     end_t = samples[-1].t + lat.data_path + sim.settle_tail_ms
     n_steps = int(math.ceil(end_t / dt))
-    axis_run = functools.partial(_run_axis, samples, n_steps=n_steps, dt=dt,
+    axis_run = functools.partial(_run_axis, times=times, n_steps=n_steps, dt=dt,
                                  lat=lat, axis=config.axis)
     if sim.mode == "concurrent":
         with ThreadPoolExecutor(max_workers=2) as pool:
-            states_h, states_v = pool.map(axis_run, (horizontal, vertical))
+            states_h, states_v = pool.map(axis_run, laws, feedbacks)
     else:
-        states_h, states_v = map(axis_run, (horizontal, vertical))
+        states_h, states_v = map(axis_run, laws, feedbacks)
 
     press_height = -layout.key_travel  # tip z of a fully pressed key
     pressed: Key | None = None
@@ -244,12 +253,9 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
     prev_tip_z = mount.base_z - kinematics.press_drop(0.0, geometry)  # drive enable
     for k, (state_h, state_v) in enumerate(zip(states_h, states_v), start=1):
         t = k * dt
-        theta_h_world = mount.heading + state_h.angle
-        tip_x, tip_z = kinematics.keyline_position(
-            theta_h_world, state_v.angle, geometry, mount)
-
-        log.steps.append(StepRecord(t, state_h.encoder_count,
-                                    state_v.encoder_count, tip_x, tip_z))
+        tip_x, tip_z = kinematics.keyline_position(mount.heading + state_h[0], state_v[0],
+                                                   geometry, mount)
+        log.steps.append((t, state_h[2], state_v[2], tip_x, tip_z))
 
         if pressed is None and prev_tip_z > press_height >= tip_z:
             # a press, on a key or in the air, uses up every intention so
@@ -259,7 +265,7 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
             if key is None:
                 log.air_presses.append(t)
             else:
-                velocity = midi_velocity(abs(state_v.velocity), params.v_cap)
+                velocity = midi_velocity(abs(state_v[1]), params.v_cap)
                 log.events.append(KeyEvent(t, "on", key.index, velocity))
                 pressed = key
                 if upto > ii:
@@ -289,9 +295,8 @@ def write_event_csv(log: EventLog, path) -> None:
 def write_step_csv(log: EventLog, path) -> None:
     with open(path, "w", newline="") as f:
         f.write("t_ms,theta_h_counts,theta_v_counts,tip_x,tip_z\n")
-        for s in log.steps:
-            f.write(f"{s.t:.3f},{s.theta_h_counts},{s.theta_v_counts},"
-                    f"{s.tip_x:.6f},{s.tip_z:.6f}\n")
+        for step in log.steps:
+            f.write("%.3f,%d,%d,%.6f,%.6f\n" % step)
 
 
 def write_latency_csv(log: EventLog, path) -> None:

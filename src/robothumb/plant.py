@@ -45,23 +45,6 @@ class MotorAxis:
             raise ConfigurationError("nominal_torque must be positive")
 
 
-@dataclass(frozen=True)
-class AxisState:
-    angle: float = 0.0          # deg, output side, zero at drive enable
-    velocity: float = 0.0       # deg/s
-    encoder_count: int = 0      # counts, zeroed at drive enable
-
-
-@dataclass(frozen=True)
-class AxisCommand:
-    setpoint: float        # counts
-    velocity_limit: float  # deg/s profile velocity
-
-    def __post_init__(self):
-        if self.velocity_limit < 0:
-            raise InputError("velocity_limit must be non-negative")
-
-
 def counts_per_output_rev(axis: MotorAxis) -> int:
     """Decoded encoder counts for one full output-shaft revolution."""
     return axis.encoder_cpr * axis.quadrature * axis.gear_ratio
@@ -72,34 +55,37 @@ def encoder_counts(angle: float, axis: MotorAxis) -> int:
     return round_half_away(angle * counts_per_output_rev(axis) / 360.0)
 
 
-def _slew(current: float, target: float, max_delta: float) -> float:
-    if target > current:
-        return min(target, current + max_delta)
-    return max(target, current - max_delta)
-
-
-def axis_step(state: AxisState, command: AxisCommand, dt: float,
-              axis: MotorAxis) -> AxisState:
-    """Advance one axis by ``dt`` milliseconds under ``command``."""
+def axis_step(state: tuple, setpoint: int, velocity_limit: float, dt: float,
+              axis: MotorAxis) -> tuple[float, float, int]:
+    """Advance ``state``, ``(angle, velocity, encoder_count)``, by ``dt`` ms
+    toward ``setpoint`` counts at profile velocity ``velocity_limit``; an
+    idle step, already at rest on the setpoint, returns ``state`` itself."""
     if dt <= 0:
         raise InputError("dt must be positive")
-    dt_s = dt / 1000.0
-    target_deg = command.setpoint * 360.0 / counts_per_output_rev(axis)
-    dist = target_deg - state.angle
+    if velocity_limit < 0:
+        raise InputError("velocity_limit must be non-negative")
+    angle, velocity, _ = state
+    target = setpoint * 360.0 / counts_per_output_rev(axis)
+    dist = target - angle
     if dist == 0.0:
-        return AxisState(state.angle, 0.0, encoder_counts(state.angle, axis))
+        return state if velocity == 0.0 else (angle, 0.0, encoder_counts(angle, axis))
 
-    limit = min(command.velocity_limit, axis.v_max)
+    dt_s = dt / 1000.0
+    limit = min(velocity_limit, axis.v_max)
     # stay inside the no-overshoot deceleration envelope toward the target
     stoppable = math.sqrt(2.0 * axis.a_max * abs(dist))
     desired = math.copysign(min(limit, stoppable), dist)
-    velocity = _slew(state.velocity, desired, axis.a_max * dt_s)
+    max_delta = axis.a_max * dt_s  # slew toward ``desired`` by at most this
+    if desired > velocity:
+        velocity = min(desired, velocity + max_delta)
+    else:
+        velocity = max(desired, velocity - max_delta)
     move = velocity * dt_s
     if (move >= dist if dist > 0 else move <= dist):
         # lands on (or would pass) the setpoint: stop exactly there
-        return AxisState(target_deg, 0.0, encoder_counts(target_deg, axis))
-    angle = state.angle + move
-    return AxisState(angle, velocity, encoder_counts(angle, axis))
+        return target, 0.0, encoder_counts(target, axis)
+    angle += move
+    return angle, velocity, encoder_counts(angle, axis)
 
 
 def torque_margin(required: float, axis: MotorAxis) -> float:

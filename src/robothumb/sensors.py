@@ -102,6 +102,9 @@ class SensorTrace:
                         f"period {self.sample_period} ms"
                     )
             prev = s.t
+        # after the timestamps, which name the fault in a period derived from them
+        if not math.isfinite(self.sample_period):
+            raise TraceFormatError(f"sample_period {self.sample_period} is not finite")
 
 
 def flex_resistance(bend_angle: float, model: FlexSensorModel) -> float:

@@ -81,9 +81,8 @@ def anchors_from_config(cfg: GlobalConfig) -> dict:
     }
 
 
-def flex_code_for_key(cfg: GlobalConfig, key: Key) -> int:
-    """Flex code that steers the calibrated horizontal map onto a key center."""
-    anchors = anchors_from_config(cfg)
+def flex_code_for_key(cfg: GlobalConfig, key: Key, anchors: dict) -> int:
+    """Flex code that steers the map calibrated on ``anchors`` onto a key center."""
     target = horizontal_counts_for_x(cfg, key.center_x)
     lo, hi = sorted((anchors["enc_h_min"], anchors["enc_h_max"]))
     if not lo <= target <= hi:
@@ -183,7 +182,8 @@ def press_trace(cfg: GlobalConfig, key_index: int, speed=0.5, repeat: int = 1,
     if repeat < 1:
         raise InputError("repeat must be >= 1")
     s = _press_speed(speed)
-    flex_target = flex_code_for_key(cfg, cfg.layout.keys[key_index])
+    flex_target = flex_code_for_key(cfg, cfg.layout.keys[key_index],
+                                    anchors_from_config(cfg))
     rows = _press_rows(cfg, flex_target, s, repeat,
                        LEAD_MS + repeat * PRESS_CYCLE_MS + TAIL_MS)
 
@@ -203,11 +203,12 @@ def scale_trace(cfg: GlobalConfig, key_indices, speed=0.5) -> SensorTrace:
     if not key_indices:
         raise InputError("scale needs at least one key")
     s = _press_speed(speed)
+    anchors = anchors_from_config(cfg)
     rows = []
     for key_index in key_indices:
         if not 0 <= key_index < cfg.layout.n_keys:
             raise InputError(f"key index {key_index} outside the keyboard")
-        flex_target = flex_code_for_key(cfg, cfg.layout.keys[key_index])
+        flex_target = flex_code_for_key(cfg, cfg.layout.keys[key_index], anchors)
         rows += _press_rows(cfg, flex_target, s, 1, LEAD_MS + PRESS_CYCLE_MS)
     # no cycles: the thumb holds the last key through the quiet tail
     rows += _press_rows(cfg, rows[-1][0], s, 0, TAIL_MS)

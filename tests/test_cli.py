@@ -176,6 +176,18 @@ def test_non_integer_anchor_exits_2(workdir, tmp_path, capsys):
     assert "enc_h_min" in capsys.readouterr().err
 
 
+def test_unparsable_anchor_names_key_and_line(workdir, tmp_path, capsys):
+    lines = (workdir / "anchors.txt").read_text().splitlines()
+    lines = ["enc_hover = zero" if line.startswith("enc_hover") else line
+             for line in lines]
+    bad = tmp_path / "anchors.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("enc_hover"))
+    assert run("calibrate", "--trace", workdir / "calibration_trace.csv",
+               "--anchors", bad, "--out", tmp_path) == 2
+    assert f"anchors.txt:{lineno}: enc_hover: could not convert" in capsys.readouterr().err
+
+
 def test_fractional_calibration_value_exits_2(workdir, tmp_path, capsys):
     lines = (workdir / "calibration.txt").read_text().splitlines()
     lines = [line + ".9" if line.startswith("flex_min") else line for line in lines]

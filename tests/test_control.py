@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from robothumb import engine
 from robothumb.control import (CalibrationSet, ControlParams,
                                calibrate_from_trace, horizontal_update,
                                linear_map, load_calibration, save_calibration,
@@ -10,7 +12,7 @@ from robothumb.control import (CalibrationSet, ControlParams,
 from robothumb.errors import (CalibrationIncompleteError, ConfigurationError,
                               DegenerateCalibrationError)
 from robothumb.kinematics import FingerGeometry
-from robothumb.plant import MotorAxis
+from robothumb.plant import MotorAxis, round_half_away
 from robothumb.sensors import SensorSample, SensorTrace
 
 PARAMS = ControlParams()
@@ -96,73 +98,95 @@ def test_degenerate_calibration_rejected():
                        enc_hover=0, enc_pressed=1)
 
 
+def commanded_velocity(distance: int, params: ControlParams) -> float:
+    """Profile velocity the engine's horizontal pipeline sends toward a
+    setpoint ``distance`` counts from the axis, read off one step of an axis
+    with unbounded acceleration (it reaches the commanded velocity at once)."""
+    axis = MotorAxis(a_max=1e12, v_max=1e9)
+    no_delay = engine.LatencyConfig(0.0, 0.0, 0.0, 0.0, 0.0)
+    [(_, velocity, _)] = engine._run_axis(lambda: [distance], (params.kp_h, params.v_cap),
+                                          np.zeros(1), 1, 1.0, no_delay, axis)
+    return abs(velocity)
+
+
+def scalar_setpoint(s, s_min, s_max, p_min, p_max) -> int:
+    """Reference: the map and rounding one sample at a time, in plain floats."""
+    p = p_min + (s - s_min) * (p_max - p_min) / (s_max - s_min)
+    return round_half_away(min(max(p, min(p_min, p_max)), max(p_min, p_max)))
+
+
 def test_horizontal_update_endpoints_and_velocity_law():
-    cmd = horizontal_update(CAL.flex_min, CAL, PARAMS, current_counts=0)
-    assert cmd.setpoint == CAL.enc_h_min
-    cmd = horizontal_update(CAL.flex_max, CAL, PARAMS, current_counts=0)
-    assert cmd.setpoint == CAL.enc_h_max
+    assert horizontal_update(np.array([CAL.flex_min, CAL.flex_max]), CAL) == [
+        CAL.enc_h_min, CAL.enc_h_max]
     # converged: zero distance, zero commanded velocity
-    cmd = horizontal_update(CAL.flex_min, CAL, PARAMS, current_counts=CAL.enc_h_min)
-    assert cmd.velocity_limit == 0.0
-    # proportional law below the cap
+    assert commanded_velocity(0, PARAMS) == 0.0
+    # proportional law below the cap, capped above it
     params = ControlParams(kp_h=0.05, v_cap=90.0)
-    cmd = horizontal_update(CAL.flex_min, CAL, params,
-                            current_counts=CAL.enc_h_min - 1000)
-    assert cmd.velocity_limit == pytest.approx(50.0)
+    assert commanded_velocity(-1000, params) == pytest.approx(50.0)
+    assert commanded_velocity(1000, params) == pytest.approx(50.0)
+    assert commanded_velocity(5000, params) == 90.0
 
 
 def test_vertical_update_endpoints_and_velocity_clamp():
-    cmd = vertical_update(CAL.y_min, CAL.z_min, CAL, PARAMS)
-    assert cmd.setpoint == CAL.enc_hover
-    assert cmd.velocity_limit == PARAMS.v_floor
-    cmd = vertical_update(CAL.y_max, CAL.z_max, CAL, PARAMS)
-    assert cmd.setpoint == CAL.enc_pressed
-    assert cmd.velocity_limit == min(PARAMS.kv_z, PARAMS.v_cap)
+    setpoints, velocities = vertical_update(np.array([CAL.y_min, CAL.y_max]),
+                                            np.array([CAL.z_min, CAL.z_max]),
+                                            CAL, PARAMS)
+    assert setpoints == [CAL.enc_hover, CAL.enc_pressed]
+    assert velocities == [PARAMS.v_floor, min(PARAMS.kv_z, PARAMS.v_cap)]
     big = ControlParams(kv_z=10000.0)
-    cmd = vertical_update(CAL.y_max, CAL.z_max, CAL, big)
-    assert cmd.velocity_limit == big.v_cap
+    _, velocities = vertical_update(np.array([CAL.y_max]), np.array([CAL.z_max]),
+                                    CAL, big)
+    assert velocities == [big.v_cap]
+
+
+def test_laws_match_scalar_reference_on_every_code():
+    codes = np.arange(0, 4096)
+    assert horizontal_update(codes, CAL) == [
+        scalar_setpoint(c, CAL.flex_min, CAL.flex_max, CAL.enc_h_min, CAL.enc_h_max)
+        for c in range(4096)]
+    setpoints, velocities = vertical_update(codes, codes[::-1], CAL, PARAMS)
+    assert setpoints == [
+        scalar_setpoint(c, CAL.y_min, CAL.y_max, CAL.enc_hover, CAL.enc_pressed)
+        for c in range(4096)]
+    z_span = CAL.z_max - CAL.z_min
+    assert velocities == [
+        min(max(PARAMS.kv_z * ((z - CAL.z_min) / z_span), PARAMS.v_floor), PARAMS.v_cap)
+        for z in range(4095, -1, -1)]
 
 
 @given(st.integers(min_value=-10000, max_value=10000))
 def test_horizontal_setpoint_always_clamped(flex):
-    cmd = horizontal_update(flex, CAL, PARAMS, 0)
+    [setpoint] = horizontal_update(np.array([flex]), CAL)
     lo, hi = sorted((CAL.enc_h_min, CAL.enc_h_max))
-    assert lo <= cmd.setpoint <= hi
+    assert lo <= setpoint <= hi
 
 
 @given(st.integers(min_value=-10000, max_value=10000),
        st.integers(min_value=-10000, max_value=10000))
 def test_vertical_setpoint_clamped_and_velocity_bounded(y, z):
-    cmd = vertical_update(y, z, CAL, PARAMS)
+    [setpoint], [velocity] = vertical_update(np.array([y]), np.array([z]),
+                                             CAL, PARAMS)
     lo, hi = sorted((CAL.enc_hover, CAL.enc_pressed))
-    assert lo <= cmd.setpoint <= hi
-    assert PARAMS.v_floor <= cmd.velocity_limit <= PARAMS.v_cap
+    assert lo <= setpoint <= hi
+    assert PARAMS.v_floor <= velocity <= PARAMS.v_cap
 
 
 def test_setpoints_monotone_in_sensor_codes():
-    h_prev = None
-    for flex in range(1700, 2600, 25):
-        sp = horizontal_update(flex, CAL, PARAMS, 0).setpoint
-        if h_prev is not None:
-            # codes toward flex_min (2482) map toward enc_h_min (790): rising
-            assert sp >= h_prev
-        h_prev = sp
-    v_prev = None
-    for y in range(1200, 1360, 5):
-        sp = vertical_update(y, CAL.z_min, CAL, PARAMS).setpoint
-        if v_prev is not None:
-            assert sp >= v_prev
-        v_prev = sp
+    # codes toward flex_min (2482) map toward enc_h_min (790): rising
+    h = horizontal_update(np.arange(1700, 2600, 25), CAL)
+    assert h == sorted(h)
+    y = np.arange(1200, 1360, 5)
+    v, _ = vertical_update(y, np.full(len(y), CAL.z_min), CAL, PARAMS)
+    assert v == sorted(v)
 
 
 def test_proportional_velocity_non_decreasing_in_distance():
     prev = -1.0
     for dist in range(0, 3000, 50):
-        cmd = horizontal_update(CAL.flex_min, CAL, PARAMS,
-                                current_counts=CAL.enc_h_min - dist)
-        assert cmd.velocity_limit >= prev
-        assert cmd.velocity_limit <= PARAMS.v_cap
-        prev = cmd.velocity_limit
+        velocity = commanded_velocity(dist, PARAMS)
+        assert velocity >= prev
+        assert velocity <= PARAMS.v_cap
+        prev = velocity
 
 
 def test_endpoint_exactness_over_random_calibrations():

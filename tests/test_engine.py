@@ -76,6 +76,9 @@ def test_out_of_range_adc_codes_rejected(cfg, calib):
     rows = [(5000, 1229, 1474)] * 3  # 5000 exceeds 12-bit full scale
     with pytest.raises(InputError, match="ADC code"):
         run(make_trace(rows), calib, cfg)
+    rows = [(2000, 1229, 1474), (2000, 10**400, 1474)]  # beyond any float
+    with pytest.raises(InputError, match="ADC code"):
+        run(make_trace(rows), calib, cfg)
 
 
 def test_single_press_walkthrough(cfg, calib):
@@ -181,10 +184,10 @@ def test_air_press_logged_not_emitted(cfg):
     mount = dataclasses.replace(cfg.mount, base_x=1250.0)
     air_cfg = dataclasses.replace(cfg, mount=mount,
                                   reach_near_x=1200.0, reach_far_x=1240.0)
-    calib = calibrate_from_trace(synth.calibration_trace(air_cfg),
-                                 synth.anchors_from_config(air_cfg))
+    anchors = synth.anchors_from_config(air_cfg)
+    calib = calibrate_from_trace(synth.calibration_trace(air_cfg), anchors)
     flex_target = synth.flex_code_for_key(
-        air_cfg, air_cfg.layout.keys[87])  # C8 center 1210.25 mm, on keyboard
+        air_cfg, air_cfg.layout.keys[87], anchors)  # C8 center 1210.25 mm, on keyboard
     # retune the flex code to aim past the keyboard edge (x = 1240)
     target_counts = synth.horizontal_counts_for_x(air_cfg, 1240.0)
     from robothumb.control import linear_map
@@ -214,14 +217,15 @@ def test_forced_release_at_end_of_trace(cfg, calib):
     log = run(truncated, calib, cfg)
     kinds = [e.kind for e in log.events]
     assert kinds == ["on", "off"]
-    assert log.events[1].t == log.steps[-1].t  # released at simulation end
+    assert log.events[1].t == log.steps[-1][0]  # released at simulation end
 
 
 def test_step_log_matches_timestep(cfg, calib):
     trace = press_fixture(cfg)
     log = run(trace, calib, cfg)
-    assert log.steps[0].t == cfg.simulation.timestep
-    dts = {round(b.t - a.t, 9) for a, b in zip(log.steps, log.steps[1:])}
+    times = [step[0] for step in log.steps]
+    assert times[0] == cfg.simulation.timestep
+    dts = {round(b - a, 9) for a, b in zip(times, times[1:])}
     assert dts == {cfg.simulation.timestep}
 
 

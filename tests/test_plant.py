@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from robothumb.errors import ConfigurationError, InputError
-from robothumb.plant import (AxisCommand, AxisState, MotorAxis, axis_step,
-                             counts_per_output_rev, encoder_counts,
-                             torque_margin)
+from robothumb.plant import (MotorAxis, axis_step, counts_per_output_rev,
+                             encoder_counts, torque_margin)
 
 AXIS = MotorAxis()
+REST = (0.0, 0.0, 0)  # (angle, velocity, encoder_count) at drive enable
 
 
 def oracle_counts(angle: float, axis: MotorAxis) -> int:
@@ -43,79 +43,73 @@ def test_encoder_counts_match_exact_oracle(angle):
 
 def test_axis_step_converged_setpoint():
     angle = 455 * 360.0 / 16384.0
-    state = AxisState(angle=angle, velocity=25.0,
-                      encoder_count=encoder_counts(angle, AXIS))
-    cmd = AxisCommand(455, velocity_limit=90.0)
-    out = axis_step(state, cmd, 1.0, AXIS)
-    assert out.angle == angle
-    assert out.velocity == 0.0
-    assert out.encoder_count == 455
-    assert axis_step(out, cmd, 1.0, AXIS) == out
+    state = (angle, 25.0, encoder_counts(angle, AXIS))
+    out = axis_step(state, 455, 90.0, 1.0, AXIS)
+    assert out == (angle, 0.0, 455)
+    assert axis_step(out, 455, 90.0, 1.0, AXIS) is out  # idle: state unchanged
 
 
 def test_axis_step_velocity_limited_move():
     # 1000 counts away, 90 deg/s limit, huge accel, 100 ms: moves 9 deg = 410 counts
     axis = MotorAxis(a_max=1e12)
-    state = AxisState()
-    cmd = AxisCommand(1000, velocity_limit=90.0)
-    out = axis_step(state, cmd, 100.0, axis)
-    assert out.angle == pytest.approx(9.0)
-    assert out.encoder_count == 410
-    assert out.velocity == pytest.approx(90.0)
+    angle, velocity, count = axis_step(REST, 1000, 90.0, 100.0, axis)
+    assert angle == pytest.approx(9.0)
+    assert count == 410
+    assert velocity == pytest.approx(90.0)
 
 
 def test_axis_step_accel_limited_slew():
     # a far setpoint keeps the deceleration envelope out of the way
     axis = MotorAxis(a_max=500.0)
-    out = axis_step(AxisState(), AxisCommand(10**9, velocity_limit=50.0), 20.0, axis)
-    assert out.velocity == pytest.approx(10.0)  # 500 deg/s^2 * 20 ms
+    _, velocity, _ = axis_step(REST, 10**9, 50.0, 20.0, axis)
+    assert velocity == pytest.approx(10.0)  # 500 deg/s^2 * 20 ms
 
 
 def test_axis_step_respects_v_max():
-    out = axis_step(AxisState(), AxisCommand(10**9, velocity_limit=1e9), 1000.0, AXIS)
-    assert out.velocity == AXIS.v_max
+    _, velocity, _ = axis_step(REST, 10**9, 1e9, 1000.0, AXIS)
+    assert velocity == AXIS.v_max
 
 
 def test_time_consistency_constant_velocity():
     # far from target at the limit: dt twice equals 2*dt once
     axis = MotorAxis(a_max=1e12)
-    cmd = AxisCommand(100000, velocity_limit=120.0)
-    start = AxisState(angle=0.0, velocity=120.0, encoder_count=0)
-    twice = axis_step(axis_step(start, cmd, 1.0, axis), cmd, 1.0, axis)
-    once = axis_step(start, cmd, 2.0, axis)
-    assert twice.angle == pytest.approx(once.angle, abs=1e-12)
-    assert twice.velocity == once.velocity
+    start = (0.0, 120.0, 0)
+    twice = axis_step(axis_step(start, 100000, 120.0, 1.0, axis),
+                      100000, 120.0, 1.0, axis)
+    once = axis_step(start, 100000, 120.0, 2.0, axis)
+    assert twice[0] == pytest.approx(once[0], abs=1e-12)
+    assert twice[1] == once[1]
 
 
 @given(st.integers(min_value=-20000, max_value=20000),
        st.floats(min_value=1.0, max_value=500.0),
        st.integers(min_value=1, max_value=40))
 def test_no_overshoot_and_encoder_consistency(setpoint, limit, steps):
-    state = AxisState()
-    cmd = AxisCommand(setpoint, velocity_limit=limit)
+    state = REST
     target_deg = setpoint * 360.0 / 16384.0
     for _ in range(steps):
-        before = state.angle
-        state = axis_step(state, cmd, 5.0, AXIS)
-        assert state.encoder_count == encoder_counts(state.angle, AXIS)
+        before = state[0]
+        state = axis_step(state, setpoint, limit, 5.0, AXIS)
+        angle, _, count = state
+        assert count == encoder_counts(angle, AXIS)
         # never moves past the target
         if target_deg >= before:
-            assert state.angle <= target_deg + 1e-9
+            assert angle <= target_deg + 1e-9
         else:
-            assert state.angle >= target_deg - 1e-9
+            assert angle >= target_deg - 1e-9
 
 
 @pytest.mark.parametrize("setpoint", [1, -1, 410, 16384, -5000])
 def test_position_mode_reaches_setpoint_exactly(setpoint):
-    state = AxisState()
-    cmd = AxisCommand(setpoint, velocity_limit=200.0)
+    state = REST
     for _ in range(100000):
-        state = axis_step(state, cmd, 1.0, AXIS)
-        if state.encoder_count == setpoint and state.velocity == 0.0:
+        state = axis_step(state, setpoint, 200.0, 1.0, AXIS)
+        if state[2] == setpoint and state[1] == 0.0:
             break
-    assert state.encoder_count == setpoint
-    assert state.angle == pytest.approx(setpoint * 360.0 / 16384.0)
-    assert state.velocity == 0.0
+    angle, velocity, count = state
+    assert count == setpoint
+    assert angle == pytest.approx(setpoint * 360.0 / 16384.0)
+    assert velocity == 0.0
 
 
 def test_torque_margin_values():
@@ -140,4 +134,6 @@ def test_invalid_axis_rejected():
     with pytest.raises(ConfigurationError):
         MotorAxis(quadrature=3)
     with pytest.raises(InputError):
-        AxisCommand(0, velocity_limit=-1.0)
+        axis_step(REST, 0, -1.0, 1.0, AXIS)
+    with pytest.raises(InputError):
+        axis_step(REST, 0, 1.0, 0.0, AXIS)

@@ -104,6 +104,14 @@ def test_trace_rejects_non_finite_timestamps(bad):
         SensorTrace(samples=(_sample(bad),), sample_period=1.0)
 
 
+@pytest.mark.parametrize("period", [math.nan, math.inf, 0.0, -1.0])
+def test_trace_rejects_bad_sample_period(period):
+    # irregular timestamps, which a NaN or inf period lets past the spacing check
+    samples = (_sample(0.0), _sample(1.0), _sample(7.0))
+    with pytest.raises(TraceFormatError, match="sample_period"):
+        SensorTrace(samples=samples, sample_period=period)
+
+
 def test_trace_rejects_irregular_spacing():
     with pytest.raises(TraceFormatError):
         SensorTrace(samples=(_sample(0.0), _sample(1.0), _sample(2.5)),
