@@ -10,6 +10,7 @@ direction sets, unlike a spherical hull.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +25,32 @@ FULL_SPHERE = 4.0 * math.pi
 LATENCY_BUDGET_MS = 80.0
 MASS_BUDGET_G = 350.0
 DIRECTION_NORM_TOL = 1e-9
+DIRECTION_BLOCK_ROWS = 65_536  # rows per formatting block in save_directions
 
 
 def load_directions(path) -> np.ndarray:
-    """Read an ``x,y,z`` CSV of unit vectors into an (n, 3) array."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Read an ``x,y,z`` CSV into an (n, 3) array.
+
+    Only the file's header and shape are checked here; ``solid_angle``
+    checks that the rows are unit vectors.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().rstrip("\n")
+        if header != "x,y,z":
+            raise InputError(f"{path}: first line must be the header x,y,z")
+        with warnings.catch_warnings():
+            # a header-only file is reported as an empty set below
+            warnings.simplefilter("ignore", UserWarning)
+            # from the path, not the open file: numpy parses a path faster
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                              encoding="utf-8")
+    except ValueError as exc:  # unparsable text, undecodable bytes included
+        raise InputError(f"{path}: {exc}") from None
+    if data.size == 0:
+        raise InputError(f"{path}: direction set is empty")
     if data.shape[1] != 3:
         raise InputError(f"{path}: expected 3 columns x,y,z")
-    validate_directions(data)
     return data
 
 
@@ -40,15 +59,23 @@ def validate_directions(dirs: np.ndarray) -> None:
         raise InputError("direction set is empty")
     norms = np.linalg.norm(dirs, axis=1)
     worst = float(np.abs(norms - 1.0).max())
-    if worst > DIRECTION_NORM_TOL:
+    if not worst <= DIRECTION_NORM_TOL:  # NaN fails too
         raise InputError(f"direction norms deviate from 1 by up to {worst:.3e}")
 
 
 def save_directions(dirs: np.ndarray, path) -> None:
+    """Write an ``x,y,z`` CSV with 12 decimals per value.
+
+    Each block of rows is formatted by one ``%`` operation; ``%.12f`` and
+    ``f"{x:.12f}"`` share CPython's float formatter, so the text is the
+    same as formatting row by row.
+    """
     with open(path, "w", newline="") as f:
         f.write("x,y,z\n")
-        f.write("\n".join(f"{x:.12f},{y:.12f},{z:.12f}" for x, y, z in dirs))
-        f.write("\n")
+        for start in range(0, len(dirs), DIRECTION_BLOCK_ROWS):
+            block = dirs[start:start + DIRECTION_BLOCK_ROWS]
+            f.write(("%.12f,%.12f,%.12f\n" * len(block))
+                    % tuple(block.ravel().tolist()))
 
 
 def sphere_partition(n_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -94,25 +121,36 @@ def solid_angle(dirs: np.ndarray, n_bins: int) -> float:
     phi = np.arctan2(dirs[:, 1], dirs[:, 0])  # [-pi, pi]
     frac = (phi + math.pi) / (2.0 * math.pi)
     col = np.minimum((frac * cells[ring]).astype(int), cells[ring] - 1)
-    occupied = np.unique(offsets[ring] + col).size
+    occupied = np.count_nonzero(np.bincount(offsets[ring] + col, minlength=n_bins))
     return occupied * FULL_SPHERE / n_bins
+
+
+def check_band_limits(azimuth_span: float, elev_min: float,
+                      elev_max: float) -> None:
+    """Reject an azimuth-by-elevation band outside the sphere (degrees; NaN fails)."""
+    if not 0 <= azimuth_span <= 360:
+        raise InputError("azimuth_span must be within [0, 360]")
+    if not -90 <= elev_min <= elev_max <= 90:
+        raise InputError("elevation range must satisfy -90 <= min <= max <= 90")
+
+
+def check_cap_half_angle(half_angle: float) -> None:
+    """Reject a cap half-angle outside [0, 180] degrees (NaN fails)."""
+    if not 0 <= half_angle <= 180:
+        raise InputError("half_angle must be within [0, 180]")
 
 
 def workspace_from_limits(azimuth_span: float, elev_min: float,
                           elev_max: float) -> float:
     """Analytic solid angle of a full-azimuth-by-elevation band (degrees in)."""
-    if not 0 <= azimuth_span <= 360:
-        raise InputError("azimuth_span must be within [0, 360]")
-    if not -90 <= elev_min <= elev_max <= 90:
-        raise InputError("elevation range must satisfy -90 <= min <= max <= 90")
+    check_band_limits(azimuth_span, elev_min, elev_max)
     return math.radians(azimuth_span) * (
         math.sin(math.radians(elev_max)) - math.sin(math.radians(elev_min)))
 
 
 def spherical_cap_area(half_angle: float) -> float:
     """Analytic solid angle of a cap of the given half-angle (deg)."""
-    if not 0 <= half_angle <= 180:
-        raise InputError("half_angle must be within [0, 180]")
+    check_cap_half_angle(half_angle)
     return 2.0 * math.pi * (1.0 - math.cos(math.radians(half_angle)))
 
 

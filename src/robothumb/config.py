@@ -8,6 +8,7 @@ violations surface as ConfigurationError naming the offending key.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .control import ControlParams
@@ -47,7 +48,15 @@ def default_config() -> GlobalConfig:
     return GlobalConfig()
 
 
-_FLOAT = float
+def _finite_float(raw: str) -> float:
+    """Parse a float, rejecting NaN and infinities like unparsable text."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
+_FLOAT = _finite_float
 _INT = int
 _STR = str
 

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .analysis import check_band_limits, check_cap_half_angle
 from .config import GlobalConfig
 from .control import linear_map
 from .errors import InputError
@@ -189,12 +190,11 @@ def press_trace(cfg: GlobalConfig, key_index: int, speed=0.5, repeat: int = 1,
 
     if flex_noise > 0:
         rng = np.random.default_rng(seed)
-        full_scale = cfg.divider.full_scale
-        noisy = []
-        for f, y, z, label in rows:
-            jitter = int(round(rng.normal(0.0, flex_noise)))
-            noisy.append((min(max(f + jitter, 0), full_scale), y, z, label))
-        rows = noisy
+        # np.rint rounds half to even, as round() did on each scalar draw
+        jitter = np.rint(rng.normal(0.0, flex_noise, len(rows)))
+        flex = np.clip(flex_target + jitter, 0, cfg.divider.full_scale)
+        rows = [(f, y, z, label)
+                for f, (_, y, z, label) in zip(flex.astype(int).tolist(), rows)]
     return _build_trace(cfg, rows)
 
 
@@ -221,6 +221,7 @@ def band_sweep_directions(samples: int, azimuth_span: float = 360.0,
     """Uniform directions over a full-or-partial azimuth elevation band."""
     if samples < 1:
         raise InputError("samples must be >= 1")
+    check_band_limits(azimuth_span, elev_min, elev_max)
     rng = np.random.default_rng(seed)
     z = rng.uniform(math.sin(math.radians(elev_min)),
                     math.sin(math.radians(elev_max)), samples)
@@ -235,6 +236,7 @@ def cap_directions(samples: int, half_angle: float = 54.9,
     """Uniform directions inside a spherical cap about +z."""
     if samples < 1:
         raise InputError("samples must be >= 1")
+    check_cap_half_angle(half_angle)
     rng = np.random.default_rng(seed)
     z = rng.uniform(math.cos(math.radians(half_angle)), 1.0, samples)
     phi = rng.uniform(-math.pi, math.pi, samples)

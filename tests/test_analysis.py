@@ -82,6 +82,8 @@ def test_solid_angle_rejects_bad_input():
         solid_angle(np.empty((0, 3)), 10_000)
     with pytest.raises(InputError):
         solid_angle(np.array([[1.0, 1.0, 0.0]]), 10_000)  # norm sqrt(2)
+    with pytest.raises(InputError, match="nan"):
+        solid_angle(np.array([[1.0, 0.0, 0.0], [math.nan, 0.0, 0.0]]), 10_000)
 
 
 def test_workspace_from_limits():

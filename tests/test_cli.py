@@ -216,3 +216,40 @@ def test_verbose_only_on_simulate(workdir, tmp_path, capsys):
     event_lines = [line for line in out.splitlines() if " ms  " in line]
     assert len(event_lines) == 2  # one press: key-on and key-off
     assert "on  key 46" in event_lines[0] and "off key 46" in event_lines[1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text,message", [
+    (b"x,y,z\nnan,0,0\n", "direction norms deviate from 1 by up to nan"),
+    (b"x,y,z\n1,0,0\n1,0\n", "dirs.csv: the number of columns changed"),
+    (b"x,y,z\nabc,0,0\n", "dirs.csv: could not convert string 'abc'"),
+    (b"x,y,z\n", "dirs.csv: direction set is empty"),
+    (b"1,0,0\n0,1,0\n", "dirs.csv: first line must be the header x,y,z"),
+    (b"x,y,z\n\xff,0,0\n", "dirs.csv: 'utf-8' codec can't decode"),
+], ids=["nan", "ragged", "non-numeric", "header-only", "no-header", "undecodable"])
+def test_malformed_direction_csv_exits_2(text, message, tmp_path, capsys):
+    dirs = tmp_path / "dirs.csv"
+    dirs.write_bytes(text)
+    assert run("analyze", "workspace", "--dirs", dirs, "--bins", 1000,
+               "--out", tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "workspace_report.txt").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("--elev-min", "nan"), ("--elev-max", "nan"), ("--azimuth", "nan"),
+    ("--elev-min", 10, "--elev-max", 0), ("--azimuth", 361),
+    ("--shape", "cap", "--half-angle", "nan"), ("--shape", "cap", "--half-angle", 181),
+])
+def test_invalid_sweep_parameters_exit_2(args, tmp_path, capsys):
+    assert run("synth", "sweep", "--samples", 10, *args, "--out", tmp_path) == 2
+    assert "must" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_directions.csv"))
+
+
+def test_non_finite_config_float_exits_2(workdir, tmp_path, capsys):
+    config = tmp_path / "inf.ini"
+    config.write_text("[control]\nkv_z = inf\n")
+    assert run("synth", "press", "--key", 46, "--config", config,
+               "--out", tmp_path) == 2
+    assert "control.kv_z" in capsys.readouterr().err

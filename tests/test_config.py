@@ -54,6 +54,16 @@ def test_unparsable_value_names_key(tmp_path):
         load_config(write(tmp_path, "[axes]\ngear_ratio = sixteen\n"))
 
 
+@pytest.mark.parametrize("text,key", [
+    ("[control]\nkv_z = inf\n", "control.kv_z"),
+    ("[control]\nkp_h = nan\n", "control.kp_h"),
+    ("[axes]\na_max = -inf\n", "axes.a_max"),
+], ids=["kv_z=inf", "kp_h=nan", "a_max=-inf"])
+def test_non_finite_float_rejected(tmp_path, text, key):
+    with pytest.raises(ConfigurationError, match=key):
+        load_config(write(tmp_path, text))
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigurationError):
         load_config(tmp_path / "absent.cfg")

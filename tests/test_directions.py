@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from robothumb.analysis import save_directions
+from robothumb.analysis import DIRECTION_BLOCK_ROWS, save_directions
 from robothumb.cli import main
 
 SWEEP_SAMPLES = 150_000  # several write blocks
@@ -23,7 +23,6 @@ SWEEP_GOLDEN = {
     "workspace_report.txt":
         "5587be2f964674e659abbbe7c16cf04117b5fdaa54eb3e4a742c109bb082b63f",
 }
-BLOCK_ROWS = 65_536
 
 
 def reference_text(dirs) -> str:
@@ -69,15 +68,16 @@ def test_sweep_and_workspace_outputs_match_golden_digests(tmp_path):
     assert digests == SWEEP_GOLDEN
 
 
-@settings(max_examples=200, deadline=None)
+@settings(deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)),
               elements=values))
 def test_save_directions_matches_row_formatter(tmp_path_factory, dirs):
-    path = tmp_path_factory.mktemp("dirs") / "d.csv"
+    path = tmp_path_factory.getbasetemp() / "property.csv"
     assert written(dirs, path) == reference_text(dirs)
 
 
-@pytest.mark.parametrize("rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("rows", [DIRECTION_BLOCK_ROWS - 1, DIRECTION_BLOCK_ROWS,
+                                  DIRECTION_BLOCK_ROWS + 1])
 def test_save_directions_matches_row_formatter_at_block_edges(rows, tmp_path):
     rng = np.random.default_rng(rows)
     dirs = rng.uniform(-1.0, 1.0, (rows, 3))
