@@ -8,7 +8,7 @@ from .kinematics import FingerGeometry, MountPose
 from .piano import Key, KeyboardLayout, KeyEvent, key_at
 from .plant import MotorAxis
 from .sensors import (AccelerometerModel, DividerConfig, FlexSensorModel,
-                      SensorSample, SensorTrace)
+                      SensorTrace)
 
 __version__ = "0.1.0"
 
@@ -16,6 +16,6 @@ __all__ = [
     "AccelerometerModel", "CalibrationSet", "ControlParams", "DividerConfig",
     "EventLog", "FingerGeometry", "FlexSensorModel", "GlobalConfig", "Key",
     "KeyEvent", "KeyboardLayout", "LatencyConfig", "MotorAxis", "MountPose",
-    "SensorSample", "SensorTrace", "SimulationConfig", "default_config",
-    "key_at", "load_config", "run",
+    "SensorTrace", "SimulationConfig", "default_config", "key_at",
+    "load_config", "run",
 ]

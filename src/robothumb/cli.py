@@ -15,7 +15,7 @@ from . import analysis, engine, midi, synth
 from .config import GlobalConfig, default_config, load_config
 from .control import (calibrate_from_trace, load_calibration, read_kv_file,
                       save_calibration, write_kv_file)
-from .errors import RobothumbError
+from .errors import InputError, RobothumbError
 from .piano import MIDI_A0, note_name
 from .sensors import load_trace, save_trace
 
@@ -143,21 +143,28 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _solid_angle(path, n_bins: int) -> tuple[float, int]:
+    """Solid angle of a direction CSV and its direction count; errors name the file."""
+    dirs = analysis.load_directions(path)
+    try:
+        return analysis.solid_angle(dirs, n_bins), len(dirs)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _cmd_analyze(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     if args.what == "workspace":
         if not args.dirs:
             raise UsageError("analyze workspace requires --dirs")
-        dirs = analysis.load_directions(args.dirs)
-        estimate = analysis.solid_angle(dirs, args.bins)
+        estimate, count = _solid_angle(args.dirs, args.bins)
         report = {"solid_angle_sr": round(estimate, 4), "n_bins": args.bins,
-                  "n_directions": len(dirs)}
-        print(f"solid angle: {estimate:.4f} sr over {len(dirs)} directions "
+                  "n_directions": count}
+        print(f"solid angle: {estimate:.4f} sr over {count} directions "
               f"({args.bins} bins)")
         if args.ref_dirs:
-            ref = analysis.solid_angle(analysis.load_directions(args.ref_dirs),
-                                       args.bins)
+            ref, _ = _solid_angle(args.ref_dirs, args.bins)
             report["ref_solid_angle_sr"] = round(ref, 4)
             report["ratio"] = round(estimate / ref, 4)
             print(f"reference:   {ref:.4f} sr; ratio {estimate / ref:.3f}")

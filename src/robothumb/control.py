@@ -20,8 +20,10 @@ from .plant import MotorAxis, counts_per_output_rev
 from .kinematics import FingerGeometry
 from .sensors import SensorTrace, round_half_up
 
-# trace labels consumed by calibrate_from_trace
-REQUIRED_LABELS = ("flex_min", "flex_max", "foot_down", "foot_up", "z_rest", "z_active")
+# trace labels consumed by calibrate_from_trace, each with the column it anchors
+LABEL_COLUMNS = {"flex_min": "flex_adc", "flex_max": "flex_adc",
+                 "foot_down": "acc_y_adc", "foot_up": "acc_y_adc",
+                 "z_rest": "acc_z_adc", "z_active": "acc_z_adc"}
 # encoder anchors supplied alongside the trace
 ANCHOR_NAMES = ("enc_h_min", "enc_h_max", "enc_hover", "enc_pressed")
 
@@ -98,39 +100,26 @@ def calibrate_from_trace(trace: SensorTrace, anchors: dict) -> CalibrationSet:
     must supply the four encoder positions recorded when the finger was
     driven to its reference poses.
     """
-    sums = {label: [0, 0] for label in REQUIRED_LABELS}  # label -> [total, count]
-    for sample in trace.samples:
-        if sample.label not in sums:
-            continue
-        if sample.label in ("flex_min", "flex_max"):
-            value = sample.flex_adc
-        elif sample.label in ("foot_down", "foot_up"):
-            value = sample.acc_y_adc
-        else:
-            value = sample.acc_z_adc
-        bucket = sums[sample.label]
-        bucket[0] += value
-        bucket[1] += 1
-    for label in REQUIRED_LABELS:
-        if sums[label][1] == 0:
+    labels = np.array(trace.labels, dtype=object)  # compared as Python str
+    means = {}
+    for label, column in LABEL_COLUMNS.items():
+        codes = trace.samples[column][labels == label].tolist()
+        if not codes:
             raise CalibrationIncompleteError(label)
+        means[label] = round_half_up(sum(codes) / len(codes))  # exact integer sum
     for name in ANCHOR_NAMES:
         if name not in anchors:
             raise CalibrationIncompleteError(name)
 
-    def mean_code(label: str) -> int:
-        total, count = sums[label]
-        return round_half_up(total / count)
-
     return CalibrationSet(
-        flex_min=mean_code("flex_min"),
-        flex_max=mean_code("flex_max"),
+        flex_min=means["flex_min"],
+        flex_max=means["flex_max"],
         enc_h_min=whole_number(anchors, "enc_h_min"),
         enc_h_max=whole_number(anchors, "enc_h_max"),
-        y_min=mean_code("foot_down"),
-        y_max=mean_code("foot_up"),
-        z_min=mean_code("z_rest"),
-        z_max=mean_code("z_active"),
+        y_min=means["foot_down"],
+        y_max=means["foot_up"],
+        z_min=means["z_rest"],
+        z_max=means["z_active"],
         enc_hover=whole_number(anchors, "enc_hover"),
         enc_pressed=whole_number(anchors, "enc_pressed"),
     )

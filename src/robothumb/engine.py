@@ -24,7 +24,7 @@ foot bump that presses nothing is never charged to a later key.
 
 The two axes are separate pipelines that meet only at the fingertip: the
 flex sensor steers the horizontal axis, the foot accelerometer drives the
-vertical axis. The control laws map the sample columns once per trace;
+vertical axis. The control laws map the trace's ADC code columns once;
 each axis loop steps a plain ``(angle, velocity, encoder_count)`` tuple,
 adding only the horizontal feedback on its encoder count. Both execution
 modes produce byte-identical logs: they run the two axis loops, inline or
@@ -144,16 +144,16 @@ def intention_detect(trace: SensorTrace, calib: CalibrationSet,
     A refractory window after each detection swallows the landing spike of
     the same press cycle, so one press cycle yields one intention.
     """
-    threshold = calib.z_min + params.z_threshold
+    t = trace.samples["t"]
+    above = trace.samples["acc_z_adc"] >= calib.z_min + params.z_threshold
+    # upward crossings; the trace starts below the threshold
+    rising = np.flatnonzero(above & np.concatenate(([True], ~above[:-1])))
     out: list[float] = []
-    below = True
     refractory_until = -math.inf
-    for sample in trace.samples:
-        above = sample.acc_z_adc >= threshold
-        if above and below and sample.t >= refractory_until:
-            out.append(sample.t)
-            refractory_until = sample.t + params.z_refractory_ms
-        below = not above
+    for t_up in t[rising].tolist():
+        if t_up >= refractory_until:
+            out.append(t_up)
+            refractory_until = t_up + params.z_refractory_ms
     return out
 
 
@@ -208,18 +208,15 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
     control.validate_calibration_ranges(calibration, config.geometry, config.axis)
     full_scale = config.divider.full_scale
     samples = trace.samples
-    try:
-        columns = np.array([[s.t for s in samples], [s.flex_adc for s in samples],
-                            [s.acc_y_adc for s in samples],
-                            [s.acc_z_adc for s in samples]], dtype=float)
-    except OverflowError as exc:  # an integer code beyond any float
-        raise InputError(f"ADC code outside [0, {full_scale}]: {exc}") from exc
-    times, flex, acc_y, acc_z = columns
-    in_range = ((columns[1:] >= 0) & (columns[1:] <= full_scale)).all(axis=0)
+    times = samples["t"]
+    codes = [samples[name] for name in ("flex_adc", "acc_y_adc", "acc_z_adc")]
+    in_range = np.logical_and.reduce([(c >= 0) & (c <= full_scale) for c in codes])
     if not in_range.all():
-        s = samples[int(np.argmin(in_range))]
-        raise InputError(f"sample at t={s.t} ms carries ADC codes {s.flex_adc}, "
-                         f"{s.acc_y_adc}, {s.acc_z_adc}, not all in [0, {full_scale}]")
+        s = samples[int(np.argmin(in_range))].tolist()
+        raise InputError(f"sample at t={s[0]} ms carries ADC codes {s[1]}, "
+                         f"{s[2]}, {s[3]}, not all in [0, {full_scale}]")
+    # the control laws map float columns
+    flex, acc_y, acc_z = (c.astype(float) for c in codes)
 
     sim = config.simulation
     lat = sim.latency
@@ -230,14 +227,14 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
     dt = sim.timestep
 
     log = EventLog(intentions=intention_detect(trace, calibration, params))
-    if not samples:
+    if not len(samples):
         return log
 
     laws = (functools.partial(control.horizontal_update, flex, calibration),
             functools.partial(control.vertical_update, acc_y, acc_z, calibration, params))
     feedbacks = ((params.kp_h, params.v_cap), None)  # horizontal, vertical
 
-    end_t = samples[-1].t + lat.data_path + sim.settle_tail_ms
+    end_t = float(times[-1]) + lat.data_path + sim.settle_tail_ms
     n_steps = int(math.ceil(end_t / dt))
     axis_run = functools.partial(_run_axis, times=times, n_steps=n_steps, dt=dt,
                                  lat=lat, axis=config.axis)

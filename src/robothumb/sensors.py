@@ -1,4 +1,5 @@
-"""Physical models of the thumb flex sensor and foot accelerometer.
+"""Physical models of the thumb flex sensor and foot accelerometer, and
+the sensor traces they produce.
 
 The flex sensor is a variable resistor read through a voltage divider
 (flex element in the upper leg, fixed resistor in the lower leg, output
@@ -6,17 +7,27 @@ buffered) and digitised by the motor controller's analog input. The foot
 sensor is a three-axis analog accelerometer of which two axes are used:
 Y picks up the gravity projection along the foot (direction of motion),
 Z picks up gravity plus dynamic acceleration (speed of motion).
+
+A trace keeps its readings as columns (time, three ADC codes, labels) and
+is read and written as a CSV of ``TRACE_HEADER`` rows, whole blocks of
+rows at a time.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+
+import numpy as np
 
 from .errors import ConfigurationError, InputError, TraceFormatError
 
 TRACE_HEADER = ("t_ms", "flex_adc", "acc_y_adc", "acc_z_adc", "label")
+SAMPLE_DTYPE = np.dtype([("t", np.float64), ("flex_adc", np.int64),
+                         ("acc_y_adc", np.int64), ("acc_z_adc", np.int64)])
+LABEL_FORBIDDEN = frozenset(',"\r\n')  # characters csv.writer would quote
+TRACE_BLOCK_ROWS = 65_536  # rows per formatting block in save_trace
 
 
 def round_half_up(x: float) -> int:
@@ -67,44 +78,60 @@ class AccelerometerModel:
             raise ConfigurationError("sensitivity must be positive")
 
 
-@dataclass(frozen=True)
-class SensorSample:
-    t: float            # ms
-    flex_adc: int
-    acc_y_adc: int
-    acc_z_adc: int
-    label: str = ""     # calibration segment tag, empty outside calibration
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensorTrace:
-    """Time-ordered, uniformly sampled sensor readings."""
+    """Time-ordered, uniformly sampled sensor readings, stored as columns.
 
-    samples: tuple[SensorSample, ...]
+    ``samples`` holds one ``SAMPLE_DTYPE`` record per reading: the time
+    ``t`` (ms, float64) and the three ADC codes (int64); ``labels`` holds
+    each reading's calibration segment tag, empty outside calibration.
+    The array is read-only once the trace is checked. Compare traces
+    column by column: ``==`` on arrays is element-wise.
+    """
+
+    samples: np.ndarray
+    labels: tuple[str, ...]
     sample_period: float  # ms
 
+    @classmethod
+    def from_columns(cls, t, flex_adc, acc_y_adc, acc_z_adc, labels,
+                     sample_period: float) -> "SensorTrace":
+        samples = np.empty(len(t), SAMPLE_DTYPE)
+        samples["t"] = t
+        for name, codes in zip(SAMPLE_DTYPE.names[1:], (flex_adc, acc_y_adc, acc_z_adc)):
+            try:
+                samples[name] = codes
+            except OverflowError as exc:
+                raise InputError(f"{name}: an ADC code does not fit int64") from exc
+        return cls(samples, tuple(labels), float(sample_period))
+
     def __post_init__(self):
+        if len(self.labels) != len(self.samples):
+            raise TraceFormatError("trace needs one label per sample")
+        for label in set(self.labels):
+            if not LABEL_FORBIDDEN.isdisjoint(label):
+                raise TraceFormatError(
+                    f"label {label!r} contains a comma, quote or line break")
         if self.sample_period <= 0:
             raise TraceFormatError("sample_period must be positive")
-        prev = None
-        for s in self.samples:
-            if not math.isfinite(s.t):
-                raise TraceFormatError(f"sample timestamp {s.t} is not finite")
-            if s.t < 0:
-                raise TraceFormatError("sample timestamps must be non-negative")
-            if prev is not None:
-                dt = s.t - prev
-                if dt <= 0:
-                    raise TraceFormatError("sample timestamps must be strictly increasing")
-                if abs(dt - self.sample_period) > 0.01 * self.sample_period:
-                    raise TraceFormatError(
-                        f"sample spacing {dt} ms deviates more than 1% from "
-                        f"period {self.sample_period} ms"
-                    )
-            prev = s.t
+        t = self.samples["t"]
+        bad = ~np.isfinite(t)
+        if bad.any():
+            raise TraceFormatError(f"sample timestamp {t[bad][0]} is not finite")
+        if (t < 0).any():
+            raise TraceFormatError("sample timestamps must be non-negative")
+        dt = np.diff(t)
+        if (dt <= 0).any():
+            raise TraceFormatError("sample timestamps must be strictly increasing")
+        off = np.abs(dt - self.sample_period) > 0.01 * self.sample_period
+        if off.any():
+            raise TraceFormatError(
+                f"sample spacing {dt[off][0]} ms deviates more than 1% from "
+                f"period {self.sample_period} ms")
         # after the timestamps, which name the fault in a period derived from them
         if not math.isfinite(self.sample_period):
             raise TraceFormatError(f"sample_period {self.sample_period} is not finite")
+        self.samples.flags.writeable = False
 
 
 def flex_resistance(bend_angle: float, model: FlexSensorModel) -> float:
@@ -144,36 +171,59 @@ def accel_output(foot_pitch: float, dyn_accel: float,
 
 
 def save_trace(trace: SensorTrace, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(TRACE_HEADER)
-        for s in trace.samples:
-            writer.writerow([f"{s.t:g}", s.flex_adc, s.acc_y_adc, s.acc_z_adc, s.label])
+    """Write ``TRACE_HEADER`` and one CRLF-terminated row per sample.
+
+    Each block of rows is formatted by one ``%`` operation. Labels carry
+    no comma, quote or line break, so no field needs quoting and the text
+    is what ``csv.writer`` writes for the same rows.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(",".join(TRACE_HEADER) + "\r\n")
+        for start in range(0, len(trace.samples), TRACE_BLOCK_ROWS):
+            block = slice(start, start + TRACE_BLOCK_ROWS)
+            columns = [trace.samples[name][block].tolist() for name in SAMPLE_DTYPE.names]
+            f.write(("%g,%d,%d,%d,%s\r\n" * len(columns[0]))
+                    % tuple(chain.from_iterable(zip(*columns, trace.labels[block]))))
 
 
 def load_trace(path) -> SensorTrace:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRACE_HEADER:
-            raise TraceFormatError(f"expected header {','.join(TRACE_HEADER)}")
-        samples = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise TraceFormatError(f"line {lineno}: expected 5 columns")
-            try:
-                samples.append(SensorSample(
-                    t=float(row[0]),
-                    flex_adc=int(row[1]),
-                    acc_y_adc=int(row[2]),
-                    acc_z_adc=int(row[3]),
-                    label=row[4],
-                ))
-            except ValueError as exc:
-                raise TraceFormatError(f"line {lineno}: {exc}") from exc
-    if len(samples) < 2:
+    """Read a trace CSV written by ``save_trace``.
+
+    Rows end in LF, CRLF or CR, blank lines are skipped, and fields are
+    never quoted. ``t`` is parsed by ``float()`` and each code by
+    ``int()``, so both accept what those accept.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:  # universal newlines
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
+    if lines[0] != ",".join(TRACE_HEADER):
+        raise TraceFormatError(f"expected header {','.join(TRACE_HEADER)}")
+    rows = list(filter(None, lines[1:]))
+    if len(rows) < 2:
         raise TraceFormatError("trace needs at least two samples")
-    period = samples[1].t - samples[0].t
-    return SensorTrace(samples=tuple(samples), sample_period=period)
+    try:
+        t, *codes, labels = _split_rows(rows)
+    except ValueError:
+        for lineno, line in enumerate(lines[1:], start=2):  # name the first bad line
+            try:
+                if line:
+                    _split_rows([line])
+            except ValueError as exc:
+                raise TraceFormatError(f"line {lineno}: {exc}") from None
+        raise
+    return SensorTrace.from_columns(t, *codes, labels, t[1] - t[0])
+
+
+def _split_rows(rows: list[str]) -> list:
+    """The t, flex, Y, Z and label columns of non-blank data lines."""
+    if set(map(str.count, rows, repeat(","))) - {4}:
+        raise ValueError("expected 5 columns")
+    fields = ",".join(rows).split(",")
+    t = list(map(float, fields[0::5]))
+    try:
+        codes = [np.array(list(map(int, fields[i::5])), np.int64) for i in (1, 2, 3)]
+    except OverflowError:
+        raise ValueError("ADC code does not fit int64") from None
+    return [t, *codes, fields[4::5]]

@@ -22,8 +22,8 @@ from .errors import InputError
 from .kinematics import press_angle, press_drop, theta_for_key
 from .piano import Key
 from .plant import counts_per_output_rev, round_half_away
-from .sensors import (SensorSample, SensorTrace, accel_output, adc_quantize,
-                      divider_voltage, flex_resistance)
+from .sensors import (SensorTrace, accel_output, adc_quantize, divider_voltage,
+                      flex_resistance)
 
 FOOT_UP_PITCH_DEG = 25.0   # held dorsiflexion while a key is down
 CAL_LIFT_DYN_G = 1.0       # reference lift acceleration saved as the Z maximum
@@ -98,12 +98,11 @@ def flex_code_for_key(cfg: GlobalConfig, key: Key, anchors: dict) -> int:
     return round_half_away(value)
 
 
-def _build_trace(cfg: GlobalConfig, rows) -> SensorTrace:
+def _build_trace(cfg: GlobalConfig, codes: np.ndarray, labels) -> SensorTrace:
+    """A trace of (flex, y, z) code rows, one every timestep from t = 0."""
     period = cfg.simulation.timestep
-    samples = tuple(SensorSample(t=i * period, flex_adc=f, acc_y_adc=y,
-                                 acc_z_adc=z, label=label)
-                    for i, (f, y, z, label) in enumerate(rows))
-    return SensorTrace(samples=samples, sample_period=period)
+    t = np.arange(len(codes)) * period  # the same floats as i * period
+    return SensorTrace.from_columns(t, *codes.T, labels, period)
 
 
 def calibration_trace(cfg: GlobalConfig) -> SensorTrace:
@@ -126,11 +125,11 @@ def calibration_trace(cfg: GlobalConfig) -> SensorTrace:
     period = cfg.simulation.timestep
     seg_n = int(round(CAL_SEGMENT_MS / period))
     gap_n = int(round(CAL_GAP_MS / period))
-    rows = []
-    for label, (f, y, z) in segments:
-        rows.extend((f, y, z, label) for _ in range(seg_n))
-        rows.extend((*rest, "") for _ in range(gap_n))
-    return _build_trace(cfg, rows)
+    codes, labels = [], []
+    for label, pose in segments:
+        codes += [pose] * seg_n + [rest] * gap_n
+        labels += [label] * seg_n + [""] * gap_n
+    return _build_trace(cfg, np.array(codes, dtype=np.int64).reshape(-1, 3), labels)
 
 
 def _press_speed(speed) -> float:
@@ -145,9 +144,10 @@ def _pulse_ms(speed: float) -> float:
     return min(Z_PULSE_MS / speed, PRESS_HOLD_MS)
 
 
-def _press_rows(cfg: GlobalConfig, flex_target: int, speed: float,
-                repeat: int, span_ms: float) -> list[tuple]:
-    """``span_ms`` of rows: rest for LEAD_MS, ``repeat`` press cycles, then rest.
+def _press_codes(cfg: GlobalConfig, flex_target: int, speed: float,
+                 repeat: int, span_ms: float) -> np.ndarray:
+    """``span_ms`` of (flex, y, z) code rows: rest for LEAD_MS, ``repeat``
+    press cycles, then rest.
 
     Each cycle lifts the foot (Y steps up, Z pulses for the lift duration),
     holds, then drops it (Y steps down with a matching landing pulse) while
@@ -158,17 +158,15 @@ def _press_rows(cfg: GlobalConfig, flex_target: int, speed: float,
     _, z_pulse = accel_codes(cfg, 0.0, speed * CAL_LIFT_DYN_G)
     period = cfg.simulation.timestep
     pulse = _pulse_ms(speed)
-    rows = []
-    for i in range(int(round(span_ms / period))):
-        phase = i * period - LEAD_MS
-        y, z = y_down, z_rest
-        if 0 <= phase < repeat * PRESS_CYCLE_MS:
-            in_cycle = phase % PRESS_CYCLE_MS
-            if in_cycle < PRESS_HOLD_MS:
-                y = y_up
-            if in_cycle < pulse or PRESS_HOLD_MS <= in_cycle < PRESS_HOLD_MS + pulse:
-                z = z_pulse
-        rows.append((flex_target, y, z, ""))
+    phase = np.arange(int(round(span_ms / period))) * period - LEAD_MS
+    in_cycle = np.where((phase >= 0) & (phase < repeat * PRESS_CYCLE_MS),
+                        phase % PRESS_CYCLE_MS, np.inf)  # inf: outside every cycle
+    lifted = (in_cycle < pulse) | ((PRESS_HOLD_MS <= in_cycle)
+                                   & (in_cycle < PRESS_HOLD_MS + pulse))
+    rows = np.empty((len(phase), 3), dtype=np.int64)
+    rows[:, 0] = flex_target
+    rows[:, 1] = np.where(in_cycle < PRESS_HOLD_MS, y_up, y_down)
+    rows[:, 2] = np.where(lifted, z_pulse, z_rest)
     return rows
 
 
@@ -185,17 +183,15 @@ def press_trace(cfg: GlobalConfig, key_index: int, speed=0.5, repeat: int = 1,
     s = _press_speed(speed)
     flex_target = flex_code_for_key(cfg, cfg.layout.keys[key_index],
                                     anchors_from_config(cfg))
-    rows = _press_rows(cfg, flex_target, s, repeat,
-                       LEAD_MS + repeat * PRESS_CYCLE_MS + TAIL_MS)
+    rows = _press_codes(cfg, flex_target, s, repeat,
+                        LEAD_MS + repeat * PRESS_CYCLE_MS + TAIL_MS)
 
     if flex_noise > 0:
         rng = np.random.default_rng(seed)
         # np.rint rounds half to even, as round() did on each scalar draw
         jitter = np.rint(rng.normal(0.0, flex_noise, len(rows)))
-        flex = np.clip(flex_target + jitter, 0, cfg.divider.full_scale)
-        rows = [(f, y, z, label)
-                for f, (_, y, z, label) in zip(flex.astype(int).tolist(), rows)]
-    return _build_trace(cfg, rows)
+        rows[:, 0] = np.clip(flex_target + jitter, 0, cfg.divider.full_scale)
+    return _build_trace(cfg, rows, ("",) * len(rows))
 
 
 def scale_trace(cfg: GlobalConfig, key_indices, speed=0.5) -> SensorTrace:
@@ -204,15 +200,16 @@ def scale_trace(cfg: GlobalConfig, key_indices, speed=0.5) -> SensorTrace:
         raise InputError("scale needs at least one key")
     s = _press_speed(speed)
     anchors = anchors_from_config(cfg)
-    rows = []
+    blocks = []
     for key_index in key_indices:
         if not 0 <= key_index < cfg.layout.n_keys:
             raise InputError(f"key index {key_index} outside the keyboard")
         flex_target = flex_code_for_key(cfg, cfg.layout.keys[key_index], anchors)
-        rows += _press_rows(cfg, flex_target, s, 1, LEAD_MS + PRESS_CYCLE_MS)
+        blocks.append(_press_codes(cfg, flex_target, s, 1, LEAD_MS + PRESS_CYCLE_MS))
     # no cycles: the thumb holds the last key through the quiet tail
-    rows += _press_rows(cfg, rows[-1][0], s, 0, TAIL_MS)
-    return _build_trace(cfg, rows)
+    blocks.append(_press_codes(cfg, flex_target, s, 0, TAIL_MS))
+    rows = np.concatenate(blocks)
+    return _build_trace(cfg, rows, ("",) * len(rows))
 
 
 def band_sweep_directions(samples: int, azimuth_span: float = 360.0,

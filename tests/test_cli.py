@@ -220,7 +220,7 @@ def test_verbose_only_on_simulate(workdir, tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text,message", [
-    (b"x,y,z\nnan,0,0\n", "direction norms deviate from 1 by up to nan"),
+    (b"x,y,z\nnan,0,0\n", "dirs.csv: direction norms deviate from 1 by up to nan"),
     (b"x,y,z\n1,0,0\n1,0\n", "dirs.csv: the number of columns changed"),
     (b"x,y,z\nabc,0,0\n", "dirs.csv: could not convert string 'abc'"),
     (b"x,y,z\n", "dirs.csv: direction set is empty"),
@@ -233,6 +233,17 @@ def test_malformed_direction_csv_exits_2(text, message, tmp_path, capsys):
     assert run("analyze", "workspace", "--dirs", dirs, "--bins", 1000,
                "--out", tmp_path) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "workspace_report.txt").exists()
+
+
+def test_direction_norm_error_names_the_reference_file(tmp_path, capsys):
+    (tmp_path / "ok.csv").write_text("x,y,z\n1,0,0\n0,1,0\n")
+    (tmp_path / "nan.csv").write_text("x,y,z\n1,0,0\nnan,0,0\n")
+    assert run("analyze", "workspace", "--dirs", tmp_path / "ok.csv",
+               "--ref-dirs", tmp_path / "nan.csv", "--bins", 1000,
+               "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'nan.csv'}: direction norms deviate" in err
     assert not (tmp_path / "workspace_report.txt").exists()
 
 

@@ -13,7 +13,7 @@ from robothumb.errors import (CalibrationIncompleteError, ConfigurationError,
                               DegenerateCalibrationError)
 from robothumb.kinematics import FingerGeometry
 from robothumb.plant import MotorAxis, round_half_away
-from robothumb.sensors import SensorSample, SensorTrace
+from robothumb.sensors import SensorTrace
 
 PARAMS = ControlParams()
 
@@ -26,9 +26,9 @@ ANCHORS = {"enc_h_min": 790, "enc_h_max": -795, "enc_hover": 0, "enc_pressed": 5
 
 def make_trace(rows):
     """rows: (flex, y, z, label) tuples at 1 ms spacing."""
-    samples = tuple(SensorSample(float(i), f, y, z, label)
-                    for i, (f, y, z, label) in enumerate(rows))
-    return SensorTrace(samples=samples, sample_period=1.0)
+    flex, acc_y, acc_z, labels = zip(*rows)
+    return SensorTrace.from_columns([float(i) for i in range(len(rows))],
+                                    flex, acc_y, acc_z, labels, 1.0)
 
 
 def full_calibration_rows(flex_values=(1000, 1002)):

@@ -2,6 +2,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robothumb import engine, synth
 from robothumb.control import calibrate_from_trace
@@ -10,13 +12,13 @@ from robothumb.engine import (LatencyConfig, LatencyRecord,
                               midi_velocity, run)
 from robothumb.errors import ConfigurationError, InputError
 from robothumb.plant import MotorAxis
-from robothumb.sensors import SensorSample, SensorTrace
+from robothumb.sensors import SensorTrace
 
 
 def make_trace(rows, period=1.0):
-    samples = tuple(SensorSample(i * period, f, y, z, "")
-                    for i, (f, y, z) in enumerate(rows))
-    return SensorTrace(samples=samples, sample_period=period)
+    flex, acc_y, acc_z = zip(*rows)
+    return SensorTrace.from_columns([i * period for i in range(len(rows))],
+                                    flex, acc_y, acc_z, [""] * len(rows), period)
 
 
 def press_fixture(cfg, key_index=46, speed=0.5, repeat=1):
@@ -68,7 +70,7 @@ def test_intention_detect_refractory_and_rearm(cfg, calib):
 
 
 def test_empty_trace_empty_log(cfg, calib):
-    log = run(SensorTrace(samples=(), sample_period=1.0), calib, cfg)
+    log = run(SensorTrace.from_columns([], [], [], [], [], 1.0), calib, cfg)
     assert log.events == [] and log.latencies == [] and log.steps == []
 
 
@@ -110,15 +112,46 @@ def test_key_on_charged_to_latest_intention(cfg, calib):
     must not be charged to the real press that follows."""
     press = press_fixture(cfg, key_index=46, repeat=1)
     _, z_bump = synth.accel_codes(cfg, 0.0, 0.5)
-    samples = tuple(dataclasses.replace(s, acc_z_adc=z_bump)
-                    if 50.0 <= s.t < 130.0 else s for s in press.samples)
-    log = run(SensorTrace(samples=samples, sample_period=1.0), calib, cfg)
+    samples = press.samples.copy()
+    samples["acc_z_adc"][(50.0 <= samples["t"]) & (samples["t"] < 130.0)] = z_bump
+    log = run(SensorTrace(samples, press.labels, 1.0), calib, cfg)
     assert log.intentions == [50.0, synth.LEAD_MS]
     assert log.air_presses == []
     [record] = log.latencies
     assert record.intention_t == synth.LEAD_MS
     assert record == run(press, calib, cfg).latencies[0]
     assert 80.0 <= record.delay <= 90.0
+
+
+@pytest.fixture(scope="module")
+def scale_run(cfg, calib):
+    trace = synth.scale_trace(cfg, [44, 46, 48])
+    return trace, run(trace, calib, cfg)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_press_free_z_bumps_keep_latency_records(cfg, calib, scale_run, data):
+    """Z bumps with the foot down, outside each press cycle and the
+    refractory window before it, never change an existing latency record."""
+    trace, log = scale_run
+    t = trace.samples["t"]
+    assert len(log.latencies) == 3
+    edges = [0.0]
+    for t_up in log.intentions:
+        edges += [t_up - cfg.control.z_refractory_ms, t_up + synth.PRESS_CYCLE_MS]
+    edges.append(float(t[-1]) + trace.sample_period)
+    quiet = list(zip(edges[0::2], edges[1::2]))  # [lo, hi) spans in ms
+    samples = trace.samples.copy()
+    for _ in range(data.draw(st.integers(1, 4))):
+        lo, hi = data.draw(st.sampled_from(quiet))
+        start = data.draw(st.integers(int(lo), int(hi) - 1))
+        end = data.draw(st.integers(start + 1, int(hi)))
+        z = data.draw(st.integers(0, cfg.divider.full_scale))
+        samples["acc_z_adc"][(t >= start) & (t < end)] = z
+    bumped = run(SensorTrace(samples, trace.labels, trace.sample_period), calib, cfg)
+    assert bumped.latencies == log.latencies
+    assert bumped.air_presses == []
 
 
 def test_press_velocity_scales_with_foot_speed(cfg, calib):
@@ -213,7 +246,7 @@ def test_forced_release_at_end_of_trace(cfg, calib):
     full = press_fixture(cfg, repeat=1)
     # truncate right after the press lands, before the foot drops
     cut = int(synth.LEAD_MS + 150)
-    truncated = SensorTrace(samples=full.samples[:cut], sample_period=1.0)
+    truncated = SensorTrace(full.samples[:cut], full.labels[:cut], 1.0)
     log = run(truncated, calib, cfg)
     kinds = [e.kind for e in log.events]
     assert kinds == ["on", "off"]

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from robothumb.errors import InputError, TraceFormatError
 from robothumb.sensors import (AccelerometerModel, DividerConfig,
-                               FlexSensorModel, SensorSample, SensorTrace,
+                               FlexSensorModel, SensorTrace,
                                accel_output, adc_quantize, divider_voltage,
                                flex_resistance, load_trace, save_trace)
 
@@ -86,46 +87,46 @@ def test_outputs_bit_deterministic():
     assert first == second
 
 
-def _sample(t, label=""):
-    return SensorSample(t=t, flex_adc=2000, acc_y_adc=1229, acc_z_adc=1474,
-                        label=label)
+def make_trace(t, period=1.0, labels=None):
+    n = len(t)
+    return SensorTrace.from_columns(t, [2000] * n, [1229] * n, [1474] * n,
+                                    labels or [""] * n, period)
 
 
 def test_trace_rejects_non_monotone_timestamps():
     with pytest.raises(TraceFormatError):
-        SensorTrace(samples=(_sample(0.0), _sample(0.0)), sample_period=1.0)
+        make_trace([0.0, 0.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_trace_rejects_non_finite_timestamps(bad):
     with pytest.raises(TraceFormatError, match="not finite"):
-        SensorTrace(samples=(_sample(0.0), _sample(bad)), sample_period=1.0)
+        make_trace([0.0, bad])
     with pytest.raises(TraceFormatError, match="not finite"):
-        SensorTrace(samples=(_sample(bad),), sample_period=1.0)
+        make_trace([bad])
 
 
 @pytest.mark.parametrize("period", [math.nan, math.inf, 0.0, -1.0])
 def test_trace_rejects_bad_sample_period(period):
     # irregular timestamps, which a NaN or inf period lets past the spacing check
-    samples = (_sample(0.0), _sample(1.0), _sample(7.0))
     with pytest.raises(TraceFormatError, match="sample_period"):
-        SensorTrace(samples=samples, sample_period=period)
+        make_trace([0.0, 1.0, 7.0], period)
 
 
 def test_trace_rejects_irregular_spacing():
     with pytest.raises(TraceFormatError):
-        SensorTrace(samples=(_sample(0.0), _sample(1.0), _sample(2.5)),
-                    sample_period=1.0)
+        make_trace([0.0, 1.0, 2.5])
 
 
 def test_trace_csv_round_trip(tmp_path):
-    trace = SensorTrace(samples=tuple(_sample(float(i), "tag" if i == 1 else "")
-                                      for i in range(5)),
-                        sample_period=1.0)
+    trace = make_trace([float(i) for i in range(5)],
+                       labels=["", "tag", "", "", ""])
     path = tmp_path / "trace.csv"
     save_trace(trace, path)
     loaded = load_trace(path)
-    assert loaded == trace
+    assert np.array_equal(loaded.samples, trace.samples)
+    assert loaded.samples.dtype == trace.samples.dtype
+    assert (loaded.labels, loaded.sample_period) == (trace.labels, trace.sample_period)
     save_trace(loaded, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 

@@ -1,6 +1,7 @@
 """Sensor-trace CSVs: golden digests of the synthesized traces, the trace
-writer's text against ``csv.writer``'s, and the sample count that the
-benchmark tracer reads as ``len(trace.samples)``."""
+writer's text against ``csv.writer``'s, the loader against arbitrary input
+and at each point where it parts from ``csv.reader``, and the sample count
+that the benchmark tracer reads as ``len(trace.samples)``."""
 
 import csv
 import hashlib
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from robothumb import default_config, synth
 from robothumb.cli import main
-from robothumb.sensors import (TRACE_HEADER, SensorSample, SensorTrace,
-                               load_trace, save_trace)
+from robothumb.errors import InputError, RobothumbError, TraceFormatError
+from robothumb.sensors import (TRACE_HEADER, SensorTrace, load_trace,
+                               save_trace)
 
 REAR_CONFIG = "[mount]\ndepth = 60\n"
 
@@ -48,11 +50,6 @@ def test_trace_csv_matches_golden_digest(name, tmp_path):
     assert hashlib.sha256((tmp_path / trace_file).read_bytes()).hexdigest() == digest
 
 
-def make_trace(t, flex, acc_y, acc_z, labels, period):
-    samples = tuple(SensorSample(*row) for row in zip(t, flex, acc_y, acc_z, labels))
-    return SensorTrace(samples=samples, sample_period=period)
-
-
 def csv_writer_text(t, flex, acc_y, acc_z, labels) -> str:
     """The text ``csv.writer`` gives the trace rows, ``t`` formatted ``%g``."""
     buf = io.StringIO()
@@ -72,32 +69,39 @@ PERIODS = (st.floats(min_value=5e-324, max_value=1e300)
            | st.sampled_from([1.0, 0.3, 2.5, 1e-300, 5e-324, 1e300]))
 LABELS = (st.text(max_size=6)
           | st.sampled_from(["", "flex_min", " z_rest ", "\x0c", "\x85",
-                             " ", "\x1c", "\t", "'"]))
+                             "\u2028", "\x1c", "\t", "'", "a,b", '"q"', "\r",
+                             "x\r\ny"]))
 
 
 @st.composite
-def trace_columns(draw, labels=LABELS.filter(unquoted)):
+def trace_columns(draw):
     n = draw(st.integers(1, 30))
     period = draw(PERIODS)
     t = [i * period for i in range(n)]
     if draw(st.booleans()):
         t[0] = -0.0
     codes = [draw(st.lists(INT64, min_size=n, max_size=n)) for _ in range(3)]
-    return (t, *codes, draw(st.lists(labels, min_size=n, max_size=n)), period)
+    return (t, *codes, draw(st.lists(LABELS, min_size=n, max_size=n)), period)
 
 
 @settings(deadline=None)
 @given(trace_columns())
 def test_save_trace_matches_csv_writer(tmp_path_factory, columns):
+    """Labels that csv.writer leaves unquoted are written as it writes them;
+    a trace with a label it would quote cannot be built."""
     *rows, period = columns
+    if not all(map(unquoted, rows[4])):
+        with pytest.raises(TraceFormatError, match="comma, quote or line break"):
+            SensorTrace.from_columns(*rows, period)
+        return
     path = tmp_path_factory.getbasetemp() / "property.csv"
-    save_trace(make_trace(*rows, period), path)
+    save_trace(SensorTrace.from_columns(*rows, period), path)
     assert path.read_bytes().decode("utf-8") == csv_writer_text(*rows)
 
 
 def data_rows(path) -> int:
     """Non-blank lines after the header of a trace CSV."""
-    return sum(1 for line in path.read_text().splitlines()[1:] if line)
+    return sum(1 for line in path.read_text().split("\n")[1:] if line)
 
 
 def test_trace_samples_counts_data_rows(tmp_path):
@@ -112,3 +116,123 @@ def test_trace_samples_counts_data_rows(tmp_path):
         save_trace(trace, path)
         assert len(trace.samples) == data_rows(path) > 0, name
         assert len(load_trace(path).samples) == data_rows(path), name
+
+
+HEADER = ",".join(TRACE_HEADER)
+
+
+def load_text(tmp_path, text, newline="\n"):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    return load_trace(path)
+
+
+def columns_of(trace):
+    return [trace.samples[name].tolist() for name in trace.samples.dtype.names] + \
+        [list(trace.labels)]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_loader_accepts_each_line_ending(newline, tmp_path):
+    trace = load_text(tmp_path, f"{HEADER}\n0,1,2,3,a\n1,4,5,6,\n", newline)
+    assert columns_of(trace) == [[0.0, 1.0], [1, 4], [2, 5], [3, 6], ["a", ""]]
+
+
+def test_loader_skips_blank_lines_and_counts_them_in_line_numbers(tmp_path):
+    trace = load_text(tmp_path, f"{HEADER}\n\n0,1,2,3,\n\n1,1,2,3,\n\n")
+    assert len(trace.samples) == 2
+    with pytest.raises(TraceFormatError, match="line 5: expected 5 columns"):
+        load_text(tmp_path, f"{HEADER}\n0,1,2,3,\n\n1,1,2,3,\n1,1,2,\n")
+
+
+def test_loader_parses_codes_with_int(tmp_path):
+    trace = load_text(tmp_path, f"{HEADER}\n0, 7 ,1_000,+5,\n1,1,2,3,\n")
+    assert columns_of(trace)[1:4] == [[7, 1], [1000, 2], [5, 3]]
+
+
+def test_loader_parses_time_with_float(tmp_path):
+    trace = load_text(tmp_path, f"{HEADER}\n1e3,1,2,3,\n 1001.0 ,1,2,3,\n")
+    assert columns_of(trace)[0] == [1000.0, 1001.0]
+    assert trace.sample_period == 1.0
+
+
+@pytest.mark.parametrize("row,message", [
+    ('0,"7",2,3,', "line 2: invalid literal for int()"),
+    ('0,1,2,3,"tag"', "label '\"tag\"' contains a comma, quote or line break"),
+    ('0,1,2,3,"a,b"', "line 2: expected 5 columns"),
+], ids=["code", "label", "label-with-comma"])
+def test_loader_rejects_quoted_fields(row, message, tmp_path):
+    """csv.reader unquotes these; the trace format has no quoting."""
+    with pytest.raises(TraceFormatError, match=message):
+        load_text(tmp_path, f"{HEADER}\n{row}\n1,1,2,3,\n")
+
+
+@pytest.mark.parametrize("code", [2**63, -2**63 - 1, 10**400])
+def test_loader_rejects_codes_beyond_int64(code, tmp_path):
+    with pytest.raises(TraceFormatError, match="line 3: ADC code does not fit int64"):
+        load_text(tmp_path, f"{HEADER}\n0,1,2,3,\n1,1,{code},3,\n")
+    with pytest.raises(InputError, match="acc_y_adc: an ADC code does not fit int64"):
+        SensorTrace.from_columns([0.0, 1.0], [1, 1], [2, code], [3, 3], ["", ""], 1.0)
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                       "\x85", "\u2028", "\u2029"])
+def test_loader_keeps_other_line_separators_inside_labels(separator, tmp_path):
+    """str.splitlines breaks lines on these; csv.reader and the loader do not."""
+    trace = load_text(tmp_path, f"{HEADER}\n0,1,2,3,a{separator}b\n1,1,2,3,\n")
+    assert trace.labels == (f"a{separator}b", "")
+    save_trace(trace, tmp_path / "again.csv")
+    assert load_trace(tmp_path / "again.csv").labels == trace.labels
+
+
+def test_loader_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(f"{HEADER}\n0,1,2,3,\xff\n1,1,2,3,\n".encode("latin-1"))
+    with pytest.raises(TraceFormatError, match="codec can't decode"):
+        load_trace(path)
+
+
+FIELDS = (st.sampled_from(["0", "1", "1.5", " 7 ", "1_000", "+5", "-3", "1e3",
+                           "nan", "inf", "-0", "", '"7"', "tag", "flex_min",
+                           "\x0c", "\x00", str(2**63), "9" * 30])
+          | st.text(max_size=5))
+ROWS = st.lists(st.lists(FIELDS, min_size=3, max_size=7).map(",".join), max_size=8)
+NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Anchors and a calibration for running the CLI on fuzzed traces."""
+    root = tmp_path_factory.mktemp("fuzz")
+    run("synth", "calibration", "--out", root)
+    run("calibrate", "--trace", root / "calibration_trace.csv",
+        "--anchors", root / "anchors.txt", "--out", root)
+    return root
+
+
+def fuzz_load(data: bytes, root):
+    """Only a RobothumbError may escape the loader, and a file it rejects
+    makes calibrate and simulate exit 2."""
+    path = root / "fuzz.csv"
+    path.write_bytes(data)
+    try:
+        load_trace(path)
+    except RobothumbError:
+        out = str(root / "out")
+        assert main(["calibrate", "--trace", str(path), "--anchors",
+                     str(root / "anchors.txt"), "--out", out]) == 2
+        assert main(["simulate", "--trace", str(path), "--calibration",
+                     str(root / "calibration.txt"), "--out", out]) == 2
+
+
+@settings(deadline=None)
+@given(st.sampled_from([b"", HEADER.encode() + b"\n"]), st.binary(max_size=200))
+def test_loader_fuzz_bytes(cli_inputs, header, body):
+    fuzz_load(header + body, cli_inputs)
+
+
+@settings(deadline=None)
+@given(st.booleans(), ROWS, NEWLINES)
+def test_loader_fuzz_rows(cli_inputs, header, rows, newline):
+    text = newline.join(([HEADER] if header else []) + rows + [""])
+    fuzz_load(text.encode("utf-8"), cli_inputs)
