@@ -128,8 +128,8 @@ def load_text(tmp_path, text, newline="\n"):
 
 
 def columns_of(trace):
-    return [trace.samples[name].tolist() for name in trace.samples.dtype.names] + \
-        [list(trace.labels)]
+    codes = [trace.samples[name].tolist() for name in trace.samples.dtype.names]
+    return codes + [list(trace.labels)]
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
