@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import re
 
 import pytest
 
@@ -93,3 +95,125 @@ seed = 7
     assert cfg.simulation.latency.total == 75.0
     assert cfg.simulation.mode == "concurrent"
     assert cfg.simulation.seed == 7
+
+
+# section.key -> (value written, path of the attribute it sets, value it holds);
+# every key the loader accepts, each with a valid value other than its default
+KEY_TABLE = {
+    "layout.n_keys": ("61", "layout.n_keys", 61),
+    "layout.white_width": ("24", "layout.white_width", 24.0),
+    "layout.black_width": ("13.0", "layout.black_width", 13.0),
+    "layout.key_travel": ("9.5", "layout.key_travel", 9.5),
+    "layout.press_force": ("0.75", "layout.press_force", 0.75),
+    "layout.black_zone_depth": ("40", "layout.black_zone_depth", 40.0),
+    "layout.origin_x": ("-5", "layout.origin_x", -5.0),
+    "sensors.flex_r_flat": ("12", "flex.r_flat", 12.0),
+    "sensors.flex_r_bent": ("30", "flex.r_bent", 30.0),
+    "sensors.flex_angle_range": ("170", "flex.angle_range", 170.0),
+    "sensors.divider_vcc": ("3.3", "divider.vcc", 3.3),
+    "sensors.divider_r_fixed": ("22", "divider.r_fixed", 22.0),
+    "sensors.adc_bits": ("10", "divider.adc_bits", 10),
+    "sensors.adc_v_ref": ("3.3", "divider.v_ref", 3.3),
+    "sensors.accel_sensitivity": ("0.33", "accel.sensitivity", 0.33),
+    "sensors.accel_zero_g_bias": ("1.65", "accel.zero_g_bias", 1.65),
+    "geometry.l0_knuckle": ("40", "geometry.l0_knuckle", 40.0),
+    "geometry.l1_proximal": ("57", "geometry.l1_proximal", 57.0),
+    "geometry.l2_distal": ("47", "geometry.l2_distal", 47.0),
+    "geometry.bend_angle": ("55", "geometry.bend_angle", 55.0),
+    "geometry.theta_h_range": ("300", "geometry.theta_h_range", 300.0),
+    "geometry.theta_v_min": ("-80", "geometry.theta_v_min", -80.0),
+    "geometry.theta_v_max": ("25", "geometry.theta_v_max", 25.0),
+    "mount.base_x": ("610", "mount.base_x", 610.0),
+    "mount.base_z": ("45", "mount.base_z", 45.0),
+    "mount.heading": ("70", "mount.heading", 70.0),
+    "mount.depth": ("60", "mount.depth", 60.0),
+    "mount.pinkie_reach_x": ("570", "pinkie_reach_x", 570.0),
+    "mount.reach_near_x": ("590", "reach_near_x", 590.0),
+    "mount.reach_far_x": ("680", "reach_far_x", 680.0),
+    "mount.press_overtravel_deg": ("2", "press_overtravel_deg", 2.0),
+    "mount.mass_g": ("300", "device_mass_g", 300.0),
+    "axes.gear_ratio": ("20", "axis.gear_ratio", 20),
+    "axes.encoder_cpr": ("512", "axis.encoder_cpr", 512),
+    "axes.quadrature": ("2", "axis.quadrature", 2),
+    "axes.v_max": ("500", "axis.v_max", 500.0),
+    "axes.a_max": ("50000", "axis.a_max", 50000.0),
+    "axes.nominal_torque": ("0.02", "axis.nominal_torque", 0.02),
+    "control.kp_h": ("0.9", "control.kp_h", 0.9),
+    "control.v_cap": ("300", "control.v_cap", 300.0),
+    "control.kv_z": ("400", "control.kv_z", 400.0),
+    "control.v_floor": ("10", "control.v_floor", 10.0),
+    "control.z_threshold": ("90", "control.z_threshold", 90),
+    "control.z_refractory_ms": ("200", "control.z_refractory_ms", 200.0),
+    "latency.sensor_sample": ("6", "simulation.latency.sensor_sample", 6.0),
+    "latency.adc_transport": ("11", "simulation.latency.adc_transport", 11.0),
+    "latency.compute": ("4", "simulation.latency.compute", 4.0),
+    "latency.command_transport": ("9", "simulation.latency.command_transport", 9.0),
+    "latency.controller_process": ("3", "simulation.latency.controller_process", 3.0),
+    "latency.mech_motion": ("40", "simulation.latency.mech_motion", 40.0),
+    "simulation.timestep": ("0.5", "simulation.timestep", 0.5),
+    "simulation.seed": ("7", "simulation.seed", 7),
+    "simulation.mode": ("concurrent", "simulation.mode", "concurrent"),
+    "simulation.settle_tail_ms": ("150", "simulation.settle_tail_ms", 150.0),
+}
+# field names that are not keys in their section (or in any other)
+NON_KEYS = ("device_mass_g", "r_flat", "r_bent", "angle_range", "vcc", "r_fixed",
+            "v_ref", "sensitivity", "zero_g_bias", "latency", "keys", "n_white",
+            "layout", "flex", "divider", "accel", "geometry", "mount", "axis",
+            "control", "simulation")
+
+
+def key_file(tmp_path, name, raw):
+    section, key = name.split(".")
+    return write(tmp_path, f"[{section}]\n{key} = {raw}\n")
+
+
+def replace_at(obj, path, value):
+    head, _, rest = path.partition(".")
+    if rest:
+        value = replace_at(getattr(obj, head), rest, value)
+    return dataclasses.replace(obj, **{head: value})
+
+
+def test_key_table_has_54_keys_in_8_sections():
+    assert len(KEY_TABLE) == 54
+    assert len({name.split(".")[0] for name in KEY_TABLE}) == 8
+
+
+@pytest.mark.parametrize("name", list(KEY_TABLE))
+def test_each_key_sets_its_field_alone(name, tmp_path):
+    raw, path, value = KEY_TABLE[name]
+    cfg = load_config(key_file(tmp_path, name, raw))
+    assert cfg == replace_at(default_config(), path, value)
+    landed = functools.reduce(getattr, path.split("."), cfg)
+    assert landed == value and type(landed) is type(value)
+    assert landed != functools.reduce(getattr, path.split("."), default_config())
+
+
+@pytest.mark.parametrize("name", list(KEY_TABLE))
+def test_each_key_parser(name, tmp_path):
+    value = KEY_TABLE[name][2]
+    if isinstance(value, str):
+        assert load_config(key_file(tmp_path, name, "deterministic")) == default_config()
+        return
+    bad = "1.5" if isinstance(value, int) else "inf"
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"config key {name}: cannot parse '{bad}'")):
+        load_config(key_file(tmp_path, name, bad))
+
+
+def test_accepted_key_set_is_exact(tmp_path):
+    sections = {name.split(".")[0] for name in KEY_TABLE}
+    keys = {name.split(".")[1] for name in KEY_TABLE} | set(NON_KEYS)
+    for section in sorted(sections):
+        for key in sorted(keys):
+            name = f"{section}.{key}"
+            if name in KEY_TABLE:
+                load_config(key_file(tmp_path, name, KEY_TABLE[name][0]))
+            else:
+                with pytest.raises(ConfigurationError,
+                                   match=re.escape(f"unknown config key {name}")):
+                    load_config(key_file(tmp_path, name, "1"))
+    for section in ("sensor", "axis", "mass", "LAYOUT", "DEFAULTS"):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"unknown config section [{section}]")):
+            load_config(write(tmp_path, f"[{section}]\n"))
