@@ -88,23 +88,15 @@ def sphere_partition(n_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if n_bins < 100:
         raise InputError("n_bins must be >= 100")
-    n_rings = max(1, int(round(math.sqrt(math.pi * n_bins) / 2.0)))
+    n_rings = int(round(math.sqrt(math.pi * n_bins) / 2.0))
     centers = (np.arange(n_rings) + 0.5) * math.pi / n_rings
     weights = np.sin(centers)
     ideal = weights / weights.sum() * n_bins
-    cells = np.maximum(1, np.floor(ideal).astype(int))
-    remainder = n_bins - int(cells.sum())
-    if remainder > 0:
-        order = np.argsort(-(ideal - np.floor(ideal)))
-        cells[order[:remainder]] += 1
-    elif remainder < 0:
-        order = np.argsort(ideal - np.floor(ideal))
-        for idx in order:
-            if remainder == 0:
-                break
-            if cells[idx] > 1:
-                cells[idx] -= 1
-                remainder += 1
+    # the polar rings' ideal share is about pi cells, so every floor is >= 1
+    # and the floors sum to at most n_bins
+    cells = np.floor(ideal).astype(int)
+    order = np.argsort(-(ideal - np.floor(ideal)))
+    cells[order[:n_bins - int(cells.sum())]] += 1
     z_edges = np.concatenate(([-1.0], -1.0 + 2.0 * np.cumsum(cells) / n_bins))
     z_edges[-1] = 1.0
     offsets = np.concatenate(([0], np.cumsum(cells)[:-1]))

@@ -107,9 +107,8 @@ def _cmd_calibrate(args) -> int:
     out = _out_dir(args)
     path = out / "calibration.txt"
     save_calibration(calib, path)
-    for name in ("flex_min", "flex_max", "y_min", "y_max", "z_min", "z_max",
-                 "enc_h_min", "enc_h_max", "enc_hover", "enc_pressed"):
-        print(f"{name} = {getattr(calib, name)}")
+    for name, value in dataclasses.asdict(calib).items():
+        print(f"{name} = {value}")
     print(f"wrote {path}")
     return 0
 

@@ -1,15 +1,18 @@
 """Global configuration: defaults plus a sectioned key = value file loader.
 
-The file format is INI-style. Any key left out keeps its default; unknown
-sections or keys are rejected so fixture files stay honest. Invariant
-violations surface as ConfigurationError naming the offending key.
+The file format is INI-style, read as UTF-8. Each key is a defaulted field
+of a dataclass its section builds and takes that field's name, except the
+``[sensors]`` and ``[mount]`` renames in ``_KEY_NAMES``. Any key left out
+keeps its default; unknown sections or keys are rejected so fixture files
+stay honest. Invariant violations surface as ConfigurationError naming the
+offending key.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .control import ControlParams
 from .engine import LatencyConfig, SimulationConfig
@@ -56,121 +59,84 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-_FLOAT = _finite_float
-_INT = int
-_STR = str
-
-# section -> key -> converter
-_SCHEMA = {
-    "layout": {
-        "n_keys": _INT, "white_width": _FLOAT, "black_width": _FLOAT,
-        "key_travel": _FLOAT, "press_force": _FLOAT,
-        "black_zone_depth": _FLOAT, "origin_x": _FLOAT,
-    },
-    "sensors": {
-        "flex_r_flat": _FLOAT, "flex_r_bent": _FLOAT, "flex_angle_range": _FLOAT,
-        "divider_vcc": _FLOAT, "divider_r_fixed": _FLOAT,
-        "adc_bits": _INT, "adc_v_ref": _FLOAT,
-        "accel_sensitivity": _FLOAT, "accel_zero_g_bias": _FLOAT,
-    },
-    "geometry": {
-        "l0_knuckle": _FLOAT, "l1_proximal": _FLOAT, "l2_distal": _FLOAT,
-        "bend_angle": _FLOAT, "theta_h_range": _FLOAT,
-        "theta_v_min": _FLOAT, "theta_v_max": _FLOAT,
-    },
-    "mount": {
-        "base_x": _FLOAT, "base_z": _FLOAT, "heading": _FLOAT, "depth": _FLOAT,
-        "pinkie_reach_x": _FLOAT, "reach_near_x": _FLOAT, "reach_far_x": _FLOAT,
-        "press_overtravel_deg": _FLOAT, "mass_g": _FLOAT,
-    },
-    "axes": {
-        "gear_ratio": _INT, "encoder_cpr": _INT, "quadrature": _INT,
-        "v_max": _FLOAT, "a_max": _FLOAT, "nominal_torque": _FLOAT,
-    },
-    "control": {
-        "kp_h": _FLOAT, "v_cap": _FLOAT, "kv_z": _FLOAT, "v_floor": _FLOAT,
-        "z_threshold": _INT, "z_refractory_ms": _FLOAT,
-    },
-    "latency": {
-        "sensor_sample": _FLOAT, "adc_transport": _FLOAT, "compute": _FLOAT,
-        "command_transport": _FLOAT, "controller_process": _FLOAT,
-        "mech_motion": _FLOAT,
-    },
-    "simulation": {
-        "timestep": _FLOAT, "seed": _INT, "mode": _STR, "settle_tail_ms": _FLOAT,
-    },
+# section -> the constructors its keys set, one key per defaulted field
+_SECTIONS = {
+    "layout": (KeyboardLayout,),
+    "sensors": (FlexSensorModel, DividerConfig, AccelerometerModel),
+    "geometry": (FingerGeometry,),
+    "mount": (MountPose, GlobalConfig),
+    "axes": (MotorAxis,),
+    "control": (ControlParams,),
+    "latency": (LatencyConfig,),
+    "simulation": (SimulationConfig,),
 }
+# the keys that are not their field's name: constructor -> {field: key}
+_KEY_NAMES = {
+    FlexSensorModel: {"r_flat": "flex_r_flat", "r_bent": "flex_r_bent",
+                      "angle_range": "flex_angle_range"},
+    DividerConfig: {"vcc": "divider_vcc", "r_fixed": "divider_r_fixed",
+                    "v_ref": "adc_v_ref"},
+    AccelerometerModel: {"sensitivity": "accel_sensitivity",
+                         "zero_g_bias": "accel_zero_g_bias"},
+    GlobalConfig: {"device_mass_g": "mass_g"},
+}
+# a key's parser follows the type of its field's default
+_PARSERS = {float: _finite_float, int: int, str: str}
+
+
+def _section_keys(section: str) -> dict:
+    """key -> (constructor, field name, parser) for one config section."""
+    keys = {}
+    for ctor in _SECTIONS[section]:
+        names = _KEY_NAMES.get(ctor, {})
+        for f in fields(ctor):
+            if f.init and f.default is not MISSING:
+                keys[names.get(f.name, f.name)] = (ctor, f.name, _PARSERS[type(f.default)])
+    return keys
 
 
 def _parse_sections(path) -> dict:
-    parser = configparser.ConfigParser(interpolation=None)
+    """Constructor -> the keyword arguments the file sets for it."""
+    # no default section: [DEFAULT] is an unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # keep key case
-    read = parser.read(path)
-    if not read:
-        raise ConfigurationError(f"cannot read config file {path}")
-    values: dict = {}
+    try:
+        with open(path, encoding="utf-8") as f:
+            parser.read_file(f)
+    except OSError:
+        raise ConfigurationError(f"cannot read config file {path}") from None
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    kwargs: dict = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigurationError(f"unknown config section [{section}]")
-        keys = _SCHEMA[section]
-        out = {}
+        keys = _section_keys(section)
         for key, raw in parser.items(section):
             if key not in keys:
                 raise ConfigurationError(f"unknown config key {section}.{key}")
+            ctor, name, parse = keys[key]
             try:
-                out[key] = keys[key](raw)
+                kwargs.setdefault(ctor, {})[name] = parse(raw)
             except ValueError:
                 raise ConfigurationError(
                     f"config key {section}.{key}: cannot parse {raw!r}") from None
-        values[section] = out
-    return values
-
-
-def _take(section: dict, mapping: dict) -> dict:
-    """Rename config keys to constructor kwargs, dropping absent ones."""
-    return {kwarg: section[key] for key, kwarg in mapping.items() if key in section}
-
-
-def _build(section: str, ctor, kwargs: dict):
-    try:
-        return ctor(**kwargs)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"[{section}] {exc}") from None
+    return kwargs
 
 
 def load_config(path) -> GlobalConfig:
     """Load a configuration file on top of the defaults."""
-    values = _parse_sections(path)
-    layout = values.get("layout", {})
-    sensors = values.get("sensors", {})
-    geometry = values.get("geometry", {})
-    mount = values.get("mount", {})
-    axes = values.get("axes", {})
-    ctrl = values.get("control", {})
-    latency = values.get("latency", {})
-    sim = values.get("simulation", {})
+    kwargs = _parse_sections(path)
 
-    identity = lambda keys: {k: k for k in keys}
-    sim_kwargs = dict(sim)
-    if latency:
-        sim_kwargs["latency"] = _build("latency", LatencyConfig, latency)
-    return _build("mount", GlobalConfig, dict(
-        layout=_build("layout", KeyboardLayout, layout),
-        flex=_build("sensors", FlexSensorModel, _take(sensors, {
-            "flex_r_flat": "r_flat", "flex_r_bent": "r_bent",
-            "flex_angle_range": "angle_range"})),
-        divider=_build("sensors", DividerConfig, _take(sensors, {
-            "divider_vcc": "vcc", "divider_r_fixed": "r_fixed",
-            "adc_bits": "adc_bits", "adc_v_ref": "v_ref"})),
-        accel=_build("sensors", AccelerometerModel, _take(sensors, {
-            "accel_sensitivity": "sensitivity", "accel_zero_g_bias": "zero_g_bias"})),
-        geometry=_build("geometry", FingerGeometry, geometry),
-        mount=_build("mount", MountPose, _take(mount, identity(
-            ("base_x", "base_z", "heading", "depth")))),
-        axis=_build("axes", MotorAxis, axes),
-        control=_build("control", ControlParams, ctrl),
-        simulation=_build("simulation", SimulationConfig, sim_kwargs),
-        **_take(mount, {"mass_g": "device_mass_g", **identity((
-            "pinkie_reach_x", "reach_near_x", "reach_far_x",
-            "press_overtravel_deg"))}),
-    ))
+    def build(ctor, **parts):
+        try:
+            return ctor(**kwargs.get(ctor, {}), **parts)
+        except ConfigurationError as exc:
+            section = next(s for s, ctors in _SECTIONS.items() if ctor in ctors)
+            raise ConfigurationError(f"[{section}] {exc}") from None
+
+    # [latency] is checked first, then the parts in GlobalConfig's field order
+    kwargs.setdefault(SimulationConfig, {})["latency"] = build(LatencyConfig)
+    return build(GlobalConfig, **{f.name: build(f.default_factory)
+                                  for f in fields(GlobalConfig)
+                                  if f.default_factory is not MISSING})

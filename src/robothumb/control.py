@@ -10,7 +10,7 @@ faster lift presses harder. Both laws map whole columns of samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -26,9 +26,6 @@ LABEL_COLUMNS = {"flex_min": "flex_adc", "flex_max": "flex_adc",
                  "z_rest": "acc_z_adc", "z_active": "acc_z_adc"}
 # encoder anchors supplied alongside the trace
 ANCHOR_NAMES = ("enc_h_min", "enc_h_max", "enc_hover", "enc_pressed")
-
-_FIELDS = ("flex_min", "flex_max", "enc_h_min", "enc_h_max",
-           "y_min", "y_max", "z_min", "z_max", "enc_hover", "enc_pressed")
 
 
 @dataclass(frozen=True)
@@ -169,17 +166,16 @@ def vertical_update(acc_y_adc: np.ndarray, acc_z_adc: np.ndarray, calib: Calibra
 
 def save_calibration(calib: CalibrationSet, path) -> None:
     """Write a calibration as one ``name = integer`` line per anchor."""
-    with open(path, "w") as f:
-        for name in _FIELDS:
-            f.write(f"{name} = {getattr(calib, name)}\n")
+    write_kv_file(asdict(calib), path)
 
 
 def load_calibration(path) -> CalibrationSet:
     values = read_kv_file(path)
-    for name in _FIELDS:
+    names = [f.name for f in fields(CalibrationSet)]
+    for name in names:
         if name not in values:
             raise CalibrationIncompleteError(name)
-    return CalibrationSet(**{name: whole_number(values, name) for name in _FIELDS})
+    return CalibrationSet(**{name: whole_number(values, name) for name in names})
 
 
 def whole_number(values: dict, name: str) -> int:
@@ -191,21 +187,28 @@ def whole_number(values: dict, name: str) -> int:
 
 
 def read_kv_file(path) -> dict:
-    """Parse a flat ``name = value`` text file into an ordered dict of floats."""
+    """Parse a flat UTF-8 ``name = value`` text file into an ordered dict of
+    floats; each name may appear once."""
     values = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected 'name = value'")
-            name, _, raw = line.partition("=")
-            name = name.strip()
-            try:
-                values[name] = float(raw.strip())
-            except ValueError as exc:
-                raise ConfigurationError(f"{path}:{lineno}: {name}: {exc}") from exc
+    with open(path, "rb") as f:
+        data = f.read()
+    for lineno, raw in enumerate(data.splitlines(), start=1):  # LF, CRLF or CR
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected 'name = value'")
+        name, _, value = line.partition("=")
+        name = name.strip()
+        if name in values:
+            raise ConfigurationError(f"{path}:{lineno}: {name} given twice")
+        try:
+            values[name] = float(value.strip())
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: {name}: {exc}") from exc
     return values
 
 

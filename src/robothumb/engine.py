@@ -39,7 +39,7 @@ import functools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -66,10 +66,9 @@ class LatencyConfig:
     mech_motion: float = 50.0  # budgeted allowance for the mechanical sweep
 
     def __post_init__(self):
-        for name in ("sensor_sample", "adc_transport", "compute",
-                     "command_transport", "controller_process", "mech_motion"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ConfigurationError(f"{f.name} must be non-negative")
 
     @property
     def sensor_path(self) -> float:

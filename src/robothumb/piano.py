@@ -63,8 +63,8 @@ class KeyboardLayout:
     _black_by_boundary: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_keys < 1:
-            raise ConfigurationError("n_keys must be >= 1")
+        if not 1 <= self.n_keys <= 128 - MIDI_A0:  # MIDI notes end at 127
+            raise ConfigurationError(f"n_keys must be in [1, {128 - MIDI_A0}]")
         for name in ("white_width", "black_width", "key_travel", "press_force"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")

@@ -191,13 +191,17 @@ def load_trace(path) -> SensorTrace:
 
     Rows end in LF, CRLF or CR, blank lines are skipped, and fields are
     never quoted. ``t`` is parsed by ``float()`` and each code by
-    ``int()``, so both accept what those accept.
+    ``int()``, so both accept what those accept. Every error names the file.
     """
     try:
         with open(path, encoding="utf-8") as f:  # universal newlines
             lines = f.read().split("\n")
-    except UnicodeDecodeError as exc:
+        return _parse_trace(lines)
+    except (UnicodeDecodeError, TraceFormatError) as exc:
         raise TraceFormatError(f"{path}: {exc}") from None
+
+
+def _parse_trace(lines: list[str]) -> SensorTrace:
     if lines[0] != ",".join(TRACE_HEADER):
         raise TraceFormatError(f"expected header {','.join(TRACE_HEADER)}")
     rows = list(filter(None, lines[1:]))

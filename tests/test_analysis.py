@@ -168,3 +168,14 @@ def test_budget_check_all_pass(cfg):
     assert report.latency_pass and report.all_pass
     assert isinstance(report, BudgetReport)
     assert report.kv()["latency_pass"] == 1
+
+
+
+def test_partition_floor_shares_cover_every_ring():
+    """Each ring gets its floor share plus at most one cell, so two cells or
+    more in every ring mean every floor share is at least 1."""
+    for n_bins in [*range(100, 3000), 10_007, 65_536, 100_000, 199_999, 200_000,
+                   10**6, 10**7, 10**8]:
+        _, cells, _ = sphere_partition(n_bins)
+        assert cells.min() >= 2, n_bins
+        assert int(cells.sum()) == n_bins, n_bins

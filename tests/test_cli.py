@@ -264,3 +264,70 @@ def test_non_finite_config_float_exits_2(workdir, tmp_path, capsys):
     assert run("synth", "press", "--key", 46, "--config", config,
                "--out", tmp_path) == 2
     assert "control.kv_z" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"kp_h = 1\n", "File contains no section headers"),
+    (b"[control]\nkp_h = 0.5\nkp_h = 0.6\n", "option 'kp_h' in section 'control' already exists"),
+    (b"[control]\nkp_h = 0.5\n[control]\n", "section 'control' already exists"),
+    (b"[control]\nkp_h\n", "Source contains parsing errors"),
+    (b"[x\nkp_h = 1\n", "File contains no section headers"),
+    (b"[control]\nkp_h = 0.5 \xff\n", "'utf-8' codec can't decode"),
+], ids=["no-section", "duplicate-key", "duplicate-section", "bare-key", "unclosed-section",
+        "undecodable"])
+def test_malformed_config_exits_2(data, message, tmp_path, capsys):
+    config = tmp_path / "bad.ini"
+    config.write_bytes(data)
+    assert run("analyze", "budget", "--config", config, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and message in err
+    assert not (tmp_path / "budget_report.txt").exists()
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nkp_h = 0.9\n",
+                                  "[DEFAULT]\nkp_h = 0.9\n[control]\n"],
+                         ids=["alone", "with-control"])
+def test_default_section_exits_2(text, tmp_path, capsys):
+    config = tmp_path / "default.ini"
+    config.write_text(text)
+    assert run("analyze", "budget", "--config", config, "--out", tmp_path) == 2
+    assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_keys,code", [(107, 0), (108, 2)])
+def test_layout_bounded_by_midi_note_range(n_keys, code, tmp_path, capsys):
+    config = tmp_path / "keys.ini"
+    config.write_text(f"[layout]\nn_keys = {n_keys}\n")
+    assert run("analyze", "budget", "--config", config, "--out", tmp_path) == code
+    if code:
+        assert "[layout] n_keys must be in [1, 107]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"enc_h_min = -163\nenc_h_max = 3686 \xff\n", "anchors.txt:2: 'utf-8' codec can't decode"),
+    (b"enc_h_min = -163\n\nenc_h_min = -100\n", "anchors.txt:3: enc_h_min given twice"),
+], ids=["undecodable", "duplicate"])
+def test_malformed_anchor_file_exits_2(data, message, workdir, tmp_path, capsys):
+    anchors = tmp_path / "anchors.txt"
+    anchors.write_bytes(data)
+    assert run("calibrate", "--trace", workdir / "calibration_trace.csv",
+               "--anchors", anchors, "--out", tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "calibration.txt").exists()
+
+
+def test_trace_error_names_the_file(workdir, tmp_path, capsys):
+    trace = tmp_path / "short.csv"
+    trace.write_text("t_ms,flex_adc,acc_y_adc,acc_z_adc,label\n0,1,2,3,\n1,1,2,\n")
+    assert run("simulate", "--trace", trace, "--calibration", workdir / "calibration.txt",
+               "--out", tmp_path) == 2
+    assert f"error: {trace}: line 3: expected 5 columns" in capsys.readouterr().err
+
+
+def test_calibrate_prints_the_calibration_file(workdir, tmp_path, capsys):
+    assert run("calibrate", "--trace", workdir / "calibration_trace.csv",
+               "--anchors", workdir / "anchors.txt", "--out", tmp_path) == 0
+    text = (tmp_path / "calibration.txt").read_text()
+    assert capsys.readouterr().out == f"{text}wrote {tmp_path / 'calibration.txt'}\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a6e6a48eb21080812d2b2fcecbdbd0f0a7ebd730eac1483f0c33b32195539326")

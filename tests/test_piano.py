@@ -140,6 +140,7 @@ def test_key_at_total_on_keyboard(x, depth):
     dict(white_width=10.0, black_width=12.0),
     dict(key_travel=0.0),
     dict(press_force=-0.5),
+    dict(n_keys=108),  # key 107 would be MIDI note 128
 ])
 def test_invalid_layout_rejected(bad):
     with pytest.raises(ConfigurationError):
