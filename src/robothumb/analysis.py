@@ -25,7 +25,9 @@ FULL_SPHERE = 4.0 * math.pi
 LATENCY_BUDGET_MS = 80.0
 MASS_BUDGET_G = 350.0
 DIRECTION_NORM_TOL = 1e-9
-DIRECTION_BLOCK_ROWS = 65_536  # rows per formatting block in save_directions
+# rows per block in save_directions and solid_angle: each block's
+# temporaries stay small whatever the size of the set
+DIRECTION_BLOCK_ROWS = 65_536
 
 
 def load_directions(path) -> np.ndarray:
@@ -54,11 +56,19 @@ def load_directions(path) -> np.ndarray:
     return data
 
 
+def _blocks(dirs: np.ndarray):
+    for start in range(0, len(dirs), DIRECTION_BLOCK_ROWS):
+        yield dirs[start:start + DIRECTION_BLOCK_ROWS]
+
+
 def validate_directions(dirs: np.ndarray) -> None:
     if len(dirs) == 0:
         raise InputError("direction set is empty")
-    norms = np.linalg.norm(dirs, axis=1)
-    worst = float(np.abs(norms - 1.0).max())
+    worst = 0.0
+    for block in _blocks(dirs):
+        # np.maximum keeps a NaN deviation, which the check below rejects
+        worst = np.maximum(worst, np.abs(np.linalg.norm(block, axis=1) - 1.0).max())
+    worst = float(worst)
     if not worst <= DIRECTION_NORM_TOL:  # NaN fails too
         raise InputError(f"direction norms deviate from 1 by up to {worst:.3e}")
 
@@ -72,8 +82,7 @@ def save_directions(dirs: np.ndarray, path) -> None:
     """
     with open(path, "w", newline="") as f:
         f.write("x,y,z\n")
-        for start in range(0, len(dirs), DIRECTION_BLOCK_ROWS):
-            block = dirs[start:start + DIRECTION_BLOCK_ROWS]
+        for block in _blocks(dirs):
             f.write(("%.12f,%.12f,%.12f\n" * len(block))
                     % tuple(block.ravel().tolist()))
 
@@ -108,13 +117,15 @@ def solid_angle(dirs: np.ndarray, n_bins: int) -> float:
     dirs = np.asarray(dirs, dtype=float)
     validate_directions(dirs)
     z_edges, cells, offsets = sphere_partition(n_bins)
-    z = np.clip(dirs[:, 2], -1.0, 1.0)
-    ring = np.clip(np.searchsorted(z_edges, z, side="right") - 1, 0, len(cells) - 1)
-    phi = np.arctan2(dirs[:, 1], dirs[:, 0])  # [-pi, pi]
-    frac = (phi + math.pi) / (2.0 * math.pi)
-    col = np.minimum((frac * cells[ring]).astype(int), cells[ring] - 1)
-    occupied = np.count_nonzero(np.bincount(offsets[ring] + col, minlength=n_bins))
-    return occupied * FULL_SPHERE / n_bins
+    occupied = np.zeros(n_bins, dtype=bool)
+    for block in _blocks(dirs):
+        z = np.clip(block[:, 2], -1.0, 1.0)
+        ring = np.clip(np.searchsorted(z_edges, z, side="right") - 1, 0, len(cells) - 1)
+        phi = np.arctan2(block[:, 1], block[:, 0])  # [-pi, pi]
+        frac = (phi + math.pi) / (2.0 * math.pi)
+        col = np.minimum((frac * cells[ring]).astype(int), cells[ring] - 1)
+        occupied[offsets[ring] + col] = True
+    return np.count_nonzero(occupied) * FULL_SPHERE / n_bins
 
 
 def check_band_limits(azimuth_span: float, elev_min: float,

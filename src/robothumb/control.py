@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (CalibrationIncompleteError, ConfigurationError,
                      DegenerateCalibrationError)
-from .plant import MotorAxis, counts_per_output_rev
+from .plant import MotorAxis, counts_per_output_rev, round_half_away_column
 from .kinematics import FingerGeometry
 from .sensors import SensorTrace, round_half_up
 
@@ -84,11 +84,6 @@ def linear_map(s, s_min: float, s_max: float, p_min: float, p_max: float):
     return np.clip(p, lo, hi)
 
 
-def _round_half_away(x: np.ndarray) -> list[int]:
-    """``plant.round_half_away`` of each element, by the same float operations."""
-    return np.copysign(np.floor(np.abs(x) + 0.5), x).astype(np.int64).tolist()
-
-
 def calibrate_from_trace(trace: SensorTrace, anchors: dict) -> CalibrationSet:
     """Build a calibration from labeled trace segments plus encoder anchors.
 
@@ -144,8 +139,8 @@ def horizontal_update(flex_adc: np.ndarray, calib: CalibrationSet) -> list[int]:
     distance left when it arrives, ``min(kp_h * |setpoint - encoder_count|,
     v_cap)``, so larger repositioning moves run faster.
     """
-    return _round_half_away(linear_map(
-        flex_adc, calib.flex_min, calib.flex_max, calib.enc_h_min, calib.enc_h_max))
+    return round_half_away_column(linear_map(
+        flex_adc, calib.flex_min, calib.flex_max, calib.enc_h_min, calib.enc_h_max)).tolist()
 
 
 def vertical_update(acc_y_adc: np.ndarray, acc_z_adc: np.ndarray, calib: CalibrationSet,
@@ -156,8 +151,8 @@ def vertical_update(acc_y_adc: np.ndarray, acc_z_adc: np.ndarray, calib: Calibra
     lifted); Z sets how fast it gets there, with a floor so the motion
     always completes.
     """
-    setpoints = _round_half_away(linear_map(
-        acc_y_adc, calib.y_min, calib.y_max, calib.enc_hover, calib.enc_pressed))
+    setpoints = round_half_away_column(linear_map(
+        acc_y_adc, calib.y_min, calib.y_max, calib.enc_hover, calib.enc_pressed)).tolist()
     z_norm = (acc_z_adc - calib.z_min) / (calib.z_max - calib.z_min)
     with np.errstate(invalid="ignore"):  # kv_z = inf at rest: inf * 0 is nan
         velocity = np.clip(params.kv_z * z_norm, params.v_floor, params.v_cap)

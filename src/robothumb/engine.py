@@ -24,12 +24,22 @@ foot bump that presses nothing is never charged to a later key.
 
 The two axes are separate pipelines that meet only at the fingertip: the
 flex sensor steers the horizontal axis, the foot accelerometer drives the
-vertical axis. The control laws map the trace's ADC code columns once;
-each axis loop steps a plain ``(angle, velocity, encoder_count)`` tuple,
-adding only the horizontal feedback on its encoder count. Both execution
-modes produce byte-identical logs: they run the two axis loops, inline or
-on two workers, then combine the axis states step by step into fingertip
-positions and key events.
+vertical axis. A run works on columns, one entry per step:
+
+1. The control laws map the trace's ADC code columns once, and numpy turns
+   the sample times into each axis's command schedule: the sample applied
+   over each step and the runs of steps under one setpoint.
+2. ``plant.run_axis`` steps each axis through its schedule in one scalar
+   loop, writing angles and velocities into buffers allocated beforehand;
+   the horizontal loop adds the feedback on its own encoder count.
+3. Encoder counts and fingertip positions follow from the angle columns,
+   and the key-on and key-off crossings from the fingertip height column.
+   Only those crossings are visited one by one, to look up the key, the
+   velocity and the intention they are charged to.
+
+The step log keeps the columns as one structured array. Both execution
+modes produce byte-identical logs: they differ only in step 2, which runs
+inline or as two whole-axis tasks on two workers.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from collections import deque
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
@@ -49,6 +59,13 @@ from .control import CalibrationSet, ControlParams
 from .errors import ConfigurationError, InputError
 from .piano import Key, KeyEvent, MIDI_A0, key_at, note_name
 from .sensors import SensorTrace, round_half_up
+
+# a run, or a synthesized trace, of more steps is rejected before any
+# per-step column is allocated
+MAX_STEPS = 10_000_000
+STEP_DTYPE = np.dtype([("t", float), ("theta_h_counts", np.int64),
+                       ("theta_v_counts", np.int64), ("tip_x", float),
+                       ("tip_z", float)])
 
 if TYPE_CHECKING:  # avoids a circular import; config builds on this module
     from .config import GlobalConfig
@@ -99,6 +116,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.timestep <= 0:
             raise ConfigurationError("timestep must be positive")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
         if self.mode not in ("deterministic", "concurrent"):
             raise ConfigurationError("mode must be deterministic or concurrent")
         if self.settle_tail_ms < 0:
@@ -119,12 +138,15 @@ class LatencyRecord:
         return self.action_t - self.intention_t
 
 
-@dataclass
+@dataclass(eq=False)
 class EventLog:
+    """What a run produced. ``steps`` holds one ``STEP_DTYPE`` record per
+    step; compare logs field by field and the steps column by column:
+    ``==`` on arrays is element-wise."""
+
     events: list[KeyEvent] = field(default_factory=list)
     latencies: list[LatencyRecord] = field(default_factory=list)
-    # one (t, theta_h_counts, theta_v_counts, tip_x, tip_z) tuple per step
-    steps: list[tuple[float, int, int, float, float]] = field(default_factory=list)
+    steps: np.ndarray = field(default_factory=lambda: np.empty(0, STEP_DTYPE))
     intentions: list[float] = field(default_factory=list)
     air_presses: list[float] = field(default_factory=list)
 
@@ -156,45 +178,19 @@ def intention_detect(trace: SensorTrace, calib: CalibrationSet,
     return out
 
 
-def _run_axis(law, feedback: tuple[float, float] | None, times: np.ndarray,
-              n_steps: int, dt: float, lat: LatencyConfig,
-              axis: plant.MotorAxis) -> list[tuple]:
-    """One axis pipeline over ``n_steps`` steps; returns its state after each.
+def _axis_buffers(n_steps: int) -> tuple[array, array]:
+    """Zeroed angle and velocity buffers: the drive-enable state, then one
+    entry per step."""
+    zeros = array("d", [0.0]) * (n_steps + 1)
+    return zeros, array("d", zeros)
 
-    ``law()`` maps the samples taken at ``times`` to the axis's setpoints,
-    and to their profile velocities when ``feedback`` is None. With
-    ``feedback = (kp, v_cap)`` each velocity is set when its sample arrives,
-    ``min(kp * |setpoint - encoder_count|, v_cap)``.
-    """
-    if feedback is None:
-        setpoints, limits = law()
-    else:
-        setpoints, (kp, v_cap) = law(), feedback
-    feed_t = (times + lat.sensor_path).tolist() + [math.inf]  # inf: none left to feed
-    apply_t = (times + lat.data_path).tolist()
-    state = (0.0, 0.0, 0)  # (angle, velocity, encoder_count) at drive enable
-    setpoint, limit = 0, 0.0
-    pending: deque[tuple[float, int, float]] = deque()  # (apply_t, setpoint, limit)
-    states = []
-    si = 0
-    for k in range(1, n_steps + 1):
-        t = k * dt
 
-        # feed every sample whose sensor path completes within this step
-        while feed_t[si] <= t:
-            sp = setpoints[si]
-            v = limits[si] if feedback is None else min(kp * abs(sp - state[2]), v_cap)
-            pending.append((apply_t[si], sp, v))
-            si += 1
-
-        # commands take effect no later than their effective instant:
-        # one falling in (t - dt, t] acts over that whole step
-        while pending and pending[0][0] <= t:
-            _, setpoint, limit = pending.popleft()
-
-        state = plant.axis_step(state, setpoint, limit, dt, axis)
-        states.append(state)
-    return states
+def _runs(step_setpoints: np.ndarray):
+    """``(first, stop, setpoint)`` of each run of steps under one setpoint,
+    as an iterator; ``step_setpoints[k - 1]`` is the setpoint over step k."""
+    first = np.flatnonzero(np.diff(step_setpoints, prepend=step_setpoints[:1] + 1)) + 1
+    stop = np.append(first[1:], len(step_setpoints) + 1)
+    return zip(first.tolist(), stop.tolist(), step_setpoints[first - 1].tolist())
 
 
 def run(trace: SensorTrace, calibration: CalibrationSet,
@@ -214,8 +210,6 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
         s = samples[int(np.argmin(in_range))].tolist()
         raise InputError(f"sample at t={s[0]} ms carries ADC codes {s[1]}, "
                          f"{s[2]}, {s[3]}, not all in [0, {full_scale}]")
-    # the control laws map float columns
-    flex, acc_y, acc_z = (c.astype(float) for c in codes)
 
     sim = config.simulation
     lat = sim.latency
@@ -228,50 +222,86 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
     log = EventLog(intentions=intention_detect(trace, calibration, params))
     if not len(samples):
         return log
-
-    laws = (functools.partial(control.horizontal_update, flex, calibration),
-            functools.partial(control.vertical_update, acc_y, acc_z, calibration, params))
-    feedbacks = ((params.kp_h, params.v_cap), None)  # horizontal, vertical
-
     end_t = float(times[-1]) + lat.data_path + sim.settle_tail_ms
+    if not end_t / dt <= MAX_STEPS:
+        raise InputError(
+            f"simulating to t={end_t} ms in steps of {dt} ms needs more than "
+            f"{MAX_STEPS} steps")
     n_steps = int(math.ceil(end_t / dt))
-    axis_run = functools.partial(_run_axis, times=times, n_steps=n_steps, dt=dt,
-                                 lat=lat, axis=config.axis)
+
+    # the command schedule, one entry per step: the last sample whose
+    # command is due by the step's end time acts over the whole step; -1 (no
+    # sample yet) reads the sentinel appended to each per-sample column
+    step_t = np.arange(1, n_steps + 1) * dt
+    applied = np.searchsorted(times + lat.data_path, step_t, "right") - 1
+    # buffer index of the state a sample's command is sent from: the state
+    # before the step its sensor path completes in
+    sent_from = np.searchsorted(step_t, times + lat.sensor_path)
+    # the control laws map float columns
+    flex, acc_y, acc_z = (c.astype(float) for c in codes)
+    setpoints_h = np.array(control.horizontal_update(flex, calibration) + [0])
+    setpoints_v, limits_v = control.vertical_update(acc_y, acc_z, calibration, params)
+    setpoints_v = np.array(setpoints_v + [0])
+    limits_v = np.append(limits_v, 0.0)
+
+    angles_h, velocities_h = _axis_buffers(n_steps)
+    angles_v, velocities_v = _axis_buffers(n_steps)
+    tasks = (
+        functools.partial(plant.run_axis, angles_h, velocities_h,
+                          _runs(setpoints_h[applied]),
+                          np.append(sent_from, 0)[applied].tolist(), dt,
+                          config.axis, (params.kp_h, params.v_cap)),
+        functools.partial(plant.run_axis, angles_v, velocities_v,
+                          _runs(setpoints_v[applied]), limits_v[applied].tolist(),
+                          dt, config.axis))
     if sim.mode == "concurrent":
         with ThreadPoolExecutor(max_workers=2) as pool:
-            states_h, states_v = pool.map(axis_run, laws, feedbacks)
+            for future in [pool.submit(task) for task in tasks]:
+                future.result()
     else:
-        states_h, states_v = map(axis_run, laws, feedbacks)
+        for task in tasks:
+            task()
 
+    theta_h = np.frombuffer(angles_h)[1:]
+    theta_v = np.frombuffer(angles_v)[1:]
+    tip_x, tip_z = kinematics.keyline_position(mount.heading + theta_h, theta_v,
+                                               geometry, mount, np)
+    log.steps = np.empty(n_steps, STEP_DTYPE)
+    log.steps["t"] = step_t
+    log.steps["theta_h_counts"] = plant.encoder_count_column(theta_h, config.axis)
+    log.steps["theta_v_counts"] = plant.encoder_count_column(theta_v, config.axis)
+    log.steps["tip_x"] = tip_x
+    log.steps["tip_z"] = tip_z
+
+    # key-on and key-off crossings of the full-press height
     press_height = -layout.key_travel  # tip z of a fully pressed key
+    hover_z = mount.base_z - kinematics.press_drop(0.0, geometry)  # drive enable
+    prev_tip_z = np.concatenate(([hover_z], tip_z[:-1]))
+    down = (prev_tip_z > press_height) & (press_height >= tip_z)
+    up = (tip_z > press_height) & (press_height >= prev_tip_z)
+    at = np.flatnonzero(down | up)
     pressed: Key | None = None
     ii = 0  # intentions before this index are used up
-    prev_tip_z = mount.base_z - kinematics.press_drop(0.0, geometry)  # drive enable
-    for k, (state_h, state_v) in enumerate(zip(states_h, states_v), start=1):
-        t = k * dt
-        tip_x, tip_z = kinematics.keyline_position(mount.heading + state_h[0], state_v[0],
-                                                   geometry, mount)
-        log.steps.append((t, state_h[2], state_v[2], tip_x, tip_z))
-
-        if pressed is None and prev_tip_z > press_height >= tip_z:
+    for t, is_down, x, speed in zip(step_t[at].tolist(), down[at].tolist(),
+                                    tip_x[at].tolist(),
+                                    np.abs(np.frombuffer(velocities_v)[at + 1]).tolist()):
+        if pressed is None and is_down:
             # a press, on a key or in the air, uses up every intention so
             # far; a key-on is charged to the latest one not yet used
             upto = bisect.bisect_right(log.intentions, t)
-            key = key_at(tip_x, mount.depth, layout)
+            key = key_at(x, mount.depth, layout)
             if key is None:
                 log.air_presses.append(t)
             else:
-                velocity = midi_velocity(abs(state_v[1]), params.v_cap)
+                velocity = midi_velocity(speed, params.v_cap)
                 log.events.append(KeyEvent(t, "on", key.index, velocity))
                 pressed = key
                 if upto > ii:
                     log.latencies.append(LatencyRecord(log.intentions[upto - 1], t))
             ii = upto
-        elif pressed is not None and tip_z > press_height >= prev_tip_z:
+        elif pressed is not None and not is_down:
             log.events.append(KeyEvent(t, "off", pressed.index))
             pressed = None
-
-        prev_tip_z = tip_z
 
     if pressed is not None:
         # trace ended mid-press: release so on/off stay balanced
@@ -291,7 +321,7 @@ def write_event_csv(log: EventLog, path) -> None:
 def write_step_csv(log: EventLog, path) -> None:
     with open(path, "w", newline="") as f:
         f.write("t_ms,theta_h_counts,theta_v_counts,tip_x,tip_z\n")
-        for step in log.steps:
+        for step in log.steps.tolist():
             f.write("%.3f,%d,%d,%.6f,%.6f\n" % step)
 
 

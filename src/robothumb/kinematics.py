@@ -60,29 +60,37 @@ class MountPose:
             raise ConfigurationError("base_z must be positive")
 
 
-def radial_extension(theta_v: float, geometry: FingerGeometry) -> float:
-    """Horizontal distance (mm) from the vertical axis to the fingertip."""
-    tv = math.radians(theta_v)
+def radial_extension(theta_v, geometry: FingerGeometry, xp=math):
+    """Horizontal distance (mm) from the vertical axis to the fingertip.
+
+    ``xp`` supplies ``radians``, ``cos`` and ``sin``: ``math`` for a number,
+    ``numpy`` for a column of angles, computed by the same formula.
+    """
+    tv = xp.radians(theta_v)
     bend = math.radians(geometry.bend_angle)
     return (geometry.l0_knuckle
-            + geometry.l1_proximal * math.cos(tv)
-            + geometry.l2_distal * math.cos(tv + bend))
+            + geometry.l1_proximal * xp.cos(tv)
+            + geometry.l2_distal * xp.cos(tv + bend))
 
 
-def press_drop(theta_v: float, geometry: FingerGeometry) -> float:
+def press_drop(theta_v, geometry: FingerGeometry, xp=math):
     """Vertical drop (mm) of the fingertip below the press-axis plane."""
-    tv = math.radians(theta_v)
+    tv = xp.radians(theta_v)
     bend = math.radians(geometry.bend_angle)
-    return (geometry.l1_proximal * math.sin(tv)
-            + geometry.l2_distal * math.sin(tv + bend))
+    return (geometry.l1_proximal * xp.sin(tv)
+            + geometry.l2_distal * xp.sin(tv + bend))
 
 
-def keyline_position(theta_h_world: float, theta_v: float,
-                     geometry: FingerGeometry, mount: MountPose) -> tuple[float, float]:
-    """Fingertip position projected onto the key line: (x along keys, z above keys)."""
-    r = radial_extension(theta_v, geometry)
-    d = press_drop(theta_v, geometry)
-    x = mount.base_x + r * math.cos(math.radians(theta_h_world))
+def keyline_position(theta_h_world, theta_v, geometry: FingerGeometry,
+                     mount: MountPose, xp=math):
+    """Fingertip position projected onto the key line: (x along keys, z above keys).
+
+    Takes numbers with ``xp = math`` and equal-length angle columns with
+    ``xp = numpy``.
+    """
+    r = radial_extension(theta_v, geometry, xp)
+    d = press_drop(theta_v, geometry, xp)
+    x = mount.base_x + r * xp.cos(xp.radians(theta_h_world))
     return x, mount.base_z - d
 
 

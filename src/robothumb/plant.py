@@ -6,6 +6,12 @@ velocity, and the axis lands exactly on the setpoint with no overshoot
 (the deceleration envelope v <= sqrt(2*a_max*dist) is enforced every
 step). Angles are output-side degrees; the encoder count is kept
 consistent with the angle after every update.
+
+``axis_step`` advances one ``(angle, velocity, encoder_count)`` state by one
+step. ``run_axis`` is the same step fused into one loop over a whole
+command schedule: it writes angles and velocities into preallocated buffers
+and leaves the encoder counts to ``encoder_count_column``, which derives
+them from the angles afterwards.
 """
 
 from __future__ import annotations
@@ -13,12 +19,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError, InputError
 
 
 def round_half_away(x: float) -> int:
     """Round to nearest integer with ties away from zero."""
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
+
+
+def round_half_away_column(x: np.ndarray) -> np.ndarray:
+    """``round_half_away`` of each element, by the same float operations."""
+    return np.copysign(np.floor(np.abs(x) + 0.5), x).astype(np.int64)
+
+
+MAX_COUNTS_PER_REV = 2**53  # largest count range a float64 holds exactly
 
 
 @dataclass(frozen=True)
@@ -43,6 +59,11 @@ class MotorAxis:
             raise ConfigurationError("a_max must be positive")
         if self.nominal_torque <= 0:
             raise ConfigurationError("nominal_torque must be positive")
+        if counts_per_output_rev(self) > MAX_COUNTS_PER_REV:
+            # beyond it a float angle cannot name every count, and the
+            # encoder count column would no longer be exact
+            raise ConfigurationError(
+                "encoder_cpr * quadrature * gear_ratio must be at most 2**53")
 
 
 def counts_per_output_rev(axis: MotorAxis) -> int:
@@ -86,6 +107,80 @@ def axis_step(state: tuple, setpoint: int, velocity_limit: float, dt: float,
         return target, 0.0, encoder_counts(target, axis)
     angle += move
     return angle, velocity, encoder_counts(angle, axis)
+
+
+def encoder_count_column(angles: np.ndarray, axis: MotorAxis) -> np.ndarray:
+    """``encoder_counts`` of each angle in a column, as int64."""
+    return round_half_away_column(angles * counts_per_output_rev(axis) / 360.0)
+
+
+def run_axis(angles, velocities, runs, limits, dt: float, axis: MotorAxis,
+             feedback: tuple[float, float] | None = None) -> None:
+    """Step an axis from its drive-enable state through a command schedule.
+
+    The state after step k is what chaining ``axis_step`` from
+    ``(angles[0], velocities[0])`` gives; its angle and velocity go to
+    ``angles[k]`` and ``velocities[k]``, buffers one longer than the number
+    of steps. ``runs`` yields ``(first, stop, setpoint)`` for each run of
+    steps ``first .. stop - 1`` under one setpoint, in step order from 1.
+    ``limits[k - 1]`` is the profile velocity over step k; with ``feedback
+    = (kp, v_cap)`` it is instead the buffer index of the state the step's
+    command was sent from, and the velocity is ``min(kp * |setpoint -
+    encoder_count|, v_cap)`` with that state's count.
+
+    The loop only writes into the buffers it is given, so it grows no
+    container wherever it runs. Once the axis rests on its setpoint it
+    holds that state, with no arithmetic, until the setpoint changes.
+    """
+    cpr = counts_per_output_rev(axis)
+    dt_s = dt / 1000.0
+    two_a_max = 2.0 * axis.a_max
+    max_delta = axis.a_max * dt_s
+    v_max = axis.v_max
+    kp, v_cap = feedback if feedback is not None else (None, None)
+    sqrt, copysign, floor = math.sqrt, math.copysign, math.floor
+    angle, velocity = angles[0], velocities[0]
+    # ``b if b < a else a`` is min(a, b) and ``b if b > a else a`` is
+    # max(a, b), NaN included, without the call
+    for first, stop, setpoint in runs:
+        target = setpoint * 360.0 / cpr
+        for k in range(first, stop):
+            dist = target - angle
+            if dist == 0.0:
+                if velocity == 0.0:  # at rest on the setpoint until it changes
+                    for j in range(k, stop):
+                        angles[j] = angle
+                        velocities[j] = velocity
+                    break
+                velocity = 0.0
+            else:
+                if kp is None:
+                    limit = limits[k - 1]
+                else:
+                    x = angles[limits[k - 1]] * cpr / 360.0
+                    count = floor(x + 0.5) if x >= 0 else -floor(-x + 0.5)
+                    limit = kp * abs(setpoint - count)
+                    if v_cap < limit:
+                        limit = v_cap
+                if v_max < limit:
+                    limit = v_max
+                stoppable = sqrt(two_a_max * abs(dist))
+                desired = copysign(stoppable if stoppable < limit else limit, dist)
+                if desired > velocity:
+                    velocity += max_delta
+                    if not velocity < desired:
+                        velocity = desired
+                else:
+                    velocity -= max_delta
+                    if not velocity > desired:
+                        velocity = desired
+                move = velocity * dt_s
+                if (move >= dist if dist > 0 else move <= dist):
+                    angle, velocity = target, 0.0
+                else:
+                    angle += move
+            angles[k] = angle
+            velocities[k] = velocity
 
 
 def torque_margin(required: float, axis: MotorAxis) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 from .analysis import check_band_limits, check_cap_half_angle
 from .config import GlobalConfig
 from .control import linear_map
+from .engine import MAX_STEPS
 from .errors import InputError
 from .kinematics import press_angle, press_drop, theta_for_key
 from .piano import Key
@@ -98,6 +99,15 @@ def flex_code_for_key(cfg: GlobalConfig, key: Key, anchors: dict) -> int:
     return round_half_away(value)
 
 
+def _row_count(span_ms: float, period: float) -> int:
+    """Rows of ``span_ms`` of trace at one row per ``period`` ms; a trace
+    needing more rows than a run may take steps is rejected."""
+    if not span_ms / period <= MAX_STEPS:
+        raise InputError(f"{span_ms} ms of trace at a timestep of {period} ms "
+                         f"needs more than {MAX_STEPS} rows")
+    return int(round(span_ms / period))
+
+
 def _build_trace(cfg: GlobalConfig, codes: np.ndarray, labels) -> SensorTrace:
     """A trace of (flex, y, z) code rows, one every timestep from t = 0."""
     period = cfg.simulation.timestep
@@ -123,6 +133,7 @@ def calibration_trace(cfg: GlobalConfig) -> SensorTrace:
         ("z_active", (flex_straight, y_down, z_active)),
     ]
     period = cfg.simulation.timestep
+    _row_count(len(segments) * (CAL_SEGMENT_MS + CAL_GAP_MS), period)  # bound first
     seg_n = int(round(CAL_SEGMENT_MS / period))
     gap_n = int(round(CAL_GAP_MS / period))
     codes, labels = [], []
@@ -158,7 +169,7 @@ def _press_codes(cfg: GlobalConfig, flex_target: int, speed: float,
     _, z_pulse = accel_codes(cfg, 0.0, speed * CAL_LIFT_DYN_G)
     period = cfg.simulation.timestep
     pulse = _pulse_ms(speed)
-    phase = np.arange(int(round(span_ms / period))) * period - LEAD_MS
+    phase = np.arange(_row_count(span_ms, period)) * period - LEAD_MS
     in_cycle = np.where((phase >= 0) & (phase < repeat * PRESS_CYCLE_MS),
                         phase % PRESS_CYCLE_MS, np.inf)  # inf: outside every cycle
     lifted = (in_cycle < pulse) | ((PRESS_HOLD_MS <= in_cycle)
@@ -200,6 +211,8 @@ def scale_trace(cfg: GlobalConfig, key_indices, speed=0.5) -> SensorTrace:
         raise InputError("scale needs at least one key")
     s = _press_speed(speed)
     anchors = anchors_from_config(cfg)
+    _row_count(len(key_indices) * (LEAD_MS + PRESS_CYCLE_MS) + TAIL_MS,
+               cfg.simulation.timestep)  # bound the whole scale first
     blocks = []
     for key_index in key_indices:
         if not 0 <= key_index < cfg.layout.n_keys:

@@ -331,3 +331,47 @@ def test_calibrate_prints_the_calibration_file(workdir, tmp_path, capsys):
     assert capsys.readouterr().out == f"{text}wrote {tmp_path / 'calibration.txt'}\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "a6e6a48eb21080812d2b2fcecbdbd0f0a7ebd730eac1483f0c33b32195539326")
+
+
+@pytest.mark.parametrize("how", ["config", "flag"])
+def test_negative_seed_exits_2(how, tmp_path, capsys):
+    args = ["synth", "press", "--key", 46, "--flex-noise", 2, "--out", tmp_path]
+    if how == "config":
+        config = tmp_path / "seed.ini"
+        config.write_text("[simulation]\nseed = -1\n")
+        args += ["--config", config]
+    else:
+        args += ["--seed", -1]
+    assert run(*args) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "press_trace.csv").exists()
+
+
+@pytest.mark.parametrize("scenario", [["press", "--key", 46], ["calibration"],
+                                      ["scale", "--keys", "44,46"]])
+def test_timestep_too_fine_for_trace_exits_2(scenario, tmp_path, capsys):
+    config = tmp_path / "fine.ini"
+    config.write_text("[simulation]\ntimestep = 1e-300\n")
+    assert run("synth", *scenario, "--config", config, "--out", tmp_path) == 2
+    assert "needs more than 10000000 rows" in capsys.readouterr().err
+
+
+def test_trace_span_beyond_step_limit_exits_2(workdir, tmp_path, capsys):
+    trace = tmp_path / "far.csv"
+    trace.write_text("t_ms,flex_adc,acc_y_adc,acc_z_adc,label\n"
+                     "1000000000000.0,2000,1229,1474,\n"
+                     "1000000000001.0,2000,1229,1474,\n")
+    assert run("simulate", "--trace", trace,
+               "--calibration", workdir / "calibration.txt",
+               "--out", tmp_path) == 2
+    assert "more than 10000000 steps" in capsys.readouterr().err
+    assert not (tmp_path / "steps.csv").exists()
+
+
+def test_gear_ratio_beyond_exact_counts_exits_2(tmp_path, capsys):
+    config = tmp_path / "gear.ini"
+    config.write_text(f"[axes]\ngear_ratio = {10**400}\n")
+    assert run("analyze", "budget", "--config", config, "--out", tmp_path) == 2
+    assert "[axes] encoder_cpr * quadrature * gear_ratio must be at most 2**53" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "budget_report.txt").exists()

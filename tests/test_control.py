@@ -1,10 +1,10 @@
 import random
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from robothumb import engine
 from robothumb.control import (CalibrationSet, ControlParams,
                                calibrate_from_trace, horizontal_update,
                                linear_map, load_calibration, save_calibration,
@@ -12,7 +12,7 @@ from robothumb.control import (CalibrationSet, ControlParams,
 from robothumb.errors import (CalibrationIncompleteError, ConfigurationError,
                               DegenerateCalibrationError)
 from robothumb.kinematics import FingerGeometry
-from robothumb.plant import MotorAxis, round_half_away
+from robothumb.plant import MotorAxis, round_half_away, run_axis
 from robothumb.sensors import SensorTrace
 
 PARAMS = ControlParams()
@@ -101,12 +101,13 @@ def test_degenerate_calibration_rejected():
 def commanded_velocity(distance: int, params: ControlParams) -> float:
     """Profile velocity the engine's horizontal pipeline sends toward a
     setpoint ``distance`` counts from the axis, read off one step of an axis
-    with unbounded acceleration (it reaches the commanded velocity at once)."""
+    with unbounded acceleration (it reaches the commanded velocity at once):
+    the step's command is sent from the drive-enable state, buffer index 0."""
     axis = MotorAxis(a_max=1e12, v_max=1e9)
-    no_delay = engine.LatencyConfig(0.0, 0.0, 0.0, 0.0, 0.0)
-    [(_, velocity, _)] = engine._run_axis(lambda: [distance], (params.kp_h, params.v_cap),
-                                          np.zeros(1), 1, 1.0, no_delay, axis)
-    return abs(velocity)
+    angles, velocities = array("d", [0.0, 0.0]), array("d", [0.0, 0.0])
+    run_axis(angles, velocities, [(1, 2, distance)], [0], 1.0, axis,
+             (params.kp_h, params.v_cap))
+    return abs(velocities[1])
 
 
 def scalar_setpoint(s, s_min, s_max, p_min, p_max) -> int:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from robothumb import engine, synth
 from robothumb.control import calibrate_from_trace
-from robothumb.engine import (LatencyConfig, LatencyRecord,
-                              SimulationConfig, intention_detect,
+from robothumb.engine import (MAX_STEPS, STEP_DTYPE, EventLog, LatencyConfig,
+                              LatencyRecord, SimulationConfig, intention_detect,
                               midi_velocity, run)
 from robothumb.errors import ConfigurationError, InputError
 from robothumb.plant import MotorAxis
@@ -23,6 +23,18 @@ def make_trace(rows, period=1.0):
 
 def press_fixture(cfg, key_index=46, speed=0.5, repeat=1):
     return synth.press_trace(cfg, key_index, speed=speed, repeat=repeat)
+
+
+def assert_logs_equal(log_a, log_b):
+    """Every field of two logs equal, the step log column by column."""
+    for f in dataclasses.fields(EventLog):
+        a, b = getattr(log_a, f.name), getattr(log_b, f.name)
+        if f.name == "steps":
+            assert a.dtype == b.dtype == STEP_DTYPE
+            for column in STEP_DTYPE.names:
+                assert a[column].tolist() == b[column].tolist(), column
+        else:
+            assert a == b, f.name
 
 
 def test_midi_velocity_map():
@@ -71,7 +83,8 @@ def test_intention_detect_refractory_and_rearm(cfg, calib):
 
 def test_empty_trace_empty_log(cfg, calib):
     log = run(SensorTrace.from_columns([], [], [], [], [], 1.0), calib, cfg)
-    assert log.events == [] and log.latencies == [] and log.steps == []
+    assert log.events == [] and log.latencies == []
+    assert len(log.steps) == 0 and log.steps.dtype == STEP_DTYPE
 
 
 def test_out_of_range_adc_codes_rejected(cfg, calib):
@@ -207,7 +220,8 @@ def test_determinism_and_mode_equivalence(cfg, calib):
         log_b = run(trace, run_calib, run_cfg)
         log_c = run(trace, run_calib, concurrent)
         log_d = run(trace, run_calib, concurrent)
-        assert log_a == log_b == log_c == log_d
+        for log in (log_b, log_c, log_d):
+            assert_logs_equal(log, log_a)
     on_keys = {e.key_index for e in log_a.events if e.kind == "on"}
     assert {45, 47} <= on_keys  # both black keys of the walk were pressed
 
@@ -250,16 +264,45 @@ def test_forced_release_at_end_of_trace(cfg, calib):
     log = run(truncated, calib, cfg)
     kinds = [e.kind for e in log.events]
     assert kinds == ["on", "off"]
-    assert log.events[1].t == log.steps[-1][0]  # released at simulation end
+    assert log.events[1].t == log.steps["t"][-1]  # released at simulation end
 
 
 def test_step_log_matches_timestep(cfg, calib):
     trace = press_fixture(cfg)
     log = run(trace, calib, cfg)
-    times = [step[0] for step in log.steps]
+    times = log.steps["t"].tolist()
     assert times[0] == cfg.simulation.timestep
     dts = {round(b - a, 9) for a, b in zip(times, times[1:])}
     assert dts == {cfg.simulation.timestep}
+
+
+def test_sparse_trace_runs_every_step_of_its_span(cfg, calib):
+    """Two samples 100 s apart: the run still spans the whole gap, one
+    step per timestep, to the last sample plus data path and settle tail."""
+    trace = SensorTrace.from_columns([0.0, 100000.0], [2000] * 2, [1229] * 2,
+                                     [calib.z_min] * 2, ["", ""], 100000.0)
+    log = run(trace, calib, cfg)
+    assert len(log.steps) == 100235
+    assert log.steps["t"][-1] == 100235.0
+
+
+def test_span_beyond_step_limit_rejected(cfg, calib, monkeypatch):
+    """One sample at t = 1e12 ms would need 10**12 steps; it is rejected
+    before any per-step column is allocated."""
+    far = SensorTrace.from_columns([1e12], [2000], [1229], [calib.z_min], [""], 1.0)
+    with pytest.raises(InputError, match=f"more than {MAX_STEPS} steps"):
+        run(far, calib, cfg)
+    # at a small limit, a span of exactly the limit runs and one step more fails
+    monkeypatch.setattr(engine, "MAX_STEPS", 1000)
+    tail = cfg.simulation.latency.data_path + cfg.simulation.settle_tail_ms
+    for t_last, steps in ((1000.0 - tail, 1000), (1001.0 - tail, None)):
+        trace = SensorTrace.from_columns([t_last], [2000], [1229], [calib.z_min],
+                                         [""], 1.0)
+        if steps is None:
+            with pytest.raises(InputError, match="more than 1000 steps"):
+                run(trace, calib, cfg)
+        else:
+            assert len(run(trace, calib, cfg).steps) == steps
 
 
 def test_csv_writers_round_trip(tmp_path, cfg, calib):
@@ -287,3 +330,6 @@ def test_simulation_config_validation():
         SimulationConfig(timestep=0.0)
     with pytest.raises(ConfigurationError):
         SimulationConfig(mode="parallel")
+    with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+        SimulationConfig(seed=-1)
+    assert SimulationConfig(seed=0).seed == 0

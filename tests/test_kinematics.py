@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from robothumb.errors import InputError, ReachError, TravelRangeError
 from robothumb.kinematics import (FingerGeometry, MountPose, keyline_position,
@@ -49,6 +51,32 @@ def test_fingertip_pressed_30():
     assert x - MOUNT.base_x == pytest.approx(
         41.0 + 58.0 * math.cos(math.radians(30.0)), abs=1e-9)
     assert z - MOUNT.base_z == pytest.approx(-77.5)
+
+
+def assert_columns_match_scalars(theta_h, theta_v):
+    x, z = keyline_position(theta_h, theta_v, GEO, MOUNT, np)
+    scalar = [keyline_position(h, v, GEO, MOUNT)
+              for h, v in zip(theta_h.tolist(), theta_v.tolist())]
+    assert x.tolist() == [p[0] for p in scalar]
+    assert z.tolist() == [p[1] for p in scalar]
+
+
+def test_fingertip_columns_equal_keyline_position():
+    """The column form the engine uses gives the scalar form's floats, bit
+    for bit, over the joint ranges and on the encoder grid near hover."""
+    rng = np.random.default_rng(20)
+    grid = np.arange(-2000, 2000) * 360.0 / 16384
+    theta_h = np.concatenate((rng.uniform(-180.0, 180.0, 50_000),
+                              MOUNT.heading + grid))
+    theta_v = np.concatenate((rng.uniform(-90.0, 30.0, 50_000), grid / 4))
+    assert_columns_match_scalars(theta_h, theta_v)
+
+
+@given(st.integers(1, 50).flatmap(lambda n: st.tuples(
+    arrays(float, n, elements=st.floats(-360.0, 360.0)),
+    arrays(float, n, elements=st.floats(-90.0, 30.0)))))
+def test_fingertip_columns_match_scalars_property(angles):
+    assert_columns_match_scalars(*angles)
 
 
 @given(st.floats(min_value=-180.0, max_value=180.0),

@@ -1,11 +1,15 @@
+import math
+from array import array
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from robothumb.errors import ConfigurationError, InputError
-from robothumb.plant import (MotorAxis, axis_step, counts_per_output_rev,
-                             encoder_counts, torque_margin)
+from robothumb.plant import (MAX_COUNTS_PER_REV, MotorAxis, axis_step,
+                             counts_per_output_rev, encoder_count_column,
+                             encoder_counts, run_axis, torque_margin)
 
 AXIS = MotorAxis()
 REST = (0.0, 0.0, 0)  # (angle, velocity, encoder_count) at drive enable
@@ -137,3 +141,78 @@ def test_invalid_axis_rejected():
         axis_step(REST, 0, -1.0, 1.0, AXIS)
     with pytest.raises(InputError):
         axis_step(REST, 0, 1.0, 0.0, AXIS)
+
+
+def test_encoder_resolution_bounded_for_exact_counts():
+    # the largest count range a float angle resolves count by count
+    assert counts_per_output_rev(MotorAxis(gear_ratio=2**43)) == MAX_COUNTS_PER_REV
+    with pytest.raises(ConfigurationError, match="at most 2\\*\\*53"):
+        MotorAxis(gear_ratio=2**43 + 1)
+    with pytest.raises(ConfigurationError, match="at most 2\\*\\*53"):
+        MotorAxis(gear_ratio=10**400)
+
+
+@given(st.lists(st.floats(min_value=-720.0, max_value=720.0), max_size=50))
+def test_encoder_count_column_matches_scalar(angles):
+    column = encoder_count_column(np.array(angles, dtype=float), AXIS)
+    assert column.dtype == np.int64
+    assert column.tolist() == [encoder_counts(a, AXIS) for a in angles]
+
+
+@st.composite
+def schedules(draw):
+    """An axis, a starting state and runs of steps under one setpoint.
+
+    Setpoints come from a few nearby values, so the axis lands and idles,
+    retargets mid-move and reverses; adjacent runs may share a setpoint.
+    Each step gets a profile velocity (0 stalls the axis) and, for the
+    feedback form, the earlier state its command was sent from.
+    """
+    axis = MotorAxis(gear_ratio=draw(st.sampled_from([1, 4, 16])),
+                     v_max=draw(st.floats(50.0, 1000.0)),
+                     a_max=draw(st.floats(1000.0, 1e6)))
+    dt = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    targets = st.sampled_from([-40, -3, 0, 1, 2, 25, 300])
+    runs, k = [], 1
+    for length, setpoint in draw(st.lists(st.tuples(st.integers(1, 12), targets),
+                                          min_size=1, max_size=12)):
+        runs.append((k, k + length, setpoint))
+        k += length
+    n = k - 1
+    limits = draw(st.lists(st.floats(0.0, 500.0) | st.just(0.0), min_size=n, max_size=n))
+    sent = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    sent = [min(j, k - 1) for k, j in enumerate(sorted(sent), start=1)]
+    start_setpoint = draw(targets)
+    angle = draw(st.sampled_from([0.0, start_setpoint * 360.0 / counts_per_output_rev(axis)]))
+    velocity = draw(st.sampled_from([0.0, -0.0, 35.0, -120.0]))
+    feedback = draw(st.none() | st.tuples(st.floats(0.01, 5.0), st.floats(1.0, 400.0)))
+    return axis, dt, runs, limits, sent, (angle, velocity), feedback
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules())
+def test_run_axis_equals_chained_axis_step(schedule):
+    """The fused loop's state after each step is the state chaining
+    ``axis_step`` gives, float for float, with and without feedback."""
+    axis, dt, runs, limits, sent, (angle, velocity), feedback = schedule
+    n = runs[-1][1] - 1
+    angles = array("d", [angle]) * (n + 1)
+    velocities = array("d", [velocity]) * (n + 1)
+    run_axis(angles, velocities, iter(runs), sent if feedback else limits,
+             dt, axis, feedback)
+
+    states = [(angle, velocity, encoder_counts(angle, axis))]
+    for first, stop, setpoint in runs:
+        for k in range(first, stop):
+            if feedback is None:
+                limit = limits[k - 1]
+            else:
+                kp, v_cap = feedback
+                limit = min(kp * abs(setpoint - states[sent[k - 1]][2]), v_cap)
+            states.append(axis_step(states[-1], setpoint, limit, dt, axis))
+    fused = list(zip(angles, velocities))
+    assert [(a, math.copysign(1.0, v)) for a, v in fused] == [
+        (a, math.copysign(1.0, v)) for a, v, _ in states]
+    assert fused == [(a, v) for a, v, _ in states]
+    assert encoder_count_column(np.frombuffer(angles), axis).tolist() == [
+        c for _, _, c in states]
