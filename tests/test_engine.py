@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -317,6 +318,84 @@ def test_csv_writers_round_trip(tmp_path, cfg, calib):
     assert steps.read_text().splitlines()[0] == "t_ms,theta_h_counts,theta_v_counts,tip_x,tip_z"
     records = engine.read_latency_csv(latency)
     assert [r.delay for r in records] == [r.delay for r in log.latencies]
+
+
+STEP_HEADER = "t_ms,theta_h_counts,theta_v_counts,tip_x,tip_z\n"
+
+
+def per_row_step_text(steps) -> str:
+    """The step CSV formatted one ``%`` per row: the writer's reference."""
+    return STEP_HEADER + "".join("%.3f,%d,%d,%.6f,%.6f\n" % row
+                                 for row in steps.tolist())
+
+
+def near_rounding_ties():
+    """Floats within 2 ulps of a tie of ``%.6f`` rounding, either sign."""
+    out = []
+    for tie in (0.5e-6, 2.5e-6, 0.0000125, 1.2345675, 123.4565, -7.0000005):
+        x = np.float64(tie)
+        for _ in range(2):
+            x = np.nextafter(x, -np.inf)
+        for _ in range(5):
+            out.append(float(x))
+            x = np.nextafter(x, np.inf)
+    return out
+
+
+STEP_FLOATS = ([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0,
+                -1.5, 1e300, -1e-300, 5e-324, 0.1, 664.3249999] + near_rounding_ties())
+STEP_INTS = [0, -1, 1, 16_384, -(2**63), 2**63 - 1, 2**62 + 1, -(2**62) - 1]
+SIGNED_PAIRS = [[0.0, -0.0], [math.nan, -math.nan], [math.inf, -math.inf]]
+
+
+def step_log(t, counts_h, counts_v, tip_x, tip_z) -> EventLog:
+    steps = np.empty(len(t), STEP_DTYPE)
+    for name, column in zip(STEP_DTYPE.names, (t, counts_h, counts_v, tip_x, tip_z)):
+        steps[name] = column
+    return EventLog(steps=steps)
+
+
+@st.composite
+def step_columns(draw):
+    """Five step columns drawn from small pools, so values repeat."""
+    n = draw(st.integers(0, 40))
+    columns = []
+    for pool in (STEP_FLOATS, STEP_INTS, STEP_INTS, STEP_FLOATS, STEP_FLOATS):
+        values = st.lists(st.sampled_from(pool), min_size=1, max_size=4)
+        if pool is STEP_FLOATS:
+            values |= st.sampled_from(SIGNED_PAIRS)
+        values = draw(values)
+        columns.append(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    return columns
+
+
+@settings(deadline=None)
+@given(step_columns())
+def test_step_csv_matches_per_row_format(tmp_path_factory, columns):
+    log = step_log(*columns)
+    path = tmp_path_factory.getbasetemp() / "steps_property.csv"
+    engine.write_step_csv(log, path)
+    assert path.read_text() == per_row_step_text(log.steps)
+
+
+def assert_same_text(text, expected):
+    """``text == expected``, a mismatch reported at its first differing line
+    rather than as a diff of the whole file."""
+    lines, expected_lines = text.splitlines(True), expected.splitlines(True)
+    for lineno, (line, expected_line) in enumerate(zip(lines, expected_lines), 1):
+        assert line == expected_line, f"line {lineno}"
+    assert len(lines) == len(expected_lines)
+
+
+@pytest.mark.parametrize("n", [65_535, 65_536, 65_537])
+def test_step_csv_matches_per_row_format_at_block_edges(n, tmp_path):
+    """Columns of repeated values across the edges of a 65,536-row block."""
+    rng = np.random.default_rng(n)
+    log = step_log(np.arange(n) * 0.5 - 3.0,
+                   rng.choice(STEP_INTS, n), rng.integers(-140, 140, n),
+                   rng.choice(STEP_FLOATS, n), rng.integers(-3, 4, n) * 0.25)
+    engine.write_step_csv(log, tmp_path / "steps.csv")
+    assert_same_text((tmp_path / "steps.csv").read_text(), per_row_step_text(log.steps))
 
 
 def test_latency_record_invariant():

@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,7 +81,10 @@ def trace_columns(draw):
     t = [i * period for i in range(n)]
     if draw(st.booleans()):
         t[0] = -0.0
-    codes = [draw(st.lists(INT64, min_size=n, max_size=n)) for _ in range(3)]
+    codes = []
+    for _ in range(3):  # a few codes repeated, mixed with arbitrary ones
+        pool = draw(st.lists(INT64, min_size=1, max_size=4))
+        codes.append(draw(st.lists(st.sampled_from(pool) | INT64, min_size=n, max_size=n)))
     return (t, *codes, draw(st.lists(LABELS, min_size=n, max_size=n)), period)
 
 
@@ -97,6 +101,27 @@ def test_save_trace_matches_csv_writer(tmp_path_factory, columns):
     path = tmp_path_factory.getbasetemp() / "property.csv"
     save_trace(SensorTrace.from_columns(*rows, period), path)
     assert path.read_bytes().decode("utf-8") == csv_writer_text(*rows)
+
+
+def assert_same_text(text, expected):
+    """``text == expected``, a mismatch reported at its first differing line
+    rather than as a diff of the whole file."""
+    lines, expected_lines = text.splitlines(True), expected.splitlines(True)
+    for lineno, (line, expected_line) in enumerate(zip(lines, expected_lines), 1):
+        assert line == expected_line, f"line {lineno}"
+    assert len(lines) == len(expected_lines)
+
+
+@pytest.mark.parametrize("n", [65_535, 65_536, 65_537])
+def test_save_trace_matches_csv_writer_at_block_edges(n, tmp_path):
+    """Repeated codes and labels across the edges of a 65,536-row block."""
+    rng = np.random.default_rng(n)
+    rows = [[i * 1.0 for i in range(n)], rng.integers(0, 16, n).tolist(),
+            rng.choice([-2**63, 2**63 - 1], n).tolist(), rng.integers(1, 3, n).tolist(),
+            rng.choice(["", "flex_min", " z_rest "], n).tolist()]
+    save_trace(SensorTrace.from_columns(*rows, 1.0), tmp_path / "trace.csv")
+    text = (tmp_path / "trace.csv").read_bytes().decode("utf-8")
+    assert_same_text(text, csv_writer_text(*rows))
 
 
 def data_rows(path) -> int:
@@ -148,6 +173,18 @@ def test_loader_skips_blank_lines_and_counts_them_in_line_numbers(tmp_path):
 def test_loader_parses_codes_with_int(tmp_path):
     trace = load_text(tmp_path, f"{HEADER}\n0, 7 ,1_000,+5,\n1,1,2,3,\n")
     assert columns_of(trace)[1:4] == [[7, 1], [1000, 2], [5, 3]]
+
+
+def test_loader_parses_each_spelling_of_a_code_with_int(tmp_path):
+    """Spellings of one code parse alike, and a column mixing them reads
+    each row by ``int()``."""
+    spellings = ["7", "07", "+7", " 7 ", "0_7", "7", "-0", "0"]
+    body = "".join(f"{i},{s},{s},{s},\n" for i, s in enumerate(spellings))
+    trace = load_text(tmp_path, f"{HEADER}\n{body}")
+    expected = [int(s) for s in spellings]
+    assert columns_of(trace)[1:4] == [expected] * 3
+    with pytest.raises(TraceFormatError, match="line 4: invalid literal for int"):
+        load_text(tmp_path, f"{HEADER}\n0,7,7,7,\n1,07,07,07,\n2,7,0 7,7,\n")
 
 
 def test_loader_parses_time_with_float(tmp_path):
