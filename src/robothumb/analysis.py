@@ -28,6 +28,9 @@ DIRECTION_NORM_TOL = 1e-9
 # rows per block in save_directions and solid_angle: each block's
 # temporaries stay small whatever the size of the set
 DIRECTION_BLOCK_ROWS = 65_536
+# sphere_partition rejects more bins before allocating anything, which
+# keeps the occupancy array of solid_angle within 100 MB
+MAX_BINS = 100_000_000
 
 
 def load_directions(path) -> np.ndarray:
@@ -95,8 +98,8 @@ def sphere_partition(n_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     2*cells/n_bins so that every cell spans the same z-by-azimuth area,
     4*pi/n_bins. Returns (z_edges, cells_per_ring, ring_offsets).
     """
-    if n_bins < 100:
-        raise InputError("n_bins must be >= 100")
+    if not 100 <= n_bins <= MAX_BINS:
+        raise InputError(f"n_bins must be in [100, {MAX_BINS}]")
     n_rings = int(round(math.sqrt(math.pi * n_bins) / 2.0))
     centers = (np.arange(n_rings) + 0.5) * math.pi / n_rings
     weights = np.sin(centers)

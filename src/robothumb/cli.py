@@ -53,6 +53,17 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _key_indices(text: str) -> list[int]:
+    """The key indices of a comma-separated ``--keys`` value."""
+    keys = []
+    for token in text.split(","):
+        try:
+            keys.append(int(token))
+        except ValueError:
+            raise InputError(f"--keys: {token!r} is not a key index") from None
+    return keys
+
+
 def _cmd_synth(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
@@ -74,7 +85,7 @@ def _cmd_synth(args) -> int:
         save_trace(trace, path)
         print(f"wrote {path}")
     elif args.scenario == "scale":
-        keys = [int(k) for k in args.keys.split(",")] if args.keys else None
+        keys = _key_indices(args.keys) if args.keys else None
         if keys is None:
             calib = calibrate_from_trace(synth.calibration_trace(cfg),
                                          synth.anchors_from_config(cfg))

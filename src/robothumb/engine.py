@@ -58,7 +58,7 @@ from . import control, kinematics, plant
 from .control import CalibrationSet, ControlParams
 from .errors import ConfigurationError, InputError
 from .piano import Key, KeyEvent, MIDI_A0, key_at, note_name
-from .sensors import SensorTrace, round_half_up
+from .sensors import TRACE_BLOCK_ROWS, SensorTrace, column_strings, round_half_up
 
 # a run, or a synthesized trace, of more steps is rejected before any
 # per-step column is allocated
@@ -319,10 +319,17 @@ def write_event_csv(log: EventLog, path) -> None:
 
 
 def write_step_csv(log: EventLog, path) -> None:
+    """One ``%.3f,%d,%d,%.6f,%.6f`` row per step, built column by column in
+    blocks of rows: step times, which never repeat, are formatted entry by
+    entry, every other column once per distinct value."""
     with open(path, "w", newline="") as f:
         f.write("t_ms,theta_h_counts,theta_v_counts,tip_x,tip_z\n")
-        for step in log.steps.tolist():
-            f.write("%.3f,%d,%d,%.6f,%.6f\n" % step)
+        for start in range(0, len(log.steps), TRACE_BLOCK_ROWS):
+            block = log.steps[start:start + TRACE_BLOCK_ROWS]
+            columns = [list(map("%.3f".__mod__, block["t"].tolist()))]
+            columns += [column_strings(block[name], fmt) for name, fmt in
+                        zip(STEP_DTYPE.names[1:], ("%d", "%d", "%.6f", "%.6f"))]
+            f.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def write_latency_csv(log: EventLog, path) -> None:
@@ -333,15 +340,28 @@ def write_latency_csv(log: EventLog, path) -> None:
 
 
 def read_latency_csv(path) -> list[LatencyRecord]:
+    """Read a log written by ``write_latency_csv``. Each non-blank row must
+    hold three finite numbers, the action not before the intention; any
+    other row raises an ``InputError`` that names the file and line."""
     records = []
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "intention_ms,action_ms,delay_ms":
-            raise InputError(f"{path}: not a latency log")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            intention, action, _ = line.split(",")
-            records.append(LatencyRecord(float(intention), float(action)))
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().strip()
+            if header != "intention_ms,action_ms,delay_ms":
+                raise InputError("not a latency log")
+            for lineno, line in enumerate(f, start=2):
+                row = line.strip()
+                if not row:
+                    continue
+                try:
+                    values = [float(v) for v in row.split(",")]
+                    if len(values) != 3:
+                        raise ValueError(f"expected 3 columns, found {len(values)}")
+                    if not all(map(math.isfinite, values)):
+                        raise ValueError(f"{row!r} holds a non-finite value")
+                    records.append(LatencyRecord(values[0], values[1]))
+                except (ValueError, InputError) as exc:
+                    raise InputError(f"line {lineno}: {exc}") from None
+    except (UnicodeDecodeError, InputError) as exc:
+        raise InputError(f"{path}: {exc}") from None
     return records

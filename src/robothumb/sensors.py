@@ -10,14 +10,15 @@ Z picks up gravity plus dynamic acceleration (speed of motion).
 
 A trace keeps its readings as columns (time, three ADC codes, labels) and
 is read and written as a CSV of ``TRACE_HEADER`` rows, whole blocks of
-rows at a time.
+rows at a time and one column at a time: a code column is formatted, or
+parsed, once per distinct value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -27,12 +28,25 @@ TRACE_HEADER = ("t_ms", "flex_adc", "acc_y_adc", "acc_z_adc", "label")
 SAMPLE_DTYPE = np.dtype([("t", np.float64), ("flex_adc", np.int64),
                          ("acc_y_adc", np.int64), ("acc_z_adc", np.int64)])
 LABEL_FORBIDDEN = frozenset(',"\r\n')  # characters csv.writer would quote
-TRACE_BLOCK_ROWS = 65_536  # rows per formatting block in save_trace
+TRACE_BLOCK_ROWS = 65_536  # rows per block in the trace and step CSV writers
 
 
 def round_half_up(x: float) -> int:
     """Round with ties away from zero toward +inf; for non-negative inputs."""
     return int(math.floor(x + 0.5))
+
+
+def column_strings(column: np.ndarray, fmt: str) -> list[str]:
+    """``fmt % value`` for each entry of an int64 or float64 column, each
+    distinct value formatted once.
+
+    Floats are told apart by their bit pattern, so ``-0.0`` and ``0.0``,
+    which ``%f`` prints differently, are formatted apart.
+    """
+    key = column.view(np.int64) if column.dtype.kind == "f" else column
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    strings = np.array(list(map(fmt.__mod__, column[first].tolist())), object)
+    return strings[inverse].tolist()
 
 
 @dataclass(frozen=True)
@@ -173,17 +187,20 @@ def accel_output(foot_pitch: float, dyn_accel: float,
 def save_trace(trace: SensorTrace, path) -> None:
     """Write ``TRACE_HEADER`` and one CRLF-terminated row per sample.
 
-    Each block of rows is formatted by one ``%`` operation. Labels carry
-    no comma, quote or line break, so no field needs quoting and the text
-    is what ``csv.writer`` writes for the same rows.
+    Each block of rows is built column by column: ``t`` is formatted ``%g``
+    entry by entry, each code column ``%d`` once per distinct code, and the
+    labels are written as they are. Labels carry no comma, quote or line
+    break, so no field needs quoting and the text is what ``csv.writer``
+    writes for the same rows.
     """
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(TRACE_HEADER) + "\r\n")
         for start in range(0, len(trace.samples), TRACE_BLOCK_ROWS):
-            block = slice(start, start + TRACE_BLOCK_ROWS)
-            columns = [trace.samples[name][block].tolist() for name in SAMPLE_DTYPE.names]
-            f.write(("%g,%d,%d,%d,%s\r\n" * len(columns[0]))
-                    % tuple(chain.from_iterable(zip(*columns, trace.labels[block]))))
+            block = trace.samples[start:start + TRACE_BLOCK_ROWS]
+            columns = [list(map("%g".__mod__, block["t"].tolist()))]
+            columns += [column_strings(block[name], "%d") for name in SAMPLE_DTYPE.names[1:]]
+            columns.append(trace.labels[start:start + TRACE_BLOCK_ROWS])
+            f.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def load_trace(path) -> SensorTrace:
@@ -226,8 +243,12 @@ def _split_rows(rows: list[str]) -> list:
         raise ValueError("expected 5 columns")
     fields = ",".join(rows).split(",")
     t = list(map(float, fields[0::5]))
-    try:
-        codes = [np.array(list(map(int, fields[i::5])), np.int64) for i in (1, 2, 3)]
-    except OverflowError:
-        raise ValueError("ADC code does not fit int64") from None
+    codes = []
+    for column in (fields[1::5], fields[2::5], fields[3::5]):
+        value = {s: int(s) for s in set(column)}  # each distinct spelling once
+        try:
+            codes.append(np.fromiter(map(value.__getitem__, column), np.int64,
+                                     len(column)))
+        except OverflowError:
+            raise ValueError("ADC code does not fit int64") from None
     return [t, *codes, fields[4::5]]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from robothumb import synth
-from robothumb.analysis import (BudgetReport, budget_check, latency_stats,
+from robothumb.analysis import (MAX_BINS, BudgetReport, budget_check, latency_stats,
                                 range_increase, solid_angle, sphere_partition,
                                 spherical_cap_area, workspace_from_limits)
 from robothumb.errors import InputError
@@ -44,6 +44,14 @@ def test_partition_covers_sphere_exactly():
 def test_partition_rejects_tiny_bin_counts():
     with pytest.raises(InputError):
         sphere_partition(99)
+
+
+def test_partition_bounds_bin_count():
+    _, cells, _ = sphere_partition(MAX_BINS)
+    assert int(cells.sum()) == MAX_BINS
+    for n_bins in (MAX_BINS + 1, 10**12):
+        with pytest.raises(InputError, match=f"n_bins must be in \\[100, {MAX_BINS}\\]"):
+            sphere_partition(n_bins)
 
 
 def test_solid_angle_full_sphere():

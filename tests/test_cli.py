@@ -247,6 +247,42 @@ def test_direction_norm_error_names_the_reference_file(tmp_path, capsys):
     assert not (tmp_path / "workspace_report.txt").exists()
 
 
+def test_bins_beyond_limit_exit_2_before_allocating(tmp_path, capsys):
+    """10**12 bins once ended in numpy's out-of-memory traceback."""
+    (tmp_path / "dirs.csv").write_text("x,y,z\n1,0,0\n0,1,0\n")
+    assert run("analyze", "workspace", "--dirs", tmp_path / "dirs.csv",
+               "--bins", 1_000_000_000_000, "--out", tmp_path) == 2
+    assert "n_bins must be in [100, 100000000]" in capsys.readouterr().err
+    assert not (tmp_path / "workspace_report.txt").exists()
+
+
+@pytest.mark.parametrize("row,message", [
+    ("1,2", "line 3: expected 3 columns, found 2"),
+    ("foo,2,3", "line 3: could not convert string to float: 'foo'"),
+    ("nan,2,3", "line 3: 'nan,2,3' holds a non-finite value"),
+], ids=["short", "non-numeric", "nan"])
+@pytest.mark.parametrize("what", [("latency",), ("budget",)])
+def test_malformed_latency_row_exits_2(what, row, message, tmp_path, capsys):
+    latency = tmp_path / "latency.csv"
+    latency.write_text(f"intention_ms,action_ms,delay_ms\n900.000,985.000,85.000\n{row}\n")
+    assert run("analyze", *what, "--latency", latency, "--out", tmp_path) == 2
+    assert f"{latency}: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_report.txt"))
+
+
+def test_undecodable_latency_file_exits_2(tmp_path, capsys):
+    latency = tmp_path / "latency.csv"
+    latency.write_bytes(b"intention_ms,action_ms,delay_ms\n\xff,1,1\n")
+    assert run("analyze", "latency", "--latency", latency, "--out", tmp_path) == 2
+    assert f"{latency}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+def test_scale_key_token_not_an_index_exits_2(tmp_path, capsys):
+    assert run("synth", "scale", "--keys", "4x,46", "--out", tmp_path) == 2
+    assert "--keys: '4x' is not a key index" in capsys.readouterr().err
+    assert not (tmp_path / "scale_trace.csv").exists()
+
+
 @pytest.mark.parametrize("args", [
     ("--elev-min", "nan"), ("--elev-max", "nan"), ("--azimuth", "nan"),
     ("--elev-min", 10, "--elev-max", 0), ("--azimuth", 361),
