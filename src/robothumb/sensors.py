@@ -28,7 +28,9 @@ TRACE_HEADER = ("t_ms", "flex_adc", "acc_y_adc", "acc_z_adc", "label")
 SAMPLE_DTYPE = np.dtype([("t", np.float64), ("flex_adc", np.int64),
                          ("acc_y_adc", np.int64), ("acc_z_adc", np.int64)])
 LABEL_FORBIDDEN = frozenset(',"\r\n')  # characters csv.writer would quote
-TRACE_BLOCK_ROWS = 65_536  # rows per block in the trace and step CSV writers
+# rows per block in the trace and step CSV writers: a block's strings stay
+# below a megabyte or two, and blocks this size format as fast as larger ones
+TRACE_BLOCK_ROWS = 8_192
 
 
 def round_half_up(x: float) -> int:
