@@ -1,6 +1,6 @@
-"""Direction-set CSVs: golden digests of the sweep fixtures and their
-workspace report, and the writer's text against a row-by-row reference
-formatter."""
+"""Direction sets: the sweep generators against the formula they were first
+written with, golden digests of the sweep fixtures and their workspace
+report, and the writer's text against a row-by-row reference formatter."""
 
 import hashlib
 import math
@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from test_trace_csv import assert_same_text
 
+from robothumb import synth
 from robothumb.analysis import DIRECTION_BLOCK_ROWS, save_directions
 from robothumb.cli import main
 
@@ -23,6 +25,56 @@ SWEEP_GOLDEN = {
     "workspace_report.txt":
         "5587be2f964674e659abbbe7c16cf04117b5fdaa54eb3e4a742c109bb082b63f",
 }
+
+
+def reference_directions(samples, z_range, phi_range, seed):
+    """The sweep generators' first formula: the same draws, five columns stacked."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(*z_range, samples)
+    phi = rng.uniform(*phi_range, samples)
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+
+
+def band_reference(samples, azimuth_span=360.0, elev_min=-60.0, elev_max=60.0,
+                   seed=0):
+    half = math.radians(azimuth_span) / 2.0
+    return reference_directions(samples, (math.sin(math.radians(elev_min)),
+                                          math.sin(math.radians(elev_max))),
+                                (-half, half), seed)
+
+
+def cap_reference(samples, half_angle=54.9, seed=0):
+    return reference_directions(samples, (math.cos(math.radians(half_angle)), 1.0),
+                                (-math.pi, math.pi), seed)
+
+
+def assert_same_bits(dirs, expected):
+    assert dirs.shape == expected.shape and dirs.dtype == expected.dtype
+    assert np.array_equal(np.ascontiguousarray(dirs).view(np.int64),
+                          expected.view(np.int64))
+
+
+@pytest.mark.parametrize("samples", [1, 2, DIRECTION_BLOCK_ROWS + 1, 600_000])
+def test_sweep_generators_match_reference_formula(samples):
+    assert_same_bits(synth.band_sweep_directions(samples, seed=samples),
+                     band_reference(samples, seed=samples))
+    assert_same_bits(synth.cap_directions(samples, seed=samples + 1),
+                     cap_reference(samples, seed=samples + 1))
+
+
+@pytest.mark.parametrize("limits", [(360.0, 30.0, 30.0), (360.0, -90.0, 90.0),
+                                    (360.0, 90.0, 90.0), (360.0, -90.0, -90.0),
+                                    (0.0, -60.0, 60.0), (90.0, -90.0, 0.0)])
+def test_band_generator_matches_reference_at_limits(limits):
+    assert_same_bits(synth.band_sweep_directions(5_000, *limits, seed=7),
+                     band_reference(5_000, *limits, seed=7))
+
+
+@pytest.mark.parametrize("half_angle", [0.0, 1e-9, 90.0, 179.9, 180.0])
+def test_cap_generator_matches_reference_at_limits(half_angle):
+    assert_same_bits(synth.cap_directions(5_000, half_angle, seed=8),
+                     cap_reference(5_000, half_angle, seed=8))
 
 
 def reference_text(dirs) -> str:
@@ -84,3 +136,24 @@ def test_save_directions_matches_row_formatter_at_block_edges(rows, tmp_path):
     dirs.ravel()[:len(SPECIAL)] = SPECIAL
     dirs[-1] = (-0.0, 5e-324, 0.5e-12)
     assert written(dirs, tmp_path / "d.csv") == reference_text(dirs)
+
+
+def test_save_directions_matches_row_formatter_at_exact_ties(tmp_path):
+    """odd/2**13 times 10**12 is exactly k + 0.5, a tie that ``%.12f``
+    rounds to even; odd/2**20 times 10**12 is exact, with a fraction in
+    steps of 1/256."""
+    ties = np.arange(1, 2**13, 2) / 2.0**13
+    exact = np.random.default_rng(20).choice(np.arange(1, 2**20, 2), 4_096) / 2.0**20
+    values = np.concatenate((ties, -ties, exact, -exact))
+    dirs = values[:len(values) // 3 * 3].reshape(-1, 3)
+    assert written(dirs, tmp_path / "d.csv") == reference_text(dirs)
+
+
+@pytest.mark.parametrize("bad", [1.5, math.nan, -math.inf])
+def test_save_directions_matches_row_formatter_past_unit_values(bad, tmp_path):
+    """A value beyond [-1, 1] in one row, at a block edge mid-file."""
+    rng = np.random.default_rng(21)
+    dirs = rng.uniform(-1.0, 1.0, (3 * DIRECTION_BLOCK_ROWS + 5, 3))
+    dirs[DIRECTION_BLOCK_ROWS, 1] = bad
+    dirs[2 * DIRECTION_BLOCK_ROWS - 1, 2] = -bad
+    assert_same_text(written(dirs, tmp_path / "d.csv"), reference_text(dirs))
