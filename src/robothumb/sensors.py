@@ -51,6 +51,15 @@ def column_strings(column: np.ndarray, fmt: str) -> list[str]:
     return strings[inverse].tolist()
 
 
+def _time_strings(t: np.ndarray) -> list[str]:
+    """``%g`` of each time where it reads back as the same float, else ``repr``."""
+    times = t.tolist()
+    strings = list(map("%g".__mod__, times))
+    for i in np.flatnonzero(np.array(strings, np.float64) != t).tolist():
+        strings[i] = repr(times[i])
+    return strings
+
+
 @dataclass(frozen=True)
 class FlexSensorModel:
     r_flat: float = 13.0       # kOhm at 0 degrees
@@ -189,7 +198,7 @@ def accel_output(foot_pitch: float, dyn_accel: float,
 def save_trace(trace: SensorTrace, path) -> None:
     """Write ``TRACE_HEADER`` and one CRLF-terminated row per sample.
 
-    Each block of rows is built column by column: ``t`` is formatted ``%g``
+    Each block of rows is built column by column: ``t`` by ``_time_strings``
     entry by entry, each code column ``%d`` once per distinct code, and the
     labels are written as they are. Labels carry no comma, quote or line
     break, so no field needs quoting and the text is what ``csv.writer``
@@ -199,7 +208,7 @@ def save_trace(trace: SensorTrace, path) -> None:
         f.write(",".join(TRACE_HEADER) + "\r\n")
         for start in range(0, len(trace.samples), TRACE_BLOCK_ROWS):
             block = trace.samples[start:start + TRACE_BLOCK_ROWS]
-            columns = [list(map("%g".__mod__, block["t"].tolist()))]
+            columns = [_time_strings(block["t"])]
             columns += [column_strings(block[name], "%d") for name in SAMPLE_DTYPE.names[1:]]
             columns.append(trace.labels[start:start + TRACE_BLOCK_ROWS])
             f.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")

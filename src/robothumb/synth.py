@@ -225,30 +225,38 @@ def scale_trace(cfg: GlobalConfig, key_indices, speed=0.5) -> SensorTrace:
     return _build_trace(cfg, rows, ("",) * len(rows))
 
 
+def _directions(samples: int, z_low: float, z_high: float, phi_half: float,
+                seed: int) -> np.ndarray:
+    """Rows ``(r cos phi, r sin phi, z)``, ``r = sqrt(max(0, 1 - z*z))``, in
+    one array, from uniform ``z`` then ``phi`` draws. cos and sin go into
+    the draws' buffers, contiguous as in a fresh array."""
+    if samples < 1:
+        raise InputError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(z_low, z_high, samples)
+    phi = rng.uniform(-phi_half, phi_half, samples)
+    dirs = np.empty((samples, 3))
+    r = np.multiply(z, z)
+    np.sqrt(np.maximum(0.0, np.subtract(1.0, r, out=r), out=r), out=r)
+    dirs[:, 2] = z
+    np.multiply(r, np.cos(phi, out=z), out=dirs[:, 0])
+    np.multiply(r, np.sin(phi, out=phi), out=dirs[:, 1])
+    return dirs
+
+
 def band_sweep_directions(samples: int, azimuth_span: float = 360.0,
                           elev_min: float = -60.0, elev_max: float = 60.0,
                           seed: int = 0) -> np.ndarray:
     """Uniform directions over a full-or-partial azimuth elevation band."""
-    if samples < 1:
-        raise InputError("samples must be >= 1")
     check_band_limits(azimuth_span, elev_min, elev_max)
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(math.sin(math.radians(elev_min)),
-                    math.sin(math.radians(elev_max)), samples)
-    half = math.radians(azimuth_span) / 2.0
-    phi = rng.uniform(-half, half, samples)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+    return _directions(samples, math.sin(math.radians(elev_min)),
+                       math.sin(math.radians(elev_max)),
+                       math.radians(azimuth_span) / 2.0, seed)
 
 
 def cap_directions(samples: int, half_angle: float = 54.9,
                    seed: int = 0) -> np.ndarray:
     """Uniform directions inside a spherical cap about +z."""
-    if samples < 1:
-        raise InputError("samples must be >= 1")
     check_cap_half_angle(half_angle)
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(math.cos(math.radians(half_angle)), 1.0, samples)
-    phi = rng.uniform(-math.pi, math.pi, samples)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+    return _directions(samples, math.cos(math.radians(half_angle)), 1.0,
+                       math.pi, seed)

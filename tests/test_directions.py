@@ -4,6 +4,7 @@ report, and the writer's text against a row-by-row reference formatter."""
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from test_trace_csv import assert_same_text
 from robothumb import synth
 from robothumb.analysis import DIRECTION_BLOCK_ROWS, save_directions
 from robothumb.cli import main
+from robothumb.errors import InputError
 
 SWEEP_SAMPLES = 150_000  # several write blocks
 SWEEP_GOLDEN = {
@@ -136,6 +138,13 @@ def test_save_directions_matches_row_formatter_at_block_edges(rows, tmp_path):
     dirs.ravel()[:len(SPECIAL)] = SPECIAL
     dirs[-1] = (-0.0, 5e-324, 0.5e-12)
     assert written(dirs, tmp_path / "d.csv") == reference_text(dirs)
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (3,)])
+def test_save_directions_rejects_arrays_not_shaped_n_by_3(shape, tmp_path):
+    with pytest.raises(InputError, match=re.escape(str(shape))):
+        save_directions(np.zeros(shape), tmp_path / "d.csv")
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_save_directions_matches_row_formatter_at_exact_ties(tmp_path):

@@ -9,7 +9,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robothumb import default_config, synth
@@ -51,13 +51,18 @@ def test_trace_csv_matches_golden_digest(name, tmp_path):
     assert hashlib.sha256((tmp_path / trace_file).read_bytes()).hexdigest() == digest
 
 
+def time_text(t: float) -> str:
+    """``t`` formatted ``%g`` where that reads back as ``t``, else ``repr``."""
+    return f"{t:g}" if float(f"{t:g}") == t else repr(float(t))
+
+
 def csv_writer_text(t, flex, acc_y, acc_z, labels) -> str:
-    """The text ``csv.writer`` gives the trace rows, ``t`` formatted ``%g``."""
+    """The text ``csv.writer`` gives the trace rows, ``t`` by ``time_text``."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(TRACE_HEADER)
     for ti, f, y, z, label in zip(t, flex, acc_y, acc_z, labels):
-        writer.writerow([f"{ti:g}", f, y, z, label])
+        writer.writerow([time_text(ti), f, y, z, label])
     return buf.getvalue()
 
 
@@ -122,6 +127,48 @@ def test_save_trace_matches_csv_writer_at_block_edges(n, tmp_path):
     save_trace(SensorTrace.from_columns(*rows, 1.0), tmp_path / "trace.csv")
     text = (tmp_path / "trace.csv").read_bytes().decode("utf-8")
     assert_same_text(text, csv_writer_text(*rows))
+
+
+def times_trace(t) -> SensorTrace:
+    n = len(t)
+    return SensorTrace.from_columns(t, [0] * n, [0] * n, [0] * n, [""] * n, t[1] - t[0])
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**7), st.integers(2, 30), PERIODS)
+def test_saved_times_load_back_unchanged(tmp_path_factory, start, n, period):
+    try:
+        trace = times_trace([(start + i) * period for i in range(n)])
+    except TraceFormatError:  # times that overflow or collide make no trace
+        assume(False)
+    path = tmp_path_factory.getbasetemp() / "times.csv"
+    save_trace(trace, path)
+    assert np.array_equal(load_trace(path).samples["t"].view(np.int64),
+                          trace.samples["t"].view(np.int64))
+
+
+def test_times_from_a_million_ms_load_back_unchanged(tmp_path):
+    """``%g`` keeps 6 significant digits: 1,000,001 ms needs ``repr``."""
+    t = [999_999.0, 1_000_000.0, 1_000_001.0]
+    save_trace(times_trace(t), tmp_path / "trace.csv")
+    rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["999999", "1e+06", "1000001.0"]
+    assert load_trace(tmp_path / "trace.csv").samples["t"].tolist() == t
+
+
+def test_press_trace_at_fractional_timestep_simulates(tmp_path):
+    """At 0.3 ms per step, ``%g`` wrote 0.3 * 3 as 0.9 and, from 100,000 ms
+    on, two samples as 100000; the loader rejected that trace."""
+    (tmp_path / "config.ini").write_text("[simulation]\ntimestep = 0.3\n")
+    common = ("--config", tmp_path / "config.ini", "--out", tmp_path)
+    run("synth", "calibration", *common)
+    run("calibrate", "--trace", tmp_path / "calibration_trace.csv",
+        "--anchors", tmp_path / "anchors.txt", *common)
+    run("synth", "press", "--key", 46, "--repeat", 300, *common)
+    assert (tmp_path / "press_trace.csv").read_text().split("\n")[4].startswith(
+        "0.8999999999999999,")
+    run("simulate", "--trace", tmp_path / "press_trace.csv",
+        "--calibration", tmp_path / "calibration.txt", *common)
 
 
 def data_rows(path) -> int:
