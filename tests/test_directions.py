@@ -147,13 +147,17 @@ def test_save_directions_rejects_arrays_not_shaped_n_by_3(shape, tmp_path):
     assert not (tmp_path / "d.csv").exists()
 
 
-def test_save_directions_matches_row_formatter_at_exact_ties(tmp_path):
+def test_save_directions_matches_row_formatter_at_ties(tmp_path):
     """odd/2**13 times 10**12 is exactly k + 0.5, a tie that ``%.12f``
     rounds to even; odd/2**20 times 10**12 is exact, with a fraction in
-    steps of 1/256."""
+    steps of 1/256; a value a few ulps from a tie can round its product
+    across the tie."""
+    rng = np.random.default_rng(20)
     ties = np.arange(1, 2**13, 2) / 2.0**13
-    exact = np.random.default_rng(20).choice(np.arange(1, 2**20, 2), 4_096) / 2.0**20
-    values = np.concatenate((ties, -ties, exact, -exact))
+    exact = rng.choice(np.arange(1, 2**20, 2), 4_096) / 2.0**20
+    near = [near_tie(k, ulps) for k in rng.integers(0, 10**12, 1_000).tolist()
+            for ulps in range(-2, 3)]
+    values = np.concatenate((ties, -ties, exact, -exact, near, np.negative(near)))
     dirs = values[:len(values) // 3 * 3].reshape(-1, 3)
     assert written(dirs, tmp_path / "d.csv") == reference_text(dirs)
 
