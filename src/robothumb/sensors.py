@@ -55,7 +55,10 @@ def _time_strings(t: np.ndarray) -> list[str]:
     """``%g`` of each time where it reads back as the same float, else ``repr``."""
     times = t.tolist()
     strings = list(map("%g".__mod__, times))
-    for i in np.flatnonzero(np.array(strings, np.float64) != t).tolist():
+    # %g spells a whole number below 10**6 exactly: parse back the others
+    check = np.flatnonzero((t != np.rint(t)) | (t >= 1e6))
+    back = np.array([strings[i] for i in check.tolist()], np.float64)
+    for i in check[back != t[check]].tolist():
         strings[i] = repr(times[i])
     return strings
 
