@@ -1,10 +1,12 @@
 """Direction sets: the sweep generators against the formula they were first
 written with, golden digests of the sweep fixtures and their workspace
-report, and the writer's text against a row-by-row reference formatter."""
+report, the writer's text against a row-by-row reference formatter, and the
+reader against ``np.loadtxt``."""
 
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from test_trace_csv import assert_same_text
 
 from robothumb import synth
-from robothumb.analysis import DIRECTION_BLOCK_ROWS, save_directions
+from robothumb.analysis import DIRECTION_BLOCK_ROWS, load_directions, save_directions
 from robothumb.cli import main
 from robothumb.errors import InputError
 
@@ -170,3 +172,109 @@ def test_save_directions_matches_row_formatter_past_unit_values(bad, tmp_path):
     dirs[DIRECTION_BLOCK_ROWS, 1] = bad
     dirs[2 * DIRECTION_BLOCK_ROWS - 1, 2] = -bad
     assert_same_text(written(dirs, tmp_path / "d.csv"), reference_text(dirs))
+
+
+def loadtxt(path):
+    """The direction rows as ``np.loadtxt`` reads them, the reader's reference."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
+
+
+# -0.0 and +-4e-13 print as -0.000000000000; the rest are not unit values
+LOAD_SPECIAL = [-0.0, 1.0, -1.0, 4e-13, -4e-13, 1.5, 9.75, 12.5,
+                math.nan, math.inf, -math.inf]
+
+
+@settings(deadline=None, max_examples=60)
+@given(rows=st.sampled_from([1, 8_191, 8_192, 8_193, 24_581]) | st.integers(1, 40),
+       picks=st.lists(st.tuples(st.integers(0, 10**6),
+                                values | st.sampled_from(LOAD_SPECIAL)), max_size=12),
+       signs=st.sampled_from(["mixed", "negative", "positive"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_load_directions_matches_loadtxt(tmp_path_factory, rows, picks, signs, seed):
+    """Written by ``save_directions``, read back bit for bit as ``np.loadtxt``
+    reads it. A file of negative values has 48-byte rows, so reads of any
+    fixed byte count end mid-row."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.uniform(-1.0, 1.0, (rows, 3))
+    if signs != "mixed":
+        np.abs(dirs, out=dirs)
+        if signs == "negative":
+            np.negative(dirs, out=dirs)
+    for spot, value in picks:
+        dirs.flat[spot % dirs.size] = value
+    path = tmp_path_factory.getbasetemp() / "load.csv"
+    save_directions(dirs, path)
+    assert_same_bits(load_directions(path), loadtxt(path))
+
+
+def reference_load(path):
+    """``load_directions`` as first written: a header check, then one ``np.loadtxt``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().rstrip("\n")
+        if header != "x,y,z":
+            raise InputError(f"{path}: first line must be the header x,y,z")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            data = loadtxt(path)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    if data.size == 0:
+        raise InputError(f"{path}: direction set is empty")
+    if data.shape[1] != 3:
+        raise InputError(f"{path}: expected 3 columns x,y,z")
+    return data
+
+
+def outcome(load, path):
+    """The array ``load`` returns, or the message of the ``InputError`` it raises."""
+    try:
+        return load(path)
+    except InputError as exc:
+        return str(exc)
+
+
+ROW = b"0.500000000000,-0.250000000000,0.125000000000\n"
+HEADER = b"x,y,z\n"
+LATE = 2 * DIRECTION_BLOCK_ROWS  # rows before a row that leaves the writer's layout
+
+
+@pytest.mark.parametrize("text,accepted", [
+    (b"x,y,z\r\n" + ROW.replace(b"\n", b"\r\n") * 3, True),
+    (HEADER + ROW * 2 + ROW.replace(b"\n", b"\r\n"), True),
+    (HEADER + ROW * 2 + ROW[:-1], True),
+    (HEADER + ROW * 2 + b"\n", True),
+    (HEADER + ROW + b"+0.5,0.25,0.125\n" + ROW, True),
+    (HEADER + ROW + b"1e-1,0,0\n" + ROW, True),
+    (HEADER + ROW + b"0.5,0.25,0.125\n" + ROW, True),
+    (HEADER + ROW + b"0.500000000000, 0.250000000000, 0.125000000000\n" + ROW, True),
+    (HEADER + ROW + b"# a comment\n" + ROW, True),
+    (HEADER + ROW + b"10.000000000000,0.000000000000,0.000000000000\n" + ROW, True),
+    (HEADER + ROW + b"1000000000000,0.000000000000,0.000000000000\n" + ROW, True),
+    (HEADER + ROW * LATE + b"0.5,0.5,0.5\n" + ROW * 3, True),
+    (HEADER + ROW * LATE + b"nan,0.000000000000,0.000000000000\n" + ROW, True),
+    (b"\xef\xbb\xbfx,y,z\n" + ROW, False),
+    (HEADER + ROW + b"--0.500000000000,0.000000000000,0.000000000000\n", False),
+    (HEADER + ROW + b"0.5000000000-00,0.000000000000,0.000000000000\n", False),
+    (HEADER + ROW + b"0.500000000000,0.000000000000\n", False),
+    (HEADER + ROW + b"0.500000000000,0.000000000000,0.000000000000,0.0\n", False),
+    (HEADER + ROW * LATE + b"abc,0.000000000000,0.000000000000\n" + ROW, False),
+    (HEADER + ROW * LATE + b"0.500000000000,0.000000000000\n" + ROW, False),
+    (HEADER + ROW * LATE + b"\xff.500000000000,0.000000000000,0.000000000000\n", False),
+    (HEADER, False),
+], ids=["crlf", "crlf-rows", "no-final-lf", "trailing-blank-line", "plus", "exponent",
+        "short", "spaces", "comment", "two-digit-whole", "thirteen-digits", "late-short",
+        "late-nan", "bom", "double-minus", "inner-minus", "two-columns", "four-columns",
+        "late-non-numeric", "late-ragged", "late-undecodable", "header-only"])
+def test_hand_written_files_read_as_loadtxt_reads_them(text, accepted, tmp_path):
+    """Text the writer does not write: the same array, or the same error, as
+    ``np.loadtxt`` behind the header check."""
+    path = tmp_path / "dirs.csv"
+    path.write_bytes(text)
+    expected = outcome(reference_load, path)
+    got = outcome(load_directions, path)
+    assert isinstance(expected, np.ndarray) == accepted
+    if accepted:
+        assert_same_bits(got, expected)
+    else:
+        assert got == expected
