@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -40,27 +41,104 @@ MAX_BINS = 100_000_000
 def load_directions(path) -> np.ndarray:
     """Read an ``x,y,z`` CSV into an (n, 3) array.
 
-    Only the file's header and shape are checked here; ``solid_angle``
-    checks that the rows are unit vectors.
+    A file in the layout that ``save_directions`` writes for values in
+    [-1, 1] is parsed by numpy; any other text goes to ``np.loadtxt``.
+    Both give the same floats. Only the file's header and shape are
+    checked here; ``solid_angle`` checks that the rows are unit vectors.
     """
+    data = _read_unit_layout(path)
+    if data is None:
+        data = _loadtxt_directions(path)
+    if data.size == 0:
+        raise InputError(f"{path}: direction set is empty")
+    if data.shape[1] != 3:
+        raise InputError(f"{path}: expected 3 columns x,y,z")
+    return data
+
+
+def _loadtxt_directions(path) -> np.ndarray:
     try:
         with open(path, encoding="utf-8") as f:
             header = f.readline().rstrip("\n")
         if header != "x,y,z":
             raise InputError(f"{path}: first line must be the header x,y,z")
         with warnings.catch_warnings():
-            # a header-only file is reported as an empty set below
+            # a header-only file is reported as an empty set by the caller
             warnings.simplefilter("ignore", UserWarning)
             # from the path, not the open file: numpy parses a path faster
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+            return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
                               encoding="utf-8")
     except ValueError as exc:  # unparsable text, undecodable bytes included
         raise InputError(f"{path}: {exc}") from None
-    if data.size == 0:
-        raise InputError(f"{path}: direction set is empty")
-    if data.shape[1] != 3:
-        raise InputError(f"{path}: expected 3 columns x,y,z")
-    return data
+
+
+# a value of the unit layout, sign aside: whole digit, point, 12 decimals and
+# its separator; three make a row
+UNIT_VALUE_BYTES = 15
+UNIT_ROW_BYTES = 3 * UNIT_VALUE_BYTES
+_ROW_SEPARATORS = np.frombuffer(b",,\n", np.uint8)
+
+
+def _read_unit_layout(path) -> np.ndarray | None:
+    """The rows of a file in the writer's unit layout, or None for other text.
+
+    That layout is the header ``x,y,z`` and rows of three values
+    ``-?d.dddddddddddd`` split by ``,``, each row ended by LF. The body is
+    read in chunks of about ``DIRECTION_BLOCK_ROWS`` rows, each cut at its
+    last LF. Rows fill one array sized for the most rows the file can hold;
+    pages past the last row are never touched.
+    """
+    with open(path, "rb") as f:
+        if f.readline(6) != b"x,y,z\n":
+            return None
+        out = np.empty(os.fstat(f.fileno()).st_size // UNIT_ROW_BYTES * 3)
+        filled = 0
+        rest = b""
+        while chunk := f.read(DIRECTION_BLOCK_ROWS * UNIT_ROW_BYTES):
+            chunk = rest + chunk
+            cut = chunk.rfind(b"\n") + 1
+            count = _unit_values(chunk[:cut], out[filled:]) if cut else None
+            if count is None:
+                return None
+            filled += count
+            rest = chunk[cut:]
+    if rest:  # a last row without LF
+        return None
+    return out[:filled].reshape(-1, 3)
+
+
+def _unit_values(text: bytes, out: np.ndarray) -> int | None:
+    """Parse whole rows of the unit layout into ``out``: the count of values,
+    or None if any byte does not fit the layout."""
+    signs = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("-"))
+    slots = np.frombuffer(text.replace(b"-", b""), np.uint8)
+    if len(slots) % UNIT_ROW_BYTES:
+        return None
+    slots = slots.reshape(-1, UNIT_VALUE_BYTES)
+    whole = slots[:, 0] - ord("0")  # uint8: a byte below "0" wraps past 9
+    decimals = slots[:, 2:14] - ord("0")
+    # where each sign byte would stand without the sign bytes before it: the
+    # start of a value, and no two at one start
+    starts = signs - np.arange(len(signs))
+    if not ((slots[:, 1] == ord(".")).all()
+            and (slots[:, 14].reshape(-1, 3) == _ROW_SEPARATORS).all()
+            and whole.max() <= 9 and decimals.max() <= 9
+            and not (starts % UNIT_VALUE_BYTES).any()
+            and (np.diff(starts) > 0).all()):
+        return None
+    # four decimals to a little-endian word, first in the low byte: pair the
+    # digits, then the pairs
+    words = decimals.view("<u4")
+    words = (words * 10 + (words >> 8)) & 0x00FF00FF
+    words = (words * 100 + (words >> 16)) & 0xFFFF
+    values = out[:len(slots)]
+    # counts of 1e-12 below 10**13 < 2**53 add up exactly in float64, and
+    # 1e12 is exact, so the quotient is the correctly rounded decimal
+    np.matmul(words, np.array([1e8, 1e4, 1.0]), out=values)
+    values += whole * 1e12
+    values /= 1e12
+    values[starts // UNIT_VALUE_BYTES] *= -1.0  # -0.000000000000 is -0.0
+    return len(slots)
 
 
 def _blocks(dirs: np.ndarray):

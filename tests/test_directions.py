@@ -207,6 +207,30 @@ def test_load_directions_matches_loadtxt(tmp_path_factory, rows, picks, signs, s
     assert_same_bits(load_directions(path), loadtxt(path))
 
 
+
+@pytest.mark.parametrize("rows", [1, DIRECTION_BLOCK_ROWS - 1, DIRECTION_BLOCK_ROWS,
+                                  DIRECTION_BLOCK_ROWS + 1, 24_581])
+@pytest.mark.parametrize("signs", ["mixed", "negative"])
+def test_writer_unit_files_read_without_loadtxt(rows, signs, tmp_path, monkeypatch):
+    """Every file of unit values that ``save_directions`` writes is parsed in
+    its own layout, across reads that end mid-row; ``np.loadtxt`` is never
+    asked."""
+    rng = np.random.default_rng(rows)
+    dirs = rng.uniform(-1.0, 1.0, (rows, 3))
+    if signs == "negative":
+        dirs = -np.abs(dirs)
+    special = [-0.0, 0.0, 1.0, -1.0, 4e-13, -4e-13, 0.5e-12][:dirs.size]
+    dirs.ravel()[:len(special)] = special
+    path = tmp_path / "d.csv"
+    save_directions(dirs, path)
+    expected = loadtxt(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert_same_bits(load_directions(path), expected)
+
 def reference_load(path):
     """``load_directions`` as first written: a header check, then one ``np.loadtxt``."""
     try:
@@ -250,7 +274,9 @@ LATE = 2 * DIRECTION_BLOCK_ROWS  # rows before a row that leaves the writer's la
     (HEADER + ROW + b"0.500000000000, 0.250000000000, 0.125000000000\n" + ROW, True),
     (HEADER + ROW + b"# a comment\n" + ROW, True),
     (HEADER + ROW + b"10.000000000000,0.000000000000,0.000000000000\n" + ROW, True),
-    (HEADER + ROW + b"1000000000000,0.000000000000,0.000000000000\n" + ROW, True),
+    (HEADER + ROW + b"10000000000000,0.000000000000,0.000000000000\n" + ROW, True),
+    (HEADER + ROW + b"+.500000000000,0.000000000000,0.000000000000\n" + ROW, True),
+    (HEADER + ROW + b"0.50000000000 ,0.000000000000,0.000000000000\n" + ROW, True),
     (HEADER + ROW * LATE + b"0.5,0.5,0.5\n" + ROW * 3, True),
     (HEADER + ROW * LATE + b"nan,0.000000000000,0.000000000000\n" + ROW, True),
     (b"\xef\xbb\xbfx,y,z\n" + ROW, False),
@@ -258,13 +284,18 @@ LATE = 2 * DIRECTION_BLOCK_ROWS  # rows before a row that leaves the writer's la
     (HEADER + ROW + b"0.5000000000-00,0.000000000000,0.000000000000\n", False),
     (HEADER + ROW + b"0.500000000000,0.000000000000\n", False),
     (HEADER + ROW + b"0.500000000000,0.000000000000,0.000000000000,0.0\n", False),
+    (HEADER + ROW + b"0.500000000000,0.000000000000\n"
+     b"0.500000000000,0.000000000000,0.000000000000,0.000000000000\n", False),
+    (HEADER + ROW + b"0.500000000000;0.000000000000;0.000000000000\n", False),
     (HEADER + ROW * LATE + b"abc,0.000000000000,0.000000000000\n" + ROW, False),
     (HEADER + ROW * LATE + b"0.500000000000,0.000000000000\n" + ROW, False),
     (HEADER + ROW * LATE + b"\xff.500000000000,0.000000000000,0.000000000000\n", False),
     (HEADER, False),
 ], ids=["crlf", "crlf-rows", "no-final-lf", "trailing-blank-line", "plus", "exponent",
-        "short", "spaces", "comment", "two-digit-whole", "thirteen-digits", "late-short",
+        "short", "spaces", "comment", "two-digit-whole", "fourteen-digits", "plus-point",
+        "trailing-space", "late-short",
         "late-nan", "bom", "double-minus", "inner-minus", "two-columns", "four-columns",
+        "two-then-four", "semicolons",
         "late-non-numeric", "late-ragged", "late-undecodable", "header-only"])
 def test_hand_written_files_read_as_loadtxt_reads_them(text, accepted, tmp_path):
     """Text the writer does not write: the same array, or the same error, as
