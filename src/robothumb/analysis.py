@@ -269,12 +269,6 @@ def workspace_from_limits(azimuth_span: float, elev_min: float,
         math.sin(math.radians(elev_max)) - math.sin(math.radians(elev_min)))
 
 
-def spherical_cap_area(half_angle: float) -> float:
-    """Analytic solid angle of a cap of the given half-angle (deg)."""
-    check_cap_half_angle(half_angle)
-    return 2.0 * math.pi * (1.0 - math.cos(math.radians(half_angle)))
-
-
 def reachable_keys(layout: KeyboardLayout, geometry: FingerGeometry,
                    mount: MountPose, calib: CalibrationSet,
                    axis: MotorAxis) -> list[Key]:
@@ -334,10 +328,6 @@ class BudgetReport:
     torque_required_nm: float
     torque_margin: float
     torque_pass: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return self.latency_pass and self.mass_pass and self.torque_pass
 
     def kv(self) -> dict:
         return {

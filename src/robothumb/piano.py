@@ -98,10 +98,6 @@ class KeyboardLayout:
         """Total tiled width of the white keys, mm."""
         return self.n_white * self.white_width
 
-    def black_extent(self, key: Key) -> tuple[float, float]:
-        half = self.black_width / 2.0
-        return (key.center_x - half, key.center_x + half)
-
 
 def key_at(x: float, depth: float, layout: KeyboardLayout) -> Key | None:
     """Key addressed at lateral position ``x`` (mm) and hand depth ``depth`` (mm).

@@ -7,7 +7,7 @@ import pytest
 from robothumb import synth
 from robothumb.analysis import (MAX_BINS, BudgetReport, budget_check, latency_stats,
                                 range_increase, solid_angle, sphere_partition,
-                                spherical_cap_area, workspace_from_limits)
+                                workspace_from_limits)
 from robothumb.errors import InputError
 
 FULL = 4.0 * math.pi
@@ -105,8 +105,10 @@ def test_workspace_from_limits():
 
 
 def test_cap_area():
-    assert spherical_cap_area(54.9) == pytest.approx(2.6703, abs=1e-4)
-    assert spherical_cap_area(180.0) == pytest.approx(FULL)
+    """The estimate of a cap's solid angle against the analytic area."""
+    assert CAP_549 == pytest.approx(2.6703, abs=1e-4)
+    dirs = synth.cap_directions(200_000, 54.9, seed=3)
+    assert solid_angle(dirs, 100_000) == pytest.approx(CAP_549, rel=0.02)
 
 
 def test_range_increase_default_fixture(cfg, calib):
@@ -163,7 +165,7 @@ def test_budget_check_defaults(cfg):
     assert report.mass_pass and report.configured_mass_g == 310.0
     assert report.torque_pass
     assert report.torque_margin == pytest.approx(3.89, abs=0.01)
-    assert not report.all_pass
+    assert not (report.latency_pass and report.mass_pass and report.torque_pass)
 
 
 def test_budget_check_mass_fail(cfg):
@@ -173,7 +175,7 @@ def test_budget_check_mass_fail(cfg):
 
 def test_budget_check_all_pass(cfg):
     report = budget_check(cfg, measured_latency_ms=75.0)
-    assert report.latency_pass and report.all_pass
+    assert report.latency_pass and report.mass_pass and report.torque_pass
     assert isinstance(report, BudgetReport)
     assert report.kv()["latency_pass"] == 1
 
