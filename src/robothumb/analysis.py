@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -89,9 +90,12 @@ def _read_unit_layout(path) -> np.ndarray | None:
     pages past the last row are never touched.
     """
     with open(path, "rb") as f:
-        if f.readline(6) != b"x,y,z\n":
+        info = os.fstat(f.fileno())
+        # a pipe has no size, and what is read from it here np.loadtxt cannot
+        # read again
+        if not stat.S_ISREG(info.st_mode) or f.readline(6) != b"x,y,z\n":
             return None
-        out = np.empty(os.fstat(f.fileno()).st_size // UNIT_ROW_BYTES * 3)
+        out = np.empty(info.st_size // UNIT_ROW_BYTES * 3)
         filled = 0
         rest = b""
         while chunk := f.read(DIRECTION_BLOCK_ROWS * UNIT_ROW_BYTES):
@@ -115,6 +119,9 @@ def _unit_values(text: bytes, out: np.ndarray) -> int | None:
     if len(slots) % UNIT_ROW_BYTES:
         return None
     slots = slots.reshape(-1, UNIT_VALUE_BYTES)
+    values = out[:len(slots)]
+    if len(values) < len(slots):  # the file grew while it was read
+        return None
     whole = slots[:, 0] - ord("0")  # uint8: a byte below "0" wraps past 9
     decimals = slots[:, 2:14] - ord("0")
     # where each sign byte would stand without the sign bytes before it: the
@@ -131,7 +138,6 @@ def _unit_values(text: bytes, out: np.ndarray) -> int | None:
     words = decimals.view("<u4")
     words = (words * 10 + (words >> 8)) & 0x00FF00FF
     words = (words * 100 + (words >> 16)) & 0xFFFF
-    values = out[:len(slots)]
     # counts of 1e-12 below 10**13 < 2**53 add up exactly in float64, and
     # 1e12 is exact, so the quotient is the correctly rounded decimal
     np.matmul(words, np.array([1e8, 1e4, 1.0]), out=values)

@@ -5,6 +5,7 @@ reader against ``np.loadtxt``."""
 
 import hashlib
 import math
+import os
 import re
 import warnings
 
@@ -309,3 +310,28 @@ def test_hand_written_files_read_as_loadtxt_reads_them(text, accepted, tmp_path)
         assert_same_bits(got, expected)
     else:
         assert got == expected
+
+
+def pipe_path(text: bytes) -> str:
+    """A path that reads ``text`` from a pipe, like the shell's ``<(cat file)``."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, text)  # within the pipe's buffer: no writer thread
+    os.close(write_end)
+    return f"/dev/fd/{read_end}"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_reads_as_loadtxt_reads_it():
+    """A pipe has no size and cannot be read twice; it goes to np.loadtxt
+    untouched."""
+    text = HEADER + ROW * 1_000  # more than one buffered read, less than a pipe holds
+    paths = [pipe_path(text), pipe_path(text)]
+    try:
+        expected, got = outcome(reference_load, paths[0]), outcome(load_directions, paths[1])
+    finally:
+        for path in paths:
+            os.close(int(path.rsplit("/", 1)[1]))
+    if isinstance(expected, str):
+        assert got == expected.replace(paths[0], paths[1])
+    else:
+        assert_same_bits(got, expected)
