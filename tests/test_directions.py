@@ -180,7 +180,7 @@ def loadtxt(path):
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
 
 
-# -0.0 and +-4e-13 print as -0.000000000000; the rest are not unit values
+# -0.0 and -4e-13 print as -0.000000000000; the last six are not unit values
 LOAD_SPECIAL = [-0.0, 1.0, -1.0, 4e-13, -4e-13, 1.5, 9.75, 12.5,
                 math.nan, math.inf, -math.inf]
 
@@ -208,7 +208,6 @@ def test_load_directions_matches_loadtxt(tmp_path_factory, rows, picks, signs, s
     assert_same_bits(load_directions(path), loadtxt(path))
 
 
-
 @pytest.mark.parametrize("rows", [1, DIRECTION_BLOCK_ROWS - 1, DIRECTION_BLOCK_ROWS,
                                   DIRECTION_BLOCK_ROWS + 1, 24_581])
 @pytest.mark.parametrize("signs", ["mixed", "negative"])
@@ -231,6 +230,7 @@ def test_writer_unit_files_read_without_loadtxt(rows, signs, tmp_path, monkeypat
 
     monkeypatch.setattr(np, "loadtxt", refuse)
     assert_same_bits(load_directions(path), expected)
+
 
 def reference_load(path):
     """``load_directions`` as first written: a header check, then one ``np.loadtxt``."""
