@@ -78,3 +78,23 @@ def test_outputs_match_golden_digests(name, mode, tmp_path):
     digests = {out: hashlib.sha256((tmp_path / "run" / out).read_bytes()).hexdigest()
                for out in OUTPUTS}
     assert digests == GOLDEN[name]
+
+
+# steps.csv of the scale trace sampled every 25 ms and simulated in 1 ms
+# steps: each command is sent from a state held for 25 steps, so the
+# horizontal axis stops short of its target and waits for the next send
+COARSE_SCALE_STEPS = "73f865e07e6d2554b378c62939927d50ab1f0d9a870db2016a4e482dea98f382"
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "concurrent"])
+def test_coarse_trace_steps_match_golden_digest(mode, tmp_path):
+    (tmp_path / "coarse.ini").write_text("[simulation]\ntimestep = 25\n")
+    run("synth", "calibration", "--out", tmp_path)
+    run("calibrate", "--trace", tmp_path / "calibration_trace.csv",
+        "--anchors", tmp_path / "anchors.txt", "--out", tmp_path)
+    run("synth", "scale", "--config", tmp_path / "coarse.ini", "--out", tmp_path)
+    run("simulate", "--trace", tmp_path / "scale_trace.csv",
+        "--calibration", tmp_path / "calibration.txt", "--mode", mode,
+        "--out", tmp_path / "run")
+    steps = (tmp_path / "run" / "steps.csv").read_bytes()
+    assert hashlib.sha256(steps).hexdigest() == COARSE_SCALE_STEPS

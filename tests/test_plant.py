@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from robothumb.errors import ConfigurationError, InputError
 from robothumb.plant import (MAX_COUNTS_PER_REV, MotorAxis, axis_step,
@@ -189,11 +189,49 @@ def schedules(draw):
     return axis, dt, runs, limits, sent, (angle, velocity), feedback
 
 
-@settings(max_examples=200, deadline=None)
-@given(schedules())
-def test_run_axis_equals_chained_axis_step(schedule):
-    """The fused loop's state after each step is the state chaining
-    ``axis_step`` gives, float for float, with and without feedback."""
+@st.composite
+def strided_schedules(draw):
+    """Feedback schedules as ``engine.run`` builds them from a trace sampled
+    slower than the timestep: each step's command is sent from a state a few
+    steps back, and that state is held for ``period`` steps, then jumps.
+
+    Runs are up to 300 steps long and setpoints a few hundred counts
+    apart, so within one run the axis moves and stops short of its target
+    once the sent count equals the setpoint. Setpoints revisit a few values
+    and some runs are short, so a run can also retarget the axis onto a count
+    it left a few steps back: the send state's count is then the setpoint
+    while the axis is elsewhere, and it must move again once later sends see
+    where it stopped.
+    """
+    axis = MotorAxis(gear_ratio=draw(st.sampled_from([1, 4, 16])),
+                     a_max=draw(st.sampled_from([1000.0, 100000.0])))
+    dt = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    period = draw(st.integers(1, 40))
+    lag = draw(st.integers(1, 30))
+    phase = draw(st.integers(0, period - 1))
+    setpoints = st.sampled_from(
+        [0] + draw(st.lists(st.integers(-600, 600), min_size=1, max_size=3)))
+    lengths = st.integers(1, 300) | st.integers(1, 30)
+    runs, k = [], 1
+    for length, setpoint in draw(st.lists(st.tuples(lengths, setpoints),
+                                          min_size=1, max_size=8)):
+        runs.append((k, k + length, setpoint))
+        k += length
+    sent = [min(k - 1, max(0, (k - lag - phase) // period * period + phase))
+            for k in range(1, k)]
+    start = (draw(st.sampled_from([0.0, -0.0])),
+             draw(st.sampled_from([0.0, -0.0, 35.0, -120.0])))
+    feedback = (draw(st.sampled_from([0.3, 0.01, 5.0]) | st.floats(0.01, 5.0)),
+                draw(st.sampled_from([400.0, 50.0, 1.0])))
+    return axis, dt, runs, None, sent, start, feedback
+
+
+def bits(values) -> list[int]:
+    """The float64 bit patterns of ``values``; ``-0.0`` differs from ``0.0``."""
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+def assert_run_axis_equals_chained_axis_step(schedule):
     axis, dt, runs, limits, sent, (angle, velocity), feedback = schedule
     n = runs[-1][1] - 1
     angles = array("d", [angle]) * (n + 1)
@@ -210,9 +248,31 @@ def test_run_axis_equals_chained_axis_step(schedule):
                 kp, v_cap = feedback
                 limit = min(kp * abs(setpoint - states[sent[k - 1]][2]), v_cap)
             states.append(axis_step(states[-1], setpoint, limit, dt, axis))
-    fused = list(zip(angles, velocities))
-    assert [(a, math.copysign(1.0, v)) for a, v in fused] == [
-        (a, math.copysign(1.0, v)) for a, v, _ in states]
-    assert fused == [(a, v) for a, v, _ in states]
+    assert bits(angles) == bits([a for a, _, _ in states])
+    assert bits(velocities) == bits([v for _, v, _ in states])
     assert encoder_count_column(np.frombuffer(angles), axis).tolist() == [
         c for _, _, c in states]
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules())
+def test_run_axis_equals_chained_axis_step(schedule):
+    """The fused loop's state after each step is the state chaining
+    ``axis_step`` gives, bit for bit, with and without feedback."""
+    assert_run_axis_equals_chained_axis_step(schedule)
+
+
+@settings(max_examples=200, deadline=None)
+@given(strided_schedules())
+# the axis stops with limit 0 over step 2, but step 3 is sent from that
+# stopped state, whose count is 1, not 0: the axis must move back
+@example((MotorAxis(), 1.0, [(1, 2, 37), (2, 4, 0)], None, [0, 0, 2],
+          (0.0, 0.0), (0.3, 50.0)))
+# the same stop, but step 3 is still sent from state 0: the axis moved
+# after that state, so it moves back over step 4
+@example((MotorAxis(), 1.0, [(1, 2, 37), (2, 5, 0)], None, [0, 0, 0, 3],
+          (0.0, 0.0), (0.3, 50.0)))
+def test_run_axis_equals_chained_axis_step_with_strided_sends(schedule):
+    """The same on feedback schedules whose axis stalls off target for long
+    stretches, with sends held for many steps as a coarse trace holds them."""
+    assert_run_axis_equals_chained_axis_step(schedule)
