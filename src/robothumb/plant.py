@@ -17,6 +17,7 @@ them from the angles afterwards.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,17 +121,24 @@ def run_axis(angles, velocities, runs, limits, dt: float, axis: MotorAxis,
 
     The state after step k is what chaining ``axis_step`` from
     ``(angles[0], velocities[0])`` gives; its angle and velocity go to
-    ``angles[k]`` and ``velocities[k]``, buffers one longer than the number
-    of steps. ``runs`` yields ``(first, stop, setpoint)`` for each run of
-    steps ``first .. stop - 1`` under one setpoint, in step order from 1.
-    ``limits[k - 1]`` is the profile velocity over step k; with ``feedback
-    = (kp, v_cap)`` it is instead the buffer index of the state the step's
-    command was sent from, and the velocity is ``min(kp * |setpoint -
+    ``angles[k]`` and ``velocities[k]``, ``array('d')`` buffers one longer
+    than the number of steps. ``runs`` yields ``(first, stop, setpoint)``
+    for each run of steps ``first .. stop - 1`` under one setpoint, in step
+    order from 1. ``limits[k - 1]`` is the profile velocity over step k;
+    with ``feedback = (kp, v_cap)``, both positive, it is instead the buffer
+    index of the state the step's command was sent from, below k and never
+    decreasing with k, and the velocity is ``min(kp * |setpoint -
     encoder_count|, v_cap)`` with that state's count.
 
     The loop only writes into the buffers it is given, so it grows no
     container wherever it runs. Once the axis rests on its setpoint it
-    holds that state, with no arithmetic, until the setpoint changes.
+    holds that state, with no arithmetic, until the setpoint changes. A
+    feedback axis can also stop short of its setpoint, up to half a count
+    away, once the sent count equals the setpoint. It holds that state in
+    the same way from step k on when, at step k, its velocity is zero, the
+    profile velocity from send state ``s = limits[k - 1]`` is exactly zero
+    and the angle has not changed over states s .. k - 1: every later send
+    of the run then reads that same angle, so no later step moves the axis.
     """
     cpr = counts_per_output_rev(axis)
     dt_s = dt / 1000.0
@@ -148,20 +156,25 @@ def run_axis(angles, velocities, runs, limits, dt: float, axis: MotorAxis,
             dist = target - angle
             if dist == 0.0:
                 if velocity == 0.0:  # at rest on the setpoint until it changes
-                    for j in range(k, stop):
-                        angles[j] = angle
-                        velocities[j] = velocity
                     break
                 velocity = 0.0
             else:
                 if kp is None:
                     limit = limits[k - 1]
                 else:
-                    x = angles[limits[k - 1]] * cpr / 360.0
+                    sent = limits[k - 1]
+                    x = angles[sent] * cpr / 360.0
                     count = floor(x + 0.5) if x >= 0 else -floor(-x + 0.5)
                     limit = kp * abs(setpoint - count)
                     if v_cap < limit:
                         limit = v_cap
+                    # the window's first angle alone rules out most stops
+                    # that follow a move, without building the slice
+                    if (limit == 0.0 and velocity == 0.0 and angles[sent] == angle
+                            and angles[sent:k].count(angle) == k - sent):
+                        # stalled off target until the setpoint changes
+                        velocity = copysign(0.0, dist)
+                        break
                 if v_max < limit:
                     limit = v_max
                 stoppable = sqrt(two_a_max * abs(dist))
@@ -181,6 +194,11 @@ def run_axis(angles, velocities, runs, limits, dt: float, axis: MotorAxis,
                     angle += move
             angles[k] = angle
             velocities[k] = velocity
+        else:
+            continue
+        # the loop broke at step k to hold the state to the end of the run
+        angles[k:stop] = array("d", [angle]) * (stop - k)
+        velocities[k:stop] = array("d", [velocity]) * (stop - k)
 
 
 def torque_margin(required: float, axis: MotorAxis) -> float:
