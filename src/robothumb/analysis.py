@@ -59,15 +59,13 @@ def load_directions(path) -> np.ndarray:
 
 def _loadtxt_directions(path) -> np.ndarray:
     try:
-        with open(path, encoding="utf-8") as f:
-            header = f.readline().rstrip("\n")
-        if header != "x,y,z":
-            raise InputError(f"{path}: first line must be the header x,y,z")
-        with warnings.catch_warnings():
+        with open(path, encoding="utf-8") as f, warnings.catch_warnings():
+            if f.readline().rstrip("\n") != "x,y,z":
+                raise InputError(f"{path}: first line must be the header x,y,z")
             # a header-only file is reported as an empty set by the caller
             warnings.simplefilter("ignore", UserWarning)
-            # from the path, not the open file: numpy parses a path faster
-            return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+            # the open file, not the path: a pipe cannot be read again
+            return np.loadtxt(f, delimiter=",", skiprows=0, ndmin=2,
                               encoding="utf-8")
     except ValueError as exc:  # unparsable text, undecodable bytes included
         raise InputError(f"{path}: {exc}") from None
