@@ -1,4 +1,3 @@
-import math
 from array import array
 from fractions import Fraction
 
