@@ -1,5 +1,7 @@
 """Command-line entry point: synth, calibrate, simulate, analyze.
 
+Every synth scenario and analyze subject has a parser of its own.
+
 Exit codes: 0 success, 1 usage error, 2 validation error (bad config,
 trace or calibration), 3 runtime failure.
 """
@@ -8,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -24,10 +27,6 @@ VALIDATION_EXIT = 2
 RUNTIME_EXIT = 3
 
 
-class UsageError(Exception):
-    """A required option is missing for the chosen subcommand."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -36,15 +35,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config(args) -> GlobalConfig:
     cfg = load_config(args.config) if args.config else default_config()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "mode", None):
-        overrides["mode"] = args.mode
-    if overrides:
-        cfg = dataclasses.replace(
-            cfg, simulation=dataclasses.replace(cfg.simulation, **overrides))
-    return cfg
+    if args.seed is None:
+        return cfg
+    return dataclasses.replace(
+        cfg, simulation=dataclasses.replace(cfg.simulation, seed=args.seed))
 
 
 def _out_dir(args) -> Path:
@@ -64,55 +58,57 @@ def _key_indices(text: str) -> list[int]:
     return keys
 
 
-def _cmd_synth(args) -> int:
-    cfg = _load_config(args)
+def _synth_calibration(args, cfg: GlobalConfig) -> None:
     out = _out_dir(args)
-    if args.scenario == "calibration":
-        trace = synth.calibration_trace(cfg)
-        trace_path = out / "calibration_trace.csv"
-        anchors_path = out / "anchors.txt"
-        save_trace(trace, trace_path)
-        write_kv_file(synth.anchors_from_config(cfg), anchors_path)
-        print(f"wrote {trace_path}")
-        print(f"wrote {anchors_path}")
-    elif args.scenario == "press":
-        if args.key is None:
-            raise UsageError("synth press requires --key")
-        trace = synth.press_trace(cfg, args.key, speed=args.speed,
-                                  repeat=args.repeat, flex_noise=args.flex_noise,
-                                  seed=cfg.simulation.seed)
-        path = out / "press_trace.csv"
-        save_trace(trace, path)
-        print(f"wrote {path}")
-    elif args.scenario == "scale":
-        keys = _key_indices(args.keys) if args.keys else None
-        if keys is None:
-            calib = calibrate_from_trace(synth.calibration_trace(cfg),
-                                         synth.anchors_from_config(cfg))
-            reachable = analysis.reachable_keys(cfg.layout, cfg.geometry,
-                                                cfg.mount, calib, cfg.axis)
-            keys = [k.index for k in reachable if k.color == "white"]
-        trace = synth.scale_trace(cfg, keys, speed=args.speed)
-        path = out / "scale_trace.csv"
-        save_trace(trace, path)
-        print(f"wrote {path}")
-    else:  # sweep
-        if args.shape == "band":
-            dirs = synth.band_sweep_directions(
-                args.samples, azimuth_span=args.azimuth,
-                elev_min=args.elev_min, elev_max=args.elev_max,
-                seed=cfg.simulation.seed)
-            path = out / "band_directions.csv"
-        else:
-            dirs = synth.cap_directions(args.samples, half_angle=args.half_angle,
-                                        seed=cfg.simulation.seed)
-            path = out / "cap_directions.csv"
-        analysis.save_directions(dirs, path)
-        print(f"wrote {path}")
-    return 0
+    trace_path = out / "calibration_trace.csv"
+    anchors_path = out / "anchors.txt"
+    save_trace(synth.calibration_trace(cfg), trace_path)
+    write_kv_file(synth.anchors_from_config(cfg), anchors_path)
+    print(f"wrote {trace_path}")
+    print(f"wrote {anchors_path}")
 
 
-def _cmd_calibrate(args) -> int:
+def _synth_press(args, cfg: GlobalConfig) -> None:
+    out = _out_dir(args)
+    trace = synth.press_trace(cfg, args.key, speed=args.speed,
+                              repeat=args.repeat, flex_noise=args.flex_noise,
+                              seed=cfg.simulation.seed)
+    path = out / "press_trace.csv"
+    save_trace(trace, path)
+    print(f"wrote {path}")
+
+
+def _synth_scale(args, cfg: GlobalConfig) -> None:
+    out = _out_dir(args)
+    if args.keys:
+        keys = _key_indices(args.keys)
+    else:
+        calib = calibrate_from_trace(synth.calibration_trace(cfg),
+                                     synth.anchors_from_config(cfg))
+        reachable = analysis.reachable_keys(cfg.layout, cfg.geometry,
+                                            cfg.mount, calib, cfg.axis)
+        keys = [k.index for k in reachable if k.color == "white"]
+    path = out / "scale_trace.csv"
+    save_trace(synth.scale_trace(cfg, keys, speed=args.speed), path)
+    print(f"wrote {path}")
+
+
+def _synth_sweep(args, cfg: GlobalConfig) -> None:
+    out = _out_dir(args)
+    if args.shape == "band":
+        dirs = synth.band_sweep_directions(
+            args.samples, azimuth_span=args.azimuth,
+            elev_min=args.elev_min, elev_max=args.elev_max,
+            seed=cfg.simulation.seed)
+    else:
+        dirs = synth.cap_directions(args.samples, half_angle=args.half_angle,
+                                    seed=cfg.simulation.seed)
+    path = out / f"{args.shape}_directions.csv"
+    analysis.save_directions(dirs, path)
+    print(f"wrote {path}")
+
+
+def _calibrate(args, cfg: GlobalConfig) -> None:
     trace = load_trace(args.trace)
     calib = calibrate_from_trace(trace, read_kv_file(args.anchors))
     out = _out_dir(args)
@@ -121,21 +117,20 @@ def _cmd_calibrate(args) -> int:
     for name, value in dataclasses.asdict(calib).items():
         print(f"{name} = {value}")
     print(f"wrote {path}")
-    return 0
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+def _simulate(args, cfg: GlobalConfig) -> None:
+    if args.mode:
+        cfg = dataclasses.replace(
+            cfg, simulation=dataclasses.replace(cfg.simulation, mode=args.mode))
     trace = load_trace(args.trace)
     calib = load_calibration(args.calibration)
     log = engine.run(trace, calib, cfg)
     out = _out_dir(args)
-    events_path = out / "events.csv"
-    steps_path = out / "steps.csv"
-    latency_path = out / "latency.csv"
-    engine.write_event_csv(log, events_path)
-    engine.write_step_csv(log, steps_path)
-    engine.write_latency_csv(log, latency_path)
+    paths = [out / "events.csv", out / "steps.csv", out / "latency.csv"]
+    engine.write_event_csv(log, paths[0])
+    engine.write_step_csv(log, paths[1])
+    engine.write_latency_csv(log, paths[2])
     print(f"events: {len(log.events)}  latency records: {len(log.latencies)}  "
           f"air presses: {len(log.air_presses)}")
     if args.verbose:
@@ -143,14 +138,11 @@ def _cmd_simulate(args) -> int:
             velocity = "" if e.velocity is None else f" velocity {e.velocity}"
             print(f"  {e.t:9.1f} ms  {e.kind:<3} key {e.key_index} "
                   f"({note_name(MIDI_A0 + e.key_index)}){velocity}")
-    print(f"wrote {events_path}")
-    print(f"wrote {steps_path}")
-    print(f"wrote {latency_path}")
     if args.midi:
-        midi_path = out / "output.mid"
-        midi.write_midi(log.events, midi_path)
-        print(f"wrote {midi_path}")
-    return 0
+        paths.append(out / "output.mid")
+        midi.write_midi(log.events, paths[3])
+    for path in paths:
+        print(f"wrote {path}")
 
 
 def _solid_angle(path, n_bins: int) -> tuple[float, int]:
@@ -162,134 +154,131 @@ def _solid_angle(path, n_bins: int) -> tuple[float, int]:
         raise InputError(f"{path}: {exc}") from None
 
 
-def _cmd_analyze(args) -> int:
-    cfg = _load_config(args)
+def _latency_stats(path) -> analysis.LatencyStats:
+    """Statistics of the delays in a latency CSV written by ``simulate``."""
+    return analysis.latency_stats([r.delay for r in engine.read_latency_csv(path)])
+
+
+def _analyze_workspace(args, cfg: GlobalConfig) -> None:
     out = _out_dir(args)
-    if args.what == "workspace":
-        if not args.dirs:
-            raise UsageError("analyze workspace requires --dirs")
-        estimate, count = _solid_angle(args.dirs, args.bins)
-        report = {"solid_angle_sr": round(estimate, 4), "n_bins": args.bins,
-                  "n_directions": count}
-        print(f"solid angle: {estimate:.4f} sr over {count} directions "
-              f"({args.bins} bins)")
-        if args.ref_dirs:
-            ref, _ = _solid_angle(args.ref_dirs, args.bins)
-            report["ref_solid_angle_sr"] = round(ref, 4)
-            report["ratio"] = round(estimate / ref, 4)
-            print(f"reference:   {ref:.4f} sr; ratio {estimate / ref:.3f}")
-        write_kv_file(report, out / "workspace_report.txt")
-    elif args.what == "latency":
-        if not args.latency:
-            raise UsageError("analyze latency requires --latency")
-        records = engine.read_latency_csv(args.latency)
-        stats = analysis.latency_stats([r.delay for r in records])
-        flag = "EXCEEDED" if stats.over_budget else "within budget"
-        print(f"latency over {stats.count} presses: mean {stats.mean:.2f} ms, "
-              f"stddev {stats.stddev:.2f} ms, max {stats.max:.2f} ms "
-              f"({analysis.LATENCY_BUDGET_MS:.0f} ms budget {flag})")
-        write_kv_file({"mean_ms": round(stats.mean, 3),
-                       "stddev_ms": round(stats.stddev, 3),
-                       "max_ms": round(stats.max, 3),
-                       "count": stats.count,
-                       "over_budget": int(stats.over_budget)},
-                      out / "latency_report.txt")
-    elif args.what == "range":
-        if not args.calibration:
-            raise UsageError("analyze range requires --calibration")
-        calib = load_calibration(args.calibration)
-        notes = analysis.range_increase(cfg.mount, cfg.geometry, calib,
-                                        cfg.layout, cfg.axis, cfg.pinkie_reach_x)
-        print(f"whole notes beyond the pinkie: {notes}")
-        write_kv_file({"whole_notes_beyond_pinkie": notes},
-                      out / "range_report.txt")
-    else:  # budget
-        measured = None
-        if args.latency:
-            records = engine.read_latency_csv(args.latency)
-            measured = analysis.latency_stats([r.delay for r in records]).mean
-        report = analysis.budget_check(cfg, measured)
-        for line in report.lines():
-            print(line)
-        write_kv_file(report.kv(), out / "budget_report.txt")
-    return 0
+    estimate, count = _solid_angle(args.dirs, args.bins)
+    report = {"solid_angle_sr": round(estimate, 4), "n_bins": args.bins,
+              "n_directions": count}
+    print(f"solid angle: {estimate:.4f} sr over {count} directions "
+          f"({args.bins} bins)")
+    if args.ref_dirs:
+        ref, _ = _solid_angle(args.ref_dirs, args.bins)
+        report["ref_solid_angle_sr"] = round(ref, 4)
+        report["ratio"] = round(estimate / ref, 4)
+        print(f"reference:   {ref:.4f} sr; ratio {estimate / ref:.3f}")
+    write_kv_file(report, out / "workspace_report.txt")
 
 
+def _analyze_latency(args, cfg: GlobalConfig) -> None:
+    out = _out_dir(args)
+    stats = _latency_stats(args.latency)
+    flag = "EXCEEDED" if stats.over_budget else "within budget"
+    print(f"latency over {stats.count} presses: mean {stats.mean:.2f} ms, "
+          f"stddev {stats.stddev:.2f} ms, max {stats.max:.2f} ms "
+          f"({analysis.LATENCY_BUDGET_MS:.0f} ms budget {flag})")
+    write_kv_file({"mean_ms": round(stats.mean, 3), "stddev_ms": round(stats.stddev, 3),
+                   "max_ms": round(stats.max, 3), "count": stats.count,
+                   "over_budget": int(stats.over_budget)}, out / "latency_report.txt")
+
+
+def _analyze_range(args, cfg: GlobalConfig) -> None:
+    out = _out_dir(args)
+    calib = load_calibration(args.calibration)
+    notes = analysis.range_increase(cfg.mount, cfg.geometry, calib,
+                                    cfg.layout, cfg.axis, cfg.pinkie_reach_x)
+    print(f"whole notes beyond the pinkie: {notes}")
+    write_kv_file({"whole_notes_beyond_pinkie": notes}, out / "range_report.txt")
+
+
+def _analyze_budget(args, cfg: GlobalConfig) -> None:
+    out = _out_dir(args)
+    measured = _latency_stats(args.latency).mean if args.latency else None
+    report = analysis.budget_check(cfg, measured)
+    print(*report.lines(), sep="\n")
+    write_kv_file(report.kv(), out / "budget_report.txt")
+
+
+@functools.cache
 def build_parser() -> _Parser:
-    parser = _Parser(prog="robothumb",
-                     description="Robotic thumb piano pipeline simulator")
+    """The parser of every command; built once, since parsing leaves it unchanged."""
+    parser = _Parser(prog="robothumb", description="Robotic thumb piano pipeline simulator")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="configuration file (defaults built in)")
     common.add_argument("--seed", type=int, help="override the configured seed")
     common.add_argument("--out", default=".", help="output directory")
 
+    def command(group, name, func, text):
+        p = group.add_parser(name, parents=[common], help=text)
+        p.set_defaults(func=func)
+        return p
+
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", parents=[common],
-                             help="generate gesture traces and sweep fixtures")
-    p_synth.add_argument("scenario", choices=["calibration", "press", "scale", "sweep"])
-    p_synth.add_argument("--key", type=int, help="key index for press")
-    p_synth.add_argument("--speed", default="0.5",
-                         help="press speed in (0, 1] or 'max'")
-    p_synth.add_argument("--repeat", type=int, default=1)
-    p_synth.add_argument("--flex-noise", type=float, default=0.0,
+    p_synth = sub.add_parser("synth", help="generate gesture traces and sweep fixtures")
+    scenarios = p_synth.add_subparsers(dest="scenario", required=True)
+    command(scenarios, "calibration", _synth_calibration, "labeled trace and anchors")
+    p_press = command(scenarios, "press", _synth_press, "repeated presses of one key")
+    p_press.add_argument("--key", type=int, required=True, help="key index")
+    p_press.add_argument("--repeat", type=int, default=1)
+    p_press.add_argument("--flex-noise", type=float, default=0.0,
                          help="flex channel noise sigma in ADC codes")
-    p_synth.add_argument("--keys", help="comma-separated key indices for scale")
-    p_synth.add_argument("--shape", choices=["band", "cap"], default="band")
-    p_synth.add_argument("--samples", type=int, default=600_000)
-    p_synth.add_argument("--azimuth", type=float, default=360.0)
-    p_synth.add_argument("--elev-min", type=float, default=-60.0)
-    p_synth.add_argument("--elev-max", type=float, default=60.0)
-    p_synth.add_argument("--half-angle", type=float, default=54.9)
-    p_synth.set_defaults(func=_cmd_synth)
+    p_scale = command(scenarios, "scale", _synth_scale, "one press per key in turn")
+    p_scale.add_argument("--keys", help="comma-separated key indices "
+                         "(default: the reachable white keys)")
+    for p in (p_press, p_scale):
+        p.add_argument("--speed", default="0.5", help="press speed in (0, 1] or 'max'")
+    p_sweep = command(scenarios, "sweep", _synth_sweep, "uniform direction set")
+    p_sweep.add_argument("--shape", choices=["band", "cap"], default="band")
+    p_sweep.add_argument("--samples", type=int, default=600_000)
+    p_sweep.add_argument("--azimuth", type=float, default=360.0)
+    p_sweep.add_argument("--elev-min", type=float, default=-60.0)
+    p_sweep.add_argument("--elev-max", type=float, default=60.0)
+    p_sweep.add_argument("--half-angle", type=float, default=54.9)
 
-    p_cal = sub.add_parser("calibrate", parents=[common],
-                           help="compute calibration anchors from a labeled trace")
+    p_cal = command(sub, "calibrate", _calibrate, "calibration file from a labeled trace")
     p_cal.add_argument("--trace", required=True)
     p_cal.add_argument("--anchors", required=True,
                        help="encoder anchor file from the calibration poses")
-    p_cal.set_defaults(func=_cmd_calibrate)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
-                           help="run a trace through the full pipeline")
+    p_sim = command(sub, "simulate", _simulate, "run a trace through the full pipeline")
     p_sim.add_argument("--trace", required=True)
     p_sim.add_argument("--calibration", required=True)
-    p_sim.add_argument("--mode", choices=["deterministic", "concurrent"],
+    p_sim.add_argument("--mode", choices=engine.MODES,
                        help="override the configured execution mode")
     p_sim.add_argument("--midi", action="store_true", help="also write a MIDI file")
     p_sim.add_argument("--verbose", action="store_true",
                        help="also print one line per key event")
-    p_sim.set_defaults(func=_cmd_simulate)
 
-    p_an = sub.add_parser("analyze", parents=[common],
-                          help="workspace | latency | range | budget")
-    p_an.add_argument("what", choices=["workspace", "latency", "range", "budget"])
-    p_an.add_argument("--dirs", help="direction-set CSV for workspace")
-    p_an.add_argument("--ref-dirs", help="reference direction-set CSV for the ratio")
-    p_an.add_argument("--bins", type=int, default=100_000)
-    p_an.add_argument("--latency", help="latency CSV from a simulate run")
-    p_an.add_argument("--calibration", help="calibration file for range")
-    p_an.set_defaults(func=_cmd_analyze)
+    p_analyze = sub.add_parser("analyze", help="workspace | latency | range | budget")
+    subjects = p_analyze.add_subparsers(dest="what", required=True)
+    p_ws = command(subjects, "workspace", _analyze_workspace, "direction-set solid angle")
+    p_ws.add_argument("--dirs", required=True, help="direction-set CSV")
+    p_ws.add_argument("--ref-dirs", help="reference direction-set CSV for the ratio")
+    p_ws.add_argument("--bins", type=int, default=100_000)
+    command(subjects, "latency", _analyze_latency, "latency statistics and budget"
+            ).add_argument("--latency", required=True, help="latency CSV from simulate")
+    command(subjects, "range", _analyze_range, "whole notes reached beyond the pinkie"
+            ).add_argument("--calibration", required=True, help="calibration file")
+    command(subjects, "budget", _analyze_budget, "latency, mass and torque budgets"
+            ).add_argument("--latency", help="latency CSV from simulate")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except RobothumbError as exc:
+        args.func(args, _load_config(args))
+    except (RobothumbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return VALIDATION_EXIT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RUNTIME_EXIT
+        return VALIDATION_EXIT if isinstance(exc, RobothumbError) else RUNTIME_EXIT
+    return 0
 
 
 if __name__ == "__main__":

@@ -60,6 +60,7 @@ from .errors import ConfigurationError, InputError
 from .piano import Key, KeyEvent, MIDI_A0, key_at, note_name
 from .sensors import TRACE_BLOCK_ROWS, SensorTrace, column_strings, round_half_up
 
+MODES = ("deterministic", "concurrent")  # execution modes; see the module docstring
 # a run, or a synthesized trace, of more steps is rejected before any
 # per-step column is allocated
 MAX_STEPS = 10_000_000
@@ -109,7 +110,7 @@ class LatencyConfig:
 class SimulationConfig:
     timestep: float = 1.0        # ms
     seed: int = 0
-    mode: str = "deterministic"  # "deterministic" | "concurrent"
+    mode: str = "deterministic"  # one of MODES
     latency: LatencyConfig = field(default_factory=LatencyConfig)
     settle_tail_ms: float = 200.0  # extra time simulated past the last sample
 
@@ -118,8 +119,8 @@ class SimulationConfig:
             raise ConfigurationError("timestep must be positive")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
-        if self.mode not in ("deterministic", "concurrent"):
-            raise ConfigurationError("mode must be deterministic or concurrent")
+        if self.mode not in MODES:
+            raise ConfigurationError(f"mode must be {' or '.join(MODES)}")
         if self.settle_tail_ms < 0:
             raise ConfigurationError("settle_tail_ms must be non-negative")
 

@@ -144,9 +144,12 @@ def calibration_trace(cfg: GlobalConfig) -> SensorTrace:
 
 
 def _press_speed(speed) -> float:
-    value = 1.0 if speed == "max" else float(speed)
+    try:
+        value = 1.0 if speed == "max" else float(speed)
+    except ValueError:
+        value = math.nan
     if not 0.0 < value <= 1.0:
-        raise InputError("press speed must be in (0, 1] or 'max'")
+        raise InputError(f"press speed {speed!r} must be in (0, 1] or 'max'")
     return value
 
 
@@ -191,6 +194,8 @@ def press_trace(cfg: GlobalConfig, key_index: int, speed=0.5, repeat: int = 1,
         raise InputError(f"key index {key_index} outside the keyboard")
     if repeat < 1:
         raise InputError("repeat must be >= 1")
+    if not 0.0 <= flex_noise < math.inf:  # also False for NaN
+        raise InputError(f"flex noise sigma {flex_noise} must be finite and >= 0")
     s = _press_speed(speed)
     flex_target = flex_code_for_key(cfg, cfg.layout.keys[key_index],
                                     anchors_from_config(cfg))

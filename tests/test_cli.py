@@ -1,8 +1,15 @@
 import hashlib
+import runpy
+from pathlib import Path
 
 import pytest
 
+from robothumb import cli
 from robothumb.cli import main
+
+# the benchmark's flows, run from its file without importing the rest of it
+BENCH_WORKLOADS = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
 
 
 def run(*argv):
@@ -411,3 +418,67 @@ def test_gear_ratio_beyond_exact_counts_exits_2(tmp_path, capsys):
     assert "[axes] encoder_cpr * quadrature * gear_ratio must be at most 2**53" in (
         capsys.readouterr().err)
     assert not (tmp_path / "budget_report.txt").exists()
+
+
+LATENCY_CSV = "intention_ms,action_ms,delay_ms\n900.000,985.000,85.000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "calibration", "--samples", 5),
+    ("synth", "scale", "--repeat", 3),
+    ("synth", "sweep", "--samples", 10, "--key", 3),
+    ("analyze", "latency", "--latency", "{latency}", "--dirs", "x"),
+    ("analyze", "range", "--calibration", "{calibration}", "--bins", 7),
+], ids=["calibration-samples", "scale-repeat", "sweep-key", "latency-dirs", "range-bins"])
+def test_flag_not_read_by_the_command_exits_1(argv, workdir, tmp_path, capsys):
+    """Each scenario and subject accepted every flag of its command and ignored
+    the ones it does not read."""
+    (tmp_path / "latency.csv").write_text(LATENCY_CSV)
+    files = {"latency": tmp_path / "latency.csv",
+             "calibration": workdir / "calibration.txt"}
+    argv = [str(a).format(**files) for a in argv]
+    assert run(*argv, "--out", tmp_path / "out") == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [None, "[mount]\nno_such_key = 1\n"],
+                         ids=["missing", "unknown-key"])
+def test_calibrate_checks_its_config(text, workdir, tmp_path, capsys):
+    config = tmp_path / "calibrate.ini"
+    if text is not None:
+        config.write_text(text)
+    assert run("calibrate", "--trace", workdir / "calibration_trace.csv",
+               "--anchors", workdir / "anchors.txt", "--config", config,
+               "--out", tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "calibration.txt").exists()
+
+
+@pytest.mark.parametrize("scenario", [("press", "--key", 46), ("scale", "--keys", "44,46")],
+                         ids=["press", "scale"])
+def test_non_numeric_speed_exits_2(scenario, tmp_path, capsys):
+    """--speed abc ended in a ValueError traceback, exit 1."""
+    assert run("synth", *scenario, "--speed", "abc", "--out", tmp_path) == 2
+    assert "press speed 'abc' must be in (0, 1]" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_trace.csv"))
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-3"])
+def test_flex_noise_not_finite_and_non_negative_exits_2(sigma, tmp_path, capsys):
+    """nan and -3 wrote a noise-free trace; inf wrote flex codes of 4095 and 0."""
+    assert run("synth", "press", "--key", 46, "--flex-noise", sigma,
+               "--out", tmp_path) == 2
+    assert f"flex noise sigma {float(sigma)} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "press_trace.csv").exists()
+
+
+@pytest.mark.parametrize("size", sorted(BENCH_WORKLOADS["SIZES"]))
+@pytest.mark.parametrize("workload", BENCH_WORKLOADS["WORKLOADS"])
+def test_benchmark_steps_parse(workload, size, tmp_path):
+    """An argv of the benchmark that stopped parsing would fail every pass."""
+    flow = BENCH_WORKLOADS["build_flow"](workload, 0, size, tmp_path)
+    for argv in flow.steps:
+        args = cli.build_parser().parse_args(argv)
+        words = argv[:2] if argv[0] in ("synth", "analyze") else argv[:1]
+        assert args.func is getattr(cli, "_" + "_".join(words)), argv
