@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import runpy
 from pathlib import Path
 
@@ -7,9 +8,11 @@ import pytest
 from robothumb import cli
 from robothumb.cli import main
 
-# the benchmark's flows, run from its file without importing the rest of it
-BENCH_WORKLOADS = runpy.run_path(
-    str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+# the benchmark's flows and tracer, each run from its file without importing
+# the rest of the benchmark
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCH_WORKLOADS = runpy.run_path(str(PERFBENCH / "workloads.py"))
+BENCH_TRACER = runpy.run_path(str(PERFBENCH / "tracer.py"))
 
 
 def run(*argv):
@@ -482,3 +485,11 @@ def test_benchmark_steps_parse(workload, size, tmp_path):
         args = cli.build_parser().parse_args(argv)
         words = argv[:2] if argv[0] in ("synth", "analyze") else argv[:1]
         assert args.func is getattr(cli, "_" + "_".join(words)), argv
+
+
+@pytest.mark.parametrize("module,attribute",
+                         sorted({target[:2] for target in BENCH_TRACER["TARGETS"]}))
+def test_tracer_targets_resolve(module, attribute):
+    """Each function the benchmark tracer wraps is found where the tracer
+    looks it up: a renamed or moved one would crash a traced pass."""
+    assert callable(getattr(importlib.import_module(f"robothumb.{module}"), attribute))

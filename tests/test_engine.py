@@ -378,6 +378,18 @@ def test_step_csv_matches_per_row_format(tmp_path_factory, columns):
     assert path.read_text() == per_row_step_text(log.steps)
 
 
+@pytest.mark.parametrize("t", [[0.0, 1.0, 2.0**53 - 1], [1.0, 2.0**53], [1.0, 2.0**63],
+                               [-0.0, 1.0], [1.0, math.inf], [1.0, math.nan],
+                               [1.0, 1e300], [1.0, 2.5]],
+                         ids=["below-2**53", "2**53", "2**63", "minus-zero", "inf", "nan",
+                              "1e300", "fraction"])
+def test_step_csv_whole_times_match_per_row_format(t, tmp_path):
+    n = len(t)
+    log = step_log(t, [0] * n, [0] * n, [0.0] * n, [0.0] * n)
+    engine.write_step_csv(log, tmp_path / "steps.csv")
+    assert (tmp_path / "steps.csv").read_text() == per_row_step_text(log.steps)
+
+
 def assert_same_text(text, expected):
     """``text == expected``, a mismatch reported at its first differing line
     rather than as a diff of the whole file."""

@@ -1,7 +1,8 @@
 """Sensor-trace CSVs: golden digests of the synthesized traces, the trace
-writer's text against ``csv.writer``'s, the loader against arbitrary input
-and at each point where it parts from ``csv.reader``, and the sample count
-that the benchmark tracer reads as ``len(trace.samples)``."""
+writer's text against ``csv.writer``'s, the loader against arbitrary input,
+at each point where it parts from ``csv.reader`` and against the loader as
+first written (``reference_load``), and the sample count that the benchmark
+tracer reads as ``len(trace.samples)``."""
 
 import csv
 import hashlib
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 from robothumb import default_config, synth
 from robothumb.cli import main
 from robothumb.errors import InputError, RobothumbError, TraceFormatError
-from robothumb.sensors import (TRACE_HEADER, SensorTrace, load_trace,
-                               save_trace)
+from robothumb.sensors import (SAMPLE_DTYPE, TRACE_HEADER, SensorTrace,
+                               load_trace, save_trace)
 
 REAR_CONFIG = "[mount]\ndepth = 60\n"
 
@@ -127,6 +128,16 @@ def test_save_trace_matches_csv_writer_at_block_edges(n, tmp_path):
     save_trace(SensorTrace.from_columns(*rows, 1.0), tmp_path / "trace.csv")
     text = (tmp_path / "trace.csv").read_bytes().decode("utf-8")
     assert_same_text(text, csv_writer_text(*rows))
+
+
+@pytest.mark.parametrize("t", [[0.0, 1.0, 2.0], [-0.0, 1.0], [999_998.0, 999_999.0],
+                               [999_999.0, 1e6], [0.5, 1.0], [1e15, 1e15 + 1]],
+                         ids=["whole", "minus-zero", "below-1e6", "1e6", "half", "1e15"])
+def test_save_trace_spells_times_as_csv_writer(t, tmp_path):
+    n = len(t)
+    rows = [t, [0] * n, [0] * n, [0] * n, [""] * n]
+    save_trace(SensorTrace.from_columns(*rows, t[1] - t[0]), tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes().decode("utf-8") == csv_writer_text(*rows)
 
 
 def times_trace(t) -> SensorTrace:
@@ -274,6 +285,179 @@ def test_loader_rejects_undecodable_bytes(tmp_path):
     path.write_bytes(f"{HEADER}\n0,1,2,3,\xff\n1,1,2,3,\n".encode("latin-1"))
     with pytest.raises(TraceFormatError, match="codec can't decode"):
         load_trace(path)
+
+
+def reference_load(path) -> SensorTrace:
+    """``load_trace`` as first written: universal newlines, blank lines
+    skipped, ``float()`` for each time and ``int()`` for each code."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")
+        if lines[0] != HEADER:
+            raise TraceFormatError(f"expected header {HEADER}")
+        rows = list(filter(None, lines[1:]))
+        if len(rows) < 2:
+            raise TraceFormatError("trace needs at least two samples")
+        try:
+            t, *codes, labels = reference_columns(rows)
+        except ValueError:
+            for lineno, line in enumerate(lines[1:], start=2):  # the first bad line
+                try:
+                    if line:
+                        reference_columns([line])
+                except ValueError as exc:
+                    raise TraceFormatError(f"line {lineno}: {exc}") from None
+            raise
+        return SensorTrace.from_columns(t, *codes, labels, t[1] - t[0])
+    except (UnicodeDecodeError, TraceFormatError) as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
+
+
+def reference_columns(rows: list[str]) -> list:
+    if any(row.count(",") != 4 for row in rows):
+        raise ValueError("expected 5 columns")
+    fields = ",".join(rows).split(",")
+    t = [float(s) for s in fields[0::5]]
+    codes = []
+    for column in (fields[1::5], fields[2::5], fields[3::5]):
+        try:
+            codes.append(np.array([int(s) for s in column], np.int64))
+        except OverflowError:
+            raise ValueError("ADC code does not fit int64") from None
+    return [t, *codes, fields[4::5]]
+
+
+def trace_outcome(load, path):
+    """The trace ``load`` returns, or the message of its ``TraceFormatError``."""
+    try:
+        return load(path)
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+def assert_loads_as_reference(path) -> bool:
+    """``load_trace`` gives the reference's trace bit for bit, or its error
+    message; True if the reference accepts the file."""
+    expected = trace_outcome(reference_load, path)
+    got = trace_outcome(load_trace, path)
+    if isinstance(expected, str):
+        assert got == expected
+        return False
+    assert not isinstance(got, str), got
+    assert got.samples.dtype == SAMPLE_DTYPE and not got.samples.flags.writeable
+    assert np.array_equal(got.samples["t"].view(np.int64),
+                          expected.samples["t"].view(np.int64))
+    for name in SAMPLE_DTYPE.names[1:]:
+        assert np.array_equal(got.samples[name], expected.samples[name]), name
+    assert got.labels == expected.labels
+    assert got.sample_period.hex() == expected.sample_period.hex()
+    return True
+
+
+TIME_STARTS = (st.sampled_from([0.0, -0.0, 7.0, 999_990.0, 1e6, 1e6 + 1, 1e12])
+               | st.integers(0, 10**7).map(float))
+TIME_STEPS = st.sampled_from([1.0, 2.0, 25.0, 0.5, 0.25, 0.3, 0.1])
+LABEL_POOLS = st.sampled_from([[""], ["", "flex_min", " z_rest "],
+                               ["", "é", "ピアノ", " ", "\x85", "\x0c"]])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([1, 2, 8_191, 8_192, 8_193]), TIME_STARTS, TIME_STEPS,
+       st.lists(st.integers(1, 16), min_size=3, max_size=3), st.booleans(),
+       LABEL_POOLS, st.integers(0, 2**32 - 1))
+def test_saved_traces_load_as_reference(tmp_path_factory, n, start, step, digits,
+                                        pooled, labels, seed):
+    """A trace ``save_trace`` wrote loads bit for bit as the reference reads
+    it: whole and fractional times, times from 10**6 up, codes of 1 to 16
+    digits, empty, ASCII and non-ASCII labels, around a writer block edge."""
+    rng = np.random.default_rng(seed)
+    t = start + np.arange(n) * step
+    t[0] = start  # keeps -0.0
+    codes = []
+    for d in digits:  # d-digit codes, a few repeated or many distinct
+        low = 10 ** (d - 1) if d > 1 else 0
+        pool = rng.integers(low, 10**d, 4 if pooled else n)
+        codes.append(rng.choice(pool, n))
+    try:
+        trace = SensorTrace.from_columns(t, *codes, rng.choice(labels, n).tolist(), step)
+    except TraceFormatError:  # times too coarse for the step make no trace
+        assume(False)
+    path = tmp_path_factory.getbasetemp() / "saved.csv"
+    save_trace(trace, path)
+    assert assert_loads_as_reference(path) == (n > 1)
+
+
+CRLF_HEADER = HEADER.encode() + b"\r\n"
+ROWS_AB = b"0,2032,1229,1474,\r\n1,2033,1229,1474,\r\n"
+
+# name -> (file bytes, whether the reference loads it); the writer's layout
+# first, then text outside it that loads or fails as the reference says
+TRACE_CORPUS = {
+    "writer-layout": (CRLF_HEADER + ROWS_AB, True),
+    "labels": (CRLF_HEADER + "0,1,2,3,flex_min\r\n1,1,2,3,é \r\n".encode(), True),
+    "15-digit-fields": (CRLF_HEADER + b"999999999999998,999999999999999,0,1,\r\n"
+                        b"999999999999999,000000000000001,0,1,\r\n", True),
+    "leading-zeros": (CRLF_HEADER + b"00,007,1,2,\r\n01,7,1,2,\r\n", True),
+    "fractional-time": (CRLF_HEADER + b"0.5,1,2,3,\r\n1.5,1,2,3,\r\n", True),
+    "repr-time": (CRLF_HEADER + b"1000000.0,1,2,3,\r\n1000001.0,1,2,3,\r\n", True),
+    "exponent-time": (CRLF_HEADER + b"1e3,1,2,3,\r\n1001,1,2,3,\r\n", True),
+    "minus-zero-time": (CRLF_HEADER + b"-0,1,2,3,\r\n1,1,2,3,\r\n", True),
+    "minus-zero-code": (CRLF_HEADER + b"0,-0,2,3,\r\n1,1,2,3,\r\n", True),
+    "plus-code": (CRLF_HEADER + b"0,+7,2,3,\r\n1,1,2,3,\r\n", True),
+    "spaced-code": (CRLF_HEADER + b"0, 7 ,2,3,\r\n1,1,2,3,\r\n", True),
+    "underscore-code": (CRLF_HEADER + b"0,1_000,2,3,\r\n1,1,2,3,\r\n", True),
+    "exponent-code": (CRLF_HEADER + b"0,1e3,2,3,\r\n1,1,2,3,\r\n", False),
+    "arabic-indic-digit": (CRLF_HEADER + "0,٣,2,3,\r\n1,1,2,3,\r\n".encode(), True),
+    "16-digit-code": (CRLF_HEADER + b"0,1000000000000000,2,3,\r\n1,1,2,3,\r\n", True),
+    "16-digit-time": (CRLF_HEADER + b"1000000000000000,1,2,3,\r\n"
+                      b"1000000000000001,1,2,3,\r\n", True),
+    "int64-max-code": (CRLF_HEADER + b"0,9223372036854775807,2,3,\r\n1,1,2,3,\r\n", True),
+    "code-beyond-int64": (CRLF_HEADER + b"0,9223372036854775808,2,3,\r\n1,1,2,3,\r\n",
+                          False),
+    "empty-code": (CRLF_HEADER + b"0,,2,3,\r\n1,1,2,3,\r\n", False),
+    "empty-time": (CRLF_HEADER + b",1,2,3,\r\n1,1,2,3,\r\n", False),
+    "nan-time": (CRLF_HEADER + b"nan,1,2,3,\r\n1,1,2,3,\r\n", False),
+    "three-commas": (CRLF_HEADER + b"0,1,2,3\r\n1,1,2,3,\r\n", False),
+    "five-commas": (CRLF_HEADER + b"0,1,2,3,,\r\n1,1,2,3,\r\n", False),
+    "quoted-label": (CRLF_HEADER + b'0,1,2,3,"tag"\r\n1,1,2,3,\r\n', False),
+    "nul-label": (CRLF_HEADER + b"0,1,2,3,\x00\r\n1,1,2,3,\r\n", True),
+    "times-not-increasing": (CRLF_HEADER + b"1,1,2,3,\r\n0,1,2,3,\r\n", False),
+    "spacing-off": (CRLF_HEADER + b"0,1,2,3,\r\n1,1,2,3,\r\n3,1,2,3,\r\n", False),
+    "lf-rows": (CRLF_HEADER.replace(b"\r", b"") + ROWS_AB.replace(b"\r", b""), True),
+    "lf-rows-after-crlf-header": (CRLF_HEADER + ROWS_AB.replace(b"\r", b""), True),
+    "bare-cr-rows": (CRLF_HEADER.replace(b"\n", b"") + ROWS_AB.replace(b"\n", b""), True),
+    "one-lf-row": (CRLF_HEADER + ROWS_AB[:17] + b"\n" + ROWS_AB[19:], True),
+    "cr-before-crlf": (CRLF_HEADER + ROWS_AB[:17] + b"\r" + ROWS_AB[17:], True),
+    "blank-line": (CRLF_HEADER + ROWS_AB[:19] + b"\r\n" + ROWS_AB[19:], True),
+    "trailing-blank-line": (CRLF_HEADER + ROWS_AB + b"\r\n", True),
+    "no-final-crlf": (CRLF_HEADER + ROWS_AB[:-2], True),
+    "final-cr-only": (CRLF_HEADER + ROWS_AB[:-1], True),
+    "bom": (b"\xef\xbb\xbf" + CRLF_HEADER + ROWS_AB, False),
+    "cr-in-label": (CRLF_HEADER + b"0,1,2,3,a\rb\r\n1,1,2,3,\r\n", False),
+    "cr-ending-label": (CRLF_HEADER + b"0,1,2,3,a\r\r\n1,1,2,3,\r\n", True),
+    "undecodable-label": (CRLF_HEADER + b"0,1,2,3,\xff\r\n1,1,2,3,\r\n", False),
+    "overlong-utf8-label": (CRLF_HEADER + b"0,1,2,3,\xc0\xaf\r\n1,1,2,3,\r\n", False),
+    "undecodable-code": (CRLF_HEADER + b"0,\xff,2,3,\r\n1,1,2,3,\r\n", False),
+    "text-after-last-crlf": (CRLF_HEADER + ROWS_AB + b"2", False),
+    "lf-in-place-of-a-comma": (CRLF_HEADER + b"0\n1,2,3,\r\n1,1,2,3,\r\n", False),
+    "cr-and-lf-inside-label": (CRLF_HEADER + b"0,1,2,3,a\rb\n1,1,2,3,\r\n", False),
+    "lf-row-then-two-crs": (CRLF_HEADER + b"0,1,2,3,\n1,1,2,3,\r\r\n", True),
+    "lf-after-fifth-comma": (CRLF_HEADER + b"0,1,2,3,4\r,5\n6,7,8,\r\n", False),
+    "one-row": (CRLF_HEADER + ROWS_AB[:19], False),
+    "header-only": (CRLF_HEADER, False),
+    "empty-file": (b"", False),
+    "header-with-space": (CRLF_HEADER.replace(b",label", b", label") + ROWS_AB, False),
+}
+
+
+@pytest.mark.parametrize("name", TRACE_CORPUS)
+def test_trace_corpus_loads_as_reference(name, tmp_path):
+    """Each file loads, or fails with the same message, as the reference
+    loader reads it."""
+    data, accepted = TRACE_CORPUS[name]
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data)
+    assert assert_loads_as_reference(path) == accepted
 
 
 FIELDS = (st.sampled_from(["0", "1", "1.5", " 7 ", "1_000", "+5", "-3", "1e3",
