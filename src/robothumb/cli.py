@@ -28,9 +28,39 @@ RUNTIME_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    """A parser whose leaf commands report their own usage errors, so that
+    the usage printed is that of the command given.
+
+    ``check`` takes a leaf's parsed namespace and returns the message of a
+    usage error that argparse cannot express, or None.
+    """
+
+    def __init__(self, *args, check=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.check = check
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if self._subparsers is None:  # a leaf command
+            if extras:
+                self.error(f"unrecognized arguments: {' '.join(extras)}")
+            if self.check and (message := self.check(namespace)):
+                self.error(message)
+        return namespace, extras
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+
+# the flags that only one shape of ``synth sweep`` reads: (flag, keyword of
+# that shape's synth function, help); unset, the function's default holds
+SWEEP_SHAPE_FLAGS = {
+    "band": (("--azimuth", "azimuth_span", "azimuth span in degrees (360)"),
+             ("--elev-min", "elev_min", "lowest elevation in degrees (-60)"),
+             ("--elev-max", "elev_max", "highest elevation in degrees (60)")),
+    "cap": (("--half-angle", "half_angle", "cap half-angle in degrees (54.9)"),),
+}
 
 
 def _load_config(args) -> GlobalConfig:
@@ -93,16 +123,21 @@ def _synth_scale(args, cfg: GlobalConfig) -> None:
     print(f"wrote {path}")
 
 
+def _sweep_flag_error(args) -> str | None:
+    """The usage error of a flag that the chosen ``--shape`` does not read."""
+    for shape, flags in SWEEP_SHAPE_FLAGS.items():
+        for flag, dest, _ in flags:
+            if shape != args.shape and hasattr(args, dest):
+                return f"{flag} applies to --shape {shape} only"
+    return None
+
+
 def _synth_sweep(args, cfg: GlobalConfig) -> None:
     out = _out_dir(args)
-    if args.shape == "band":
-        dirs = synth.band_sweep_directions(
-            args.samples, azimuth_span=args.azimuth,
-            elev_min=args.elev_min, elev_max=args.elev_max,
-            seed=cfg.simulation.seed)
-    else:
-        dirs = synth.cap_directions(args.samples, half_angle=args.half_angle,
-                                    seed=cfg.simulation.seed)
+    make = synth.band_sweep_directions if args.shape == "band" else synth.cap_directions
+    given = {dest: getattr(args, dest) for _, dest, _ in SWEEP_SHAPE_FLAGS[args.shape]
+             if hasattr(args, dest)}
+    dirs = make(args.samples, seed=cfg.simulation.seed, **given)
     path = out / f"{args.shape}_directions.csv"
     analysis.save_directions(dirs, path)
     print(f"wrote {path}")
@@ -212,8 +247,8 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, help="override the configured seed")
     common.add_argument("--out", default=".", help="output directory")
 
-    def command(group, name, func, text):
-        p = group.add_parser(name, parents=[common], help=text)
+    def command(group, name, func, text, check=None):
+        p = group.add_parser(name, parents=[common], help=text, check=check)
         p.set_defaults(func=func)
         return p
 
@@ -231,13 +266,14 @@ def build_parser() -> _Parser:
                          "(default: the reachable white keys)")
     for p in (p_press, p_scale):
         p.add_argument("--speed", default="0.5", help="press speed in (0, 1] or 'max'")
-    p_sweep = command(scenarios, "sweep", _synth_sweep, "uniform direction set")
-    p_sweep.add_argument("--shape", choices=["band", "cap"], default="band")
+    p_sweep = command(scenarios, "sweep", _synth_sweep, "uniform direction set",
+                      check=_sweep_flag_error)
+    p_sweep.add_argument("--shape", choices=sorted(SWEEP_SHAPE_FLAGS), default="band")
     p_sweep.add_argument("--samples", type=int, default=600_000)
-    p_sweep.add_argument("--azimuth", type=float, default=360.0)
-    p_sweep.add_argument("--elev-min", type=float, default=-60.0)
-    p_sweep.add_argument("--elev-max", type=float, default=60.0)
-    p_sweep.add_argument("--half-angle", type=float, default=54.9)
+    for shape, flags in SWEEP_SHAPE_FLAGS.items():
+        for flag, dest, text in flags:
+            p_sweep.add_argument(flag, dest=dest, type=float, metavar="DEG",
+                                 default=argparse.SUPPRESS, help=f"{shape} only: {text}")
 
     p_cal = command(sub, "calibrate", _calibrate, "calibration file from a labeled trace")
     p_cal.add_argument("--trace", required=True)

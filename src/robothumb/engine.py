@@ -58,7 +58,8 @@ from . import control, kinematics, plant
 from .control import CalibrationSet, ControlParams
 from .errors import ConfigurationError, InputError
 from .piano import Key, KeyEvent, MIDI_A0, key_at, note_name
-from .sensors import TRACE_BLOCK_ROWS, SensorTrace, column_strings, round_half_up
+from .sensors import (TRACE_BLOCK_ROWS, SensorTrace, column_strings, round_half_up,
+                      whole_strings)
 
 MODES = ("deterministic", "concurrent")  # execution modes; see the module docstring
 # a run, or a synthesized trace, of more steps is rejected before any
@@ -322,12 +323,17 @@ def write_event_csv(log: EventLog, path) -> None:
 def write_step_csv(log: EventLog, path) -> None:
     """One ``%.3f,%d,%d,%.6f,%.6f`` row per step, built column by column in
     blocks of rows: step times, which never repeat, are formatted entry by
-    entry, every other column once per distinct value."""
+    entry, every other column once per distinct value. A block of whole
+    times below 2**53 is spelled from its ints, as ``%.3f`` spells them."""
     with open(path, "w", newline="") as f:
         f.write("t_ms,theta_h_counts,theta_v_counts,tip_x,tip_z\n")
         for start in range(0, len(log.steps), TRACE_BLOCK_ROWS):
             block = log.steps[start:start + TRACE_BLOCK_ROWS]
-            columns = [list(map("%.3f".__mod__, block["t"].tolist()))]
+            whole = whole_strings(block["t"], 2.0**53)
+            if whole is None:
+                columns = [list(map("%.3f".__mod__, block["t"].tolist()))]
+            else:
+                columns = [[s + ".000" for s in whole]]
             columns += [column_strings(block[name], fmt) for name, fmt in
                         zip(STEP_DTYPE.names[1:], ("%d", "%d", "%.6f", "%.6f"))]
             f.write("\n".join(map(",".join, zip(*columns))) + "\n")

@@ -9,9 +9,10 @@ Y picks up the gravity projection along the foot (direction of motion),
 Z picks up gravity plus dynamic acceleration (speed of motion).
 
 A trace keeps its readings as columns (time, three ADC codes, labels) and
-is read and written as a CSV of ``TRACE_HEADER`` rows, whole blocks of
-rows at a time and one column at a time: a code column is formatted, or
-parsed, once per distinct value.
+is written as a CSV of ``TRACE_HEADER`` rows, whole blocks of rows at a
+time and one column at a time: a code column is formatted once per
+distinct value. A file in the writer's own layout is read back by numpy,
+any other text one column at a time.
 """
 
 from __future__ import annotations
@@ -51,8 +52,20 @@ def column_strings(column: np.ndarray, fmt: str) -> list[str]:
     return strings[inverse].tolist()
 
 
+def whole_strings(column: np.ndarray, below: float) -> list[str] | None:
+    """``str(int(x))`` of each entry of a float64 column if every entry is a
+    whole number in [0, ``below``) without a minus sign, else None."""
+    whole = (column == np.rint(column)) & (column < below)  # NaN and inf fail
+    if whole.all() and not np.signbit(column).any():
+        return list(map(str, column.astype(np.int64).tolist()))
+    return None
+
+
 def _time_strings(t: np.ndarray) -> list[str]:
     """``%g`` of each time where it reads back as the same float, else ``repr``."""
+    whole = whole_strings(t, 1e6)  # what %g spells a whole number below 10**6
+    if whole is not None:
+        return whole
     times = t.tolist()
     strings = list(map("%g".__mod__, times))
     # %g spells a whole number below 10**6 exactly: parse back the others
@@ -218,18 +231,93 @@ def save_trace(trace: SensorTrace, path) -> None:
 
 
 def load_trace(path) -> SensorTrace:
-    """Read a trace CSV written by ``save_trace``.
+    """Read a trace CSV.
 
-    Rows end in LF, CRLF or CR, blank lines are skipped, and fields are
-    never quoted. ``t`` is parsed by ``float()`` and each code by
-    ``int()``, so both accept what those accept. Every error names the file.
+    The file is read once. Text in ``save_trace``'s layout with whole times
+    is parsed by numpy (``_read_writer_layout``); any other text by
+    ``_parse_trace``: rows end in LF, CRLF or CR, blank lines are skipped,
+    and fields are never quoted. ``t`` is parsed by ``float()`` and each
+    code by ``int()``, so both accept what those accept. Both give the same
+    trace, and every error names the file.
     """
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        with open(path, encoding="utf-8") as f:  # universal newlines
-            lines = f.read().split("\n")
-        return _parse_trace(lines)
+        trace = _read_writer_layout(data)
+        if trace is None:
+            # universal newlines, as a file opened in text mode reads them
+            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            trace = _parse_trace(text.split("\n"))
+        return trace
     except (UnicodeDecodeError, TraceFormatError) as exc:
         raise TraceFormatError(f"{path}: {exc}") from None
+
+
+# the writer's layout: this header line, then rows of four digit fields and a
+# label, split by commas and, like the header, ended by CRLF
+_HEADER_LINE = (",".join(TRACE_HEADER) + "\r\n").encode()
+# most digits in a time or code of the layout: float() of a whole number
+# below 10**15 is exact, and a code below it fits int64
+TRACE_DIGITS = 15
+
+
+def _read_writer_layout(data: bytes) -> SensorTrace | None:
+    """The trace of a file in ``save_trace``'s layout with whole times, or
+    None for any other text.
+
+    In that layout ``t`` and the three codes are 1 to ``TRACE_DIGITS``
+    ASCII digits each and a label is UTF-8 without CR. The commas and LFs
+    are found once; the header line is the first row of five. Each digit
+    field is read right-aligned, one digit column at a time from the
+    leading one (Horner's rule), as int64.
+    """
+    if not data.startswith(_HEADER_LINE):
+        return None
+    raw = np.frombuffer(data, np.uint8)
+    is_lf = raw == ord("\n")
+    seps = np.flatnonzero(is_lf | (raw == ord(",")))
+    if len(seps) % 5 or seps[-1] != len(raw) - 1:  # a last row without LF
+        return None
+    seps = seps.reshape(-1, 5)
+    lines = seps[:, 4]  # the LF of each line, the header's first
+    n = len(lines) - 1
+    # every fifth separator is an LF and no other is, so each line has four
+    # commas; each LF follows a CR and no other byte is a CR
+    if (n < 2 or np.count_nonzero(is_lf) != len(lines)
+            or not (raw[lines] == ord("\n")).all()
+            or not (raw[lines - 1] == ord("\r")).all()
+            or np.count_nonzero(raw == ord("\r")) != len(lines)):
+        return None
+    stops = seps[1:, :4].copy()  # the comma after each digit field
+    starts = np.empty_like(stops)
+    starts[:, 0] = lines[:-1] + 1
+    starts[:, 1:] = stops[:, :3] + 1
+    widths = stops - starts
+    if widths.min() < 1 or widths.max() > TRACE_DIGITS:
+        return None
+    values = np.zeros(stops.shape, np.int64)
+    at = np.empty_like(stops)
+    # the header precedes every field, so no position falls before the file
+    for k in range(int(widths.max()), 0, -1):
+        np.subtract(stops, k, out=at)
+        digits = raw.take(at)
+        digits -= ord("0")  # uint8: a byte below "0" wraps past 9
+        digits *= widths >= k
+        if digits.max() > 9:
+            return None
+        values *= 10
+        values += digits
+    if (lines[1:] - stops[:, 3] == 2).all():  # comma, CR, LF: every label empty
+        labels = ("",) * n
+    else:
+        try:
+            labels = [data[a:b].decode("utf-8") for a, b in
+                      zip((stops[:, 3] + 1).tolist(), (lines[1:] - 1).tolist())]
+        except UnicodeDecodeError:
+            return None
+    t = values[:, 0].astype(np.float64)
+    return SensorTrace.from_columns(t, values[:, 1], values[:, 2], values[:, 3],
+                                    labels, t[1] - t[0])
 
 
 def _parse_trace(lines: list[str]) -> SensorTrace:

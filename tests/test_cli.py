@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from robothumb import cli
+from robothumb import cli, synth
+from robothumb.analysis import save_directions
 from robothumb.cli import main
 
 # the benchmark's flows and tracer, each run from its file without importing
@@ -443,6 +444,51 @@ def test_flag_not_read_by_the_command_exits_1(argv, workdir, tmp_path, capsys):
     assert run(*argv, "--out", tmp_path / "out") == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,prog", [
+    (("synth", "calibration", "--samples", 5), "robothumb synth calibration"),
+    (("synth", "press", "--key", 46, "extra"), "robothumb synth press"),
+    (("analyze", "range", "--calibration", "c.txt", "--bins", 7), "robothumb analyze range"),
+    (("calibrate", "--trace", "t.csv", "--anchors", "a.txt", "--mode", "concurrent"),
+     "robothumb calibrate"),
+], ids=["synth-calibration", "synth-press", "analyze-range", "calibrate"])
+def test_unrecognized_argument_shows_the_command_usage(argv, prog, capsys):
+    """The top-level parser reported these with its own usage, which does
+    not show the flags the command takes."""
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {prog} [-h] [--config CONFIG]")
+    assert f"{prog}: error: unrecognized arguments: " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--shape", "band", "--half-angle", 500), ("--shape", "cap", "--azimuth", 9999),
+    ("--half-angle", 30), ("--shape", "cap", "--elev-min", 0, "--elev-max", 10),
+], ids=["band-half-angle", "cap-azimuth", "default-shape-half-angle", "cap-elevations"])
+def test_sweep_flag_of_the_other_shape_exits_1(argv, tmp_path, capsys):
+    """Each shape ignored the other shape's flags and exited 0."""
+    assert run("synth", "sweep", "--samples", 10, *argv, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: robothumb synth sweep")
+    assert "applies to --shape" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("--shape", "band", "--azimuth", 180, "--elev-min", 0),
+     lambda: synth.band_sweep_directions(1_000, 180.0, 0.0, 60.0, seed=3)),
+    (("--elev-max", 30), lambda: synth.band_sweep_directions(1_000, elev_max=30.0, seed=3)),
+    (("--shape", "cap", "--half-angle", 30), lambda: synth.cap_directions(1_000, 30.0, seed=3)),
+    (("--shape", "cap",), lambda: synth.cap_directions(1_000, seed=3)),
+], ids=["band", "band-default-shape", "cap", "cap-defaults"])
+def test_sweep_shape_flags_reach_the_generator(argv, expected, tmp_path):
+    assert run("synth", "sweep", "--samples", 1_000, "--seed", 3, *argv,
+               "--out", tmp_path) == 0
+    shape = "cap" if "cap" in argv else "band"
+    save_directions(expected(), tmp_path / "expected.csv")
+    assert ((tmp_path / f"{shape}_directions.csv").read_bytes()
+            == (tmp_path / "expected.csv").read_bytes())
 
 
 @pytest.mark.parametrize("text", [None, "[mount]\nno_such_key = 1\n"],

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from robothumb import default_config, synth
+from robothumb import default_config, sensors, synth
 from robothumb.cli import main
 from robothumb.errors import InputError, RobothumbError, TraceFormatError
 from robothumb.sensors import (SAMPLE_DTYPE, TRACE_HEADER, SensorTrace,
@@ -385,6 +385,28 @@ def test_saved_traces_load_as_reference(tmp_path_factory, n, start, step, digits
     path = tmp_path_factory.getbasetemp() / "saved.csv"
     save_trace(trace, path)
     assert assert_loads_as_reference(path) == (n > 1)
+
+
+def test_writer_layout_skips_the_text_parser(tmp_path, monkeypatch):
+    """Traces ``save_trace`` writes with whole times, labelled or not, load
+    without ``_parse_trace``; an LF file still goes through it."""
+    cfg = default_config()
+    traces = [synth.calibration_trace(cfg), synth.press_trace(cfg, 46, repeat=2)]
+    for i, trace in enumerate(traces):
+        save_trace(trace, tmp_path / f"{i}.csv")
+    lf_file = tmp_path / "lf.csv"
+    lf_file.write_bytes((tmp_path / "1.csv").read_bytes().replace(b"\r\n", b"\n"))
+
+    def fail(lines):
+        raise AssertionError("parsed as text")
+
+    monkeypatch.setattr(sensors, "_parse_trace", fail)
+    for i, trace in enumerate(traces):
+        loaded = load_trace(tmp_path / f"{i}.csv")
+        assert loaded.samples.tobytes() == trace.samples.tobytes()
+        assert loaded.labels == trace.labels
+    with pytest.raises(AssertionError, match="parsed as text"):
+        load_trace(lf_file)
 
 
 CRLF_HEADER = HEADER.encode() + b"\r\n"
