@@ -436,6 +436,15 @@ TRACE_CORPUS = {
     "int64-max-code": (CRLF_HEADER + b"0,9223372036854775807,2,3,\r\n1,1,2,3,\r\n", True),
     "code-beyond-int64": (CRLF_HEADER + b"0,9223372036854775808,2,3,\r\n1,1,2,3,\r\n",
                           False),
+    "code-beyond-int64-then-bad-time": (
+        CRLF_HEADER + b"0,1,9223372036854775808,3,\r\nx,1,2,3,\r\n", False),
+    "bad-time-then-code-beyond-int64": (
+        CRLF_HEADER + b"x,1,2,3,\r\n1,1,9223372036854775808,3,\r\n", False),
+    "short-row-then-bad-code": (CRLF_HEADER + b"0,1,2,\r\n1,1,x,3,\r\n", False),
+    "bad-code-then-short-row": (CRLF_HEADER + b"0,1,x,3,\r\n1,1,2,\r\n", False),
+    "same-code-beyond-int64-twice": (
+        CRLF_HEADER + b"0,1,2,3,\r\n1,-9223372036854775809,2,3,\r\n"
+        b"2,-9223372036854775809,2,3,\r\n", False),
     "empty-code": (CRLF_HEADER + b"0,,2,3,\r\n1,1,2,3,\r\n", False),
     "empty-time": (CRLF_HEADER + b",1,2,3,\r\n1,1,2,3,\r\n", False),
     "nan-time": (CRLF_HEADER + b"nan,1,2,3,\r\n1,1,2,3,\r\n", False),
