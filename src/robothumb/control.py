@@ -117,19 +117,25 @@ def calibrate_from_trace(trace: SensorTrace, anchors: dict) -> CalibrationSet:
     )
 
 
-def validate_calibration_ranges(calib: CalibrationSet, geometry: FingerGeometry,
-                                axis: MotorAxis) -> None:
-    """Check that encoder anchors fit inside the joint ranges."""
+def validate_anchor_ranges(anchors: dict, geometry: FingerGeometry,
+                           axis: MotorAxis) -> None:
+    """Check that the encoder anchors, by ``ANCHOR_NAMES``, fit inside the
+    joint ranges."""
     cpd = counts_per_output_rev(axis) / 360.0
     h_half = geometry.theta_h_range / 2.0 * cpd
     for name in ("enc_h_min", "enc_h_max"):
-        if abs(getattr(calib, name)) > h_half:
+        if abs(anchors[name]) > h_half:
             raise ConfigurationError(f"{name} outside the horizontal joint range")
     v_lo, v_hi = geometry.theta_v_min * cpd, geometry.theta_v_max * cpd
     for name in ("enc_hover", "enc_pressed"):
-        value = getattr(calib, name)
-        if not v_lo - 0.5 <= value <= v_hi + 0.5:
+        if not v_lo - 0.5 <= anchors[name] <= v_hi + 0.5:
             raise ConfigurationError(f"{name} outside the vertical joint range")
+
+
+def validate_calibration_ranges(calib: CalibrationSet, geometry: FingerGeometry,
+                                axis: MotorAxis) -> None:
+    """Check that a calibration's encoder anchors fit inside the joint ranges."""
+    validate_anchor_ranges(vars(calib), geometry, axis)
 
 
 def horizontal_update(flex_adc: np.ndarray, calib: CalibrationSet) -> list[int]:

@@ -323,13 +323,13 @@ def write_event_csv(log: EventLog, path) -> None:
 def write_step_csv(log: EventLog, path) -> None:
     """One ``%.3f,%d,%d,%.6f,%.6f`` row per step, built column by column in
     blocks of rows: step times, which never repeat, are formatted entry by
-    entry, every other column once per distinct value. A block of whole
-    times below 2**53 is spelled from its ints, as ``%.3f`` spells them."""
+    entry, every other column once per distinct value. A block of times that
+    ``whole_strings`` spells is spelled from its ints, as ``%.3f`` spells them."""
     with open(path, "w", newline="") as f:
         f.write("t_ms,theta_h_counts,theta_v_counts,tip_x,tip_z\n")
         for start in range(0, len(log.steps), TRACE_BLOCK_ROWS):
             block = log.steps[start:start + TRACE_BLOCK_ROWS]
-            whole = whole_strings(block["t"], 2.0**53)
+            whole = whole_strings(block["t"])
             if whole is None:
                 columns = [list(map("%.3f".__mod__, block["t"].tolist()))]
             else:

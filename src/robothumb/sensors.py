@@ -10,16 +10,16 @@ Z picks up gravity plus dynamic acceleration (speed of motion).
 
 A trace keeps its readings as columns (time, three ADC codes, labels) and
 is written as a CSV of ``TRACE_HEADER`` rows, whole blocks of rows at a
-time and one column at a time: a code column is formatted once per
-distinct value. A file in the writer's own layout is read back by numpy,
-any other text one column at a time.
+time and one column at a time: a whole time below 10**15 ms is spelled as
+its integer digits and any other time as its ``repr``, and a code column
+is formatted once per distinct value. A file in the writer's own layout is
+read back by numpy, any other text line by line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -32,6 +32,10 @@ LABEL_FORBIDDEN = frozenset(',"\r\n')  # characters csv.writer would quote
 # rows per block in the trace and step CSV writers: a block's strings stay
 # below a megabyte or two, and blocks this size format as fast as larger ones
 TRACE_BLOCK_ROWS = 8_192
+# most digits of a whole time spelled as an integer and of a field in the
+# writer's layout: float() of a whole number below 10**15 is exact, and a
+# code below it fits int64
+TRACE_DIGITS = 15
 
 
 def round_half_up(x: float) -> int:
@@ -52,28 +56,20 @@ def column_strings(column: np.ndarray, fmt: str) -> list[str]:
     return strings[inverse].tolist()
 
 
-def whole_strings(column: np.ndarray, below: float) -> list[str] | None:
+def whole_strings(column: np.ndarray) -> list[str] | None:
     """``str(int(x))`` of each entry of a float64 column if every entry is a
-    whole number in [0, ``below``) without a minus sign, else None."""
-    whole = (column == np.rint(column)) & (column < below)  # NaN and inf fail
+    whole number in [0, 10**``TRACE_DIGITS``) without a minus sign, else None."""
+    whole = (column == np.rint(column)) & (column < 10.0**TRACE_DIGITS)  # NaN and inf fail
     if whole.all() and not np.signbit(column).any():
         return list(map(str, column.astype(np.int64).tolist()))
     return None
 
 
 def _time_strings(t: np.ndarray) -> list[str]:
-    """``%g`` of each time where it reads back as the same float, else ``repr``."""
-    whole = whole_strings(t, 1e6)  # what %g spells a whole number below 10**6
-    if whole is not None:
-        return whole
-    times = t.tolist()
-    strings = list(map("%g".__mod__, times))
-    # %g spells a whole number below 10**6 exactly: parse back the others
-    check = np.flatnonzero((t != np.rint(t)) | (t >= 1e6))
-    back = np.array([strings[i] for i in check.tolist()], np.float64)
-    for i in check[back != t[check]].tolist():
-        strings[i] = repr(times[i])
-    return strings
+    """Each time's integer digits if it is a whole number of magnitude below
+    10**``TRACE_DIGITS`` (``-0`` for -0.0), else its ``repr``."""
+    return whole_strings(t) or ["%.0f" % x if x.is_integer() and abs(x) < 10.0**TRACE_DIGITS
+                                else repr(x) for x in t.tolist()]
 
 
 @dataclass(frozen=True)
@@ -234,21 +230,16 @@ def load_trace(path) -> SensorTrace:
     """Read a trace CSV.
 
     The file is read once. Text in ``save_trace``'s layout with whole times
-    is parsed by numpy (``_read_writer_layout``); any other text by
-    ``_parse_trace``: rows end in LF, CRLF or CR, blank lines are skipped,
-    and fields are never quoted. ``t`` is parsed by ``float()`` and each
-    code by ``int()``, so both accept what those accept. Both give the same
-    trace, and every error names the file.
+    is parsed by numpy (``_read_writer_layout``); any other text line by
+    line (``_parse_trace``): rows end in LF, CRLF or CR, blank lines are
+    skipped, and fields are never quoted. ``t`` is parsed by ``float()`` and
+    each code by ``int()``, so both accept what those accept. Both give the
+    same trace; an error names the file and any line at fault, the first.
     """
     with open(path, "rb") as f:
         data = f.read()
     try:
-        trace = _read_writer_layout(data)
-        if trace is None:
-            # universal newlines, as a file opened in text mode reads them
-            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-            trace = _parse_trace(text.split("\n"))
-        return trace
+        return _read_writer_layout(data) or _parse_trace(data)
     except (UnicodeDecodeError, TraceFormatError) as exc:
         raise TraceFormatError(f"{path}: {exc}") from None
 
@@ -256,9 +247,6 @@ def load_trace(path) -> SensorTrace:
 # the writer's layout: this header line, then rows of four digit fields and a
 # label, split by commas and, like the header, ended by CRLF
 _HEADER_LINE = (",".join(TRACE_HEADER) + "\r\n").encode()
-# most digits in a time or code of the layout: float() of a whole number
-# below 10**15 is exact, and a code below it fits int64
-TRACE_DIGITS = 15
 
 
 def _read_writer_layout(data: bytes) -> SensorTrace | None:
@@ -320,37 +308,38 @@ def _read_writer_layout(data: bytes) -> SensorTrace | None:
                                     labels, t[1] - t[0])
 
 
-def _parse_trace(lines: list[str]) -> SensorTrace:
+def _parse_trace(data: bytes) -> SensorTrace:
+    """The trace of a file's text, each line parsed once, in order."""
+    # universal newlines, as a file opened in text mode reads them
+    lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[0] != ",".join(TRACE_HEADER):
         raise TraceFormatError(f"expected header {','.join(TRACE_HEADER)}")
-    rows = list(filter(None, lines[1:]))
-    if len(rows) < 2:
+    if len(lines) - lines.count("") < 3:  # the header and two rows
         raise TraceFormatError("trace needs at least two samples")
+    code = _Codes()
+    t, flex, acc_y, acc_z, labels = [], [], [], [], []
     try:
-        t, *codes, labels = _split_rows(rows)
-    except ValueError:
-        for lineno, line in enumerate(lines[1:], start=2):  # name the first bad line
-            try:
-                if line:
-                    _split_rows([line])
-            except ValueError as exc:
-                raise TraceFormatError(f"line {lineno}: {exc}") from None
-        raise
-    return SensorTrace.from_columns(t, *codes, labels, t[1] - t[0])
+        for lineno, line in enumerate(lines[1:], start=2):
+            if line:
+                fields = line.split(",")
+                if len(fields) != 5:
+                    raise ValueError("expected 5 columns")
+                t.append(float(fields[0]))
+                flex.append(code[fields[1]])
+                acc_y.append(code[fields[2]])
+                acc_z.append(code[fields[3]])
+                labels.append(fields[4])
+    except ValueError as exc:
+        raise TraceFormatError(f"line {lineno}: {exc}") from None
+    return SensorTrace.from_columns(t, flex, acc_y, acc_z, labels, t[1] - t[0])
 
 
-def _split_rows(rows: list[str]) -> list:
-    """The t, flex, Y, Z and label columns of non-blank data lines."""
-    if set(map(str.count, rows, repeat(","))) - {4}:
-        raise ValueError("expected 5 columns")
-    fields = ",".join(rows).split(",")
-    t = list(map(float, fields[0::5]))
-    codes = []
-    for column in (fields[1::5], fields[2::5], fields[3::5]):
-        value = {s: int(s) for s in set(column)}  # each distinct spelling once
-        try:
-            codes.append(np.fromiter(map(value.__getitem__, column), np.int64,
-                                     len(column)))
-        except OverflowError:
-            raise ValueError("ADC code does not fit int64") from None
-    return [t, *codes, fields[4::5]]
+class _Codes(dict):
+    """ADC codes by spelling, each distinct spelling parsed by ``int()`` once."""
+
+    def __missing__(self, spelling: str) -> int:
+        value = int(spelling)
+        if not -2**63 <= value < 2**63:
+            raise ValueError("ADC code does not fit int64")
+        self[spelling] = value
+        return value

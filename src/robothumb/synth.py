@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import check_band_limits, check_cap_half_angle
 from .config import GlobalConfig
-from .control import linear_map
+from .control import linear_map, validate_anchor_ranges
 from .engine import MAX_STEPS
 from .errors import InputError
 from .kinematics import press_angle, press_drop, theta_for_key
@@ -63,6 +63,7 @@ def anchors_from_config(cfg: GlobalConfig) -> dict:
     The drive is enabled at the hover pose, so the vertical hover anchor is
     zero by construction. The pressed anchor descends the hover clearance
     plus one full key travel, plus a small overtravel so presses land firmly.
+    Each anchor must lie inside its joint range, as ``engine.run`` requires.
     """
     hover_clearance = cfg.mount.base_z - press_drop(0.0, cfg.geometry)
     if hover_clearance < 0:
@@ -75,12 +76,14 @@ def anchors_from_config(cfg: GlobalConfig) -> dict:
     # calibrate one count past each extreme note so both stay inside the
     # sweep whichever way the exact pose rounded
     outward = 1 if near >= far else -1
-    return {
+    anchors = {
         "enc_h_min": near + outward,
         "enc_h_max": far - outward,
         "enc_hover": 0,
         "enc_pressed": round_half_away(pressed_theta * counts_per_degree(cfg)),
     }
+    validate_anchor_ranges(anchors, cfg.geometry, cfg.axis)
+    return anchors
 
 
 def flex_code_for_key(cfg: GlobalConfig, key: Key, anchors: dict) -> int:

@@ -216,6 +216,17 @@ def test_accel_noise_key_exits_2(tmp_path, capsys):
     assert "sensors.accel_noise_sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", [("calibration",), ("press", "--key", 46)])
+def test_pressed_anchor_beyond_the_joint_range_exits_2(scenario, tmp_path, capsys):
+    """The overtravel carries the pressed pose past a 12 degree press joint:
+    synth stops there, not simulate after calibrate."""
+    config = tmp_path / "shallow.ini"
+    config.write_text("[geometry]\ntheta_v_max = 12\n[mount]\npress_overtravel_deg = 5\n")
+    assert run("synth", *scenario, "--config", config, "--out", tmp_path) == 2
+    assert "enc_pressed outside the vertical joint range" in capsys.readouterr().err
+    assert not (tmp_path / "anchors.txt").exists()
+
+
 def test_verbose_only_on_simulate(workdir, tmp_path, capsys):
     assert run("synth", "calibration", "--verbose", "--out", tmp_path) == 1
     assert run("synth", "press", "--key", 46, "--out", tmp_path) == 0

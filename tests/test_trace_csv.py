@@ -53,8 +53,10 @@ def test_trace_csv_matches_golden_digest(name, tmp_path):
 
 
 def time_text(t: float) -> str:
-    """``t`` formatted ``%g`` where that reads back as ``t``, else ``repr``."""
-    return f"{t:g}" if float(f"{t:g}") == t else repr(float(t))
+    """``repr(t)`` without its ``.0`` where ``t`` is a whole number of
+    magnitude below 10**15, else ``repr(t)``."""
+    text = repr(float(t))
+    return text[:-2] if abs(t) < 1e15 and text.endswith(".0") else text
 
 
 def csv_writer_text(t, flex, acc_y, acc_z, labels) -> str:
@@ -159,11 +161,11 @@ def test_saved_times_load_back_unchanged(tmp_path_factory, start, n, period):
 
 
 def test_times_from_a_million_ms_load_back_unchanged(tmp_path):
-    """``%g`` keeps 6 significant digits: 1,000,001 ms needs ``repr``."""
+    """Whole times keep every digit past 6 significant ones."""
     t = [999_999.0, 1_000_000.0, 1_000_001.0]
     save_trace(times_trace(t), tmp_path / "trace.csv")
     rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[0] for row in rows] == ["999999", "1e+06", "1000001.0"]
+    assert [row.split(",")[0] for row in rows] == ["999999", "1000000", "1000001"]
     assert load_trace(tmp_path / "trace.csv").samples["t"].tolist() == t
 
 
@@ -388,16 +390,18 @@ def test_saved_traces_load_as_reference(tmp_path_factory, n, start, step, digits
 
 
 def test_writer_layout_skips_the_text_parser(tmp_path, monkeypatch):
-    """Traces ``save_trace`` writes with whole times, labelled or not, load
-    without ``_parse_trace``; an LF file still goes through it."""
+    """Traces ``save_trace`` writes with whole times, labelled or not and
+    from 10**6 ms on, load without ``_parse_trace``; an LF file still goes
+    through it."""
     cfg = default_config()
-    traces = [synth.calibration_trace(cfg), synth.press_trace(cfg, 46, repeat=2)]
+    traces = [synth.calibration_trace(cfg), synth.press_trace(cfg, 46, repeat=2),
+              times_trace(np.arange(999_000.0, 1_040_200.0))]
     for i, trace in enumerate(traces):
         save_trace(trace, tmp_path / f"{i}.csv")
     lf_file = tmp_path / "lf.csv"
     lf_file.write_bytes((tmp_path / "1.csv").read_bytes().replace(b"\r\n", b"\n"))
 
-    def fail(lines):
+    def fail(data):
         raise AssertionError("parsed as text")
 
     monkeypatch.setattr(sensors, "_parse_trace", fail)
