@@ -342,9 +342,22 @@ def near_rounding_ties():
     return out
 
 
+def neighbours(x: float) -> list[float]:
+    """``x`` and the floats one ulp either side, with both signs."""
+    out = [float(np.nextafter(x, -np.inf)), x, float(np.nextafter(x, np.inf))]
+    return out + [-v for v in out]
+
+
+# the edges of the fixed-point range of the step writer: a ``%.6f`` value of
+# magnitude 2**44 / 1e6 and a ``%.3f`` time of 2**44 / 1e3; and ties of
+# ``%.3f`` rounding, exact in binary (0.0625, 2.0625) or not (1.0005)
+FIXED_POINT_EDGES = [v for x in (2**44 / 1e6, 2**44 / 1e3, 0.0625, 1.0005, 2.0625)
+                     for v in neighbours(x)]
 STEP_FLOATS = ([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0,
-                -1.5, 1e300, -1e-300, 5e-324, 0.1, 664.3249999] + near_rounding_ties())
-STEP_INTS = [0, -1, 1, 16_384, -(2**63), 2**63 - 1, 2**62 + 1, -(2**62) - 1]
+                -1.5, 1e300, -1e-300, 5e-324, 0.1, 664.3249999]
+               + near_rounding_ties() + FIXED_POINT_EDGES)
+STEP_INTS = [0, -1, 1, 16_384, -(2**63), 2**63 - 1, 2**62 + 1, -(2**62) - 1,
+             10**18 - 1, -(10**18 - 1), 10**18, -(10**18)]
 SIGNED_PAIRS = [[0.0, -0.0], [math.nan, -math.nan], [math.inf, -math.inf]]
 
 
@@ -401,11 +414,33 @@ def assert_same_text(text, expected):
 
 @pytest.mark.parametrize("n", [65_535, 65_536, 65_537])
 def test_step_csv_matches_per_row_format_at_block_edges(n, tmp_path):
-    """Columns of repeated values across the edges of a 65,536-row block."""
+    """Columns of repeated values across the edges of 8,192-row blocks."""
     rng = np.random.default_rng(n)
     log = step_log(np.arange(n) * 0.5 - 3.0,
                    rng.choice(STEP_INTS, n), rng.integers(-140, 140, n),
                    rng.choice(STEP_FLOATS, n), rng.integers(-3, 4, n) * 0.25)
+    engine.write_step_csv(log, tmp_path / "steps.csv")
+    assert_same_text((tmp_path / "steps.csv").read_text(), per_row_step_text(log.steps))
+
+
+def in_fixed_point_range(pool, decimals: int) -> list:
+    """The entries of a pool that the step writer spells in fixed point."""
+    if pool is STEP_INTS:
+        return [v for v in pool if abs(v) < 10**18]
+    return [x for x in pool if abs(x) * 10**decimals < 2**44]  # NaN fails too
+
+
+@pytest.mark.parametrize("column, value", [("t", math.nan), ("theta_h_counts", 10**18),
+                                           ("tip_z", -1e300)])
+def test_step_csv_one_block_out_of_fixed_point_range(column, value, tmp_path):
+    """Every pool value in range, rounding ties among them, in three 8,192-row
+    blocks, and one value beyond the range in the middle one, at its last row."""
+    n = 3 * 8_192
+    rng = np.random.default_rng(n)
+    log = step_log(*(rng.choice(in_fixed_point_range(pool, decimals), n) for pool, decimals in
+                     zip((STEP_FLOATS, STEP_INTS, STEP_INTS, STEP_FLOATS, STEP_FLOATS),
+                         (3, 0, 0, 6, 6))))
+    log.steps[column][2 * 8_192 - 1] = value
     engine.write_step_csv(log, tmp_path / "steps.csv")
     assert_same_text((tmp_path / "steps.csv").read_text(), per_row_step_text(log.steps))
 

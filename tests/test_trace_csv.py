@@ -74,6 +74,8 @@ def unquoted(label: str) -> bool:
 
 
 INT64 = st.integers(-2**63, 2**63 - 1)
+# the edges of int64 and of the trace writer's fixed-point range
+EDGE_CODES = [-2**63, 2**63 - 1, 10**18 - 1, -(10**18 - 1), 10**18, -(10**18)]
 PERIODS = (st.floats(min_value=5e-324, max_value=1e300)
            | st.sampled_from([1.0, 0.3, 2.5, 1e-300, 5e-324, 1e300]))
 LABELS = (st.text(max_size=6)
@@ -91,7 +93,7 @@ def trace_columns(draw):
         t[0] = -0.0
     codes = []
     for _ in range(3):  # a few codes repeated, mixed with arbitrary ones
-        pool = draw(st.lists(INT64, min_size=1, max_size=4))
+        pool = draw(st.lists(INT64 | st.sampled_from(EDGE_CODES), min_size=1, max_size=4))
         codes.append(draw(st.lists(st.sampled_from(pool) | INT64, min_size=n, max_size=n)))
     return (t, *codes, draw(st.lists(LABELS, min_size=n, max_size=n)), period)
 
@@ -122,14 +124,30 @@ def assert_same_text(text, expected):
 
 @pytest.mark.parametrize("n", [65_535, 65_536, 65_537])
 def test_save_trace_matches_csv_writer_at_block_edges(n, tmp_path):
-    """Repeated codes and labels across the edges of a 65,536-row block."""
+    """Repeated codes and labels across the edges of 8,192-row blocks."""
     rng = np.random.default_rng(n)
     rows = [[i * 1.0 for i in range(n)], rng.integers(0, 16, n).tolist(),
-            rng.choice([-2**63, 2**63 - 1], n).tolist(), rng.integers(1, 3, n).tolist(),
+            rng.choice(EDGE_CODES, n).tolist(), rng.integers(1, 3, n).tolist(),
             rng.choice(["", "flex_min", " z_rest "], n).tolist()]
     save_trace(SensorTrace.from_columns(*rows, 1.0), tmp_path / "trace.csv")
     text = (tmp_path / "trace.csv").read_bytes().decode("utf-8")
     assert_same_text(text, csv_writer_text(*rows))
+
+
+@pytest.mark.parametrize("column, value", [("flex_adc", 10**18), ("acc_z_adc", -2**63),
+                                           ("label", "flex_min")])
+def test_save_trace_one_block_out_of_fixed_point_range(column, value, tmp_path):
+    """One code beyond the fixed-point range, or one label, in the middle one
+    of three 8,192-row blocks, at its first row; the blocks either side hold
+    whole times, codes in range and empty labels."""
+    n = 3 * 8_192
+    rng = np.random.default_rng(n)
+    rows = dict(zip(TRACE_HEADER, [[float(i) for i in range(n)],
+                                   *rng.integers(0, 4_096, (3, n)).tolist(), [""] * n]))
+    rows[column][8_192] = value
+    save_trace(SensorTrace.from_columns(*rows.values(), 1.0), tmp_path / "trace.csv")
+    text = (tmp_path / "trace.csv").read_bytes().decode("utf-8")
+    assert_same_text(text, csv_writer_text(*rows.values()))
 
 
 @pytest.mark.parametrize("t", [[0.0, 1.0, 2.0], [-0.0, 1.0], [999_998.0, 999_999.0],
