@@ -9,7 +9,6 @@ direction sets, unlike a spherical hull.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import stat
@@ -23,6 +22,7 @@ from .errors import InputError, ReachError
 from .kinematics import FingerGeometry, MountPose, required_torque, theta_for_key
 from .piano import Key, KeyboardLayout
 from .plant import MotorAxis, counts_per_output_rev, torque_margin
+from .sensors import digit_words
 
 FULL_SPHERE = 4.0 * math.pi
 LATENCY_BUDGET_MS = 80.0
@@ -182,13 +182,6 @@ def save_directions(dirs: np.ndarray, path) -> None:
                          % tuple(block.ravel().tolist())).encode())
 
 
-@functools.cache
-def _digit_groups() -> np.ndarray:
-    """Row ``i`` holds the four ASCII digits of ``i``, for 0 <= i < 10,000."""
-    digits = "".join(map("{:04d}".format, range(10_000))).encode()
-    return np.frombuffer(digits, np.uint8).reshape(10_000, 4)
-
-
 def _unit_block_text(values: np.ndarray) -> bytes:
     """``"%.12f"`` of each of a block's values in [-1, 1], three to a row."""
     scaled = np.abs(values) * 1e12  # within 2**-14 of the exact product
@@ -202,7 +195,7 @@ def _unit_block_text(values: np.ndarray) -> bytes:
     text[2::3, 15] = ord("\n")
     for start in (11, 7, 3):
         counts, group = np.divmod(counts, 10_000)
-        text[:, start:start + 4] = _digit_groups().take(group, axis=0)
+        text[:, start:start + 4] = digit_words().take(group).view(np.uint8).reshape(-1, 4)
     text[:, 1] += counts.astype(np.uint8)
     keep = np.ones(text.shape, bool)
     keep[:, 0] = np.signbit(values)  # "%.12f" signs -0.0 and tiny negatives

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import analysis, engine, midi, synth
 from .config import GlobalConfig, default_config, load_config
 from .control import (calibrate_from_trace, load_calibration, read_kv_file,
-                      save_calibration, write_kv_file)
+                      save_calibration, validate_calibration_ranges, write_kv_file)
 from .errors import InputError, RobothumbError
 from .piano import MIDI_A0, note_name
 from .sensors import load_trace, save_trace
@@ -146,6 +146,7 @@ def _synth_sweep(args, cfg: GlobalConfig) -> None:
 def _calibrate(args, cfg: GlobalConfig) -> None:
     trace = load_trace(args.trace)
     calib = calibrate_from_trace(trace, read_kv_file(args.anchors))
+    validate_calibration_ranges(calib, cfg.geometry, cfg.axis)
     out = _out_dir(args)
     path = out / "calibration.txt"
     save_calibration(calib, path)

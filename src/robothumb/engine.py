@@ -39,7 +39,7 @@ vertical axis. A run works on columns, one entry per step:
 
 The step log keeps the columns as one structured array. Both execution
 modes produce byte-identical logs: they differ only in step 2, which runs
-inline or as two whole-axis tasks on two workers.
+inline or as two whole-axis tasks on two threads.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import threading
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
@@ -58,8 +58,7 @@ from . import control, kinematics, plant
 from .control import CalibrationSet, ControlParams
 from .errors import ConfigurationError, InputError
 from .piano import Key, KeyEvent, MIDI_A0, key_at, note_name
-from .sensors import (TRACE_BLOCK_ROWS, SensorTrace, column_strings, round_half_up,
-                      whole_strings)
+from .sensors import TRACE_BLOCK_ROWS, SensorTrace, fixed_point_rows, round_half_up
 
 MODES = ("deterministic", "concurrent")  # execution modes; see the module docstring
 # a run, or a synthesized trace, of more steps is rejected before any
@@ -239,12 +238,12 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
     # buffer index of the state a sample's command is sent from: the state
     # before the step its sensor path completes in
     sent_from = np.searchsorted(step_t, times + lat.sensor_path)
-    # the control laws map float columns
+    # the control laws map float columns to lists
     flex, acc_y, acc_z = (c.astype(float) for c in codes)
-    setpoints_h = np.array(control.horizontal_update(flex, calibration) + [0])
+    setpoints_h = np.append(np.fromiter(control.horizontal_update(flex, calibration), np.int64), 0)
     setpoints_v, limits_v = control.vertical_update(acc_y, acc_z, calibration, params)
-    setpoints_v = np.array(setpoints_v + [0])
-    limits_v = np.append(limits_v, 0.0)
+    setpoints_v = np.append(np.fromiter(setpoints_v, np.int64), 0)
+    limits_v = np.append(np.array(limits_v, float), 0.0)
 
     angles_h, velocities_h = _axis_buffers(n_steps)
     angles_v, velocities_v = _axis_buffers(n_steps)
@@ -257,9 +256,21 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
                           _runs(setpoints_v[applied]), limits_v[applied].tolist(),
                           dt, config.axis))
     if sim.mode == "concurrent":
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            for future in [pool.submit(task) for task in tasks]:
-                future.result()
+        errors = []  # what the workers raised; the first is raised again here
+
+        def work(task):
+            try:
+                task()
+            except Exception as exc:
+                errors.append(exc)
+
+        workers = [threading.Thread(target=work, args=(task,)) for task in tasks]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        if errors:
+            raise errors[0]
     else:
         for task in tasks:
             task()
@@ -321,22 +332,18 @@ def write_event_csv(log: EventLog, path) -> None:
 
 
 def write_step_csv(log: EventLog, path) -> None:
-    """One ``%.3f,%d,%d,%.6f,%.6f`` row per step, built column by column in
-    blocks of rows: step times, which never repeat, are formatted entry by
-    entry, every other column once per distinct value. A block of times that
-    ``whole_strings`` spells is spelled from its ints, as ``%.3f`` spells them."""
-    with open(path, "w", newline="") as f:
-        f.write("t_ms,theta_h_counts,theta_v_counts,tip_x,tip_z\n")
+    """One ``%.3f,%d,%d,%.6f,%.6f`` row per step. Each block of rows is
+    spelled by ``fixed_point_rows``; a block it refuses (NaN, inf or a value
+    beyond its range) is formatted one ``%`` per row."""
+    with open(path, "wb") as f:
+        f.write(b"t_ms,theta_h_counts,theta_v_counts,tip_x,tip_z\n")
         for start in range(0, len(log.steps), TRACE_BLOCK_ROWS):
             block = log.steps[start:start + TRACE_BLOCK_ROWS]
-            whole = whole_strings(block["t"])
-            if whole is None:
-                columns = [list(map("%.3f".__mod__, block["t"].tolist()))]
-            else:
-                columns = [[s + ".000" for s in whole]]
-            columns += [column_strings(block[name], fmt) for name, fmt in
-                        zip(STEP_DTYPE.names[1:], ("%d", "%d", "%.6f", "%.6f"))]
-            f.write("\n".join(map(",".join, zip(*columns))) + "\n")
+            text = fixed_point_rows([block[name] for name in STEP_DTYPE.names],
+                                    (3, 0, 0, 6, 6), (b",", b",", b",", b",", b"\n"))
+            if text is None:
+                text = "".join(map("%.3f,%d,%d,%.6f,%.6f\n".__mod__, block.tolist())).encode()
+            f.write(text)
 
 
 def write_latency_csv(log: EventLog, path) -> None:

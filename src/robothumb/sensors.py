@@ -9,15 +9,16 @@ Y picks up the gravity projection along the foot (direction of motion),
 Z picks up gravity plus dynamic acceleration (speed of motion).
 
 A trace keeps its readings as columns (time, three ADC codes, labels) and
-is written as a CSV of ``TRACE_HEADER`` rows, whole blocks of rows at a
-time and one column at a time: a whole time below 10**15 ms is spelled as
-its integer digits and any other time as its ``repr``, and a code column
-is formatted once per distinct value. A file in the writer's own layout is
-read back by numpy, any other text line by line.
+is written as a CSV of ``TRACE_HEADER`` rows, a block of rows at a time:
+numpy spells a block's numbers from a table of digits (``fixed_point_rows``,
+which the step-CSV writer shares), and a block it cannot spell is formatted
+row by row. A file in the writer's own layout is read back by numpy, any
+other text line by line.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,33 +44,70 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def column_strings(column: np.ndarray, fmt: str) -> list[str]:
-    """``fmt % value`` for each entry of an int64 or float64 column, each
-    distinct value formatted once.
-
-    Floats are told apart by their bit pattern, so ``-0.0`` and ``0.0``,
-    which ``%f`` prints differently, are formatted apart.
-    """
-    key = column.view(np.int64) if column.dtype.kind == "f" else column
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    strings = np.array(list(map(fmt.__mod__, column[first].tolist())), object)
-    return strings[inverse].tolist()
+@functools.cache
+def digit_words() -> np.ndarray:
+    """The four ASCII digits of 0 to 9,999 as ``<u4`` words, leading digit first."""
+    i = np.arange(10_000, dtype="<u4")
+    return i // 1000 + (i // 100 % 10 << 8) + (i // 10 % 10 << 16) + (i % 10 << 24) + 0x30303030
 
 
-def whole_strings(column: np.ndarray) -> list[str] | None:
-    """``str(int(x))`` of each entry of a float64 column if every entry is a
-    whole number in [0, 10**``TRACE_DIGITS``) without a minus sign, else None."""
-    whole = (column == np.rint(column)) & (column < 10.0**TRACE_DIGITS)  # NaN and inf fail
-    if whole.all() and not np.signbit(column).any():
-        return list(map(str, column.astype(np.int64).tolist()))
-    return None
+def _spell(text: np.ndarray, values: np.ndarray, stop: int, width: int) -> None:
+    """Write each non-negative int64's last ``width`` digits to ``text[:, stop - width:stop]``."""
+    groups = np.empty((len(values), (width + 3) // 4), np.int64)  # of 4 digits, leading first
+    for j in range(groups.shape[1] - 1, 0, -1):
+        values, groups[:, j] = np.divmod(values, 10_000)
+    groups[:, 0] = values
+    digits = digit_words().take(groups).view(np.uint8).reshape(len(groups), -1)
+    text[:, stop - width:stop] = digits[:, digits.shape[1] - width:]
 
 
-def _time_strings(t: np.ndarray) -> list[str]:
-    """Each time's integer digits if it is a whole number of magnitude below
-    10**``TRACE_DIGITS`` (``-0`` for -0.0), else its ``repr``."""
-    return whole_strings(t) or ["%.0f" % x if x.is_integer() and abs(x) < 10.0**TRACE_DIGITS
-                                else repr(x) for x in t.tolist()]
+def fixed_point_rows(columns, decimals, ends) -> bytes | None:
+    """The text of rows of equal-length columns, field ``k`` ``"%.{d}f"`` of a
+    float64 entry (``d = decimals[k]``) or ``"%d"`` of an int64 one (``d = 0``),
+    then ``ends[k]``; None if a float is not finite with ``|x| * 10**d < 2**44``
+    or an int not within ``(-10**18, 10**18)``. Each field is spelled from its
+    count of ``10**-d`` in a slot as wide as the block's widest, and one mask
+    drops each row's unused bytes."""
+    fields = []  # per field: minus signs, whole and fractional counts, decimals, width
+    for column, d in zip(columns, decimals):
+        if column.dtype.kind == "f":
+            scaled = np.abs(column) * 10.0**d
+            if not (scaled < 2.0**44).all():  # NaN and inf fail too
+                return None
+            # below 2**44 the product is within 0.001 of the exact one; within
+            # 1e-3 of a rounding tie, the exact value decides: ask CPython
+            counts = np.rint(scaled)
+            for i in np.flatnonzero(~(np.abs(scaled - counts) < 0.499)).tolist():
+                counts[i] = int(("%.*f" % (d, abs(column[i]))).replace(".", ""))
+            counts = counts.astype(np.int64)
+        elif ((column > -10**18) & (column < 10**18)).all():
+            counts = np.abs(column)
+        else:
+            return None
+        whole, fraction = np.divmod(counts, 10**d) if d else (counts, None)
+        fields.append((np.signbit(column), whole, fraction, d, len(str(int(whole.max())))))
+    template = b"".join(b"-" + b"0" * width + b"." * (d > 0) + b"0" * d + end
+                        for (*_, d, width), end in zip(fields, ends))
+    text = np.empty((len(columns[0]), len(template)), np.uint8)
+    text[:] = np.frombuffer(template, np.uint8)
+    keep = np.ones(text.shape, bool)
+    at = 0  # the first column of the next field, its sign
+    for (negative, whole, fraction, d, width), end in zip(fields, ends):
+        keep[:, at] = negative  # "%f" signs -0.0 and tiny negatives
+        at += 1 + width  # past the integer digits
+        _spell(text, whole, at, width)
+        for k in range(1, width):  # the pad left of the leading digit
+            keep[:, at - 1 - k] = whole >= 10**k
+        if d:
+            _spell(text, fraction, at + 1 + d, d)
+        at += (d > 0) + d + len(end)
+    return text[keep].tobytes()
+
+
+def _time_text(t: float) -> str:
+    """A whole time of magnitude below 10**``TRACE_DIGITS`` as its integer
+    digits (``-0`` for -0.0), any other time as its ``repr``."""
+    return "%.0f" % t if t.is_integer() and abs(t) < 10.0**TRACE_DIGITS else repr(t)
 
 
 @dataclass(frozen=True)
@@ -207,23 +245,35 @@ def accel_output(foot_pitch: float, dyn_accel: float,
     return v_y, v_z
 
 
-def save_trace(trace: SensorTrace, path) -> None:
-    """Write ``TRACE_HEADER`` and one CRLF-terminated row per sample.
+# the writer's layout: this header line, then rows of four digit fields and a
+# label, split by commas and, like the header, ended by CRLF
+_HEADER_LINE = (",".join(TRACE_HEADER) + "\r\n").encode()
 
-    Each block of rows is built column by column: ``t`` by ``_time_strings``
-    entry by entry, each code column ``%d`` once per distinct code, and the
-    labels are written as they are. Labels carry no comma, quote or line
-    break, so no field needs quoting and the text is what ``csv.writer``
-    writes for the same rows.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(TRACE_HEADER) + "\r\n")
+
+def save_trace(trace: SensorTrace, path) -> None:
+    """Write ``TRACE_HEADER`` and one CRLF-terminated row per sample: the time
+    by ``_time_text``, the codes by ``%d``, then the label. Labels carry no
+    comma, quote or line break, so the text is what ``csv.writer`` writes.
+    A block of rows with whole times goes through ``fixed_point_rows``, its
+    labels spliced in before each CRLF; any other block, or one the kernel
+    refuses, is formatted row by row."""
+    with open(path, "wb") as f:
+        f.write(_HEADER_LINE)
         for start in range(0, len(trace.samples), TRACE_BLOCK_ROWS):
             block = trace.samples[start:start + TRACE_BLOCK_ROWS]
-            columns = [_time_strings(block["t"])]
-            columns += [column_strings(block[name], "%d") for name in SAMPLE_DTYPE.names[1:]]
-            columns.append(trace.labels[start:start + TRACE_BLOCK_ROWS])
-            f.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+            labels = trace.labels[start:start + TRACE_BLOCK_ROWS]
+            text = None
+            if (block["t"] == np.rint(block["t"])).all():  # "%.0f" spells them as _time_text does
+                text = fixed_point_rows([block[name] for name in SAMPLE_DTYPE.names],
+                                        (0, 0, 0, 0), (b",", b",", b",", b",\r\n"))
+            if text is None:
+                text = "".join("%s,%d,%d,%d,%s\r\n" % (_time_text(ms), flex, acc_y, acc_z, label)
+                               for (ms, flex, acc_y, acc_z), label in zip(block.tolist(), labels)
+                               ).encode()
+            elif any(labels):
+                text = b"".join(map(b"%s%s\r\n".__mod__,
+                                    zip(text.split(b"\r\n"), map(str.encode, labels))))
+            f.write(text)
 
 
 def load_trace(path) -> SensorTrace:
@@ -242,11 +292,6 @@ def load_trace(path) -> SensorTrace:
         return _read_writer_layout(data) or _parse_trace(data)
     except (UnicodeDecodeError, TraceFormatError) as exc:
         raise TraceFormatError(f"{path}: {exc}") from None
-
-
-# the writer's layout: this header line, then rows of four digit fields and a
-# label, split by commas and, like the header, ended by CRLF
-_HEADER_LINE = (",".join(TRACE_HEADER) + "\r\n").encode()
 
 
 def _read_writer_layout(data: bytes) -> SensorTrace | None:

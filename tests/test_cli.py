@@ -199,6 +199,19 @@ def test_unparsable_anchor_names_key_and_line(workdir, tmp_path, capsys):
     assert f"anchors.txt:{lineno}: enc_hover: could not convert" in capsys.readouterr().err
 
 
+def test_anchor_beyond_the_joint_range_exits_2(workdir, tmp_path, capsys):
+    """calibrate wrote this calibration, and simulate then exited 2."""
+    lines = (workdir / "anchors.txt").read_text().splitlines()
+    lines = ["enc_pressed = 99999" if line.startswith("enc_pressed") else line
+             for line in lines]
+    bad = tmp_path / "anchors.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run("calibrate", "--trace", workdir / "calibration_trace.csv",
+               "--anchors", bad, "--out", tmp_path) == 2
+    assert "enc_pressed outside the vertical joint range" in capsys.readouterr().err
+    assert not (tmp_path / "calibration.txt").exists()
+
+
 def test_fractional_calibration_value_exits_2(workdir, tmp_path, capsys):
     lines = (workdir / "calibration.txt").read_text().splitlines()
     lines = [line + ".9" if line.startswith("flex_min") else line for line in lines]

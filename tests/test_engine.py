@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robothumb import engine, synth
+from robothumb import engine, plant, synth
 from robothumb.control import calibrate_from_trace
 from robothumb.engine import (MAX_STEPS, STEP_DTYPE, EventLog, LatencyConfig,
                               LatencyRecord, SimulationConfig, intention_detect,
@@ -225,6 +225,22 @@ def test_determinism_and_mode_equivalence(cfg, calib):
             assert_logs_equal(log, log_a)
     on_keys = {e.key_index for e in log_a.events if e.kind == "on"}
     assert {45, 47} <= on_keys  # both black keys of the walk were pressed
+
+
+def test_concurrent_mode_raises_what_an_axis_raised(cfg, calib, monkeypatch):
+    """An axis task that fails on its worker fails the run."""
+    real = plant.run_axis
+
+    def run_axis(angles, velocities, runs, limits, dt, axis, feedback=None):
+        if feedback is None:  # the vertical axis
+            raise RuntimeError("vertical axis fault")
+        real(angles, velocities, runs, limits, dt, axis, feedback)
+
+    monkeypatch.setattr(plant, "run_axis", run_axis)
+    concurrent = dataclasses.replace(
+        cfg, simulation=dataclasses.replace(cfg.simulation, mode="concurrent"))
+    with pytest.raises(RuntimeError, match="vertical axis fault"):
+        run(press_fixture(cfg), calib, concurrent)
 
 
 def test_air_press_logged_not_emitted(cfg):
