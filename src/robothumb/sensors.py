@@ -52,7 +52,8 @@ def digit_words() -> np.ndarray:
 
 
 def _spell(text: np.ndarray, values: np.ndarray, stop: int, width: int) -> None:
-    """Write each non-negative int64's last ``width`` digits to ``text[:, stop - width:stop]``."""
+    """Write non-negative int64s of at most ``width`` digits, zero-padded, to
+    ``text[:, stop - width:stop]``."""
     groups = np.empty((len(values), (width + 3) // 4), np.int64)  # of 4 digits, leading first
     for j in range(groups.shape[1] - 1, 0, -1):
         values, groups[:, j] = np.divmod(values, 10_000)
@@ -245,11 +246,6 @@ def accel_output(foot_pitch: float, dyn_accel: float,
     return v_y, v_z
 
 
-# the writer's layout: this header line, then rows of four digit fields and a
-# label, split by commas and, like the header, ended by CRLF
-_HEADER_LINE = (",".join(TRACE_HEADER) + "\r\n").encode()
-
-
 def save_trace(trace: SensorTrace, path) -> None:
     """Write ``TRACE_HEADER`` and one CRLF-terminated row per sample: the time
     by ``_time_text``, the codes by ``%d``, then the label. Labels carry no
@@ -292,6 +288,11 @@ def load_trace(path) -> SensorTrace:
         return _read_writer_layout(data) or _parse_trace(data)
     except (UnicodeDecodeError, TraceFormatError) as exc:
         raise TraceFormatError(f"{path}: {exc}") from None
+
+
+# the writer's layout: this header line, then rows of four digit fields and a
+# label, split by commas and, like the header, ended by CRLF
+_HEADER_LINE = (",".join(TRACE_HEADER) + "\r\n").encode()
 
 
 def _read_writer_layout(data: bytes) -> SensorTrace | None:
