@@ -152,7 +152,7 @@ def test_save_directions_rejects_arrays_not_shaped_n_by_3(shape, tmp_path):
 
 def test_save_directions_matches_row_formatter_at_ties(tmp_path):
     """odd/2**13 times 10**12 is exactly k + 0.5, a tie that ``%.12f``
-    rounds to even; odd/2**20 times 10**12 is exact, with a fraction in
+    rounds to even, and so is 10 + odd/2**13 times 10**12; odd/2**20 times 10**12 is exact, with a fraction in
     steps of 1/256; a value a few ulps from a tie can round its product
     across the tie."""
     rng = np.random.default_rng(20)
@@ -160,14 +160,26 @@ def test_save_directions_matches_row_formatter_at_ties(tmp_path):
     exact = rng.choice(np.arange(1, 2**20, 2), 4_096) / 2.0**20
     near = [near_tie(k, ulps) for k in rng.integers(0, 10**12, 1_000).tolist()
             for ulps in range(-2, 3)]
-    values = np.concatenate((ties, -ties, exact, -exact, near, np.negative(near)))
+    values = np.concatenate((ties, -ties, 10.0 + ties, -10.0 - ties, exact, -exact,
+                             near, np.negative(near)))
     dirs = values[:len(values) // 3 * 3].reshape(-1, 3)
     assert written(dirs, tmp_path / "d.csv") == reference_text(dirs)
 
 
-@pytest.mark.parametrize("bad", [1.5, math.nan, -math.inf])
+# the largest value the fixed-point kernel spells to 12 decimals is just below
+# 2**44 / 10**12, about 17.59
+KERNEL_EDGE = 2.0**44 / 1e12
+
+
+@pytest.mark.parametrize("bad", [
+    1.5, 9.75, -12.5, 10.0 + 1 / 2.0**13, -10.0 - 8_191 / 2.0**13,
+    math.nextafter(KERNEL_EDGE, 0.0), KERNEL_EDGE, math.nextafter(KERNEL_EDGE, math.inf),
+    -math.nextafter(KERNEL_EDGE, 0.0), -math.nextafter(KERNEL_EDGE, math.inf),
+    1e300, math.nan, -math.inf])
 def test_save_directions_matches_row_formatter_past_unit_values(bad, tmp_path):
-    """A value beyond [-1, 1] in one row, at a block edge mid-file."""
+    """A value beyond [-1, 1] in one row and its negation in another, each at a
+    block edge mid-file: whole parts of one and two digits, rounding ties past
+    10, and values either side of the kernel's range."""
     rng = np.random.default_rng(21)
     dirs = rng.uniform(-1.0, 1.0, (3 * DIRECTION_BLOCK_ROWS + 5, 3))
     dirs[DIRECTION_BLOCK_ROWS, 1] = bad

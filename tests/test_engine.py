@@ -13,7 +13,7 @@ from robothumb.engine import (MAX_STEPS, STEP_DTYPE, EventLog, LatencyConfig,
                               midi_velocity, run)
 from robothumb.errors import ConfigurationError, InputError
 from robothumb.plant import MotorAxis
-from robothumb.sensors import SensorTrace
+from robothumb.sensors import TRACE_BLOCK_ROWS, SensorTrace
 
 
 def make_trace(rows, period=1.0):
@@ -428,9 +428,10 @@ def assert_same_text(text, expected):
     assert len(lines) == len(expected_lines)
 
 
-@pytest.mark.parametrize("n", [65_535, 65_536, 65_537])
+@pytest.mark.parametrize("n", [TRACE_BLOCK_ROWS - 1, TRACE_BLOCK_ROWS, TRACE_BLOCK_ROWS + 1,
+                               65_535, 65_536, 65_537])
 def test_step_csv_matches_per_row_format_at_block_edges(n, tmp_path):
-    """Columns of repeated values across the edges of 8,192-row blocks."""
+    """Columns of repeated values across the edges of the writer's blocks."""
     rng = np.random.default_rng(n)
     log = step_log(np.arange(n) * 0.5 - 3.0,
                    rng.choice(STEP_INTS, n), rng.integers(-140, 140, n),
@@ -449,14 +450,15 @@ def in_fixed_point_range(pool, decimals: int) -> list:
 @pytest.mark.parametrize("column, value", [("t", math.nan), ("theta_h_counts", 10**18),
                                            ("tip_z", -1e300)])
 def test_step_csv_one_block_out_of_fixed_point_range(column, value, tmp_path):
-    """Every pool value in range, rounding ties among them, in three 8,192-row
-    blocks, and one value beyond the range in the middle one, at its last row."""
-    n = 3 * 8_192
+    """Every pool value in range, rounding ties among them, in three of the
+    writer's blocks, and one value beyond the range in the middle one, at its
+    last row."""
+    n = 3 * TRACE_BLOCK_ROWS
     rng = np.random.default_rng(n)
     log = step_log(*(rng.choice(in_fixed_point_range(pool, decimals), n) for pool, decimals in
                      zip((STEP_FLOATS, STEP_INTS, STEP_INTS, STEP_FLOATS, STEP_FLOATS),
                          (3, 0, 0, 6, 6))))
-    log.steps[column][2 * 8_192 - 1] = value
+    log.steps[column][2 * TRACE_BLOCK_ROWS - 1] = value
     engine.write_step_csv(log, tmp_path / "steps.csv")
     assert_same_text((tmp_path / "steps.csv").read_text(), per_row_step_text(log.steps))
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from robothumb import default_config, sensors, synth
 from robothumb.cli import main
 from robothumb.errors import InputError, RobothumbError, TraceFormatError
-from robothumb.sensors import (SAMPLE_DTYPE, TRACE_HEADER, SensorTrace,
+from robothumb.sensors import (SAMPLE_DTYPE, TRACE_BLOCK_ROWS, TRACE_HEADER, SensorTrace,
                                load_trace, save_trace)
 
 REAR_CONFIG = "[mount]\ndepth = 60\n"
@@ -122,9 +122,10 @@ def assert_same_text(text, expected):
     assert len(lines) == len(expected_lines)
 
 
-@pytest.mark.parametrize("n", [65_535, 65_536, 65_537])
+@pytest.mark.parametrize("n", [TRACE_BLOCK_ROWS - 1, TRACE_BLOCK_ROWS, TRACE_BLOCK_ROWS + 1,
+                               65_535, 65_536, 65_537])
 def test_save_trace_matches_csv_writer_at_block_edges(n, tmp_path):
-    """Repeated codes and labels across the edges of 8,192-row blocks."""
+    """Repeated codes and labels across the edges of the writer's blocks."""
     rng = np.random.default_rng(n)
     rows = [[i * 1.0 for i in range(n)], rng.integers(0, 16, n).tolist(),
             rng.choice(EDGE_CODES, n).tolist(), rng.integers(1, 3, n).tolist(),
@@ -138,21 +139,23 @@ def test_save_trace_matches_csv_writer_at_block_edges(n, tmp_path):
                                            ("label", "flex_min")])
 def test_save_trace_one_block_out_of_fixed_point_range(column, value, tmp_path):
     """One code beyond the fixed-point range, or one label, in the middle one
-    of three 8,192-row blocks, at its first row; the blocks either side hold
-    whole times, codes in range and empty labels."""
-    n = 3 * 8_192
+    of three of the writer's blocks, at its first row; the blocks either side
+    hold whole times, codes in range and empty labels."""
+    n = 3 * TRACE_BLOCK_ROWS
     rng = np.random.default_rng(n)
     rows = dict(zip(TRACE_HEADER, [[float(i) for i in range(n)],
                                    *rng.integers(0, 4_096, (3, n)).tolist(), [""] * n]))
-    rows[column][8_192] = value
+    rows[column][TRACE_BLOCK_ROWS] = value
     save_trace(SensorTrace.from_columns(*rows.values(), 1.0), tmp_path / "trace.csv")
     text = (tmp_path / "trace.csv").read_bytes().decode("utf-8")
     assert_same_text(text, csv_writer_text(*rows.values()))
 
 
 @pytest.mark.parametrize("t", [[0.0, 1.0, 2.0], [-0.0, 1.0], [999_998.0, 999_999.0],
-                               [999_999.0, 1e6], [0.5, 1.0], [1e15, 1e15 + 1]],
-                         ids=["whole", "minus-zero", "below-1e6", "1e6", "half", "1e15"])
+                               [999_999.0, 1e6], [0.5, 1.0], [2.0**44, 2.0**44 + 1],
+                               [1e14, 1e14 + 1], [1e15, 1e15 + 1]],
+                         ids=["whole", "minus-zero", "below-1e6", "1e6", "half", "2**44",
+                              "1e14", "1e15"])
 def test_save_trace_spells_times_as_csv_writer(t, tmp_path):
     n = len(t)
     rows = [t, [0] * n, [0] * n, [0] * n, [""] * n]
@@ -382,7 +385,8 @@ LABEL_POOLS = st.sampled_from([[""], ["", "flex_min", " z_rest "],
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.sampled_from([1, 2, 8_191, 8_192, 8_193]), TIME_STARTS, TIME_STEPS,
+@given(st.sampled_from([1, 2, TRACE_BLOCK_ROWS - 1, TRACE_BLOCK_ROWS, TRACE_BLOCK_ROWS + 1]),
+       TIME_STARTS, TIME_STEPS,
        st.lists(st.integers(1, 16), min_size=3, max_size=3), st.booleans(),
        LABEL_POOLS, st.integers(0, 2**32 - 1))
 def test_saved_traces_load_as_reference(tmp_path_factory, n, start, step, digits,
