@@ -22,18 +22,12 @@ from .errors import InputError, ReachError
 from .kinematics import FingerGeometry, MountPose, required_torque, theta_for_key
 from .piano import Key, KeyboardLayout
 from .plant import MotorAxis, counts_per_output_rev, torque_margin
-from .sensors import digit_words
+from .sensors import BLOCK_ROWS, blocks, fixed_point_rows
 
 FULL_SPHERE = 4.0 * math.pi
 LATENCY_BUDGET_MS = 80.0
 MASS_BUDGET_G = 350.0
 DIRECTION_NORM_TOL = 1e-9
-# rows per block in save_directions and solid_angle: each block's
-# temporaries stay small whatever the size of the set. At 65,536 rows a
-# block's floats, tuple and text took about 15 MB and raised the peak
-# memory of a 600k-row sweep by about 5 MiB; 8,192 rows take about 2 MB and
-# write as fast.
-DIRECTION_BLOCK_ROWS = 8_192
 # sphere_partition rejects more bins before allocating anything, which
 # keeps the occupancy array of solid_angle within 100 MB
 MAX_BINS = 100_000_000
@@ -83,7 +77,7 @@ def _read_unit_layout(path) -> np.ndarray | None:
 
     That layout is the header ``x,y,z`` and rows of three values
     ``-?d.dddddddddddd`` split by ``,``, each row ended by LF. The body is
-    read in chunks of about ``DIRECTION_BLOCK_ROWS`` rows, each cut at its
+    read in chunks of about ``BLOCK_ROWS`` rows, each cut at its
     last LF. Rows fill one array sized for the most rows the file can hold;
     pages past the last row are never touched.
     """
@@ -96,7 +90,7 @@ def _read_unit_layout(path) -> np.ndarray | None:
         out = np.empty(info.st_size // UNIT_ROW_BYTES * 3)
         filled = 0
         rest = b""
-        while chunk := f.read(DIRECTION_BLOCK_ROWS * UNIT_ROW_BYTES):
+        while chunk := f.read(BLOCK_ROWS * UNIT_ROW_BYTES):
             chunk = rest + chunk
             cut = chunk.rfind(b"\n") + 1
             count = _unit_values(chunk[:cut], out[filled:]) if cut else None
@@ -145,16 +139,11 @@ def _unit_values(text: bytes, out: np.ndarray) -> int | None:
     return len(slots)
 
 
-def _blocks(dirs: np.ndarray):
-    for start in range(0, len(dirs), DIRECTION_BLOCK_ROWS):
-        yield dirs[start:start + DIRECTION_BLOCK_ROWS]
-
-
 def validate_directions(dirs: np.ndarray) -> None:
     if len(dirs) == 0:
         raise InputError("direction set is empty")
     worst = 0.0
-    for block in _blocks(dirs):
+    for block in blocks(dirs):
         # np.maximum keeps a NaN deviation, which the check below rejects
         worst = np.maximum(worst, np.abs(np.linalg.norm(block, axis=1) - 1.0).max())
     worst = float(worst)
@@ -163,43 +152,15 @@ def validate_directions(dirs: np.ndarray) -> None:
 
 
 def save_directions(dirs: np.ndarray, path) -> None:
-    """Write an ``x,y,z`` CSV, each row's text that of ``"%.12f"``.
-
-    A block of rows whose values all lie in [-1, 1] is spelled by numpy
-    from each value's count of 1e-12; any other block is formatted by one
-    ``%`` operation.
-    """
+    """Write an ``x,y,z`` CSV, each row's text that of ``"%.12f"``, each block
+    of rows spelled by ``fixed_point_rows``."""
     dirs = np.asarray(dirs, dtype=np.float64)
     if dirs.ndim != 2 or dirs.shape[1] != 3:
         raise InputError(f"directions must be an (n, 3) array, not shape {dirs.shape}")
     with open(path, "wb") as f:
         f.write(b"x,y,z\n")
-        for block in _blocks(dirs):
-            if (np.abs(block) <= 1.0).all():  # NaN fails too
-                f.write(_unit_block_text(block.ravel()))
-            else:
-                f.write((("%.12f,%.12f,%.12f\n" * len(block))
-                         % tuple(block.ravel().tolist())).encode())
-
-
-def _unit_block_text(values: np.ndarray) -> bytes:
-    """``"%.12f"`` of each of a block's values in [-1, 1], three to a row."""
-    scaled = np.abs(values) * 1e12  # within 2**-14 of the exact product
-    counts = np.rint(scaled)
-    # within 1e-3 of a rounding tie, the exact value decides: ask CPython
-    for i in np.flatnonzero(~(np.abs(scaled - counts) < 0.499)).tolist():
-        counts[i] = int(("%.12f" % abs(values[i])).replace(".", ""))
-    counts = counts.astype(np.int64)
-    # one 16-byte slot per value: sign, whole digit, point, 12 decimals, separator
-    text = np.tile(np.frombuffer(b"-0.000000000000,", np.uint8), (len(values), 1))
-    text[2::3, 15] = ord("\n")
-    for start in (11, 7, 3):
-        counts, group = np.divmod(counts, 10_000)
-        text[:, start:start + 4] = digit_words().take(group).view(np.uint8).reshape(-1, 4)
-    text[:, 1] += counts.astype(np.uint8)
-    keep = np.ones(text.shape, bool)
-    keep[:, 0] = np.signbit(values)  # "%.12f" signs -0.0 and tiny negatives
-    return text[keep].tobytes()
+        for block in blocks(dirs):
+            f.write(fixed_point_rows(block.T, (12, 12, 12), (b",", b",", b"\n")))
 
 
 def sphere_partition(n_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -233,7 +194,7 @@ def solid_angle(dirs: np.ndarray, n_bins: int) -> float:
     validate_directions(dirs)
     z_edges, cells, offsets = sphere_partition(n_bins)
     occupied = np.zeros(n_bins, dtype=bool)
-    for block in _blocks(dirs):
+    for block in blocks(dirs):
         z = np.clip(block[:, 2], -1.0, 1.0)
         ring = np.clip(np.searchsorted(z_edges, z, side="right") - 1, 0, len(cells) - 1)
         phi = np.arctan2(block[:, 1], block[:, 0])  # [-pi, pi]

@@ -58,7 +58,7 @@ from . import control, kinematics, plant
 from .control import CalibrationSet, ControlParams
 from .errors import ConfigurationError, InputError
 from .piano import Key, KeyEvent, MIDI_A0, key_at, note_name
-from .sensors import TRACE_BLOCK_ROWS, SensorTrace, fixed_point_rows, round_half_up
+from .sensors import SensorTrace, blocks, fixed_point_rows, round_half_up
 
 MODES = ("deterministic", "concurrent")  # execution modes; see the module docstring
 # a run, or a synthesized trace, of more steps is rejected before any
@@ -332,18 +332,13 @@ def write_event_csv(log: EventLog, path) -> None:
 
 
 def write_step_csv(log: EventLog, path) -> None:
-    """One ``%.3f,%d,%d,%.6f,%.6f`` row per step. Each block of rows is
-    spelled by ``fixed_point_rows``; a block it refuses (NaN, inf or a value
-    beyond its range) is formatted one ``%`` per row."""
+    """One ``%.3f,%d,%d,%.6f,%.6f`` row per step, each block of rows spelled
+    by ``fixed_point_rows``."""
     with open(path, "wb") as f:
         f.write(b"t_ms,theta_h_counts,theta_v_counts,tip_x,tip_z\n")
-        for start in range(0, len(log.steps), TRACE_BLOCK_ROWS):
-            block = log.steps[start:start + TRACE_BLOCK_ROWS]
-            text = fixed_point_rows([block[name] for name in STEP_DTYPE.names],
-                                    (3, 0, 0, 6, 6), (b",", b",", b",", b",", b"\n"))
-            if text is None:
-                text = "".join(map("%.3f,%d,%d,%.6f,%.6f\n".__mod__, block.tolist())).encode()
-            f.write(text)
+        for block in blocks(log.steps):
+            f.write(fixed_point_rows([block[name] for name in STEP_DTYPE.names],
+                                     (3, 0, 0, 6, 6), (b",", b",", b",", b",", b"\n")))
 
 
 def write_latency_csv(log: EventLog, path) -> None:

@@ -8,12 +8,11 @@ sensor is a three-axis analog accelerometer of which two axes are used:
 Y picks up the gravity projection along the foot (direction of motion),
 Z picks up gravity plus dynamic acceleration (speed of motion).
 
-A trace keeps its readings as columns (time, three ADC codes, labels) and
-is written as a CSV of ``TRACE_HEADER`` rows, a block of rows at a time:
-numpy spells a block's numbers from a table of digits (``fixed_point_rows``,
-which the step-CSV writer shares), and a block it cannot spell is formatted
-row by row. A file in the writer's own layout is read back by numpy, any
-other text line by line.
+A trace keeps its readings as columns (time, three ADC codes, labels). Every
+numeric CSV of the package is written in ``blocks`` of ``BLOCK_ROWS`` rows,
+each spelled by ``fixed_point_rows``: by numpy from a table of digits, or
+one ``%`` per row where a value is out of range. A trace file in the
+writer's own layout is read back by numpy, any other text line by line.
 """
 
 from __future__ import annotations
@@ -30,9 +29,10 @@ TRACE_HEADER = ("t_ms", "flex_adc", "acc_y_adc", "acc_z_adc", "label")
 SAMPLE_DTYPE = np.dtype([("t", np.float64), ("flex_adc", np.int64),
                          ("acc_y_adc", np.int64), ("acc_z_adc", np.int64)])
 LABEL_FORBIDDEN = frozenset(',"\r\n')  # characters csv.writer would quote
-# rows per block in the trace and step CSV writers: a block's strings stay
-# below a megabyte or two, and blocks this size format as fast as larger ones
-TRACE_BLOCK_ROWS = 8_192
+# rows per block in the CSV writers and the direction loops: a block's
+# temporaries take about 2 MB and write as fast as larger ones; 65,536-row
+# blocks raised the peak memory of a 600k-row sweep by about 5 MiB
+BLOCK_ROWS = 8_192
 # most digits of a whole time spelled as an integer and of a field in the
 # writer's layout: float() of a whole number below 10**15 is exact, and a
 # code below it fits int64
@@ -42,6 +42,12 @@ TRACE_DIGITS = 15
 def round_half_up(x: float) -> int:
     """Round with ties away from zero toward +inf; for non-negative inputs."""
     return int(math.floor(x + 0.5))
+
+
+def blocks(rows):
+    """Consecutive slices of ``BLOCK_ROWS`` rows, the last one shorter."""
+    for start in range(0, len(rows), BLOCK_ROWS):
+        yield rows[start:start + BLOCK_ROWS]
 
 
 @functools.cache
@@ -62,19 +68,20 @@ def _spell(text: np.ndarray, values: np.ndarray, stop: int, width: int) -> None:
     text[:, stop - width:stop] = digits[:, digits.shape[1] - width:]
 
 
-def fixed_point_rows(columns, decimals, ends) -> bytes | None:
+def fixed_point_rows(columns, decimals, ends) -> bytes:
     """The text of rows of equal-length columns, field ``k`` ``"%.{d}f"`` of a
     float64 entry (``d = decimals[k]``) or ``"%d"`` of an int64 one (``d = 0``),
-    then ``ends[k]``; None if a float is not finite with ``|x| * 10**d < 2**44``
-    or an int not within ``(-10**18, 10**18)``. Each field is spelled from its
+    then ``ends[k]``. Where every float is finite with ``|x| * 10**d < 2**44``
+    and every int within ``(-10**18, 10**18)``, each field is spelled from its
     count of ``10**-d`` in a slot as wide as the block's widest, and one mask
-    drops each row's unused bytes."""
+    drops each row's unused bytes; otherwise each row is one ``%``."""
     fields = []  # per field: minus signs, whole and fractional counts, decimals, width
     for column, d in zip(columns, decimals):
         if column.dtype.kind == "f":
-            scaled = np.abs(column) * 10.0**d
+            with np.errstate(over="ignore"):  # an overflow to inf fails the check
+                scaled = np.abs(column) * 10.0**d
             if not (scaled < 2.0**44).all():  # NaN and inf fail too
-                return None
+                return _row_text(columns, decimals, ends)
             # below 2**44 the product is within 0.001 of the exact one; within
             # 1e-3 of a rounding tie, the exact value decides: ask CPython
             counts = np.rint(scaled)
@@ -84,7 +91,7 @@ def fixed_point_rows(columns, decimals, ends) -> bytes | None:
         elif ((column > -10**18) & (column < 10**18)).all():
             counts = np.abs(column)
         else:
-            return None
+            return _row_text(columns, decimals, ends)
         whole, fraction = np.divmod(counts, 10**d) if d else (counts, None)
         fields.append((np.signbit(column), whole, fraction, d, len(str(int(whole.max())))))
     template = b"".join(b"-" + b"0" * width + b"." * (d > 0) + b"0" * d + end
@@ -103,6 +110,13 @@ def fixed_point_rows(columns, decimals, ends) -> bytes | None:
             _spell(text, fraction, at + 1 + d, d)
         at += (d > 0) + d + len(end)
     return text[keep].tobytes()
+
+
+def _row_text(columns, decimals, ends) -> bytes:
+    """``fixed_point_rows``'s text formatted one ``%`` per row."""
+    row = b"".join((b"%%.%df" % d if column.dtype.kind == "f" else b"%d") + end
+                   for column, d, end in zip(columns, decimals, ends))
+    return b"".join(map(row.__mod__, zip(*(column.tolist() for column in columns))))
 
 
 def _time_text(t: float) -> str:
@@ -250,25 +264,23 @@ def save_trace(trace: SensorTrace, path) -> None:
     """Write ``TRACE_HEADER`` and one CRLF-terminated row per sample: the time
     by ``_time_text``, the codes by ``%d``, then the label. Labels carry no
     comma, quote or line break, so the text is what ``csv.writer`` writes.
-    A block of rows with whole times goes through ``fixed_point_rows``, its
-    labels spliced in before each CRLF; any other block, or one the kernel
-    refuses, is formatted row by row."""
+    A block whose times are whole and below 10**``TRACE_DIGITS`` (``"%.0f"``
+    spells them as ``_time_text`` does) goes through ``fixed_point_rows``, its
+    labels spliced in before each CRLF; any other block is formatted row by row."""
     with open(path, "wb") as f:
         f.write(_HEADER_LINE)
-        for start in range(0, len(trace.samples), TRACE_BLOCK_ROWS):
-            block = trace.samples[start:start + TRACE_BLOCK_ROWS]
-            labels = trace.labels[start:start + TRACE_BLOCK_ROWS]
-            text = None
-            if (block["t"] == np.rint(block["t"])).all():  # "%.0f" spells them as _time_text does
+        for block, labels in zip(blocks(trace.samples), blocks(trace.labels)):
+            t = block["t"]
+            if (t == np.rint(t)).all() and t.max() < 10.0**TRACE_DIGITS:
                 text = fixed_point_rows([block[name] for name in SAMPLE_DTYPE.names],
                                         (0, 0, 0, 0), (b",", b",", b",", b",\r\n"))
-            if text is None:
+                if any(labels):
+                    text = b"".join(map(b"%s%s\r\n".__mod__,
+                                        zip(text.split(b"\r\n"), map(str.encode, labels))))
+            else:
                 text = "".join("%s,%d,%d,%d,%s\r\n" % (_time_text(ms), flex, acc_y, acc_z, label)
                                for (ms, flex, acc_y, acc_z), label in zip(block.tolist(), labels)
                                ).encode()
-            elif any(labels):
-                text = b"".join(map(b"%s%s\r\n".__mod__,
-                                    zip(text.split(b"\r\n"), map(str.encode, labels))))
             f.write(text)
 
 

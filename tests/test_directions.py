@@ -17,9 +17,10 @@ from hypothesis.extra.numpy import arrays
 from test_trace_csv import assert_same_text
 
 from robothumb import synth
-from robothumb.analysis import DIRECTION_BLOCK_ROWS, load_directions, save_directions
+from robothumb.analysis import load_directions, save_directions
 from robothumb.cli import main
 from robothumb.errors import InputError
+from robothumb.sensors import BLOCK_ROWS
 
 SWEEP_SAMPLES = 150_000  # several write blocks
 SWEEP_GOLDEN = {
@@ -60,7 +61,7 @@ def assert_same_bits(dirs, expected):
                           expected.view(np.int64))
 
 
-@pytest.mark.parametrize("samples", [1, 2, DIRECTION_BLOCK_ROWS + 1, 600_000])
+@pytest.mark.parametrize("samples", [1, 2, BLOCK_ROWS + 1, 600_000])
 def test_sweep_generators_match_reference_formula(samples):
     assert_same_bits(synth.band_sweep_directions(samples, seed=samples),
                      band_reference(samples, seed=samples))
@@ -133,8 +134,7 @@ def test_save_directions_matches_row_formatter(tmp_path_factory, dirs):
     assert written(dirs, path) == reference_text(dirs)
 
 
-@pytest.mark.parametrize("rows", [DIRECTION_BLOCK_ROWS - 1, DIRECTION_BLOCK_ROWS,
-                                  DIRECTION_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
 def test_save_directions_matches_row_formatter_at_block_edges(rows, tmp_path):
     rng = np.random.default_rng(rows)
     dirs = rng.uniform(-1.0, 1.0, (rows, 3))
@@ -181,9 +181,9 @@ def test_save_directions_matches_row_formatter_past_unit_values(bad, tmp_path):
     block edge mid-file: whole parts of one and two digits, rounding ties past
     10, and values either side of the kernel's range."""
     rng = np.random.default_rng(21)
-    dirs = rng.uniform(-1.0, 1.0, (3 * DIRECTION_BLOCK_ROWS + 5, 3))
-    dirs[DIRECTION_BLOCK_ROWS, 1] = bad
-    dirs[2 * DIRECTION_BLOCK_ROWS - 1, 2] = -bad
+    dirs = rng.uniform(-1.0, 1.0, (3 * BLOCK_ROWS + 5, 3))
+    dirs[BLOCK_ROWS, 1] = bad
+    dirs[2 * BLOCK_ROWS - 1, 2] = -bad
     assert_same_text(written(dirs, tmp_path / "d.csv"), reference_text(dirs))
 
 
@@ -198,7 +198,8 @@ LOAD_SPECIAL = [-0.0, 1.0, -1.0, 4e-13, -4e-13, 1.5, 9.75, 12.5,
 
 
 @settings(deadline=None, max_examples=60)
-@given(rows=st.sampled_from([1, 8_191, 8_192, 8_193, 24_581]) | st.integers(1, 40),
+@given(rows=st.sampled_from([1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                             3 * BLOCK_ROWS + 5]) | st.integers(1, 40),
        picks=st.lists(st.tuples(st.integers(0, 10**6),
                                 values | st.sampled_from(LOAD_SPECIAL)), max_size=12),
        signs=st.sampled_from(["mixed", "negative", "positive"]),
@@ -220,8 +221,8 @@ def test_load_directions_matches_loadtxt(tmp_path_factory, rows, picks, signs, s
     assert_same_bits(load_directions(path), loadtxt(path))
 
 
-@pytest.mark.parametrize("rows", [1, DIRECTION_BLOCK_ROWS - 1, DIRECTION_BLOCK_ROWS,
-                                  DIRECTION_BLOCK_ROWS + 1, 24_581])
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                  3 * BLOCK_ROWS + 5])
 @pytest.mark.parametrize("signs", ["mixed", "negative"])
 def test_writer_unit_files_read_without_loadtxt(rows, signs, tmp_path, monkeypatch):
     """Every file of unit values that ``save_directions`` writes is parsed in
@@ -273,7 +274,7 @@ def outcome(load, path):
 
 ROW = b"0.500000000000,-0.250000000000,0.125000000000\n"
 HEADER = b"x,y,z\n"
-LATE = 2 * DIRECTION_BLOCK_ROWS  # rows before a row that leaves the writer's layout
+LATE = 2 * BLOCK_ROWS  # rows before a row that leaves the writer's layout
 
 
 @pytest.mark.parametrize("text,accepted", [

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robothumb import engine, plant, synth
+from robothumb.analysis import save_directions
 from robothumb.control import calibrate_from_trace
 from robothumb.engine import (MAX_STEPS, STEP_DTYPE, EventLog, LatencyConfig,
                               LatencyRecord, SimulationConfig, intention_detect,
                               midi_velocity, run)
 from robothumb.errors import ConfigurationError, InputError
 from robothumb.plant import MotorAxis
-from robothumb.sensors import TRACE_BLOCK_ROWS, SensorTrace
+from robothumb.sensors import BLOCK_ROWS, SensorTrace
 
 
 def make_trace(rows, period=1.0):
@@ -428,7 +430,7 @@ def assert_same_text(text, expected):
     assert len(lines) == len(expected_lines)
 
 
-@pytest.mark.parametrize("n", [TRACE_BLOCK_ROWS - 1, TRACE_BLOCK_ROWS, TRACE_BLOCK_ROWS + 1,
+@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                                65_535, 65_536, 65_537])
 def test_step_csv_matches_per_row_format_at_block_edges(n, tmp_path):
     """Columns of repeated values across the edges of the writer's blocks."""
@@ -453,14 +455,30 @@ def test_step_csv_one_block_out_of_fixed_point_range(column, value, tmp_path):
     """Every pool value in range, rounding ties among them, in three of the
     writer's blocks, and one value beyond the range in the middle one, at its
     last row."""
-    n = 3 * TRACE_BLOCK_ROWS
+    n = 3 * BLOCK_ROWS
     rng = np.random.default_rng(n)
     log = step_log(*(rng.choice(in_fixed_point_range(pool, decimals), n) for pool, decimals in
                      zip((STEP_FLOATS, STEP_INTS, STEP_INTS, STEP_FLOATS, STEP_FLOATS),
                          (3, 0, 0, 6, 6))))
-    log.steps[column][2 * TRACE_BLOCK_ROWS - 1] = value
+    log.steps[column][2 * BLOCK_ROWS - 1] = value
     engine.write_step_csv(log, tmp_path / "steps.csv")
     assert_same_text((tmp_path / "steps.csv").read_text(), per_row_step_text(log.steps))
+
+
+@pytest.mark.parametrize("value", [1e305, -1e305, 1e300, math.inf])
+def test_writers_spell_values_past_the_float_range_once_scaled(value, tmp_path):
+    """A value whose count of 10**-d overflows float64 is out of the
+    fixed-point range: the step and direction writers format it one ``%`` per
+    row, with no overflow warning."""
+    log = step_log([0.0, 1.0], [0, 1], [0, 1], [value, 1.0], [0.0, -value])
+    dirs = np.array([[value, 0.0, 1.0], [0.5, -value, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        engine.write_step_csv(log, tmp_path / "steps.csv")
+        save_directions(dirs, tmp_path / "d.csv")
+    assert (tmp_path / "steps.csv").read_text() == per_row_step_text(log.steps)
+    assert (tmp_path / "d.csv").read_text() == "x,y,z\n" + "".join(
+        "%.12f,%.12f,%.12f\n" % tuple(row) for row in dirs.tolist())
 
 
 def test_latency_record_invariant():

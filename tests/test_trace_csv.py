@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from robothumb import default_config, sensors, synth
 from robothumb.cli import main
 from robothumb.errors import InputError, RobothumbError, TraceFormatError
-from robothumb.sensors import (SAMPLE_DTYPE, TRACE_BLOCK_ROWS, TRACE_HEADER, SensorTrace,
+from robothumb.sensors import (BLOCK_ROWS, SAMPLE_DTYPE, TRACE_HEADER, SensorTrace,
                                load_trace, save_trace)
 
 REAR_CONFIG = "[mount]\ndepth = 60\n"
@@ -122,7 +122,7 @@ def assert_same_text(text, expected):
     assert len(lines) == len(expected_lines)
 
 
-@pytest.mark.parametrize("n", [TRACE_BLOCK_ROWS - 1, TRACE_BLOCK_ROWS, TRACE_BLOCK_ROWS + 1,
+@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                                65_535, 65_536, 65_537])
 def test_save_trace_matches_csv_writer_at_block_edges(n, tmp_path):
     """Repeated codes and labels across the edges of the writer's blocks."""
@@ -141,11 +141,11 @@ def test_save_trace_one_block_out_of_fixed_point_range(column, value, tmp_path):
     """One code beyond the fixed-point range, or one label, in the middle one
     of three of the writer's blocks, at its first row; the blocks either side
     hold whole times, codes in range and empty labels."""
-    n = 3 * TRACE_BLOCK_ROWS
+    n = 3 * BLOCK_ROWS
     rng = np.random.default_rng(n)
     rows = dict(zip(TRACE_HEADER, [[float(i) for i in range(n)],
                                    *rng.integers(0, 4_096, (3, n)).tolist(), [""] * n]))
-    rows[column][TRACE_BLOCK_ROWS] = value
+    rows[column][BLOCK_ROWS] = value
     save_trace(SensorTrace.from_columns(*rows.values(), 1.0), tmp_path / "trace.csv")
     text = (tmp_path / "trace.csv").read_bytes().decode("utf-8")
     assert_same_text(text, csv_writer_text(*rows.values()))
@@ -385,7 +385,7 @@ LABEL_POOLS = st.sampled_from([[""], ["", "flex_min", " z_rest "],
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.sampled_from([1, 2, TRACE_BLOCK_ROWS - 1, TRACE_BLOCK_ROWS, TRACE_BLOCK_ROWS + 1]),
+@given(st.sampled_from([1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
        TIME_STARTS, TIME_STEPS,
        st.lists(st.integers(1, 16), min_size=3, max_size=3), st.booleans(),
        LABEL_POOLS, st.integers(0, 2**32 - 1))
