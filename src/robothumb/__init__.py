@@ -7,15 +7,13 @@ from .engine import EventLog, LatencyConfig, SimulationConfig, run
 from .kinematics import FingerGeometry, MountPose
 from .piano import Key, KeyboardLayout, KeyEvent, key_at
 from .plant import MotorAxis
-from .sensors import (AccelerometerModel, DividerConfig, FlexSensorModel,
-                      SensorTrace)
+from .sensors import SensorConfig, SensorTrace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccelerometerModel", "CalibrationSet", "ControlParams", "DividerConfig",
-    "EventLog", "FingerGeometry", "FlexSensorModel", "GlobalConfig", "Key",
-    "KeyEvent", "KeyboardLayout", "LatencyConfig", "MotorAxis", "MountPose",
-    "SensorTrace", "SimulationConfig", "default_config", "key_at",
-    "load_config", "run",
+    "CalibrationSet", "ControlParams", "EventLog", "FingerGeometry",
+    "GlobalConfig", "Key", "KeyEvent", "KeyboardLayout", "LatencyConfig",
+    "MotorAxis", "MountPose", "SensorConfig", "SensorTrace",
+    "SimulationConfig", "default_config", "key_at", "load_config", "run",
 ]

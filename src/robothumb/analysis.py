@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import CalibrationSet
 from .errors import InputError, ReachError
-from .kinematics import FingerGeometry, MountPose, required_torque, theta_for_key
-from .piano import Key, KeyboardLayout
-from .plant import MotorAxis, counts_per_output_rev, torque_margin
+from .kinematics import required_torque, theta_for_key
+from .piano import Key
+from .plant import counts_per_output_rev, torque_margin
 from .sensors import BLOCK_ROWS, blocks, fixed_point_rows
 
 FULL_SPHERE = 4.0 * math.pi
@@ -227,17 +226,16 @@ def workspace_from_limits(azimuth_span: float, elev_min: float,
         math.sin(math.radians(elev_max)) - math.sin(math.radians(elev_min)))
 
 
-def reachable_keys(layout: KeyboardLayout, geometry: FingerGeometry,
-                   mount: MountPose, calib: CalibrationSet,
-                   axis: MotorAxis) -> list[Key]:
-    """Keys whose centers the calibrated horizontal sweep can target."""
-    cpd = counts_per_output_rev(axis) / 360.0
-    bounds = sorted((mount.heading + calib.enc_h_min / cpd,
-                     mount.heading + calib.enc_h_max / cpd))
+def reachable_keys(config, enc_h_min: int, enc_h_max: int) -> list[Key]:
+    """Keys whose centers the horizontal sweep calibrated on the encoder
+    anchors ``enc_h_min`` and ``enc_h_max`` can target."""
+    mount = config.mount
+    cpd = counts_per_output_rev(config.axis) / 360.0
+    bounds = sorted((mount.heading + enc_h_min / cpd, mount.heading + enc_h_max / cpd))
     keys = []
-    for key in layout.keys:
+    for key in config.layout.keys:
         try:
-            theta = theta_for_key(key.center_x, mount, geometry)
+            theta = theta_for_key(key.center_x, mount, config.geometry)
         except ReachError:
             continue
         if bounds[0] <= theta <= bounds[1]:
@@ -245,16 +243,14 @@ def reachable_keys(layout: KeyboardLayout, geometry: FingerGeometry,
     return keys
 
 
-def range_increase(mount: MountPose, geometry: FingerGeometry,
-                   calib: CalibrationSet, layout: KeyboardLayout,
-                   axis: MotorAxis, pinkie_reach_x: float) -> int:
+def range_increase(config, enc_h_min: int, enc_h_max: int) -> int:
     """Whole notes playable beyond the pinkie's natural reach.
 
     Counts the white keys whose centers lie to the right of the pinkie
     reach and inside the calibrated horizontal sweep.
     """
-    return sum(1 for key in reachable_keys(layout, geometry, mount, calib, axis)
-               if key.color == "white" and key.center_x > pinkie_reach_x)
+    return sum(1 for key in reachable_keys(config, enc_h_min, enc_h_max)
+               if key.color == "white" and key.center_x > config.mount.pinkie_reach_x)
 
 
 @dataclass(frozen=True)
@@ -328,7 +324,7 @@ def budget_check(config, measured_latency_ms: float | None = None) -> BudgetRepo
         measured = measured_latency_ms
     required = required_torque(layout.press_force, 0.0, geometry)
     margin = torque_margin(required, axis)
-    mass = config.device_mass_g
+    mass = config.mount.mass_g
     return BudgetReport(
         measured_mean_ms=measured,
         latency_pass=measured <= LATENCY_BUDGET_MS,

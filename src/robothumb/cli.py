@@ -113,10 +113,8 @@ def _synth_scale(args, cfg: GlobalConfig) -> None:
     if args.keys:
         keys = _key_indices(args.keys)
     else:
-        calib = calibrate_from_trace(synth.calibration_trace(cfg),
-                                     synth.anchors_from_config(cfg))
-        reachable = analysis.reachable_keys(cfg.layout, cfg.geometry,
-                                            cfg.mount, calib, cfg.axis)
+        anchors = synth.anchors_from_config(cfg)
+        reachable = analysis.reachable_keys(cfg, anchors["enc_h_min"], anchors["enc_h_max"])
         keys = [k.index for k in reachable if k.color == "white"]
     path = out / "scale_trace.csv"
     save_trace(synth.scale_trace(cfg, keys, speed=args.speed), path)
@@ -146,7 +144,7 @@ def _synth_sweep(args, cfg: GlobalConfig) -> None:
 def _calibrate(args, cfg: GlobalConfig) -> None:
     trace = load_trace(args.trace)
     calib = calibrate_from_trace(trace, read_kv_file(args.anchors))
-    validate_calibration_ranges(calib, cfg.geometry, cfg.axis)
+    validate_calibration_ranges(calib, cfg)
     out = _out_dir(args)
     path = out / "calibration.txt"
     save_calibration(calib, path)
@@ -225,8 +223,7 @@ def _analyze_latency(args, cfg: GlobalConfig) -> None:
 def _analyze_range(args, cfg: GlobalConfig) -> None:
     out = _out_dir(args)
     calib = load_calibration(args.calibration)
-    notes = analysis.range_increase(cfg.mount, cfg.geometry, calib,
-                                    cfg.layout, cfg.axis, cfg.pinkie_reach_x)
+    notes = analysis.range_increase(cfg, calib.enc_h_min, calib.enc_h_max)
     print(f"whole notes beyond the pinkie: {notes}")
     write_kv_file({"whole_notes_beyond_pinkie": notes}, out / "range_report.txt")
 

@@ -132,10 +132,15 @@ def validate_anchor_ranges(anchors: dict, geometry: FingerGeometry,
             raise ConfigurationError(f"{name} outside the vertical joint range")
 
 
-def validate_calibration_ranges(calib: CalibrationSet, geometry: FingerGeometry,
-                                axis: MotorAxis) -> None:
-    """Check that a calibration's encoder anchors fit inside the joint ranges."""
-    validate_anchor_ranges(vars(calib), geometry, axis)
+def validate_calibration_ranges(calib: CalibrationSet, config: "GlobalConfig") -> None:
+    """Check that a calibration's sensor anchors are codes of the configured
+    ADC and its encoder anchors fit inside the joint ranges."""
+    full_scale = config.sensors.full_scale
+    for name in ("flex_min", "flex_max", "y_min", "y_max", "z_min", "z_max"):
+        code = getattr(calib, name)
+        if not 0 <= code <= full_scale:
+            raise ConfigurationError(f"{name} = {code} outside the ADC range [0, {full_scale}]")
+    validate_anchor_ranges(vars(calib), config.geometry, config.axis)
 
 
 def horizontal_update(flex_adc: np.ndarray, calib: CalibrationSet) -> list[int]:

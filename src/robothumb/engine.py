@@ -201,8 +201,8 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
     Deterministic for fixed inputs: identical trace, calibration and
     configuration produce identical logs in either execution mode.
     """
-    control.validate_calibration_ranges(calibration, config.geometry, config.axis)
-    full_scale = config.divider.full_scale
+    control.validate_calibration_ranges(calibration, config)
+    full_scale = config.sensors.full_scale
     samples = trace.samples
     times = samples["t"]
     codes = [samples[name] for name in ("flex_adc", "acc_y_adc", "acc_z_adc")]

@@ -36,9 +36,8 @@ class FingerGeometry:
                 raise ConfigurationError(f"{name} must be positive")
         if not 0 < self.bend_angle <= 90:
             raise ConfigurationError("bend_angle must be in (0, 90]")
-        span = self.theta_v_max - self.theta_v_min
-        if not 0 < span <= 120:
-            raise ConfigurationError("theta_v span must be in (0, 120]")
+        if not 0 < self.theta_v_max - self.theta_v_min <= 120:
+            raise ConfigurationError("theta_v_max - theta_v_min must be in (0, 120]")
 
 
 @dataclass(frozen=True)
@@ -48,16 +47,27 @@ class MountPose:
     base_x runs along the key line, base_z is the pivot height above the
     undepressed key surface, heading is the horizontal-axis zero direction,
     and depth is the hand's in/out position used for black-key addressing.
+    The reach fields place the natural hand and the calibrated sweep along
+    the key line; mass_g is the device's declared mass.
     """
 
     base_x: float = 600.0   # mm along the keyboard
     base_z: float = 47.0    # mm above the key surface
     heading: float = 73.0   # deg added to the horizontal axis angle
     depth: float = 0.0      # mm toward the fallboard
+    pinkie_reach_x: float = 580.0       # mm, rightmost point of the natural hand span
+    reach_near_x: float = 599.25        # mm, calibrated closest-note center
+    reach_far_x: float = 669.75         # mm, calibrated furthest-note center
+    press_overtravel_deg: float = 1.2   # press-axis margin past the full-press pose
+    mass_g: float = 310.0               # declared bill-of-materials mass
 
     def __post_init__(self):
         if self.base_z <= 0:
             raise ConfigurationError("base_z must be positive")
+        if self.press_overtravel_deg < 0:
+            raise ConfigurationError("press_overtravel_deg must be non-negative")
+        if self.mass_g <= 0:
+            raise ConfigurationError("mass_g must be positive")
 
 
 def radial_extension(theta_v, geometry: FingerGeometry, xp=math):

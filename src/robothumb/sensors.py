@@ -126,46 +126,36 @@ def _time_text(t: float) -> str:
 
 
 @dataclass(frozen=True)
-class FlexSensorModel:
-    r_flat: float = 13.0       # kOhm at 0 degrees
-    r_bent: float = 26.0       # kOhm at full pinch bend
-    angle_range: float = 180.0  # degrees spanned between the two endpoints
+class SensorConfig:
+    """The flex sensor, its voltage divider, the ADC and the accelerometer."""
 
-    def __post_init__(self):
-        if not (self.r_bent > self.r_flat > 0):
-            raise ConfigurationError("flex sensor requires r_bent > r_flat > 0")
-        if self.angle_range <= 0:
-            raise ConfigurationError("angle_range must be positive")
-
-
-@dataclass(frozen=True)
-class DividerConfig:
-    vcc: float = 5.0          # V supply
-    r_fixed: float = 20.0     # kOhm lower leg
+    flex_r_flat: float = 13.0       # kOhm at 0 degrees
+    flex_r_bent: float = 26.0       # kOhm at full pinch bend
+    flex_angle_range: float = 180.0  # degrees spanned between the two endpoints
+    divider_vcc: float = 5.0        # V supply
+    divider_r_fixed: float = 20.0   # kOhm lower leg
     adc_bits: int = 12
-    v_ref: float = 5.0        # V full scale of the ADC
+    adc_v_ref: float = 5.0          # V full scale of the ADC
+    accel_sensitivity: float = 0.3  # V/g
+    accel_zero_g_bias: float = 1.5  # V at 0 g
 
     def __post_init__(self):
-        if self.vcc <= 0:
-            raise ConfigurationError("vcc must be positive")
-        if self.r_fixed <= 0:
-            raise ConfigurationError("r_fixed must be positive")
+        if self.flex_r_flat <= 0:
+            raise ConfigurationError("flex_r_flat must be positive")
+        if not self.flex_r_bent > self.flex_r_flat:
+            raise ConfigurationError("flex_r_bent must exceed flex_r_flat")
+        for name in ("flex_angle_range", "divider_vcc", "divider_r_fixed"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive")
         if not 8 <= self.adc_bits <= 16:
             raise ConfigurationError("adc_bits must be in [8, 16]")
+        for name in ("adc_v_ref", "accel_sensitivity"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive")
 
     @property
     def full_scale(self) -> int:
         return (1 << self.adc_bits) - 1
-
-
-@dataclass(frozen=True)
-class AccelerometerModel:
-    sensitivity: float = 0.3   # V/g
-    zero_g_bias: float = 1.5   # V at 0 g
-
-    def __post_init__(self):
-        if self.sensitivity <= 0:
-            raise ConfigurationError("sensitivity must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,29 +214,29 @@ class SensorTrace:
         self.samples.flags.writeable = False
 
 
-def flex_resistance(bend_angle: float, model: FlexSensorModel) -> float:
+def flex_resistance(bend_angle: float, cfg: SensorConfig) -> float:
     """Flex resistance (kOhm), linear between the two measured endpoints."""
-    if not 0 <= bend_angle <= model.angle_range:
-        raise InputError(f"bend_angle {bend_angle} outside [0, {model.angle_range}]")
-    frac = bend_angle / model.angle_range
-    return model.r_flat + frac * (model.r_bent - model.r_flat)
+    if not 0 <= bend_angle <= cfg.flex_angle_range:
+        raise InputError(f"bend_angle {bend_angle} outside [0, {cfg.flex_angle_range}]")
+    frac = bend_angle / cfg.flex_angle_range
+    return cfg.flex_r_flat + frac * (cfg.flex_r_bent - cfg.flex_r_flat)
 
 
-def divider_voltage(r_flex: float, cfg: DividerConfig) -> float:
+def divider_voltage(r_flex: float, cfg: SensorConfig) -> float:
     """Buffered divider output (V); strictly decreasing in r_flex."""
     if r_flex <= 0:
         raise InputError("r_flex must be positive")
-    return cfg.vcc * cfg.r_fixed / (r_flex + cfg.r_fixed)
+    return cfg.divider_vcc * cfg.divider_r_fixed / (r_flex + cfg.divider_r_fixed)
 
 
-def adc_quantize(v: float, cfg: DividerConfig) -> int:
-    """Quantize a voltage to an ADC code; clamps to [0, v_ref], rounds half up."""
-    clamped = min(max(v, 0.0), cfg.v_ref)
-    return round_half_up(clamped / cfg.v_ref * cfg.full_scale)
+def adc_quantize(v: float, cfg: SensorConfig) -> int:
+    """Quantize a voltage to an ADC code; clamps to [0, adc_v_ref], rounds half up."""
+    clamped = min(max(v, 0.0), cfg.adc_v_ref)
+    return round_half_up(clamped / cfg.adc_v_ref * cfg.full_scale)
 
 
 def accel_output(foot_pitch: float, dyn_accel: float,
-                 model: AccelerometerModel) -> tuple[float, float]:
+                 cfg: SensorConfig) -> tuple[float, float]:
     """Accelerometer Y/Z output voltages for a foot pitch (deg) and dynamic accel (g).
 
     Y reads the gravity projection on the foot's long axis, Z reads the
@@ -255,8 +245,8 @@ def accel_output(foot_pitch: float, dyn_accel: float,
     if abs(foot_pitch) > 90:
         raise InputError(f"foot_pitch {foot_pitch} outside [-90, 90]")
     pitch = math.radians(foot_pitch)
-    v_y = model.zero_g_bias + model.sensitivity * math.sin(pitch)
-    v_z = model.zero_g_bias + model.sensitivity * (math.cos(pitch) + dyn_accel)
+    v_y = cfg.accel_zero_g_bias + cfg.accel_sensitivity * math.sin(pitch)
+    v_z = cfg.accel_zero_g_bias + cfg.accel_sensitivity * (math.cos(pitch) + dyn_accel)
     return v_y, v_z
 
 

@@ -38,13 +38,13 @@ CAL_GAP_MS = 50.0
 
 
 def flex_code(cfg: GlobalConfig, bend_deg: float) -> int:
-    r = flex_resistance(bend_deg, cfg.flex)
-    return adc_quantize(divider_voltage(r, cfg.divider), cfg.divider)
+    r = flex_resistance(bend_deg, cfg.sensors)
+    return adc_quantize(divider_voltage(r, cfg.sensors), cfg.sensors)
 
 
 def accel_codes(cfg: GlobalConfig, pitch_deg: float, dyn_g: float) -> tuple[int, int]:
-    v_y, v_z = accel_output(pitch_deg, dyn_g, cfg.accel)
-    return adc_quantize(v_y, cfg.divider), adc_quantize(v_z, cfg.divider)
+    v_y, v_z = accel_output(pitch_deg, dyn_g, cfg.sensors)
+    return adc_quantize(v_y, cfg.sensors), adc_quantize(v_z, cfg.sensors)
 
 
 def counts_per_degree(cfg: GlobalConfig) -> float:
@@ -70,9 +70,9 @@ def anchors_from_config(cfg: GlobalConfig) -> dict:
         raise InputError("mount base_z puts the hovering tip below the keys")
     pressed_theta = (press_angle(hover_clearance + cfg.layout.key_travel,
                                  cfg.geometry)
-                     + cfg.press_overtravel_deg)
-    near = horizontal_counts_for_x(cfg, cfg.reach_near_x)
-    far = horizontal_counts_for_x(cfg, cfg.reach_far_x)
+                     + cfg.mount.press_overtravel_deg)
+    near = horizontal_counts_for_x(cfg, cfg.mount.reach_near_x)
+    far = horizontal_counts_for_x(cfg, cfg.mount.reach_far_x)
     # calibrate one count past each extreme note so both stay inside the
     # sweep whichever way the exact pose rounded
     outward = 1 if near >= far else -1
@@ -95,7 +95,7 @@ def flex_code_for_key(cfg: GlobalConfig, key: Key, anchors: dict) -> int:
             f"key {key.index} at x={key.center_x} mm lies outside the "
             f"calibrated sweep [{lo}, {hi}] counts")
     flex_min = flex_code(cfg, 0.0)
-    flex_max = flex_code(cfg, cfg.flex.angle_range)
+    flex_max = flex_code(cfg, cfg.sensors.flex_angle_range)
     # invert the calibrated map: which flex code lands on the target counts
     value = linear_map(target, anchors["enc_h_min"], anchors["enc_h_max"],
                        flex_min, flex_max)
@@ -121,7 +121,7 @@ def _build_trace(cfg: GlobalConfig, codes: np.ndarray, labels) -> SensorTrace:
 def calibration_trace(cfg: GlobalConfig) -> SensorTrace:
     """Labeled segments covering every calibration anchor, one per pose."""
     flex_straight = flex_code(cfg, 0.0)
-    flex_bent = flex_code(cfg, cfg.flex.angle_range)
+    flex_bent = flex_code(cfg, cfg.sensors.flex_angle_range)
     y_down, z_rest = accel_codes(cfg, 0.0, 0.0)
     y_up, _ = accel_codes(cfg, FOOT_UP_PITCH_DEG, 0.0)
     _, z_active = accel_codes(cfg, 0.0, CAL_LIFT_DYN_G)
@@ -209,7 +209,7 @@ def press_trace(cfg: GlobalConfig, key_index: int, speed=0.5, repeat: int = 1,
         rng = np.random.default_rng(seed)
         # np.rint rounds half to even, as round() did on each scalar draw
         jitter = np.rint(rng.normal(0.0, flex_noise, len(rows)))
-        rows[:, 0] = np.clip(flex_target + jitter, 0, cfg.divider.full_scale)
+        rows[:, 0] = np.clip(flex_target + jitter, 0, cfg.sensors.full_scale)
     return _build_trace(cfg, rows, ("",) * len(rows))
 
 

@@ -163,8 +163,7 @@ def test_criterion_7_key_targeting_accuracy(ws):
     cfg = default_config()
     calib = calibrate_from_trace(synth.calibration_trace(cfg),
                                  synth.anchors_from_config(cfg))
-    targets = analysis.reachable_keys(cfg.layout, cfg.geometry, cfg.mount,
-                                      calib, cfg.axis)
+    targets = analysis.reachable_keys(cfg, calib.enc_h_min, calib.enc_h_max)
     whites = [k for k in targets if k.color == "white"]
     blacks = [k for k in targets if k.color == "black"]
     assert whites and blacks

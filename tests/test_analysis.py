@@ -112,16 +112,14 @@ def test_cap_area():
 
 
 def test_range_increase_default_fixture(cfg, calib):
-    notes = range_increase(cfg.mount, cfg.geometry, calib, cfg.layout,
-                           cfg.axis, cfg.pinkie_reach_x)
+    notes = range_increase(cfg, calib.enc_h_min, calib.enc_h_max)
     assert notes == 4
 
 
 def test_range_increase_collapsed_span(cfg, calib):
     # collapse the sweep to a single note: at most one key beyond the pinkie
     collapsed = dataclasses.replace(calib, enc_h_max=calib.enc_h_min - 1)
-    notes = range_increase(cfg.mount, cfg.geometry, collapsed, cfg.layout,
-                           cfg.axis, cfg.pinkie_reach_x)
+    notes = range_increase(cfg, collapsed.enc_h_min, collapsed.enc_h_max)
     assert notes in (0, 1)
 
 
@@ -130,14 +128,13 @@ def test_range_increase_mount_shift_is_span_limited(cfg):
     shift = cfg.layout.white_width
     moved = dataclasses.replace(
         cfg,
-        mount=dataclasses.replace(cfg.mount, base_x=cfg.mount.base_x + shift),
-        reach_near_x=cfg.reach_near_x + shift,
-        reach_far_x=cfg.reach_far_x + shift)
+        mount=dataclasses.replace(cfg.mount, base_x=cfg.mount.base_x + shift,
+                                  reach_near_x=cfg.mount.reach_near_x + shift,
+                                  reach_far_x=cfg.mount.reach_far_x + shift))
     from robothumb.control import calibrate_from_trace
     calib = calibrate_from_trace(synth.calibration_trace(moved),
                                  synth.anchors_from_config(moved))
-    notes = range_increase(moved.mount, moved.geometry, calib, moved.layout,
-                           moved.axis, moved.pinkie_reach_x)
+    notes = range_increase(moved, calib.enc_h_min, calib.enc_h_max)
     assert notes == 4
 
 
@@ -169,7 +166,8 @@ def test_budget_check_defaults(cfg):
 
 
 def test_budget_check_mass_fail(cfg):
-    heavy = dataclasses.replace(cfg, device_mass_g=400.0)
+    heavy = dataclasses.replace(
+        cfg, mount=dataclasses.replace(cfg.mount, mass_g=400.0))
     assert not budget_check(heavy).mass_pass
 
 

@@ -114,6 +114,18 @@ def test_scale_without_keys_walks_reachable_white_keys(tmp_path):
         "9c108f0d7d92e36b1e77282cc4aae3babaabe2551b613d56ea8b8bc2705063d9")
 
 
+def test_scale_without_keys_walks_the_rear_mount_sweep(tmp_path):
+    """With the near reach moved two white keys down, the default list
+    gains keys 39 and 41."""
+    config = tmp_path / "rear.ini"
+    config.write_text("[mount]\ndepth = 60\nreach_near_x = 552.25\n")
+    assert run("synth", "scale", "--config", config, "--out", tmp_path / "auto") == 0
+    assert run("synth", "scale", "--config", config, "--keys", "39,41,43,44,46,48",
+               "--out", tmp_path / "listed") == 0
+    auto = (tmp_path / "auto/scale_trace.csv").read_bytes()
+    assert auto == (tmp_path / "listed/scale_trace.csv").read_bytes()
+
+
 def test_configured_seed_drives_synth_noise(tmp_path):
     config = tmp_path / "seed.ini"
     config.write_text("[simulation]\nseed = 7\n")
@@ -210,6 +222,48 @@ def test_anchor_beyond_the_joint_range_exits_2(workdir, tmp_path, capsys):
                "--anchors", bad, "--out", tmp_path) == 2
     assert "enc_pressed outside the vertical joint range" in capsys.readouterr().err
     assert not (tmp_path / "calibration.txt").exists()
+
+
+def test_sensor_anchor_beyond_the_adc_range_is_not_calibrated(workdir, tmp_path, capsys):
+    """A flex_max segment at 99999 on a 12-bit ADC was written to the
+    calibration file, exit 0."""
+    rows = [line.split(",") for line in
+            (workdir / "calibration_trace.csv").read_text().splitlines()]
+    for row in rows:
+        if row[4] == "flex_max":
+            row[1] = "99999"
+    bad = tmp_path / "calibration_trace.csv"
+    bad.write_text("".join(",".join(row) + "\n" for row in rows))
+    assert run("calibrate", "--trace", bad, "--anchors", workdir / "anchors.txt",
+               "--out", tmp_path) == 2
+    assert "flex_max = 99999 outside the ADC range [0, 4095]" in capsys.readouterr().err
+    assert not (tmp_path / "calibration.txt").exists()
+
+
+@pytest.mark.parametrize("name,value", [("flex_max", 99999), ("y_min", -1), ("z_max", 4096)])
+def test_sensor_anchor_beyond_the_adc_range_is_not_simulated(name, value, workdir,
+                                                              tmp_path, capsys):
+    """An edited flex_max = 99999 steered a press of key 46 onto key 43, exit 0."""
+    assert run("synth", "press", "--key", 46, "--out", tmp_path) == 0
+    lines = (workdir / "calibration.txt").read_text().splitlines()
+    lines = [f"{name} = {value}" if line.startswith(f"{name} ") else line for line in lines]
+    bad = tmp_path / "calibration.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run("simulate", "--trace", tmp_path / "press_trace.csv",
+               "--calibration", bad, "--out", tmp_path) == 2
+    assert f"{name} = {value} outside the ADC range" in capsys.readouterr().err
+    assert not (tmp_path / "events.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_adc_v_ref_exits_2(value, tmp_path, capsys):
+    """adc_v_ref = 0 ended in a ZeroDivisionError traceback, exit 1; -5 was
+    accepted."""
+    config = tmp_path / "vref.ini"
+    config.write_text(f"[sensors]\nadc_v_ref = {value}\n")
+    assert run("synth", "calibration", "--config", config, "--out", tmp_path) == 2
+    assert "[sensors] adc_v_ref must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "calibration_trace.csv").exists()
 
 
 def test_fractional_calibration_value_exits_2(workdir, tmp_path, capsys):

@@ -90,7 +90,7 @@ seed = 7
     assert cfg.layout.n_keys == 61
     assert cfg.mount.base_x == 500.0
     assert cfg.mount.depth == 60.0
-    assert cfg.device_mass_g == 290.0
+    assert cfg.mount.mass_g == 290.0
     assert cfg.simulation.latency.mech_motion == 40.0
     assert cfg.simulation.latency.total == 75.0
     assert cfg.simulation.mode == "concurrent"
@@ -107,15 +107,15 @@ KEY_TABLE = {
     "layout.press_force": ("0.75", "layout.press_force", 0.75),
     "layout.black_zone_depth": ("40", "layout.black_zone_depth", 40.0),
     "layout.origin_x": ("-5", "layout.origin_x", -5.0),
-    "sensors.flex_r_flat": ("12", "flex.r_flat", 12.0),
-    "sensors.flex_r_bent": ("30", "flex.r_bent", 30.0),
-    "sensors.flex_angle_range": ("170", "flex.angle_range", 170.0),
-    "sensors.divider_vcc": ("3.3", "divider.vcc", 3.3),
-    "sensors.divider_r_fixed": ("22", "divider.r_fixed", 22.0),
-    "sensors.adc_bits": ("10", "divider.adc_bits", 10),
-    "sensors.adc_v_ref": ("3.3", "divider.v_ref", 3.3),
-    "sensors.accel_sensitivity": ("0.33", "accel.sensitivity", 0.33),
-    "sensors.accel_zero_g_bias": ("1.65", "accel.zero_g_bias", 1.65),
+    "sensors.flex_r_flat": ("12", "sensors.flex_r_flat", 12.0),
+    "sensors.flex_r_bent": ("30", "sensors.flex_r_bent", 30.0),
+    "sensors.flex_angle_range": ("170", "sensors.flex_angle_range", 170.0),
+    "sensors.divider_vcc": ("3.3", "sensors.divider_vcc", 3.3),
+    "sensors.divider_r_fixed": ("22", "sensors.divider_r_fixed", 22.0),
+    "sensors.adc_bits": ("10", "sensors.adc_bits", 10),
+    "sensors.adc_v_ref": ("3.3", "sensors.adc_v_ref", 3.3),
+    "sensors.accel_sensitivity": ("0.33", "sensors.accel_sensitivity", 0.33),
+    "sensors.accel_zero_g_bias": ("1.65", "sensors.accel_zero_g_bias", 1.65),
     "geometry.l0_knuckle": ("40", "geometry.l0_knuckle", 40.0),
     "geometry.l1_proximal": ("57", "geometry.l1_proximal", 57.0),
     "geometry.l2_distal": ("47", "geometry.l2_distal", 47.0),
@@ -127,11 +127,11 @@ KEY_TABLE = {
     "mount.base_z": ("45", "mount.base_z", 45.0),
     "mount.heading": ("70", "mount.heading", 70.0),
     "mount.depth": ("60", "mount.depth", 60.0),
-    "mount.pinkie_reach_x": ("570", "pinkie_reach_x", 570.0),
-    "mount.reach_near_x": ("590", "reach_near_x", 590.0),
-    "mount.reach_far_x": ("680", "reach_far_x", 680.0),
-    "mount.press_overtravel_deg": ("2", "press_overtravel_deg", 2.0),
-    "mount.mass_g": ("300", "device_mass_g", 300.0),
+    "mount.pinkie_reach_x": ("570", "mount.pinkie_reach_x", 570.0),
+    "mount.reach_near_x": ("590", "mount.reach_near_x", 590.0),
+    "mount.reach_far_x": ("680", "mount.reach_far_x", 680.0),
+    "mount.press_overtravel_deg": ("2", "mount.press_overtravel_deg", 2.0),
+    "mount.mass_g": ("300", "mount.mass_g", 300.0),
     "axes.gear_ratio": ("20", "axis.gear_ratio", 20),
     "axes.encoder_cpr": ("512", "axis.encoder_cpr", 512),
     "axes.quadrature": ("2", "axis.quadrature", 2),
@@ -217,3 +217,39 @@ def test_accepted_key_set_is_exact(tmp_path):
         with pytest.raises(ConfigurationError,
                            match=re.escape(f"unknown config section [{section}]")):
             load_config(write(tmp_path, f"[{section}]\n"))
+
+
+# section.key -> a value breaking the key's constraint; every key of KEY_TABLE
+# whose section checks it
+BROKEN = {
+    "layout.n_keys": "0", "layout.white_width": "-3", "layout.black_width": "0",
+    "layout.key_travel": "0", "layout.press_force": "0",
+    "sensors.flex_r_flat": "0", "sensors.flex_r_bent": "10",
+    "sensors.flex_angle_range": "0", "sensors.divider_vcc": "-1",
+    "sensors.divider_r_fixed": "0", "sensors.adc_bits": "7",
+    "sensors.adc_v_ref": "0", "sensors.accel_sensitivity": "0",
+    "geometry.l0_knuckle": "0", "geometry.l1_proximal": "0",
+    "geometry.l2_distal": "0", "geometry.bend_angle": "0",
+    "geometry.theta_v_min": "40", "geometry.theta_v_max": "-100",
+    "mount.base_z": "0", "mount.press_overtravel_deg": "-1", "mount.mass_g": "0",
+    "axes.gear_ratio": "0", "axes.encoder_cpr": "0", "axes.quadrature": "3",
+    "axes.v_max": "0", "axes.a_max": "0", "axes.nominal_torque": "0",
+    "control.kp_h": "0", "control.v_cap": "0", "control.kv_z": "0",
+    "control.v_floor": "0", "control.z_threshold": "0",
+    "control.z_refractory_ms": "-1",
+    "latency.sensor_sample": "-1", "latency.adc_transport": "-1",
+    "latency.compute": "-1", "latency.command_transport": "-1",
+    "latency.controller_process": "-1", "latency.mech_motion": "-1",
+    "simulation.timestep": "0", "simulation.seed": "-1",
+    "simulation.mode": "fast", "simulation.settle_tail_ms": "-1",
+}
+
+
+@pytest.mark.parametrize("name", list(BROKEN))
+def test_each_constraint_error_names_its_key(name, tmp_path):
+    assert name in KEY_TABLE
+    section, key = name.split(".")
+    with pytest.raises(ConfigurationError) as info:
+        load_config(key_file(tmp_path, name, BROKEN[name]))
+    message = str(info.value)
+    assert message.startswith(f"[{section}] ") and key in message

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from robothumb.config import default_config
 from robothumb.control import (CalibrationSet, ControlParams,
                                calibrate_from_trace, horizontal_update,
                                linear_map, load_calibration, save_calibration,
                                validate_calibration_ranges, vertical_update)
 from robothumb.errors import (CalibrationIncompleteError, ConfigurationError,
                               DegenerateCalibrationError)
-from robothumb.kinematics import FingerGeometry
 from robothumb.plant import MotorAxis, round_half_away, run_axis
 from robothumb.sensors import SensorTrace
 
@@ -214,13 +214,13 @@ def test_calibration_file_round_trip(tmp_path):
 
 
 def test_validate_calibration_ranges():
-    validate_calibration_ranges(CAL, FingerGeometry(), MotorAxis())
+    validate_calibration_ranges(CAL, default_config())
     too_deep = CalibrationSet(flex_min=2482, flex_max=1780, enc_h_min=790,
                               enc_h_max=-795, y_min=1229, y_max=1332,
                               z_min=1474, z_max=1720, enc_hover=0,
                               enc_pressed=9000)  # ~198 deg, past the joint stop
     with pytest.raises(ConfigurationError, match="enc_pressed"):
-        validate_calibration_ranges(too_deep, FingerGeometry(), MotorAxis())
+        validate_calibration_ranges(too_deep, default_config())
 
 
 def test_control_params_validation():

@@ -163,7 +163,7 @@ def test_press_free_z_bumps_keep_latency_records(cfg, calib, scale_run, data):
         lo, hi = data.draw(st.sampled_from(quiet))
         start = data.draw(st.integers(int(lo), int(hi) - 1))
         end = data.draw(st.integers(start + 1, int(hi)))
-        z = data.draw(st.integers(0, cfg.divider.full_scale))
+        z = data.draw(st.integers(0, cfg.sensors.full_scale))
         samples["acc_z_adc"][(t >= start) & (t < end)] = z
     bumped = run(SensorTrace(samples, trace.labels, trace.sample_period), calib, cfg)
     assert bumped.latencies == log.latencies
@@ -247,9 +247,9 @@ def test_concurrent_mode_raises_what_an_axis_raised(cfg, calib, monkeypatch):
 
 def test_air_press_logged_not_emitted(cfg):
     """A press beyond the last key logs an air press and no event."""
-    mount = dataclasses.replace(cfg.mount, base_x=1250.0)
-    air_cfg = dataclasses.replace(cfg, mount=mount,
-                                  reach_near_x=1200.0, reach_far_x=1240.0)
+    mount = dataclasses.replace(cfg.mount, base_x=1250.0,
+                                reach_near_x=1200.0, reach_far_x=1240.0)
+    air_cfg = dataclasses.replace(cfg, mount=mount)
     anchors = synth.anchors_from_config(air_cfg)
     calib = calibrate_from_trace(synth.calibration_trace(air_cfg), anchors)
     flex_target = synth.flex_code_for_key(

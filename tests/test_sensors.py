@@ -5,66 +5,63 @@ import pytest
 from hypothesis import given, strategies as st
 
 from robothumb.errors import InputError, TraceFormatError
-from robothumb.sensors import (AccelerometerModel, DividerConfig,
-                               FlexSensorModel, SensorTrace,
+from robothumb.sensors import (SensorConfig, SensorTrace,
                                accel_output, adc_quantize, divider_voltage,
                                flex_resistance, load_trace, save_trace)
 
-FLEX = FlexSensorModel()
-DIV = DividerConfig()
-ACC = AccelerometerModel()
+SENSORS = SensorConfig()
 
 
 def test_flex_resistance_endpoints_and_midpoint():
-    assert flex_resistance(0.0, FLEX) == pytest.approx(13.0)
-    assert flex_resistance(180.0, FLEX) == pytest.approx(26.0)
-    assert flex_resistance(90.0, FLEX) == pytest.approx(19.5)
+    assert flex_resistance(0.0, SENSORS) == pytest.approx(13.0)
+    assert flex_resistance(180.0, SENSORS) == pytest.approx(26.0)
+    assert flex_resistance(90.0, SENSORS) == pytest.approx(19.5)
 
 
 def test_flex_resistance_rejects_out_of_range():
     with pytest.raises(InputError):
-        flex_resistance(-1.0, FLEX)
+        flex_resistance(-1.0, SENSORS)
     with pytest.raises(InputError):
-        flex_resistance(180.1, FLEX)
+        flex_resistance(180.1, SENSORS)
 
 
 def test_divider_voltage_values():
-    assert divider_voltage(20.0, DIV) == pytest.approx(2.5)
-    assert divider_voltage(13.0, DIV) == pytest.approx(100.0 / 33.0, abs=1e-4)
-    assert divider_voltage(26.0, DIV) == pytest.approx(100.0 / 46.0, abs=1e-4)
+    assert divider_voltage(20.0, SENSORS) == pytest.approx(2.5)
+    assert divider_voltage(13.0, SENSORS) == pytest.approx(100.0 / 33.0, abs=1e-4)
+    assert divider_voltage(26.0, SENSORS) == pytest.approx(100.0 / 46.0, abs=1e-4)
     with pytest.raises(InputError):
-        divider_voltage(0.0, DIV)
+        divider_voltage(0.0, SENSORS)
 
 
 def test_adc_quantize_values():
-    assert adc_quantize(0.0, DIV) == 0
-    assert adc_quantize(5.0, DIV) == 4095
+    assert adc_quantize(0.0, SENSORS) == 0
+    assert adc_quantize(5.0, SENSORS) == 4095
     # 2.5/5*4095 = 2047.5, half rounds up
-    assert adc_quantize(2.5, DIV) == 2048
-    assert adc_quantize(100.0, DIV) == 4095  # clamps
-    assert adc_quantize(-1.0, DIV) == 0
+    assert adc_quantize(2.5, SENSORS) == 2048
+    assert adc_quantize(100.0, SENSORS) == 4095  # clamps
+    assert adc_quantize(-1.0, SENSORS) == 0
 
 
 @given(st.floats(min_value=-2.0, max_value=8.0, allow_nan=False))
 def test_adc_quantize_bounded_and_idempotent(v):
-    code = adc_quantize(v, DIV)
-    assert 0 <= code <= DIV.full_scale
+    code = adc_quantize(v, SENSORS)
+    assert 0 <= code <= SENSORS.full_scale
     # re-quantizing the representable voltage of that code is stable
-    representable = code / DIV.full_scale * DIV.v_ref
-    assert adc_quantize(representable, DIV) == code
+    representable = code / SENSORS.full_scale * SENSORS.adc_v_ref
+    assert adc_quantize(representable, SENSORS) == code
 
 
 def test_accel_output_values():
-    v_y, v_z = accel_output(0.0, 0.0, ACC)
+    v_y, v_z = accel_output(0.0, 0.0, SENSORS)
     assert v_y == pytest.approx(1.5)
     assert v_z == pytest.approx(1.8)
-    v_y30, _ = accel_output(30.0, 0.0, ACC)
+    v_y30, _ = accel_output(30.0, 0.0, SENSORS)
     assert v_y30 == pytest.approx(1.65)
 
 
 def test_accel_output_pitch_range():
     with pytest.raises(InputError):
-        accel_output(90.5, 0.0, ACC)
+        accel_output(90.5, 0.0, SENSORS)
 
 
 @given(st.floats(min_value=0.0, max_value=180.0),
@@ -72,17 +69,17 @@ def test_accel_output_pitch_range():
 def test_monotonicity_chain(a1, a2):
     # bend up => resistance up => divider voltage down => code non-increasing
     lo, hi = sorted((a1, a2))
-    r_lo, r_hi = flex_resistance(lo, FLEX), flex_resistance(hi, FLEX)
+    r_lo, r_hi = flex_resistance(lo, SENSORS), flex_resistance(hi, SENSORS)
     assert r_lo <= r_hi
-    v_lo, v_hi = divider_voltage(r_lo, DIV), divider_voltage(r_hi, DIV)
+    v_lo, v_hi = divider_voltage(r_lo, SENSORS), divider_voltage(r_hi, SENSORS)
     assert v_lo >= v_hi
-    assert adc_quantize(v_lo, DIV) >= adc_quantize(v_hi, DIV)
+    assert adc_quantize(v_lo, SENSORS) >= adc_quantize(v_hi, SENSORS)
 
 
 def test_outputs_bit_deterministic():
-    first = [adc_quantize(divider_voltage(flex_resistance(a, FLEX), DIV), DIV)
+    first = [adc_quantize(divider_voltage(flex_resistance(a, SENSORS), SENSORS), SENSORS)
              for a in (0.0, 45.0, 90.0, 135.0, 180.0)]
-    second = [adc_quantize(divider_voltage(flex_resistance(a, FLEX), DIV), DIV)
+    second = [adc_quantize(divider_voltage(flex_resistance(a, SENSORS), SENSORS), SENSORS)
               for a in (0.0, 45.0, 90.0, 135.0, 180.0)]
     assert first == second
 
