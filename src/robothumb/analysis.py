@@ -36,21 +36,23 @@ def load_directions(path) -> np.ndarray:
     """Read an ``x,y,z`` CSV into an (n, 3) array.
 
     A file in the layout that ``save_directions`` writes for values in
-    [-1, 1] is parsed by numpy; any other text goes to ``np.loadtxt``.
-    Both give the same floats. Only the file's header and shape are
-    checked here; ``solid_angle`` checks that the rows are unit vectors.
+    [-1, 1] is parsed by numpy (``_unit_blocks``); any other text goes to
+    ``np.loadtxt``. Both give the same floats. Only the file's header and
+    shape are checked here; ``solid_angle`` checks that the rows are unit
+    vectors.
     """
-    data = _read_unit_layout(path)
-    if data is None:
+    try:
+        data = np.concatenate([np.empty((0, 3)), *_unit_blocks(path)])
+    except _OtherLayout:
         data = _loadtxt_directions(path)
     if data.size == 0:
         raise InputError(f"{path}: direction set is empty")
-    if data.shape[1] != 3:
-        raise InputError(f"{path}: expected 3 columns x,y,z")
     return data
 
 
 def _loadtxt_directions(path) -> np.ndarray:
+    """The rows of any ``x,y,z`` text as ``np.loadtxt`` reads them; a set with
+    rows of other than 3 columns is refused, an empty one is returned."""
     try:
         with open(path, encoding="utf-8") as f, warnings.catch_warnings():
             if f.readline().rstrip("\n") != "x,y,z":
@@ -58,10 +60,12 @@ def _loadtxt_directions(path) -> np.ndarray:
             # a header-only file is reported as an empty set by the caller
             warnings.simplefilter("ignore", UserWarning)
             # the open file, not the path: a pipe cannot be read again
-            return np.loadtxt(f, delimiter=",", skiprows=0, ndmin=2,
-                              encoding="utf-8")
+            data = np.loadtxt(f, delimiter=",", skiprows=0, ndmin=2, encoding="utf-8")
     except ValueError as exc:  # unparsable text, undecodable bytes included
         raise InputError(f"{path}: {exc}") from None
+    if data.size and data.shape[1] != 3:
+        raise InputError(f"{path}: expected 3 columns x,y,z")
+    return data
 
 
 # a value of the unit layout, sign aside: whole digit, point, 12 decimals and
@@ -71,48 +75,44 @@ UNIT_ROW_BYTES = 3 * UNIT_VALUE_BYTES
 _ROW_SEPARATORS = np.frombuffer(b",,\n", np.uint8)
 
 
-def _read_unit_layout(path) -> np.ndarray | None:
-    """The rows of a file in the writer's unit layout, or None for other text.
+class _OtherLayout(Exception):
+    """Raised by ``_unit_blocks`` where a file leaves the writer's unit layout."""
+
+
+def _unit_blocks(path):
+    """The rows of a file in the writer's unit layout, one (k, 3) block per
+    chunk read; raises ``_OtherLayout`` where the text leaves that layout.
 
     That layout is the header ``x,y,z`` and rows of three values
     ``-?d.dddddddddddd`` split by ``,``, each row ended by LF. The body is
-    read in chunks of about ``BLOCK_ROWS`` rows, each cut at its
-    last LF. Rows fill one array sized for the most rows the file can hold;
-    pages past the last row are never touched.
+    read in chunks of about ``BLOCK_ROWS`` rows, each cut at its last LF.
+    A pipe is refused before anything is read from it: what is read from it
+    here ``np.loadtxt`` could not read again.
     """
     with open(path, "rb") as f:
-        info = os.fstat(f.fileno())
-        # a pipe has no size, and what is read from it here np.loadtxt cannot
-        # read again
-        if not stat.S_ISREG(info.st_mode) or f.readline(6) != b"x,y,z\n":
-            return None
-        out = np.empty(info.st_size // UNIT_ROW_BYTES * 3)
-        filled = 0
+        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode) or f.readline(6) != b"x,y,z\n":
+            raise _OtherLayout
         rest = b""
         while chunk := f.read(BLOCK_ROWS * UNIT_ROW_BYTES):
             chunk = rest + chunk
             cut = chunk.rfind(b"\n") + 1
-            count = _unit_values(chunk[:cut], out[filled:]) if cut else None
-            if count is None:
-                return None
-            filled += count
+            block = _unit_values(chunk[:cut]) if cut else None
+            if block is None:
+                raise _OtherLayout
+            yield block
             rest = chunk[cut:]
     if rest:  # a last row without LF
-        return None
-    return out[:filled].reshape(-1, 3)
+        raise _OtherLayout
 
 
-def _unit_values(text: bytes, out: np.ndarray) -> int | None:
-    """Parse whole rows of the unit layout into ``out``: the count of values,
-    or None if any byte does not fit the layout."""
+def _unit_values(text: bytes) -> np.ndarray | None:
+    """The (k, 3) rows of whole rows of the unit layout, or None if any byte
+    does not fit the layout."""
     signs = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("-"))
     slots = np.frombuffer(text.replace(b"-", b""), np.uint8)
     if len(slots) % UNIT_ROW_BYTES:
         return None
     slots = slots.reshape(-1, UNIT_VALUE_BYTES)
-    values = out[:len(slots)]
-    if len(values) < len(slots):  # the file grew while it was read
-        return None
     whole = slots[:, 0] - ord("0")  # uint8: a byte below "0" wraps past 9
     decimals = slots[:, 2:14] - ord("0")
     # where each sign byte would stand without the sign bytes before it: the
@@ -131,35 +131,28 @@ def _unit_values(text: bytes, out: np.ndarray) -> int | None:
     words = (words * 100 + (words >> 16)) & 0xFFFF
     # counts of 1e-12 below 10**13 < 2**53 add up exactly in float64, and
     # 1e12 is exact, so the quotient is the correctly rounded decimal
-    np.matmul(words, np.array([1e8, 1e4, 1.0]), out=values)
+    values = words @ np.array([1e8, 1e4, 1.0])
     values += whole * 1e12
     values /= 1e12
     values[starts // UNIT_VALUE_BYTES] *= -1.0  # -0.000000000000 is -0.0
-    return len(slots)
+    return values.reshape(-1, 3)
 
 
-def validate_directions(dirs: np.ndarray) -> None:
-    if len(dirs) == 0:
-        raise InputError("direction set is empty")
-    worst = 0.0
-    for block in blocks(dirs):
-        # np.maximum keeps a NaN deviation, which the check below rejects
-        worst = np.maximum(worst, np.abs(np.linalg.norm(block, axis=1) - 1.0).max())
-    worst = float(worst)
-    if not worst <= DIRECTION_NORM_TOL:  # NaN fails too
-        raise InputError(f"direction norms deviate from 1 by up to {worst:.3e}")
-
-
-def save_directions(dirs: np.ndarray, path) -> None:
+def save_directions(dirs, path) -> None:
     """Write an ``x,y,z`` CSV, each row's text that of ``"%.12f"``, each block
-    of rows spelled by ``fixed_point_rows``."""
-    dirs = np.asarray(dirs, dtype=np.float64)
-    if dirs.ndim != 2 or dirs.shape[1] != 3:
-        raise InputError(f"directions must be an (n, 3) array, not shape {dirs.shape}")
+    of rows spelled by ``fixed_point_rows``. ``dirs`` is an (n, 3) array (or
+    list), or an iterable of (k, 3) blocks such as a ``synth.DirectionSweep``,
+    whose blocks are written as they are drawn."""
+    if isinstance(dirs, (np.ndarray, list, tuple)):
+        dirs = np.asarray(dirs, dtype=np.float64)
+        if dirs.ndim != 2 or dirs.shape[1] != 3:
+            raise InputError(f"directions must be an (n, 3) array, not shape {dirs.shape}")
+        dirs = blocks(dirs)
+    scratch = {}
     with open(path, "wb") as f:
         f.write(b"x,y,z\n")
-        for block in blocks(dirs):
-            f.write(fixed_point_rows(block.T, (12, 12, 12), (b",", b",", b"\n")))
+        for block in dirs:
+            f.write(fixed_point_rows(block.T, (12, 12, 12), (b",", b",", b"\n"), scratch))
 
 
 def sphere_partition(n_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -188,19 +181,49 @@ def sphere_partition(n_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def solid_angle(dirs: np.ndarray, n_bins: int) -> float:
-    """Solid angle (sr) covered by a set of unit directions."""
-    dirs = np.asarray(dirs, dtype=float)
-    validate_directions(dirs)
+    """Solid angle (sr) covered by an (n, 3) array of unit directions."""
+    return _binned(blocks(np.asarray(dirs, dtype=float)), n_bins)[0]
+
+
+def file_solid_angle(path, n_bins: int) -> tuple[float, int]:
+    """Solid angle (sr) of the directions of an ``x,y,z`` CSV and their count,
+    each block binned as ``_unit_blocks`` reads it. Where the text leaves the
+    writer's unit layout, what was binned is dropped and the rows as
+    ``np.loadtxt`` reads them are binned instead. Errors name the file."""
+    try:
+        return _binned(_unit_blocks(path), n_bins, f"{path}: ")
+    except _OtherLayout:
+        return _binned(blocks(_loadtxt_directions(path)), n_bins, f"{path}: ")
+
+
+def _binned(parts, n_bins: int, where: str = "") -> tuple[float, int]:
+    """The solid angle of the rows of blocks ``parts`` and their count.
+
+    ``n_bins`` is checked before the first block is asked for. Every row's
+    norm must be within ``DIRECTION_NORM_TOL`` of 1; the error, prefixed by
+    ``where``, gives the largest deviation in the whole set, so every block
+    is read."""
     z_edges, cells, offsets = sphere_partition(n_bins)
     occupied = np.zeros(n_bins, dtype=bool)
-    for block in blocks(dirs):
+    count = 0
+    worst = 0.0
+    for block in parts:
+        count += len(block)
+        # np.maximum keeps a NaN deviation, which the checks below reject
+        worst = np.maximum(worst, np.abs(np.linalg.norm(block, axis=1) - 1.0).max())
+        if not worst <= DIRECTION_NORM_TOL:  # no use binning: the set is refused
+            continue
         z = np.clip(block[:, 2], -1.0, 1.0)
         ring = np.clip(np.searchsorted(z_edges, z, side="right") - 1, 0, len(cells) - 1)
         phi = np.arctan2(block[:, 1], block[:, 0])  # [-pi, pi]
         frac = (phi + math.pi) / (2.0 * math.pi)
         col = np.minimum((frac * cells[ring]).astype(int), cells[ring] - 1)
         occupied[offsets[ring] + col] = True
-    return np.count_nonzero(occupied) * FULL_SPHERE / n_bins
+    if count == 0:
+        raise InputError(f"{where}direction set is empty")
+    if not worst <= DIRECTION_NORM_TOL:  # NaN fails too
+        raise InputError(f"{where}direction norms deviate from 1 by up to {float(worst):.3e}")
+    return np.count_nonzero(occupied) * FULL_SPHERE / n_bins, count
 
 
 def check_band_limits(azimuth_span: float, elev_min: float,

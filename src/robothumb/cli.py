@@ -132,12 +132,12 @@ def _sweep_flag_error(args) -> str | None:
 
 def _synth_sweep(args, cfg: GlobalConfig) -> None:
     out = _out_dir(args)
-    make = synth.band_sweep_directions if args.shape == "band" else synth.cap_directions
+    make = synth.band_sweep if args.shape == "band" else synth.cap_sweep
     given = {dest: getattr(args, dest) for _, dest, _ in SWEEP_SHAPE_FLAGS[args.shape]
              if hasattr(args, dest)}
-    dirs = make(args.samples, seed=cfg.simulation.seed, **given)
+    sweep = make(args.samples, seed=cfg.simulation.seed, **given)
     path = out / f"{args.shape}_directions.csv"
-    analysis.save_directions(dirs, path)
+    analysis.save_directions(sweep, path)  # drawn block by block as it is written
     print(f"wrote {path}")
 
 
@@ -179,15 +179,6 @@ def _simulate(args, cfg: GlobalConfig) -> None:
         print(f"wrote {path}")
 
 
-def _solid_angle(path, n_bins: int) -> tuple[float, int]:
-    """Solid angle of a direction CSV and its direction count; errors name the file."""
-    dirs = analysis.load_directions(path)
-    try:
-        return analysis.solid_angle(dirs, n_bins), len(dirs)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
-
-
 def _latency_stats(path) -> analysis.LatencyStats:
     """Statistics of the delays in a latency CSV written by ``simulate``."""
     return analysis.latency_stats([r.delay for r in engine.read_latency_csv(path)])
@@ -195,13 +186,13 @@ def _latency_stats(path) -> analysis.LatencyStats:
 
 def _analyze_workspace(args, cfg: GlobalConfig) -> None:
     out = _out_dir(args)
-    estimate, count = _solid_angle(args.dirs, args.bins)
+    estimate, count = analysis.file_solid_angle(args.dirs, args.bins)
     report = {"solid_angle_sr": round(estimate, 4), "n_bins": args.bins,
               "n_directions": count}
     print(f"solid angle: {estimate:.4f} sr over {count} directions "
           f"({args.bins} bins)")
     if args.ref_dirs:
-        ref, _ = _solid_angle(args.ref_dirs, args.bins)
+        ref, _ = analysis.file_solid_angle(args.ref_dirs, args.bins)
         report["ref_solid_angle_sr"] = round(ref, 4)
         report["ratio"] = round(estimate / ref, 4)
         print(f"reference:   {ref:.4f} sr; ratio {estimate / ref:.3f}")
@@ -223,6 +214,7 @@ def _analyze_latency(args, cfg: GlobalConfig) -> None:
 def _analyze_range(args, cfg: GlobalConfig) -> None:
     out = _out_dir(args)
     calib = load_calibration(args.calibration)
+    validate_calibration_ranges(calib, cfg)
     notes = analysis.range_increase(cfg, calib.enc_h_min, calib.enc_h_max)
     print(f"whole notes beyond the pinkie: {notes}")
     write_kv_file({"whole_notes_beyond_pinkie": notes}, out / "range_report.txt")

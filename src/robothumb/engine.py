@@ -334,11 +334,13 @@ def write_event_csv(log: EventLog, path) -> None:
 def write_step_csv(log: EventLog, path) -> None:
     """One ``%.3f,%d,%d,%.6f,%.6f`` row per step, each block of rows spelled
     by ``fixed_point_rows``."""
+    scratch = {}
     with open(path, "wb") as f:
         f.write(b"t_ms,theta_h_counts,theta_v_counts,tip_x,tip_z\n")
         for block in blocks(log.steps):
             f.write(fixed_point_rows([block[name] for name in STEP_DTYPE.names],
-                                     (3, 0, 0, 6, 6), (b",", b",", b",", b",", b"\n")))
+                                     (3, 0, 0, 6, 6), (b",", b",", b",", b",", b"\n"),
+                                     scratch))
 
 
 def write_latency_csv(log: EventLog, path) -> None:

@@ -68,13 +68,18 @@ def _spell(text: np.ndarray, values: np.ndarray, stop: int, width: int) -> None:
     text[:, stop - width:stop] = digits[:, digits.shape[1] - width:]
 
 
-def fixed_point_rows(columns, decimals, ends) -> bytes:
-    """The text of rows of equal-length columns, field ``k`` ``"%.{d}f"`` of a
-    float64 entry (``d = decimals[k]``) or ``"%d"`` of an int64 one (``d = 0``),
-    then ``ends[k]``. Where every float is finite with ``|x| * 10**d < 2**44``
-    and every int within ``(-10**18, 10**18)``, each field is spelled from its
-    count of ``10**-d`` in a slot as wide as the block's widest, and one mask
-    drops each row's unused bytes; otherwise each row is one ``%``."""
+def fixed_point_rows(columns, decimals, ends, scratch=None) -> np.ndarray:
+    """The text of rows of equal-length columns as a uint8 array, field ``k``
+    ``"%.{d}f"`` of a float64 entry (``d = decimals[k]``) or ``"%d"`` of an
+    int64 one (``d = 0``), then ``ends[k]``. Where every float is finite with
+    ``|x| * 10**d < 2**44`` and every int within ``(-10**18, 10**18)``, each
+    field is spelled from its count of ``10**-d`` in a slot as wide as the
+    block's widest, and one mask drops each row's unused bytes; otherwise each
+    row is one ``%``.
+
+    A writer passes the same ``scratch`` dict with each of its blocks: the
+    byte matrix and the mask are kept there and reused, so a file of many
+    blocks does not ask the allocator for them block after block."""
     fields = []  # per field: minus signs, whole and fractional counts, decimals, width
     for column, d in zip(columns, decimals):
         if column.dtype.kind == "f":
@@ -96,9 +101,11 @@ def fixed_point_rows(columns, decimals, ends) -> bytes:
         fields.append((np.signbit(column), whole, fraction, d, len(str(int(whole.max())))))
     template = b"".join(b"-" + b"0" * width + b"." * (d > 0) + b"0" * d + end
                         for (*_, d, width), end in zip(fields, ends))
-    text = np.empty((len(columns[0]), len(template)), np.uint8)
+    shape = (len(columns[0]), len(template))
+    text = _buffer(scratch, "text", shape, np.uint8)
     text[:] = np.frombuffer(template, np.uint8)
-    keep = np.ones(text.shape, bool)
+    keep = _buffer(scratch, "keep", shape, bool)
+    keep[:] = True
     at = 0  # the first column of the next field, its sign
     for (negative, whole, fraction, d, width), end in zip(fields, ends):
         keep[:, at] = negative  # "%f" signs -0.0 and tiny negatives
@@ -109,14 +116,26 @@ def fixed_point_rows(columns, decimals, ends) -> bytes:
         if d:
             _spell(text, fraction, at + 1 + d, d)
         at += (d > 0) + d + len(end)
-    return text[keep].tobytes()
+    return text[keep]  # bytes-like: a file writes it without a copy
 
 
-def _row_text(columns, decimals, ends) -> bytes:
+def _buffer(scratch, name, shape, dtype) -> np.ndarray:
+    """An array of ``shape``: a view of ``scratch[name]``, grown as needed, or
+    a new array without ``scratch``."""
+    if scratch is None:
+        return np.empty(shape, dtype)
+    size = shape[0] * shape[1]
+    if name not in scratch or scratch[name].size < size:
+        scratch[name] = np.empty(size, dtype)
+    return scratch[name][:size].reshape(shape)
+
+
+def _row_text(columns, decimals, ends) -> np.ndarray:
     """``fixed_point_rows``'s text formatted one ``%`` per row."""
     row = b"".join((b"%%.%df" % d if column.dtype.kind == "f" else b"%d") + end
                    for column, d, end in zip(columns, decimals, ends))
-    return b"".join(map(row.__mod__, zip(*(column.tolist() for column in columns))))
+    text = b"".join(map(row.__mod__, zip(*(column.tolist() for column in columns))))
+    return np.frombuffer(text, np.uint8)
 
 
 def _time_text(t: float) -> str:
@@ -257,16 +276,18 @@ def save_trace(trace: SensorTrace, path) -> None:
     A block whose times are whole and below 10**``TRACE_DIGITS`` (``"%.0f"``
     spells them as ``_time_text`` does) goes through ``fixed_point_rows``, its
     labels spliced in before each CRLF; any other block is formatted row by row."""
+    scratch = {}
     with open(path, "wb") as f:
         f.write(_HEADER_LINE)
         for block, labels in zip(blocks(trace.samples), blocks(trace.labels)):
             t = block["t"]
             if (t == np.rint(t)).all() and t.max() < 10.0**TRACE_DIGITS:
                 text = fixed_point_rows([block[name] for name in SAMPLE_DTYPE.names],
-                                        (0, 0, 0, 0), (b",", b",", b",", b",\r\n"))
+                                        (0, 0, 0, 0), (b",", b",", b",", b",\r\n"), scratch)
                 if any(labels):
                     text = b"".join(map(b"%s%s\r\n".__mod__,
-                                        zip(text.split(b"\r\n"), map(str.encode, labels))))
+                                        zip(text.tobytes().split(b"\r\n"),
+                                            map(str.encode, labels))))
             else:
                 text = "".join("%s,%d,%d,%d,%s\r\n" % (_time_text(ms), flex, acc_y, acc_z, label)
                                for (ms, flex, acc_y, acc_z), label in zip(block.tolist(), labels)

@@ -23,8 +23,8 @@ from .errors import InputError
 from .kinematics import press_angle, press_drop, theta_for_key
 from .piano import Key
 from .plant import counts_per_output_rev, round_half_away
-from .sensors import (SensorTrace, accel_output, adc_quantize, divider_voltage,
-                      flex_resistance)
+from .sensors import (BLOCK_ROWS, SensorTrace, accel_output, adc_quantize,
+                      divider_voltage, flex_resistance)
 
 FOOT_UP_PITCH_DEG = 25.0   # held dorsiflexion while a key is down
 CAL_LIFT_DYN_G = 1.0       # reference lift acceleration saved as the Z maximum
@@ -233,38 +233,69 @@ def scale_trace(cfg: GlobalConfig, key_indices, speed=0.5) -> SensorTrace:
     return _build_trace(cfg, rows, ("",) * len(rows))
 
 
-def _directions(samples: int, z_low: float, z_high: float, phi_half: float,
-                seed: int) -> np.ndarray:
-    """Rows ``(r cos phi, r sin phi, z)``, ``r = sqrt(max(0, 1 - z*z))``, in
-    one array, from uniform ``z`` then ``phi`` draws. cos and sin go into
-    the draws' buffers, contiguous as in a fresh array."""
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(z_low, z_high, samples)
-    phi = rng.uniform(-phi_half, phi_half, samples)
-    dirs = np.empty((samples, 3))
-    r = np.multiply(z, z)
-    np.sqrt(np.maximum(0.0, np.subtract(1.0, r, out=r), out=r), out=r)
-    dirs[:, 2] = z
-    np.multiply(r, np.cos(phi, out=z), out=dirs[:, 0])
-    np.multiply(r, np.sin(phi, out=phi), out=dirs[:, 1])
-    return dirs
+class DirectionSweep:
+    """``samples`` uniform directions, rows ``(r cos phi, r sin phi, z)`` with
+    ``r = sqrt(max(0, 1 - z*z))``, from uniform ``z`` in ``[z_low, z_high)``
+    and ``phi`` in ``[-phi_half, phi_half)``. ``len`` is the row count;
+    iterating draws the rows one ``BLOCK_ROWS`` block at a time.
+
+    The draws are those of one generator seeded with ``seed``: every ``z``,
+    then every ``phi``. A second generator from the same seed, advanced past
+    the ``z`` draws (one 64-bit output per double), gives each block its
+    ``phi`` draws, so no block waits for the whole set."""
+
+    def __init__(self, samples: int, z_low: float, z_high: float, phi_half: float,
+                 seed: int):
+        if samples < 1:
+            raise InputError("samples must be >= 1")
+        self.samples = samples
+        self.z_low, self.z_high, self.phi_half = z_low, z_high, phi_half
+        self.seed = seed
+
+    def __len__(self) -> int:
+        return self.samples
+
+    def __iter__(self):
+        z_rng = np.random.default_rng(self.seed)
+        phi_rng = np.random.default_rng(self.seed)
+        phi_rng.bit_generator.advance(self.samples)
+        for start in range(0, self.samples, BLOCK_ROWS):
+            rows = min(BLOCK_ROWS, self.samples - start)
+            z = z_rng.uniform(self.z_low, self.z_high, rows)
+            phi = phi_rng.uniform(-self.phi_half, self.phi_half, rows)
+            block = np.empty((rows, 3))
+            r = np.multiply(z, z)
+            np.sqrt(np.maximum(0.0, np.subtract(1.0, r, out=r), out=r), out=r)
+            block[:, 2] = z
+            np.multiply(r, np.cos(phi, out=z), out=block[:, 0])
+            np.multiply(r, np.sin(phi, out=phi), out=block[:, 1])
+            yield block
+
+    def array(self) -> np.ndarray:
+        """Every row in one (samples, 3) array."""
+        return np.concatenate(list(self))
 
 
-def band_sweep_directions(samples: int, azimuth_span: float = 360.0,
-                          elev_min: float = -60.0, elev_max: float = 60.0,
-                          seed: int = 0) -> np.ndarray:
+def band_sweep(samples: int, azimuth_span: float = 360.0, elev_min: float = -60.0,
+               elev_max: float = 60.0, seed: int = 0) -> DirectionSweep:
     """Uniform directions over a full-or-partial azimuth elevation band."""
     check_band_limits(azimuth_span, elev_min, elev_max)
-    return _directions(samples, math.sin(math.radians(elev_min)),
-                       math.sin(math.radians(elev_max)),
-                       math.radians(azimuth_span) / 2.0, seed)
+    return DirectionSweep(samples, math.sin(math.radians(elev_min)),
+                          math.sin(math.radians(elev_max)),
+                          math.radians(azimuth_span) / 2.0, seed)
 
 
-def cap_directions(samples: int, half_angle: float = 54.9,
-                   seed: int = 0) -> np.ndarray:
+def cap_sweep(samples: int, half_angle: float = 54.9, seed: int = 0) -> DirectionSweep:
     """Uniform directions inside a spherical cap about +z."""
     check_cap_half_angle(half_angle)
-    return _directions(samples, math.cos(math.radians(half_angle)), 1.0,
-                       math.pi, seed)
+    return DirectionSweep(samples, math.cos(math.radians(half_angle)), 1.0, math.pi, seed)
+
+
+def band_sweep_directions(*args, **kwargs) -> np.ndarray:
+    """``band_sweep``'s rows in one array."""
+    return band_sweep(*args, **kwargs).array()
+
+
+def cap_directions(*args, **kwargs) -> np.ndarray:
+    """``cap_sweep``'s rows in one array."""
+    return cap_sweep(*args, **kwargs).array()

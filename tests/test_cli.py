@@ -8,6 +8,7 @@ import pytest
 from robothumb import cli, synth
 from robothumb.analysis import save_directions
 from robothumb.cli import main
+from robothumb.sensors import BLOCK_ROWS
 
 # the benchmark's flows and tracer, each run from its file without importing
 # the rest of the benchmark
@@ -253,6 +254,21 @@ def test_sensor_anchor_beyond_the_adc_range_is_not_simulated(name, value, workdi
                "--calibration", bad, "--out", tmp_path) == 2
     assert f"{name} = {value} outside the ADC range" in capsys.readouterr().err
     assert not (tmp_path / "events.csv").exists()
+
+
+def test_range_checks_the_calibration_it_reads(workdir, tmp_path, capsys):
+    """analyze range printed 6 whole notes, exit 0, for an encoder anchor
+    that simulate refused."""
+    lines = (workdir / "calibration.txt").read_text().splitlines()
+    lines = ["enc_h_max = -99999" if line.startswith("enc_h_max ") else line
+             for line in lines]
+    bad = tmp_path / "calibration.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run("analyze", "range", "--calibration", bad, "--out", tmp_path) == 2
+    captured = capsys.readouterr()
+    assert "enc_h_max outside the horizontal joint range" in captured.err
+    assert "whole notes" not in captured.out
+    assert not (tmp_path / "range_report.txt").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
@@ -617,3 +633,21 @@ def test_tracer_targets_resolve(module, attribute):
     """Each function the benchmark tracer wraps is found where the tracer
     looks it up: a renamed or moved one would crash a traced pass."""
     assert callable(getattr(importlib.import_module(f"robothumb.{module}"), attribute))
+
+
+@pytest.mark.parametrize("shape", ["band", "cap"])
+def test_saved_directions_have_the_length_the_tracer_counts(shape, tmp_path, monkeypatch):
+    """The tracer adds ``len()`` of ``save_directions``' first argument to
+    ``analysis.directions``: whatever ``synth sweep`` passes must have a
+    length, the number of rows written."""
+    lengths = []
+
+    def save(dirs, path):
+        lengths.append(len(dirs))
+        return save_directions(dirs, path)
+
+    monkeypatch.setattr(cli.analysis, "save_directions", save)
+    assert run("synth", "sweep", "--shape", shape, "--samples", 2 * BLOCK_ROWS + 3,
+               "--out", tmp_path) == 0
+    rows = len((tmp_path / f"{shape}_directions.csv").read_bytes().splitlines()) - 1
+    assert lengths == [rows] == [2 * BLOCK_ROWS + 3]

@@ -6,7 +6,9 @@ reader against ``np.loadtxt``."""
 import hashlib
 import math
 import os
+import pathlib
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 from test_trace_csv import assert_same_text
 
 from robothumb import synth
-from robothumb.analysis import load_directions, save_directions
+from robothumb.analysis import file_solid_angle, load_directions, save_directions, solid_angle
 from robothumb.cli import main
 from robothumb.errors import InputError
 from robothumb.sensors import BLOCK_ROWS
@@ -348,3 +350,101 @@ def test_pipe_reads_as_loadtxt_reads_it(tmp_path):
             os.close(int(path.rsplit("/", 1)[1]))
         assert got.shape == (rows, 3)
         assert_same_bits(got, reference_load(tmp_path / "dirs.csv"))
+
+
+def traced_peak(argv) -> int:
+    """The ``tracemalloc`` peak, in bytes, of one CLI command."""
+    tracemalloc.start()
+    try:
+        assert main([str(a) for a in argv]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_and_workspace_never_hold_a_whole_direction_set(tmp_path, capsys):
+    """Both steps work one block at a time: neither one's peak reaches the
+    size of the (n, 3) float64 array of the set it writes or reads."""
+    samples = 400_000
+    whole = samples * 3 * 8
+    assert traced_peak(["synth", "sweep", "--samples", samples, "--out", tmp_path]) < whole
+    assert traced_peak(["analyze", "workspace", "--dirs", tmp_path / "band_directions.csv",
+                        "--out", tmp_path]) < whole
+    assert f"over {samples} directions" in capsys.readouterr().out
+
+
+def workspace(path, bins=1_000):
+    """The ``analyze workspace`` report of one direction file, as text."""
+    assert main(["analyze", "workspace", "--dirs", str(path), "--bins", str(bins),
+                 "--out", str(os.path.dirname(path))]) == 0
+    return (pathlib.Path(path).parent / "workspace_report.txt").read_text()
+
+
+def unit_file(path, rows, last) -> np.ndarray:
+    """Write ``rows`` unit-layout rows and then the row ``last``; return the
+    rows as ``np.loadtxt`` reads the file."""
+    dirs = synth.band_sweep_directions(rows, seed=rows)
+    save_directions(dirs, path)
+    with open(path, "ab") as f:
+        f.write(last)
+    return loadtxt(path)
+
+
+def test_late_row_outside_the_unit_layout_is_binned_once(tmp_path):
+    """After two whole blocks were binned from the unit layout, the set is
+    binned again as ``np.loadtxt`` reads it, each row counted once."""
+    path = tmp_path / "dirs.csv"
+    expected = unit_file(path, 2 * BLOCK_ROWS + 2, b"1,0,0\n")
+    assert len(expected) == 2 * BLOCK_ROWS + 3
+    assert file_solid_angle(path, 1_000) == (solid_angle(expected, 1_000), len(expected))
+    assert file_solid_angle(path, 1_000) == (solid_angle(load_directions(path), 1_000),
+                                             2 * BLOCK_ROWS + 3)
+    assert f"n_directions = {2 * BLOCK_ROWS + 3}\n" in workspace(path)
+
+
+def test_late_nan_row_fails_with_the_file_named(tmp_path, capsys):
+    path = tmp_path / "dirs.csv"
+    unit_file(path, 2 * BLOCK_ROWS + 2, b"nan,0,0\n")
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}: direction norms deviate from 1 by up to nan")):
+        file_solid_angle(path, 1_000)
+    assert main(["analyze", "workspace", "--dirs", str(path), "--out", str(tmp_path)]) == 2
+    assert "dirs.csv: direction norms deviate from 1 by up to nan" in capsys.readouterr().err
+    assert not (tmp_path / "workspace_report.txt").exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_is_binned_as_loadtxt_reads_it(tmp_path):
+    """``--dirs <(cat file)``: a pipe is never read in the unit layout, whose
+    reader could not give back what it read."""
+    text = HEADER + b"0.600000000000,-0.800000000000,0.000000000000\n" * 1_000
+    (tmp_path / "file").mkdir()
+    (tmp_path / "file" / "dirs.csv").write_bytes(text)
+    expected = reference_load(tmp_path / "file" / "dirs.csv")
+    path = pipe_path(text)
+    try:
+        got = file_solid_angle(path, 1_000)
+    finally:
+        os.close(int(path.rsplit("/", 1)[1]))
+    assert got == (solid_angle(expected, 1_000), 1_000)
+    path = pipe_path(text)
+    (tmp_path / "pipe").mkdir()
+    try:
+        assert main(["analyze", "workspace", "--dirs", path, "--bins", "1000",
+                     "--out", str(tmp_path / "pipe")]) == 0
+    finally:
+        os.close(int(path.rsplit("/", 1)[1]))
+    assert ((tmp_path / "pipe" / "workspace_report.txt").read_text()
+            == workspace(tmp_path / "file" / "dirs.csv"))
+
+
+@pytest.mark.parametrize("text", [b"x,y,z\nabc,0,0\n", b"1,0,0\n", b"x,y,z\n",
+                                  b"x,y,z\nnan,0,0\n"],
+                         ids=["non-numeric", "no-header", "header-only", "nan"])
+def test_bins_out_of_range_are_reported_before_the_file_is_read(text, tmp_path, capsys):
+    """``--bins`` is checked first: a malformed file given with 7 bins
+    reports the bins, without the file's name."""
+    (tmp_path / "dirs.csv").write_bytes(text)
+    assert main(["analyze", "workspace", "--dirs", str(tmp_path / "dirs.csv"),
+                 "--bins", "7", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: n_bins must be in [100, 100000000]\n"
