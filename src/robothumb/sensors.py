@@ -68,7 +68,7 @@ def _spell(text: np.ndarray, values: np.ndarray, stop: int, width: int) -> None:
     text[:, stop - width:stop] = digits[:, digits.shape[1] - width:]
 
 
-def fixed_point_rows(columns, decimals, ends, scratch=None) -> np.ndarray:
+def fixed_point_rows(columns, decimals, ends, scratch: dict) -> np.ndarray:
     """The text of rows of equal-length columns as a uint8 array, field ``k``
     ``"%.{d}f"`` of a float64 entry (``d = decimals[k]``) or ``"%d"`` of an
     int64 one (``d = 0``), then ``ends[k]``. Where every float is finite with
@@ -77,9 +77,10 @@ def fixed_point_rows(columns, decimals, ends, scratch=None) -> np.ndarray:
     block's widest, and one mask drops each row's unused bytes; otherwise each
     row is one ``%``.
 
-    A writer passes the same ``scratch`` dict with each of its blocks: the
-    byte matrix and the mask are kept there and reused, so a file of many
-    blocks does not ask the allocator for them block after block."""
+    A writer passes one ``scratch`` dict with each of its blocks: the byte
+    matrix and the mask are kept there and reused, so a file of many blocks
+    does not ask the allocator for them block after block, and they go when
+    the writer drops the dict."""
     fields = []  # per field: minus signs, whole and fractional counts, decimals, width
     for column, d in zip(columns, decimals):
         if column.dtype.kind == "f":
@@ -119,11 +120,8 @@ def fixed_point_rows(columns, decimals, ends, scratch=None) -> np.ndarray:
     return text[keep]  # bytes-like: a file writes it without a copy
 
 
-def _buffer(scratch, name, shape, dtype) -> np.ndarray:
-    """An array of ``shape``: a view of ``scratch[name]``, grown as needed, or
-    a new array without ``scratch``."""
-    if scratch is None:
-        return np.empty(shape, dtype)
+def _buffer(scratch: dict, name: str, shape, dtype) -> np.ndarray:
+    """An array of ``shape``: a view of ``scratch[name]``, grown as needed."""
     size = shape[0] * shape[1]
     if name not in scratch or scratch[name].size < size:
         scratch[name] = np.empty(size, dtype)

@@ -271,10 +271,6 @@ class DirectionSweep:
             np.multiply(r, np.sin(phi, out=phi), out=block[:, 1])
             yield block
 
-    def array(self) -> np.ndarray:
-        """Every row in one (samples, 3) array."""
-        return np.concatenate(list(self))
-
 
 def band_sweep(samples: int, azimuth_span: float = 360.0, elev_min: float = -60.0,
                elev_max: float = 60.0, seed: int = 0) -> DirectionSweep:
@@ -292,10 +288,10 @@ def cap_sweep(samples: int, half_angle: float = 54.9, seed: int = 0) -> Directio
 
 
 def band_sweep_directions(*args, **kwargs) -> np.ndarray:
-    """``band_sweep``'s rows in one array."""
-    return band_sweep(*args, **kwargs).array()
+    """``band_sweep``'s rows in one (samples, 3) array."""
+    return np.concatenate(list(band_sweep(*args, **kwargs)))
 
 
 def cap_directions(*args, **kwargs) -> np.ndarray:
-    """``cap_sweep``'s rows in one array."""
-    return cap_sweep(*args, **kwargs).array()
+    """``cap_sweep``'s rows in one (samples, 3) array."""
+    return np.concatenate(list(cap_sweep(*args, **kwargs)))
