@@ -72,6 +72,7 @@ def _loadtxt_directions(path) -> np.ndarray:
 # its separator; three make a row
 UNIT_VALUE_BYTES = 15
 UNIT_ROW_BYTES = 3 * UNIT_VALUE_BYTES
+UNIT_ROW_MAX = UNIT_ROW_BYTES + 3  # three signs, LF included
 _ROW_SEPARATORS = np.frombuffer(b",,\n", np.uint8)
 
 
@@ -85,23 +86,30 @@ def _unit_blocks(path):
 
     That layout is the header ``x,y,z`` and rows of three values
     ``-?d.dddddddddddd`` split by ``,``, each row ended by LF. The body is
-    read in chunks of about ``BLOCK_ROWS`` rows, each cut at its last LF.
+    read in chunks of about ``BLOCK_ROWS`` rows into one buffer, each cut at
+    its last LF.
     A pipe is refused before anything is read from it: what is read from it
     here ``np.loadtxt`` could not read again.
     """
     with open(path, "rb") as f:
         if not stat.S_ISREG(os.fstat(f.fileno()).st_mode) or f.readline(6) != b"x,y,z\n":
             raise _OtherLayout
-        rest = b""
-        while chunk := f.read(BLOCK_ROWS * UNIT_ROW_BYTES):
-            chunk = rest + chunk
-            cut = chunk.rfind(b"\n") + 1
-            block = _unit_values(chunk[:cut]) if cut else None
+        size = BLOCK_ROWS * UNIT_ROW_BYTES
+        buf = bytearray(size + UNIT_ROW_MAX)  # a chunk after a row cut short
+        view = memoryview(buf)
+        kept = 0  # the bytes of a row cut short, moved to the front
+        while read := f.readinto(view[kept:kept + size]):
+            end = kept + read
+            cut = buf.rfind(b"\n", 0, end) + 1
+            block = _unit_values(buf[:cut]) if cut else None
             if block is None:
                 raise _OtherLayout
             yield block
-            rest = chunk[cut:]
-    if rest:  # a last row without LF
+            kept = end - cut
+            if kept >= UNIT_ROW_MAX:  # longer than any row of the layout
+                raise _OtherLayout
+            buf[:kept] = buf[cut:end]
+    if kept:  # a last row without LF
         raise _OtherLayout
 
 

@@ -19,7 +19,8 @@ from hypothesis.extra.numpy import arrays
 from test_trace_csv import assert_same_text
 
 from robothumb import synth
-from robothumb.analysis import file_solid_angle, load_directions, save_directions, solid_angle
+from robothumb.analysis import (UNIT_ROW_BYTES, file_solid_angle, load_directions,
+                                save_directions, solid_angle)
 from robothumb.cli import main
 from robothumb.errors import InputError
 from robothumb.sensors import BLOCK_ROWS
@@ -295,6 +296,8 @@ LATE = 2 * BLOCK_ROWS  # rows before a row that leaves the writer's layout
     (HEADER + ROW + b"0.50000000000 ,0.000000000000,0.000000000000\n" + ROW, True),
     (HEADER + ROW * LATE + b"0.5,0.5,0.5\n" + ROW * 3, True),
     (HEADER + ROW * LATE + b"nan,0.000000000000,0.000000000000\n" + ROW, True),
+    (HEADER + ROW * (BLOCK_ROWS * UNIT_ROW_BYTES // len(ROW) - 1)
+     + b"0.5" + b"0" * 100 + b",0,0\n" + ROW * 3, True),
     (b"\xef\xbb\xbfx,y,z\n" + ROW, False),
     (HEADER + ROW + b"--0.500000000000,0.000000000000,0.000000000000\n", False),
     (HEADER + ROW + b"0.5000000000-00,0.000000000000,0.000000000000\n", False),
@@ -310,7 +313,8 @@ LATE = 2 * BLOCK_ROWS  # rows before a row that leaves the writer's layout
 ], ids=["crlf", "crlf-rows", "no-final-lf", "trailing-blank-line", "plus", "exponent",
         "short", "spaces", "comment", "two-digit-whole", "fourteen-digits", "plus-point",
         "trailing-space", "late-short",
-        "late-nan", "bom", "double-minus", "inner-minus", "two-columns", "four-columns",
+        "late-nan", "long-row-across-a-chunk-edge",
+        "bom", "double-minus", "inner-minus", "two-columns", "four-columns",
         "two-then-four", "semicolons",
         "late-non-numeric", "late-ragged", "late-undecodable", "header-only"])
 def test_hand_written_files_read_as_loadtxt_reads_them(text, accepted, tmp_path):
