@@ -101,7 +101,7 @@ def _unit_blocks(path):
         while read := f.readinto(view[kept:kept + size]):
             end = kept + read
             cut = buf.rfind(b"\n", 0, end) + 1
-            block = _unit_values(buf[:cut]) if cut else None
+            block = _unit_values(view[:cut]) if cut else None
             if block is None:
                 raise _OtherLayout
             yield block
@@ -113,11 +113,11 @@ def _unit_blocks(path):
         raise _OtherLayout
 
 
-def _unit_values(text: bytes) -> np.ndarray | None:
+def _unit_values(text: memoryview) -> np.ndarray | None:
     """The (k, 3) rows of whole rows of the unit layout, or None if any byte
     does not fit the layout."""
     signs = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("-"))
-    slots = np.frombuffer(text.replace(b"-", b""), np.uint8)
+    slots = np.frombuffer(text.tobytes().replace(b"-", b""), np.uint8)
     if len(slots) % UNIT_ROW_BYTES:
         return None
     slots = slots.reshape(-1, UNIT_VALUE_BYTES)
