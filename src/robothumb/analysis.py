@@ -72,7 +72,7 @@ def _loadtxt_directions(path) -> np.ndarray:
 # its separator; three make a row
 UNIT_VALUE_BYTES = 15
 UNIT_ROW_BYTES = 3 * UNIT_VALUE_BYTES
-UNIT_ROW_MAX = UNIT_ROW_BYTES + 3  # three signs, LF included
+UNIT_ROW_MAX = UNIT_ROW_BYTES + 3  # the longest row: three signed values
 _ROW_SEPARATORS = np.frombuffer(b",,\n", np.uint8)
 
 
@@ -87,9 +87,8 @@ def _unit_blocks(path):
     That layout is the header ``x,y,z`` and rows of three values
     ``-?d.dddddddddddd`` split by ``,``, each row ended by LF. The body is
     read in chunks of about ``BLOCK_ROWS`` rows into one buffer, each cut at
-    its last LF.
-    A pipe is refused before anything is read from it: what is read from it
-    here ``np.loadtxt`` could not read again.
+    its last LF. A pipe is refused before anything is read from it: what is
+    read from it here ``np.loadtxt`` could not read again.
     """
     with open(path, "rb") as f:
         if not stat.S_ISREG(os.fstat(f.fileno()).st_mode) or f.readline(6) != b"x,y,z\n":
