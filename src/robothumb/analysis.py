@@ -30,6 +30,7 @@ DIRECTION_NORM_TOL = 1e-9
 # sphere_partition rejects more bins before allocating anything, which
 # keeps the occupancy array of solid_angle within 100 MB
 MAX_BINS = 100_000_000
+MAX_DIRECTIONS = 100_000_000  # most rows of a sweep, checked before its file is opened
 
 
 def load_directions(path) -> np.ndarray:

@@ -5,11 +5,12 @@ encoder counts (closest to furthest note) and foot Y-accelerometer codes
 to vertical encoder counts (hover to fully pressed). The horizontal
 profile velocity follows a proportional law in the remaining distance,
 the vertical profile velocity follows the foot's Z acceleration so a
-faster lift presses harder. Both laws map whole columns of samples.
+faster lift presses harder. Both laws map whole columns to ``array`` columns.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -143,31 +144,32 @@ def validate_calibration_ranges(calib: CalibrationSet, config: "GlobalConfig") -
     validate_anchor_ranges(vars(calib), config.geometry, config.axis)
 
 
-def horizontal_update(flex_adc: np.ndarray, calib: CalibrationSet) -> list[int]:
-    """Horizontal setpoints (counts), one per flex reading in the column.
+def horizontal_update(flex_adc: np.ndarray, calib: CalibrationSet) -> array:
+    """Horizontal setpoints (counts) in an ``array('q')``, one per flex reading.
 
     The engine sends each with a profile velocity proportional to the
     distance left when it arrives, ``min(kp_h * |setpoint - encoder_count|,
     v_cap)``, so larger repositioning moves run faster.
     """
-    return round_half_away_column(linear_map(
-        flex_adc, calib.flex_min, calib.flex_max, calib.enc_h_min, calib.enc_h_max)).tolist()
+    return array("q", round_half_away_column(linear_map(
+        flex_adc, calib.flex_min, calib.flex_max, calib.enc_h_min, calib.enc_h_max)).tobytes())
 
 
 def vertical_update(acc_y_adc: np.ndarray, acc_z_adc: np.ndarray, calib: CalibrationSet,
-                    params: ControlParams) -> tuple[list[int], list[float]]:
-    """Vertical setpoints (counts) and profile velocities (deg/s) per reading.
+                    params: ControlParams) -> tuple[array, array]:
+    """Vertical ``array('q')`` setpoints (counts) and ``array('d')`` profile
+    velocities (deg/s), one each per reading.
 
     Y places the finger between hover (foot down) and full press (foot
     lifted); Z sets how fast it gets there, with a floor so the motion
     always completes.
     """
     setpoints = round_half_away_column(linear_map(
-        acc_y_adc, calib.y_min, calib.y_max, calib.enc_hover, calib.enc_pressed)).tolist()
+        acc_y_adc, calib.y_min, calib.y_max, calib.enc_hover, calib.enc_pressed))
     z_norm = (acc_z_adc - calib.z_min) / (calib.z_max - calib.z_min)
     with np.errstate(invalid="ignore"):  # kv_z = inf at rest: inf * 0 is nan
         velocity = np.clip(params.kv_z * z_norm, params.v_floor, params.v_cap)
-    return setpoints, velocity.tolist()
+    return array("q", setpoints.tobytes()), array("d", velocity.tobytes())
 
 
 def save_calibration(calib: CalibrationSet, path) -> None:

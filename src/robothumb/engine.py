@@ -28,7 +28,7 @@ vertical axis. A run works on columns, one entry per step:
 
 1. The control laws map the trace's ADC code columns once, and numpy turns
    the sample times into each axis's command schedule: the sample applied
-   over each step and the runs of steps under one setpoint.
+   over each step and the runs of steps under one setpoint, as ``array``s.
 2. ``plant.run_axis`` steps each axis through its schedule in one scalar
    loop, writing angles and velocities into buffers allocated beforehand;
    the horizontal loop adds the feedback on its own encoder count.
@@ -187,11 +187,11 @@ def _axis_buffers(n_steps: int) -> tuple[array, array]:
 
 
 def _runs(step_setpoints: np.ndarray):
-    """``(first, stop, setpoint)`` of each run of steps under one setpoint,
-    as an iterator; ``step_setpoints[k - 1]`` is the setpoint over step k."""
+    """``(first, stop, setpoint)`` of each run of steps under one setpoint from
+    three ``array('q')``; ``step_setpoints[k - 1]`` is the setpoint over step k."""
     first = np.flatnonzero(np.diff(step_setpoints, prepend=step_setpoints[:1] + 1)) + 1
     stop = np.append(first[1:], len(step_setpoints) + 1)
-    return zip(first.tolist(), stop.tolist(), step_setpoints[first - 1].tolist())
+    return zip(*(array("q", c.tobytes()) for c in (first, stop, step_setpoints[first - 1])))
 
 
 def run(trace: SensorTrace, calibration: CalibrationSet,
@@ -238,23 +238,22 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
     # buffer index of the state a sample's command is sent from: the state
     # before the step its sensor path completes in
     sent_from = np.searchsorted(step_t, times + lat.sensor_path)
-    # the control laws map float columns to lists
+    # the control laws map float columns to stdlib arrays, here viewed by numpy
     flex, acc_y, acc_z = (c.astype(float) for c in codes)
-    setpoints_h = np.append(np.fromiter(control.horizontal_update(flex, calibration), np.int64), 0)
-    setpoints_v, limits_v = control.vertical_update(acc_y, acc_z, calibration, params)
-    setpoints_v = np.append(np.fromiter(setpoints_v, np.int64), 0)
-    limits_v = np.append(np.array(limits_v, float), 0.0)
+    setpoints_h, setpoints_v, limits_v = (
+        np.append(np.frombuffer(c, c.typecode), 0) for c in (
+            control.horizontal_update(flex, calibration),
+            *control.vertical_update(acc_y, acc_z, calibration, params)))
 
     angles_h, velocities_h = _axis_buffers(n_steps)
     angles_v, velocities_v = _axis_buffers(n_steps)
     tasks = (
         functools.partial(plant.run_axis, angles_h, velocities_h,
                           _runs(setpoints_h[applied]),
-                          np.append(sent_from, 0)[applied].tolist(), dt,
+                          array("q", np.append(sent_from, 0)[applied].tobytes()), dt,
                           config.axis, (params.kp_h, params.v_cap)),
-        functools.partial(plant.run_axis, angles_v, velocities_v,
-                          _runs(setpoints_v[applied]), limits_v[applied].tolist(),
-                          dt, config.axis))
+        functools.partial(plant.run_axis, angles_v, velocities_v, _runs(setpoints_v[applied]),
+                          array("d", limits_v[applied].tobytes()), dt, config.axis))
     if sim.mode == "concurrent":
         errors = []  # what the workers raised; the first is raised again here
 
@@ -274,6 +273,8 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
     else:
         for task in tasks:
             task()
+    # the per-sample columns and the schedules go before the step log is built
+    del flex, acc_y, acc_z, setpoints_h, setpoints_v, limits_v, applied, sent_from, tasks
 
     theta_h = np.frombuffer(angles_h)[1:]
     theta_v = np.frombuffer(angles_v)[1:]

@@ -10,9 +10,9 @@ Z picks up gravity plus dynamic acceleration (speed of motion).
 
 A trace keeps its readings as columns (time, three ADC codes, labels). Every
 numeric CSV of the package is written in ``blocks`` of ``BLOCK_ROWS`` rows,
-each spelled by ``fixed_point_rows``: by numpy from a table of digits, or
-one ``%`` per row where a value is out of range. A trace file in the
-writer's own layout is read back by numpy, any other text line by line.
+each spelled by ``fixed_point_rows``: by numpy from a table of digits, or one
+``%`` per row where a value is out of range. A trace file in the writer's own
+layout is read back by numpy a chunk at a time, any other text line by line.
 """
 
 from __future__ import annotations
@@ -220,10 +220,11 @@ class SensorTrace:
         dt = np.diff(t)
         if (dt <= 0).any():
             raise TraceFormatError("sample timestamps must be strictly increasing")
-        off = np.abs(dt - self.sample_period) > 0.01 * self.sample_period
+        dt -= self.sample_period  # in place: the spacings' deviations
+        off = np.abs(dt, out=dt) > 0.01 * self.sample_period
         if off.any():
             raise TraceFormatError(
-                f"sample spacing {dt[off][0]} ms deviates more than 1% from "
+                f"sample spacing {np.diff(t)[off][0]} ms deviates more than 1% from "
                 f"period {self.sample_period} ms")
         # after the timestamps, which name the fault in a period derived from them
         if not math.isfinite(self.sample_period):
@@ -296,17 +297,21 @@ def save_trace(trace: SensorTrace, path) -> None:
 def load_trace(path) -> SensorTrace:
     """Read a trace CSV.
 
-    The file is read once. Text in ``save_trace``'s layout with whole times
-    is parsed by numpy (``_read_writer_layout``); any other text line by
-    line (``_parse_trace``): rows end in LF, CRLF or CR, blank lines are
-    skipped, and fields are never quoted. ``t`` is parsed by ``float()`` and
-    each code by ``int()``, so both accept what those accept. Both give the
-    same trace; an error names the file and any line at fault, the first.
+    A seekable file in ``save_trace``'s layout with whole times is parsed by
+    numpy a chunk at a time (``_read_writer_layout``); any other is read whole
+    and parsed line by line (``_parse_trace``): rows end in LF, CRLF or CR,
+    blank lines are skipped, and fields are never quoted. ``t`` is parsed by
+    ``float()`` and each code by ``int()``, so both accept what those accept.
+    Both give the same trace; an error names the file and any line at fault.
     """
-    with open(path, "rb") as f:
-        data = f.read()
     try:
-        return _read_writer_layout(data) or _parse_trace(data)
+        with open(path, "rb") as f:
+            if f.seekable():  # a pipe is read once, as text
+                trace = _read_writer_layout(f)
+                if trace is not None:
+                    return trace
+                f.seek(0)
+            return _parse_trace(f.read())
     except (UnicodeDecodeError, TraceFormatError) as exc:
         raise TraceFormatError(f"{path}: {exc}") from None
 
@@ -314,65 +319,71 @@ def load_trace(path) -> SensorTrace:
 # the writer's layout: this header line, then rows of four digit fields and a
 # label, split by commas and, like the header, ended by CRLF
 _HEADER_LINE = (",".join(TRACE_HEADER) + "\r\n").encode()
+TRACE_CHUNK = BLOCK_ROWS * 8  # bytes read at once; a longer row goes to the text parser
 
 
-def _read_writer_layout(data: bytes) -> SensorTrace | None:
+def _read_writer_layout(f) -> SensorTrace | None:
     """The trace of a file in ``save_trace``'s layout with whole times, or
-    None for any other text.
+    None where its text leaves that layout.
 
-    In that layout ``t`` and the three codes are 1 to ``TRACE_DIGITS``
-    ASCII digits each and a label is UTF-8 without CR. The commas and LFs
-    are found once; the header line is the first row of five. Each digit
-    field is read right-aligned, one digit column at a time from the
-    leading one (Horner's rule), as int64.
+    In that layout ``t`` and the three codes are 1 to ``TRACE_DIGITS`` ASCII
+    digits each and a label is UTF-8 without CR. The body is read into one
+    buffer twice: to count the rows, which sizes the samples, then in chunks cut
+    after their last LF, the row cut short carried to the next. In a chunk the
+    commas and LFs are found once; each digit field is read right-aligned, one
+    digit column at a time from the leading one (Horner's rule), as int64.
     """
-    if not data.startswith(_HEADER_LINE):
+    if f.read(len(_HEADER_LINE)) != _HEADER_LINE:
         return None
-    raw = np.frombuffer(data, np.uint8)
-    is_lf = raw == ord("\n")
-    seps = np.flatnonzero(is_lf | (raw == ord(",")))
-    if len(seps) % 5 or seps[-1] != len(raw) - 1:  # a last row without LF
-        return None
-    seps = seps.reshape(-1, 5)
-    lines = seps[:, 4]  # the LF of each line, the header's first
-    n = len(lines) - 1
-    # every fifth separator is an LF and no other is, so each line has four
-    # commas; each LF follows a CR and no other byte is a CR
-    if (n < 2 or np.count_nonzero(is_lf) != len(lines)
-            or not (raw[lines] == ord("\n")).all()
-            or not (raw[lines - 1] == ord("\r")).all()
-            or np.count_nonzero(raw == ord("\r")) != len(lines)):
-        return None
-    stops = seps[1:, :4].copy()  # the comma after each digit field
-    starts = np.empty_like(stops)
-    starts[:, 0] = lines[:-1] + 1
-    starts[:, 1:] = stops[:, :3] + 1
-    widths = stops - starts
-    if widths.min() < 1 or widths.max() > TRACE_DIGITS:
-        return None
-    values = np.zeros(stops.shape, np.int64)
-    at = np.empty_like(stops)
-    # the header precedes every field, so no position falls before the file
-    for k in range(int(widths.max()), 0, -1):
-        np.subtract(stops, k, out=at)
-        digits = raw.take(at)
-        digits -= ord("0")  # uint8: a byte below "0" wraps past 9
-        digits *= widths >= k
-        if digits.max() > 9:
+    body, buf = f.tell(), bytearray(TRACE_CHUNK)
+    chunk = np.frombuffer(buf, np.uint8)
+    n = sum(np.count_nonzero(chunk[:r] == ord("\n")) for r in iter(lambda: f.readinto(buf), 0))
+    f.seek(body)
+    samples, labels, view = np.empty(n, SAMPLE_DTYPE), None, memoryview(buf)
+    filled = kept = 0  # rows parsed; bytes of the row cut short
+    while read := f.readinto(view[kept:]):
+        end = kept + read
+        cut = buf.rfind(b"\n", 0, end) + 1
+        raw = chunk[:cut]
+        seps = np.flatnonzero((raw == ord("\n")) | (raw == ord(",")))
+        lines = seps[4::5]  # the LF of each row
+        # every fifth separator is an LF and no other is, so each row has four
+        # commas; each LF follows a CR and no other byte is a CR
+        if (not cut or len(seps) % 5 or filled + len(lines) > n
+                or not ((raw[seps] == ord("\n")).reshape(-1, 5) == [0, 0, 0, 0, 1]).all()
+                or not (raw[lines - 1] == ord("\r")).all()
+                or np.count_nonzero(raw == ord("\r")) != len(lines)):
             return None
-        values *= 10
-        values += digits
-    if (lines[1:] - stops[:, 3] == 2).all():  # comma, CR, LF: every label empty
-        labels = ("",) * n
-    else:
-        try:
-            labels = [data[a:b].decode("utf-8") for a, b in
-                      zip((stops[:, 3] + 1).tolist(), (lines[1:] - 1).tolist())]
-        except UnicodeDecodeError:
+        stops = seps.reshape(-1, 5)[:, :4].copy()  # the comma after each digit field
+        widths = stops - np.append(-1, seps[:-1]).reshape(-1, 5)[:, :4] - 1
+        if widths.min() < 1 or widths.max() > TRACE_DIGITS:
             return None
-    t = values[:, 0].astype(np.float64)
-    return SensorTrace.from_columns(t, values[:, 1], values[:, 2], values[:, 3],
-                                    labels, t[1] - t[0])
+        values = np.zeros(stops.shape, np.int64)
+        at = np.empty_like(stops)
+        for k in range(int(widths.max()), 0, -1):
+            np.subtract(stops, k, out=at)
+            digits = raw.take(at, mode="clip")  # a position before the chunk is masked
+            digits -= ord("0")  # uint8: a byte below "0" wraps past 9
+            digits *= widths >= k
+            if digits.max() > 9:
+                return None
+            values *= 10
+            values += digits
+        rows = slice(filled, filled + len(values))
+        for k, name in enumerate(SAMPLE_DTYPE.names):
+            samples[name][rows] = values[:, k]
+        if not (lines - stops[:, 3] == 2).all():  # comma, CR, LF: an empty label
+            labels = labels or [""] * n
+            try:
+                labels[rows] = [str(view[a:b], "utf-8") for a, b in
+                                zip((stops[:, 3] + 1).tolist(), (lines - 1).tolist())]
+            except UnicodeDecodeError:
+                return None
+        filled, kept = rows.stop, end - cut
+        buf[:kept] = buf[cut:end]
+    if kept or not 2 <= filled == n:  # a last row without LF, or under two rows
+        return None
+    return SensorTrace(samples, tuple(labels or ("",) * n), float(np.diff(samples["t"][:2])[0]))
 
 
 def _parse_trace(data: bytes) -> SensorTrace:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .analysis import check_band_limits, check_cap_half_angle
+from .analysis import MAX_DIRECTIONS, check_band_limits, check_cap_half_angle
 from .config import GlobalConfig
 from .control import linear_map, validate_anchor_ranges
 from .engine import MAX_STEPS
@@ -246,8 +246,8 @@ class DirectionSweep:
 
     def __init__(self, samples: int, z_low: float, z_high: float, phi_half: float,
                  seed: int):
-        if samples < 1:
-            raise InputError("samples must be >= 1")
+        if not 1 <= samples <= MAX_DIRECTIONS:
+            raise InputError(f"samples must be in [1, {MAX_DIRECTIONS}]")
         self.samples = samples
         self.z_low, self.z_high, self.phi_half = z_low, z_high, phi_half
         self.seed = seed

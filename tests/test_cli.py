@@ -399,6 +399,19 @@ def test_invalid_sweep_parameters_exit_2(args, tmp_path, capsys):
     assert not list(tmp_path.glob("*_directions.csv"))
 
 
+@pytest.mark.parametrize("shape", ["band", "cap"])
+def test_sweep_samples_above_the_limit_exit_2_before_the_write(shape, tmp_path, monkeypatch):
+    """A count past ``MAX_DIRECTIONS`` is refused before the file is opened;
+    a write, were it started, fails the test instead of filling the disk."""
+    def save(dirs, path):
+        raise AssertionError("the write started")
+
+    monkeypatch.setattr(cli.analysis, "save_directions", save)
+    assert run("synth", "sweep", "--shape", shape,
+               "--samples", cli.analysis.MAX_DIRECTIONS + 1, "--out", tmp_path) == 2
+    assert not (tmp_path / f"{shape}_directions.csv").exists()
+
+
 def test_non_finite_config_float_exits_2(workdir, tmp_path, capsys):
     config = tmp_path / "inf.ini"
     config.write_text("[control]\nkv_z = inf\n")

@@ -117,7 +117,7 @@ def scalar_setpoint(s, s_min, s_max, p_min, p_max) -> int:
 
 
 def test_horizontal_update_endpoints_and_velocity_law():
-    assert horizontal_update(np.array([CAL.flex_min, CAL.flex_max]), CAL) == [
+    assert list(horizontal_update(np.array([CAL.flex_min, CAL.flex_max]), CAL)) == [
         CAL.enc_h_min, CAL.enc_h_max]
     # converged: zero distance, zero commanded velocity
     assert commanded_velocity(0, PARAMS) == 0.0
@@ -132,25 +132,25 @@ def test_vertical_update_endpoints_and_velocity_clamp():
     setpoints, velocities = vertical_update(np.array([CAL.y_min, CAL.y_max]),
                                             np.array([CAL.z_min, CAL.z_max]),
                                             CAL, PARAMS)
-    assert setpoints == [CAL.enc_hover, CAL.enc_pressed]
-    assert velocities == [PARAMS.v_floor, min(PARAMS.kv_z, PARAMS.v_cap)]
+    assert list(setpoints) == [CAL.enc_hover, CAL.enc_pressed]
+    assert list(velocities) == [PARAMS.v_floor, min(PARAMS.kv_z, PARAMS.v_cap)]
     big = ControlParams(kv_z=10000.0)
     _, velocities = vertical_update(np.array([CAL.y_max]), np.array([CAL.z_max]),
                                     CAL, big)
-    assert velocities == [big.v_cap]
+    assert list(velocities) == [big.v_cap]
 
 
 def test_laws_match_scalar_reference_on_every_code():
     codes = np.arange(0, 4096)
-    assert horizontal_update(codes, CAL) == [
+    assert list(horizontal_update(codes, CAL)) == [
         scalar_setpoint(c, CAL.flex_min, CAL.flex_max, CAL.enc_h_min, CAL.enc_h_max)
         for c in range(4096)]
     setpoints, velocities = vertical_update(codes, codes[::-1], CAL, PARAMS)
-    assert setpoints == [
+    assert list(setpoints) == [
         scalar_setpoint(c, CAL.y_min, CAL.y_max, CAL.enc_hover, CAL.enc_pressed)
         for c in range(4096)]
     z_span = CAL.z_max - CAL.z_min
-    assert velocities == [
+    assert list(velocities) == [
         min(max(PARAMS.kv_z * ((z - CAL.z_min) / z_span), PARAMS.v_floor), PARAMS.v_cap)
         for z in range(4095, -1, -1)]
 
@@ -174,11 +174,11 @@ def test_vertical_setpoint_clamped_and_velocity_bounded(y, z):
 
 def test_setpoints_monotone_in_sensor_codes():
     # codes toward flex_min (2482) map toward enc_h_min (790): rising
-    h = horizontal_update(np.arange(1700, 2600, 25), CAL)
+    h = list(horizontal_update(np.arange(1700, 2600, 25), CAL))
     assert h == sorted(h)
     y = np.arange(1200, 1360, 5)
     v, _ = vertical_update(y, np.full(len(y), CAL.z_min), CAL, PARAMS)
-    assert v == sorted(v)
+    assert list(v) == sorted(v)
 
 
 def test_proportional_velocity_non_decreasing_in_distance():

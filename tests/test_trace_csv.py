@@ -517,6 +517,80 @@ def test_trace_corpus_loads_as_reference(name, tmp_path):
     assert assert_loads_as_reference(path) == accepted
 
 
+def layout_row(t: int, label: str = "") -> bytes:
+    return f"{t},2032,{1229 + t % 3},1474,{label}\r\n".encode()
+
+
+def layout_body(first_label: str, rows: int, t0: int = 10_000) -> bytes:
+    """Rows of the writer's layout from ``t0`` ms; the first carries
+    ``first_label``, the rest none."""
+    return layout_row(t0, first_label) + b"".join(layout_row(t) for t in range(t0 + 1, t0 + rows))
+
+
+def text_parser_calls(monkeypatch) -> list:
+    """The data of each later call of ``_parse_trace``, which still parses."""
+    calls = []
+    parse = sensors._parse_trace
+    monkeypatch.setattr(sensors, "_parse_trace", lambda data: calls.append(data) or parse(data))
+    return calls
+
+
+def test_labelled_file_of_three_chunks_loads_in_the_layout(tmp_path, monkeypatch):
+    """Labelled chunks, then chunks whose labels are all empty, then a
+    labelled last chunk."""
+    labels = ["flex_min", "", "é"] * (2 * sensors.TRACE_CHUNK // 60) + [""] * 12_000
+    labels += ["z_rest"] * 8
+    n = len(labels)
+    trace = SensorTrace.from_columns(np.arange(n, dtype=float), np.arange(n) % 4096,
+                                     [1229] * n, [1474] * n, labels, 1.0)
+    path = tmp_path / "trace.csv"
+    save_trace(trace, path)
+    assert path.stat().st_size > 3 * sensors.TRACE_CHUNK
+    calls = text_parser_calls(monkeypatch)
+    loaded = load_trace(path)
+    assert loaded.samples.tobytes() == trace.samples.tobytes()
+    assert loaded.labels == trace.labels
+    assert assert_loads_as_reference(path)
+    assert calls == []
+
+
+@pytest.mark.parametrize("lf_at", [-2, -1, 0, 1, 10], ids=[
+    "lf-inside", "lf-last", "cr-last-lf-next", "comma-last", "in-fields"])
+def test_row_cut_at_a_read_boundary_loads_in_the_layout(lf_at, tmp_path, monkeypatch):
+    """The LF of one row ``lf_at`` bytes after the last byte of the first read
+    of the body: the read ends after the LF, on it, between the CR and the
+    LF, before the CR, or inside the row's digit fields."""
+    end = sensors.TRACE_CHUNK + lf_at + 1  # where the row ends in the body
+    first, size = len(layout_row(10_000)), len(layout_row(10_001))
+    pad = (end - first) % size
+    body = layout_body("x" * pad, (end - first - pad) // size + 1 + 2_000)
+    assert body[end - 2:end] == b"\r\n"
+    path = tmp_path / "trace.csv"
+    path.write_bytes(CRLF_HEADER + body)
+    calls = text_parser_calls(monkeypatch)
+    assert assert_loads_as_reference(path)
+    assert calls == []
+
+
+@pytest.mark.parametrize("last, accepted", [
+    (b"99,2032,1229,1474,\n", True), (b"99,2032,1229,1474,", True),
+    (b"x,2032,1229,1474,\r\n", False), (b"99,2032,1229,1474,\r\r\n", True),
+    (b"99,2032,1229,\r\n", False), (b"99,2032,1229,1474,\xff\r\n", False),
+], ids=["lf", "no-line-end", "bad-time", "cr-in-label", "four-fields", "undecodable"])
+def test_row_outside_the_layout_in_the_last_chunk_goes_to_the_text_parser(
+        last, accepted, tmp_path, monkeypatch):
+    """Two chunks in the layout, then a last row outside it: the text parser
+    reads the whole file once, with its trace or its error."""
+    rows = 2 * sensors.TRACE_CHUNK // 20
+    path = tmp_path / "trace.csv"
+    path.write_bytes(CRLF_HEADER + layout_body("", rows, 0)
+                     + last.replace(b"99", str(rows).encode(), 1))
+    assert path.stat().st_size > 2 * sensors.TRACE_CHUNK + len(CRLF_HEADER)
+    calls = text_parser_calls(monkeypatch)
+    assert assert_loads_as_reference(path) == accepted
+    assert calls == [path.read_bytes()]
+
+
 FIELDS = (st.sampled_from(["0", "1", "1.5", " 7 ", "1_000", "+5", "-3", "1e3",
                            "nan", "inf", "-0", "", '"7"', "tag", "flex_min",
                            "\x0c", "\x00", str(2**63), "9" * 30])
