@@ -4,14 +4,13 @@ The angular end-point workspace is estimated by equal-area binning of the
 unit sphere: latitude rings are cut so that every cell covers exactly
 4*pi/n_bins steradians, the occupied cells are counted, and the workspace
 is occupied * 4*pi/n_bins. This handles arbitrarily shaped (non-convex)
-direction sets, unlike a spherical hull.
+direction sets, unlike a spherical hull. A direction file is read a chunk at
+a time through ``sensors.writer_rows``, or by ``np.loadtxt`` in other layouts.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import stat
 import warnings
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ from .errors import InputError, ReachError
 from .kinematics import required_torque, theta_for_key
 from .piano import Key
 from .plant import counts_per_output_rev, torque_margin
-from .sensors import BLOCK_ROWS, blocks, fixed_point_rows
+from .sensors import BLOCK_ROWS, OtherLayout, blocks, fixed_point_rows, writer_rows
 
 FULL_SPHERE = 4.0 * math.pi
 LATENCY_BUDGET_MS = 80.0
@@ -44,7 +43,7 @@ def load_directions(path) -> np.ndarray:
     """
     try:
         data = np.concatenate([np.empty((0, 3)), *_unit_blocks(path)])
-    except _OtherLayout:
+    except OtherLayout:
         data = _loadtxt_directions(path)
     if data.size == 0:
         raise InputError(f"{path}: direction set is empty")
@@ -73,53 +72,30 @@ def _loadtxt_directions(path) -> np.ndarray:
 # its separator; three make a row
 UNIT_VALUE_BYTES = 15
 UNIT_ROW_BYTES = 3 * UNIT_VALUE_BYTES
-UNIT_ROW_MAX = UNIT_ROW_BYTES + 3  # the longest row: three signed values
 _ROW_SEPARATORS = np.frombuffer(b",,\n", np.uint8)
-
-
-class _OtherLayout(Exception):
-    """Raised by ``_unit_blocks`` where a file leaves the writer's unit layout."""
 
 
 def _unit_blocks(path):
     """The rows of a file in the writer's unit layout, one (k, 3) block per
-    chunk read; raises ``_OtherLayout`` where the text leaves that layout.
+    chunk read; raises ``OtherLayout`` where the text leaves that layout.
 
     That layout is the header ``x,y,z`` and rows of three values
-    ``-?d.dddddddddddd`` split by ``,``, each row ended by LF. The body is
-    read in chunks of about ``BLOCK_ROWS`` rows into one buffer, each cut at
-    its last LF. A pipe is refused before anything is read from it: what is
-    read from it here ``np.loadtxt`` could not read again.
+    ``-?d.dddddddddddd`` split by ``,``, each row ended by LF, read by
+    ``writer_rows`` in chunks of about ``BLOCK_ROWS`` rows; it leaves a pipe
+    unread, for ``np.loadtxt`` to read once.
     """
     with open(path, "rb") as f:
-        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode) or f.readline(6) != b"x,y,z\n":
-            raise _OtherLayout
-        size = BLOCK_ROWS * UNIT_ROW_BYTES
-        buf = bytearray(size + UNIT_ROW_MAX)  # a chunk after a row cut short
-        view = memoryview(buf)
-        kept = 0  # the bytes of a row cut short, moved to the front
-        while read := f.readinto(view[kept:kept + size]):
-            end = kept + read
-            cut = buf.rfind(b"\n", 0, end) + 1
-            block = _unit_values(view[:cut]) if cut else None
-            if block is None:
-                raise _OtherLayout
-            yield block
-            kept = end - cut
-            if kept >= UNIT_ROW_MAX:  # longer than any row of the layout
-                raise _OtherLayout
-            buf[:kept] = buf[cut:end]
-    if kept:  # a last row without LF
-        raise _OtherLayout
+        for text in writer_rows(f, b"x,y,z\n", BLOCK_ROWS * UNIT_ROW_BYTES):
+            yield _unit_values(text)
 
 
-def _unit_values(text: memoryview) -> np.ndarray | None:
-    """The (k, 3) rows of whole rows of the unit layout, or None if any byte
-    does not fit the layout."""
+def _unit_values(text: memoryview) -> np.ndarray:
+    """The (k, 3) rows of whole rows of the unit layout; raises
+    ``OtherLayout`` if any byte does not fit the layout."""
     signs = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("-"))
     slots = np.frombuffer(text.tobytes().replace(b"-", b""), np.uint8)
     if len(slots) % UNIT_ROW_BYTES:
-        return None
+        raise OtherLayout
     slots = slots.reshape(-1, UNIT_VALUE_BYTES)
     whole = slots[:, 0] - ord("0")  # uint8: a byte below "0" wraps past 9
     decimals = slots[:, 2:14] - ord("0")
@@ -131,7 +107,7 @@ def _unit_values(text: memoryview) -> np.ndarray | None:
             and whole.max() <= 9 and decimals.max() <= 9
             and not (starts % UNIT_VALUE_BYTES).any()
             and (np.diff(starts) > 0).all()):
-        return None
+        raise OtherLayout
     # four decimals to a little-endian word, first in the low byte: pair the
     # digits, then the pairs
     words = decimals.view("<u4")
@@ -200,7 +176,7 @@ def file_solid_angle(path, n_bins: int) -> tuple[float, int]:
     ``np.loadtxt`` reads them are binned instead. Errors name the file."""
     try:
         return _binned(_unit_blocks(path), n_bins, f"{path}: ")
-    except _OtherLayout:
+    except OtherLayout:
         return _binned(blocks(_loadtxt_directions(path)), n_bins, f"{path}: ")
 
 

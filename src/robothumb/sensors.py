@@ -11,14 +11,18 @@ Z picks up gravity plus dynamic acceleration (speed of motion).
 A trace keeps its readings as columns (time, three ADC codes, labels). Every
 numeric CSV of the package is written in ``blocks`` of ``BLOCK_ROWS`` rows,
 each spelled by ``fixed_point_rows``: by numpy from a table of digits, or one
-``%`` per row where a value is out of range. A trace file in the writer's own
-layout is read back by numpy a chunk at a time, any other text line by line.
+``%`` per row where a value is out of range. Traces here and direction sets in
+``analysis`` are read back by numpy a chunk at a time through one frame,
+``writer_rows``; a trace that leaves the writer's layout is read line by line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +138,34 @@ def _row_text(columns, decimals, ends) -> np.ndarray:
                    for column, d, end in zip(columns, decimals, ends))
     text = b"".join(map(row.__mod__, zip(*(column.tolist() for column in columns))))
     return np.frombuffer(text, np.uint8)
+
+
+class OtherLayout(Exception):
+    """A file leaves the layout that a reader parses; it is read another way."""
+
+
+def writer_rows(f, header: bytes, size: int):
+    """Views of the whole rows of the binary file ``f`` after the line
+    ``header``, read into one buffer of ``size`` bytes: each view ends after
+    the last LF read, and is valid until the next is asked for; the row cut
+    short is carried to the front of the buffer for the next read.
+
+    Raises ``OtherLayout`` before reading any byte of a file that is not a
+    regular file, so that the caller can still read a pipe whole; and where
+    the header differs, a row is longer than the buffer or the last row has
+    no LF."""
+    if not stat.S_ISREG(os.fstat(f.fileno()).st_mode) or f.read(len(header)) != header:
+        raise OtherLayout
+    buf = bytearray(size)
+    view = memoryview(buf)
+    kept = 0  # the bytes of the row cut short
+    while end := kept + f.readinto(view[kept:]):
+        cut = buf.rfind(b"\n", 0, end) + 1
+        if not cut:  # a full buffer without LF, or a last row without LF
+            raise OtherLayout
+        yield view[:cut]
+        kept = end - cut
+        buf[:kept] = buf[cut:end]
 
 
 def _time_text(t: float) -> str:
@@ -297,7 +329,7 @@ def save_trace(trace: SensorTrace, path) -> None:
 def load_trace(path) -> SensorTrace:
     """Read a trace CSV.
 
-    A seekable file in ``save_trace``'s layout with whole times is parsed by
+    A regular file in ``save_trace``'s layout with whole times is parsed by
     numpy a chunk at a time (``_read_writer_layout``); any other is read whole
     and parsed line by line (``_parse_trace``): rows end in LF, CRLF or CR,
     blank lines are skipped, and fields are never quoted. ``t`` is parsed by
@@ -306,12 +338,10 @@ def load_trace(path) -> SensorTrace:
     """
     try:
         with open(path, "rb") as f:
-            if f.seekable():  # a pipe is read once, as text
-                trace = _read_writer_layout(f)
-                if trace is not None:
-                    return trace
-                f.seek(0)
-            return _parse_trace(f.read())
+            with contextlib.suppress(OtherLayout):
+                return _read_writer_layout(f)
+            with open(path, "rb") as text:  # f stays open: a pipe it left unread keeps its text
+                return _parse_trace(text.read())
     except (UnicodeDecodeError, TraceFormatError) as exc:
         raise TraceFormatError(f"{path}: {exc}") from None
 
@@ -322,42 +352,36 @@ _HEADER_LINE = (",".join(TRACE_HEADER) + "\r\n").encode()
 TRACE_CHUNK = BLOCK_ROWS * 8  # bytes read at once; a longer row goes to the text parser
 
 
-def _read_writer_layout(f) -> SensorTrace | None:
-    """The trace of a file in ``save_trace``'s layout with whole times, or
-    None where its text leaves that layout.
+def _read_writer_layout(f) -> SensorTrace:
+    """The trace of a file in ``save_trace``'s layout with whole times; raises
+    ``OtherLayout`` where its text leaves that layout.
 
     In that layout ``t`` and the three codes are 1 to ``TRACE_DIGITS`` ASCII
-    digits each and a label is UTF-8 without CR. The body is read into one
-    buffer twice: to count the rows, which sizes the samples, then in chunks cut
-    after their last LF, the row cut short carried to the next. In a chunk the
-    commas and LFs are found once; each digit field is read right-aligned, one
-    digit column at a time from the leading one (Horner's rule), as int64.
+    digits each and a label is UTF-8 without CR. ``writer_rows`` reads the body
+    twice: to count the rows, which sizes the samples, then to parse each
+    chunk's whole rows. In a chunk the commas and LFs are found once; each
+    digit field is read right-aligned, one digit column at a time from the
+    leading one (Horner's rule), as int64.
     """
-    if f.read(len(_HEADER_LINE)) != _HEADER_LINE:
-        return None
-    body, buf = f.tell(), bytearray(TRACE_CHUNK)
-    chunk = np.frombuffer(buf, np.uint8)
-    n = sum(np.count_nonzero(chunk[:r] == ord("\n")) for r in iter(lambda: f.readinto(buf), 0))
-    f.seek(body)
-    samples, labels, view = np.empty(n, SAMPLE_DTYPE), None, memoryview(buf)
-    filled = kept = 0  # rows parsed; bytes of the row cut short
-    while read := f.readinto(view[kept:]):
-        end = kept + read
-        cut = buf.rfind(b"\n", 0, end) + 1
-        raw = chunk[:cut]
+    n = sum(np.count_nonzero(np.frombuffer(text, np.uint8) == ord("\n"))
+            for text in writer_rows(f, _HEADER_LINE, TRACE_CHUNK))
+    f.seek(0)
+    samples, labels, filled = np.empty(n, SAMPLE_DTYPE), None, 0  # filled: rows parsed
+    for text in writer_rows(f, _HEADER_LINE, TRACE_CHUNK):
+        raw = np.frombuffer(text, np.uint8)
         seps = np.flatnonzero((raw == ord("\n")) | (raw == ord(",")))
         lines = seps[4::5]  # the LF of each row
         # every fifth separator is an LF and no other is, so each row has four
         # commas; each LF follows a CR and no other byte is a CR
-        if (not cut or len(seps) % 5 or filled + len(lines) > n
+        if (len(seps) % 5 or filled + len(lines) > n
                 or not ((raw[seps] == ord("\n")).reshape(-1, 5) == [0, 0, 0, 0, 1]).all()
                 or not (raw[lines - 1] == ord("\r")).all()
                 or np.count_nonzero(raw == ord("\r")) != len(lines)):
-            return None
+            raise OtherLayout
         stops = seps.reshape(-1, 5)[:, :4].copy()  # the comma after each digit field
         widths = stops - np.append(-1, seps[:-1]).reshape(-1, 5)[:, :4] - 1
         if widths.min() < 1 or widths.max() > TRACE_DIGITS:
-            return None
+            raise OtherLayout
         values = np.zeros(stops.shape, np.int64)
         at = np.empty_like(stops)
         for k in range(int(widths.max()), 0, -1):
@@ -366,7 +390,7 @@ def _read_writer_layout(f) -> SensorTrace | None:
             digits -= ord("0")  # uint8: a byte below "0" wraps past 9
             digits *= widths >= k
             if digits.max() > 9:
-                return None
+                raise OtherLayout
             values *= 10
             values += digits
         rows = slice(filled, filled + len(values))
@@ -375,14 +399,13 @@ def _read_writer_layout(f) -> SensorTrace | None:
         if not (lines - stops[:, 3] == 2).all():  # comma, CR, LF: an empty label
             labels = labels or [""] * n
             try:
-                labels[rows] = [str(view[a:b], "utf-8") for a, b in
+                labels[rows] = [str(text[a:b], "utf-8") for a, b in
                                 zip((stops[:, 3] + 1).tolist(), (lines - 1).tolist())]
             except UnicodeDecodeError:
-                return None
-        filled, kept = rows.stop, end - cut
-        buf[:kept] = buf[cut:end]
-    if kept or not 2 <= filled == n:  # a last row without LF, or under two rows
-        return None
+                raise OtherLayout from None
+        filled = rows.stop
+    if not 2 <= filled == n:  # under two rows
+        raise OtherLayout
     return SensorTrace(samples, tuple(labels or ("",) * n), float(np.diff(samples["t"][:2])[0]))
 
 

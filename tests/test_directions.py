@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from test_trace_csv import assert_same_text
+from test_trace_csv import assert_same_text, pipe_path
 
 from robothumb import synth
 from robothumb.analysis import (UNIT_ROW_BYTES, file_solid_angle, load_directions,
@@ -331,14 +331,6 @@ def test_hand_written_files_read_as_loadtxt_reads_them(text, accepted, tmp_path)
         assert got == expected
 
 
-def pipe_path(text: bytes) -> str:
-    """A path that reads ``text`` from a pipe, like the shell's ``<(cat file)``."""
-    read_end, write_end = os.pipe()
-    os.write(write_end, text)  # within the pipe's buffer: no writer thread
-    os.close(write_end)
-    return f"/dev/fd/{read_end}"
-
-
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_pipe_reads_as_loadtxt_reads_it(tmp_path):
     """A pipe has no size and cannot be read twice: every row after the
@@ -417,11 +409,46 @@ def test_late_nan_row_fails_with_the_file_named(tmp_path, capsys):
     assert not (tmp_path / "workspace_report.txt").exists()
 
 
+UNIT_ROW = b"0.600000000000,-0.800000000000,0.000000000000\n"
+
+
+@pytest.mark.parametrize("long_row", [
+    b"1." + b"0" * 100 + b",0,0\n",
+    b"1." + b"0" * (BLOCK_ROWS * UNIT_ROW_BYTES) + b",0,0\n",
+    b"1." + b"0" * 100 + b",0,x\n",
+    b"1." + b"0" * (BLOCK_ROWS * UNIT_ROW_BYTES) + b",0,x\n",
+], ids=["across-a-chunk-edge", "longer-than-the-buffer",
+        "bad-across-a-chunk-edge", "bad-longer-than-the-buffer"])
+def test_row_longer_than_the_unit_layout_reads_and_bins_as_loadtxt(long_row, tmp_path,
+                                                                    capsys):
+    """A row longer than any row of the unit layout, starting in the first
+    chunk and ending past it: the floats or the error of ``np.loadtxt``, from
+    the reader and from ``analyze workspace``."""
+    (tmp_path / "long").mkdir()
+    path = tmp_path / "long" / "dirs.csv"
+    rows = BLOCK_ROWS * UNIT_ROW_BYTES // len(UNIT_ROW) - 1
+    path.write_bytes(HEADER + UNIT_ROW * rows + long_row + UNIT_ROW * 3)
+    assert len(HEADER + UNIT_ROW * rows) < BLOCK_ROWS * UNIT_ROW_BYTES < path.stat().st_size
+    expected = outcome(reference_load, path)
+    got = outcome(load_directions, path)
+    if isinstance(expected, str):
+        assert got == expected
+        assert main(["analyze", "workspace", "--dirs", str(path), "--out",
+                     str(tmp_path / "long")]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        return
+    assert_same_bits(got, expected)
+    assert file_solid_angle(path, 1_000) == (solid_angle(expected, 1_000), rows + 4)
+    (tmp_path / "unit").mkdir()
+    save_directions(expected, tmp_path / "unit" / "dirs.csv")
+    assert workspace(path) == workspace(tmp_path / "unit" / "dirs.csv")
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_pipe_is_binned_as_loadtxt_reads_it(tmp_path):
     """``--dirs <(cat file)``: a pipe is never read in the unit layout, whose
     reader could not give back what it read."""
-    text = HEADER + b"0.600000000000,-0.800000000000,0.000000000000\n" * 1_000
+    text = HEADER + UNIT_ROW * 1_000
     (tmp_path / "file").mkdir()
     (tmp_path / "file" / "dirs.csv").write_bytes(text)
     expected = reference_load(tmp_path / "file" / "dirs.csv")

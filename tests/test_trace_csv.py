@@ -7,6 +7,7 @@ tracer reads as ``len(trace.samples)``."""
 import csv
 import hashlib
 import io
+import os
 
 import numpy as np
 import pytest
@@ -366,6 +367,12 @@ def assert_loads_as_reference(path) -> bool:
     if isinstance(expected, str):
         assert got == expected
         return False
+    assert_same_trace(got, expected)
+    return True
+
+
+def assert_same_trace(got, expected):
+    """Two traces equal bit for bit, ``got`` read-only."""
     assert not isinstance(got, str), got
     assert got.samples.dtype == SAMPLE_DTYPE and not got.samples.flags.writeable
     assert np.array_equal(got.samples["t"].view(np.int64),
@@ -374,7 +381,6 @@ def assert_loads_as_reference(path) -> bool:
         assert np.array_equal(got.samples[name], expected.samples[name]), name
     assert got.labels == expected.labels
     assert got.sample_period.hex() == expected.sample_period.hex()
-    return True
 
 
 TIME_STARTS = (st.sampled_from([0.0, -0.0, 7.0, 999_990.0, 1e6, 1e6 + 1, 1e12])
@@ -589,6 +595,34 @@ def test_row_outside_the_layout_in_the_last_chunk_goes_to_the_text_parser(
     calls = text_parser_calls(monkeypatch)
     assert assert_loads_as_reference(path) == accepted
     assert calls == [path.read_bytes()]
+
+
+def pipe_path(text: bytes) -> str:
+    """A path that reads ``text`` from a pipe, like the shell's ``<(cat file)``."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, text)  # within the pipe's buffer: no writer thread
+    os.close(write_end)
+    return f"/dev/fd/{read_end}"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_is_read_once_by_the_text_parser(tmp_path, monkeypatch):
+    """A pipe cannot be read twice: the text parser reads all of it once,
+    and gives the trace the reference reads from the same text on disk."""
+    path = tmp_path / "trace.csv"
+    save_trace(synth.calibration_trace(default_config()), path)
+    text = path.read_bytes()
+    assert len(text) < 60_000  # less than a pipe holds
+    calls = text_parser_calls(monkeypatch)
+    pipe = pipe_path(text)
+    try:
+        got = trace_outcome(load_trace, pipe)
+    finally:
+        os.close(int(pipe.rsplit("/", 1)[1]))
+    assert calls == [text]
+    expected = reference_load(path)
+    assert len(expected.samples) == 1_500 and any(expected.labels)
+    assert_same_trace(got, expected)
 
 
 FIELDS = (st.sampled_from(["0", "1", "1.5", " 7 ", "1_000", "+5", "-3", "1e3",
