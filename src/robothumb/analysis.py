@@ -6,6 +6,9 @@ unit sphere: latitude rings are cut so that every cell covers exactly
 is occupied * 4*pi/n_bins. This handles arbitrarily shaped (non-convex)
 direction sets, unlike a spherical hull. A direction file is read a chunk at
 a time through ``sensors.writer_rows``, or by ``np.loadtxt`` in other layouts.
+
+A key is reachable exactly when its ``control.aimed_counts`` lies between
+the sorted horizontal anchors, the test ``synth.flex_code_for_key`` applies.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .control import aimed_counts
 from .errors import InputError, ReachError
-from .kinematics import required_torque, theta_for_key
+from .kinematics import required_torque
 from .piano import Key
-from .plant import counts_per_output_rev, torque_margin
+from .plant import torque_margin
 from .sensors import BLOCK_ROWS, OtherLayout, blocks, fixed_point_rows, writer_rows
 
 FULL_SPHERE = 4.0 * math.pi
@@ -235,18 +239,16 @@ def workspace_from_limits(azimuth_span: float, elev_min: float,
 
 def reachable_keys(config, enc_h_min: int, enc_h_max: int) -> list[Key]:
     """Keys whose centers the horizontal sweep calibrated on the encoder
-    anchors ``enc_h_min`` and ``enc_h_max`` can target."""
-    mount = config.mount
-    cpd = counts_per_output_rev(config.axis) / 360.0
-    bounds = sorted((mount.heading + enc_h_min / cpd, mount.heading + enc_h_max / cpd))
+    anchors ``enc_h_min`` and ``enc_h_max`` can target: those whose
+    ``control.aimed_counts`` lies between the sorted anchors."""
+    lo, hi = sorted((enc_h_min, enc_h_max))
     keys = []
     for key in config.layout.keys:
         try:
-            theta = theta_for_key(key.center_x, mount, config.geometry)
-        except ReachError:
-            continue
-        if bounds[0] <= theta <= bounds[1]:
-            keys.append(key)
+            if lo <= aimed_counts(config, key.center_x) <= hi:
+                keys.append(key)
+        except ReachError:  # beyond the hovering tip's circle
+            pass
     return keys
 
 

@@ -16,11 +16,11 @@ from pathlib import Path
 
 from . import analysis, engine, midi, synth
 from .config import GlobalConfig, default_config, load_config
-from .control import (calibrate_from_trace, load_calibration, read_kv_file,
+from .control import (ANCHOR_NAMES, calibrate_from_trace, load_calibration, read_kv_file,
                       save_calibration, validate_calibration_ranges, write_kv_file)
 from .errors import InputError, RobothumbError
 from .piano import MIDI_A0, note_name
-from .sensors import load_trace, save_trace
+from .sensors import check_adc_codes, load_trace, save_trace
 
 USAGE_EXIT = 1
 VALIDATION_EXIT = 2
@@ -143,8 +143,9 @@ def _synth_sweep(args, cfg: GlobalConfig) -> None:
 
 def _calibrate(args, cfg: GlobalConfig) -> None:
     trace = load_trace(args.trace)
-    calib = calibrate_from_trace(trace, read_kv_file(args.anchors))
+    calib = calibrate_from_trace(trace, read_kv_file(args.anchors, ANCHOR_NAMES))
     validate_calibration_ranges(calib, cfg)
+    check_adc_codes(trace, cfg.sensors)
     out = _out_dir(args)
     path = out / "calibration.txt"
     save_calibration(calib, path)

@@ -6,6 +6,10 @@ to vertical encoder counts (hover to fully pressed). The horizontal
 profile velocity follows a proportional law in the remaining distance,
 the vertical profile velocity follows the foot's Z acceleration so a
 faster lift presses harder. Both laws map whole columns to ``array`` columns.
+
+``aimed_counts`` is the package's one aim, from a key-line position to
+horizontal counts by the one count rule ``plant.encoder_counts``; synth's
+anchors and presses and the reach test of ``analysis`` all take it.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ import numpy as np
 
 from .errors import (CalibrationIncompleteError, ConfigurationError,
                      DegenerateCalibrationError)
-from .plant import MotorAxis, counts_per_output_rev, round_half_away_column
-from .kinematics import FingerGeometry
-from .sensors import SensorTrace, round_half_up
+from .plant import (MotorAxis, counts_per_output_rev, encoder_counts, round_half_away,
+                    round_half_away_column)
+from .kinematics import FingerGeometry, theta_for_key
+from .sensors import SensorTrace
 
 # trace labels consumed by calibrate_from_trace, each with the column it anchors
 LABEL_COLUMNS = {"flex_min": "flex_adc", "flex_max": "flex_adc",
@@ -85,6 +90,15 @@ def linear_map(s, s_min: float, s_max: float, p_min: float, p_max: float):
     return np.clip(p, lo, hi)
 
 
+def aimed_counts(config: "GlobalConfig", x: float) -> int:
+    """Horizontal encoder counts that steer the hovering tip over key-line
+    position ``x``: ``plant.encoder_counts`` of the ``theta_for_key`` angle
+    from the mount heading. A key is reachable exactly when this count of its
+    center lies between the sorted horizontal anchors."""
+    theta = theta_for_key(x, config.mount, config.geometry)
+    return encoder_counts(theta - config.mount.heading, config.axis)
+
+
 def calibrate_from_trace(trace: SensorTrace, anchors: dict) -> CalibrationSet:
     """Build a calibration from labeled trace segments plus encoder anchors.
 
@@ -99,7 +113,7 @@ def calibrate_from_trace(trace: SensorTrace, anchors: dict) -> CalibrationSet:
         codes = trace.samples[column][labels == label].tolist()
         if not codes:
             raise CalibrationIncompleteError(label)
-        means[label] = round_half_up(sum(codes) / len(codes))  # exact integer sum
+        means[label] = round_half_away(sum(codes) / len(codes))  # exact integer sum
     for name in ANCHOR_NAMES:
         if name not in anchors:
             raise CalibrationIncompleteError(name)
@@ -178,8 +192,8 @@ def save_calibration(calib: CalibrationSet, path) -> None:
 
 
 def load_calibration(path) -> CalibrationSet:
-    values = read_kv_file(path)
     names = [f.name for f in fields(CalibrationSet)]
+    values = read_kv_file(path, names)
     for name in names:
         if name not in values:
             raise CalibrationIncompleteError(name)
@@ -194,9 +208,10 @@ def whole_number(values: dict, name: str) -> int:
     return int(value)
 
 
-def read_kv_file(path) -> dict:
+def read_kv_file(path, names=None) -> dict:
     """Parse a flat UTF-8 ``name = value`` text file into an ordered dict of
-    floats; each name may appear once."""
+    floats; each name may appear once and, if ``names`` is given, must be
+    one of them."""
     values = {}
     with open(path, "rb") as f:
         data = f.read()
@@ -213,6 +228,8 @@ def read_kv_file(path) -> dict:
         name = name.strip()
         if name in values:
             raise ConfigurationError(f"{path}:{lineno}: {name} given twice")
+        if names is not None and name not in names:
+            raise ConfigurationError(f"{path}:{lineno}: unknown name {name}")
         try:
             values[name] = float(value.strip())
         except ValueError as exc:

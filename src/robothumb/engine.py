@@ -58,7 +58,7 @@ from . import control, kinematics, plant
 from .control import CalibrationSet, ControlParams
 from .errors import ConfigurationError, InputError
 from .piano import Key, KeyEvent, MIDI_A0, key_at, note_name
-from .sensors import SensorTrace, blocks, fixed_point_rows, round_half_up
+from .sensors import SAMPLE_DTYPE, SensorTrace, blocks, check_adc_codes, fixed_point_rows
 
 MODES = ("deterministic", "concurrent")  # execution modes; see the module docstring
 # a run, or a synthesized trace, of more steps is rejected before any
@@ -156,7 +156,7 @@ def midi_velocity(angular_speed: float, v_cap: float) -> int:
     """Map a press-axis speed (deg/s) to MIDI velocity 1..127."""
     if angular_speed < 0:
         raise InputError("angular_speed must be non-negative")
-    return min(max(round_half_up(127.0 * angular_speed / v_cap), 1), 127)
+    return min(max(plant.round_half_away(127.0 * angular_speed / v_cap), 1), 127)
 
 
 def intention_detect(trace: SensorTrace, calib: CalibrationSet,
@@ -202,15 +202,9 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
     configuration produce identical logs in either execution mode.
     """
     control.validate_calibration_ranges(calibration, config)
-    full_scale = config.sensors.full_scale
+    check_adc_codes(trace, config.sensors)
     samples = trace.samples
     times = samples["t"]
-    codes = [samples[name] for name in ("flex_adc", "acc_y_adc", "acc_z_adc")]
-    in_range = np.logical_and.reduce([(c >= 0) & (c <= full_scale) for c in codes])
-    if not in_range.all():
-        s = samples[int(np.argmin(in_range))].tolist()
-        raise InputError(f"sample at t={s[0]} ms carries ADC codes {s[1]}, "
-                         f"{s[2]}, {s[3]}, not all in [0, {full_scale}]")
 
     sim = config.simulation
     lat = sim.latency
@@ -239,7 +233,7 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
     # before the step its sensor path completes in
     sent_from = np.searchsorted(step_t, times + lat.sensor_path)
     # the control laws map float columns to stdlib arrays, here viewed by numpy
-    flex, acc_y, acc_z = (c.astype(float) for c in codes)
+    flex, acc_y, acc_z = (samples[name].astype(float) for name in SAMPLE_DTYPE.names[1:])
     setpoints_h, setpoints_v, limits_v = (
         np.append(np.frombuffer(c, c.typecode), 0) for c in (
             control.horizontal_update(flex, calibration),

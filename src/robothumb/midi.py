@@ -13,7 +13,7 @@ import struct
 
 from .errors import InputError
 from .piano import MIDI_A0, KeyEvent
-from .sensors import round_half_up
+from .plant import round_half_away
 
 TICKS_PER_QUARTER = 480
 MS_PER_TICK = 500.0 / TICKS_PER_QUARTER  # 120 BPM
@@ -39,7 +39,7 @@ def write_midi(events: list[KeyEvent], path=None) -> bytes:
         raise InputError("cannot write a MIDI file from an empty event log")
 
     def tick(t_ms: float) -> int:
-        return round_half_up(t_ms / MS_PER_TICK)
+        return round_half_away(t_ms / MS_PER_TICK)
 
     ordered = sorted(events, key=lambda e: (tick(e.t), e.kind != "off", e.key_index))
     track = bytearray()

@@ -12,6 +12,10 @@ step. ``run_axis`` is the same step fused into one loop over a whole
 command schedule: it writes angles and velocities into preallocated buffers
 and leaves the encoder counts to ``encoder_count_column``, which derives
 them from the angles afterwards.
+
+``encoder_counts`` is the package's one rule from an angle to a count, and
+``round_half_away`` its one rounding rule, which the ADC, the calibration
+means and the MIDI tick and velocity use too.
 """
 
 from __future__ import annotations

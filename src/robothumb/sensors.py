@@ -14,6 +14,9 @@ each spelled by ``fixed_point_rows``: by numpy from a table of digits, or one
 ``%`` per row where a value is out of range. Traces here and direction sets in
 ``analysis`` are read back by numpy a chunk at a time through one frame,
 ``writer_rows``; a trace that leaves the writer's layout is read line by line.
+
+``adc_quantize`` rounds by the one rounding rule, ``plant.round_half_away``;
+``check_adc_codes`` checks a trace's codes for ``simulate`` and ``calibrate``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError, TraceFormatError
+from .plant import round_half_away
 
 TRACE_HEADER = ("t_ms", "flex_adc", "acc_y_adc", "acc_z_adc", "label")
 SAMPLE_DTYPE = np.dtype([("t", np.float64), ("flex_adc", np.int64),
@@ -41,11 +45,6 @@ BLOCK_ROWS = 8_192
 # writer's layout: float() of a whole number below 10**15 is exact, and a
 # code below it fits int64
 TRACE_DIGITS = 15
-
-
-def round_half_up(x: float) -> int:
-    """Round with ties away from zero toward +inf; for non-negative inputs."""
-    return int(math.floor(x + 0.5))
 
 
 def blocks(rows):
@@ -282,7 +281,18 @@ def divider_voltage(r_flex: float, cfg: SensorConfig) -> float:
 def adc_quantize(v: float, cfg: SensorConfig) -> int:
     """Quantize a voltage to an ADC code; clamps to [0, adc_v_ref], rounds half up."""
     clamped = min(max(v, 0.0), cfg.adc_v_ref)
-    return round_half_up(clamped / cfg.adc_v_ref * cfg.full_scale)
+    return round_half_away(clamped / cfg.adc_v_ref * cfg.full_scale)
+
+
+def check_adc_codes(trace: SensorTrace, cfg: SensorConfig) -> None:
+    """Reject a trace carrying a code outside [0, full_scale], naming the
+    first sample that does."""
+    codes = [trace.samples[name] for name in SAMPLE_DTYPE.names[1:]]
+    in_range = np.logical_and.reduce([(c >= 0) & (c <= cfg.full_scale) for c in codes])
+    if not in_range.all():
+        s = trace.samples[int(np.argmin(in_range))].tolist()
+        raise InputError(f"sample at t={s[0]} ms carries ADC codes {s[1]}, "
+                         f"{s[2]}, {s[3]}, not all in [0, {cfg.full_scale}]")
 
 
 def accel_output(foot_pitch: float, dyn_accel: float,

@@ -6,7 +6,9 @@ snap: the Y direction channel steps while Z carries an acceleration pulse
 for the duration of the lift), a scale run across several keys, and
 direction-set sweeps for workspace analysis. Everything derives from the
 configuration so the synthesized codes and the calibration produced from
-them agree by construction.
+them agree by construction. The horizontal anchors and every press are aimed
+by ``control.aimed_counts``; the pressed anchor is ``plant.encoder_counts``
+of its angle, the one count rule.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import numpy as np
 
 from .analysis import MAX_DIRECTIONS, check_band_limits, check_cap_half_angle
 from .config import GlobalConfig
-from .control import linear_map, validate_anchor_ranges
+from .control import aimed_counts, linear_map, validate_anchor_ranges
 from .engine import MAX_STEPS
 from .errors import InputError
-from .kinematics import press_angle, press_drop, theta_for_key
+from .kinematics import press_angle, press_drop
 from .piano import Key
-from .plant import counts_per_output_rev, round_half_away
+from .plant import encoder_counts, round_half_away
 from .sensors import (BLOCK_ROWS, SensorTrace, accel_output, adc_quantize,
                       divider_voltage, flex_resistance)
 
@@ -47,16 +49,6 @@ def accel_codes(cfg: GlobalConfig, pitch_deg: float, dyn_g: float) -> tuple[int,
     return adc_quantize(v_y, cfg.sensors), adc_quantize(v_z, cfg.sensors)
 
 
-def counts_per_degree(cfg: GlobalConfig) -> float:
-    return counts_per_output_rev(cfg.axis) / 360.0
-
-
-def horizontal_counts_for_x(cfg: GlobalConfig, x: float) -> int:
-    """Encoder counts steering the hovering tip over key-line position x."""
-    theta = theta_for_key(x, cfg.mount, cfg.geometry)
-    return round_half_away((theta - cfg.mount.heading) * counts_per_degree(cfg))
-
-
 def anchors_from_config(cfg: GlobalConfig) -> dict:
     """Encoder anchors for the reference poses of the calibration routine.
 
@@ -71,8 +63,8 @@ def anchors_from_config(cfg: GlobalConfig) -> dict:
     pressed_theta = (press_angle(hover_clearance + cfg.layout.key_travel,
                                  cfg.geometry)
                      + cfg.mount.press_overtravel_deg)
-    near = horizontal_counts_for_x(cfg, cfg.mount.reach_near_x)
-    far = horizontal_counts_for_x(cfg, cfg.mount.reach_far_x)
+    near = aimed_counts(cfg, cfg.mount.reach_near_x)
+    far = aimed_counts(cfg, cfg.mount.reach_far_x)
     # calibrate one count past each extreme note so both stay inside the
     # sweep whichever way the exact pose rounded
     outward = 1 if near >= far else -1
@@ -80,7 +72,7 @@ def anchors_from_config(cfg: GlobalConfig) -> dict:
         "enc_h_min": near + outward,
         "enc_h_max": far - outward,
         "enc_hover": 0,
-        "enc_pressed": round_half_away(pressed_theta * counts_per_degree(cfg)),
+        "enc_pressed": encoder_counts(pressed_theta, cfg.axis),
     }
     validate_anchor_ranges(anchors, cfg.geometry, cfg.axis)
     return anchors
@@ -88,7 +80,7 @@ def anchors_from_config(cfg: GlobalConfig) -> dict:
 
 def flex_code_for_key(cfg: GlobalConfig, key: Key, anchors: dict) -> int:
     """Flex code that steers the map calibrated on ``anchors`` onto a key center."""
-    target = horizontal_counts_for_x(cfg, key.center_x)
+    target = aimed_counts(cfg, key.center_x)
     lo, hi = sorted((anchors["enc_h_min"], anchors["enc_h_max"]))
     if not lo <= target <= hi:
         raise InputError(

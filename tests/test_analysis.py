@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from robothumb import synth
+from robothumb import default_config, synth
 from robothumb.analysis import (MAX_BINS, BudgetReport, budget_check, latency_stats,
-                                range_increase, solid_angle, sphere_partition,
-                                workspace_from_limits)
-from robothumb.errors import InputError
+                                range_increase, reachable_keys, solid_angle,
+                                sphere_partition, workspace_from_limits)
+from robothumb.errors import InputError, ReachError
+from robothumb.kinematics import theta_for_key
+from robothumb.plant import counts_per_output_rev
 
 FULL = 4.0 * math.pi
 BAND_60 = 2.0 * math.pi * 2.0 * math.sin(math.radians(60.0))  # 10.8828 sr
@@ -136,6 +139,40 @@ def test_range_increase_mount_shift_is_span_limited(cfg):
                                  synth.anchors_from_config(moved))
     notes = range_increase(moved, calib.enc_h_min, calib.enc_h_max)
     assert notes == 4
+
+
+def _horizontal_anchors():
+    """Counts inside the default horizontal joint range, half of them next
+    to some key center's aim, where two aiming rules could part."""
+    cfg = default_config()
+    cpd = counts_per_output_rev(cfg.axis) / 360.0
+    half = math.floor(cfg.geometry.theta_h_range / 2.0 * cpd)
+    aims = []
+    for key in cfg.layout.keys:
+        try:
+            aims.append((theta_for_key(key.center_x, cfg.mount, cfg.geometry)
+                         - cfg.mount.heading) * cpd)
+        except ReachError:
+            continue
+    near_key = st.sampled_from(aims).flatmap(
+        lambda aim: st.sampled_from((math.floor(aim), math.ceil(aim))))
+    return st.one_of(st.integers(-half, half), near_key).filter(lambda c: abs(c) <= half)
+
+
+@settings(deadline=None, max_examples=40)
+@example(791, -229)  # key 46 aims at -229.375 counts: reachable_keys left it out
+@given(_horizontal_anchors(), _horizontal_anchors())
+def test_reachable_keys_are_the_keys_synth_can_aim_at(cfg, enc_h_min, enc_h_max):
+    assume(enc_h_min != enc_h_max)
+    anchors = {"enc_h_min": enc_h_min, "enc_h_max": enc_h_max}
+    aimed = []
+    for key in cfg.layout.keys:
+        try:
+            synth.flex_code_for_key(cfg, key, anchors)
+        except (InputError, ReachError):
+            continue
+        aimed.append(key.index)
+    assert [key.index for key in reachable_keys(cfg, enc_h_min, enc_h_max)] == aimed
 
 
 def test_latency_stats_cases():

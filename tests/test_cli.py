@@ -470,6 +470,44 @@ def test_malformed_anchor_file_exits_2(data, message, workdir, tmp_path, capsys)
     assert not (tmp_path / "calibration.txt").exists()
 
 
+def test_unknown_anchor_name_exits_2(workdir, tmp_path, capsys):
+    """enc_pressd = 9 appended to anchors.txt was ignored, exit 0."""
+    anchors = tmp_path / "anchors.txt"
+    anchors.write_text((workdir / "anchors.txt").read_text() + "enc_pressd = 9\n")
+    assert run("calibrate", "--trace", workdir / "calibration_trace.csv",
+               "--anchors", anchors, "--out", tmp_path) == 2
+    assert f"{anchors}:5: unknown name enc_pressd" in capsys.readouterr().err
+    assert not (tmp_path / "calibration.txt").exists()
+
+
+def test_unknown_calibration_name_exits_2(workdir, tmp_path, capsys):
+    """kv_z = 3 added to calibration.txt was ignored by analyze range, exit 0."""
+    calibration = tmp_path / "calibration.txt"
+    calibration.write_text((workdir / "calibration.txt").read_text() + "kv_z = 3\n")
+    assert run("analyze", "range", "--calibration", calibration, "--out", tmp_path) == 2
+    assert f"{calibration}:11: unknown name kv_z" in capsys.readouterr().err
+    assert not (tmp_path / "range_report.txt").exists()
+
+
+def test_calibration_trace_code_beyond_the_adc_range_exits_2(workdir, tmp_path, capsys):
+    """flex_min rows of 7482 and -2518 on a 12-bit ADC keep the segment mean
+    a valid code; calibrate wrote calibration.txt, exit 0."""
+    lines = (workdir / "calibration_trace.csv").read_text().splitlines(keepends=True)
+    for i, code in ((1, "7482"), (2, "-2518")):
+        row = lines[i].split(",")
+        assert row[4] == "flex_min\n"
+        row[1] = code
+        lines[i] = ",".join(row)
+    trace = tmp_path / "calibration_trace.csv"
+    trace.write_text("".join(lines))
+    assert run("calibrate", "--trace", trace, "--anchors", workdir / "anchors.txt",
+               "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "sample at t=0.0 ms carries ADC codes 7482," in err
+    assert "not all in [0, 4095]" in err
+    assert not (tmp_path / "calibration.txt").exists()
+
+
 def test_trace_error_names_the_file(workdir, tmp_path, capsys):
     trace = tmp_path / "short.csv"
     trace.write_text("t_ms,flex_adc,acc_y_adc,acc_z_adc,label\n0,1,2,3,\n1,1,2,\n")

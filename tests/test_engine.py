@@ -255,8 +255,8 @@ def test_air_press_logged_not_emitted(cfg):
     flex_target = synth.flex_code_for_key(
         air_cfg, air_cfg.layout.keys[87], anchors)  # C8 center 1210.25 mm, on keyboard
     # retune the flex code to aim past the keyboard edge (x = 1240)
-    target_counts = synth.horizontal_counts_for_x(air_cfg, 1240.0)
-    from robothumb.control import linear_map
+    from robothumb.control import aimed_counts, linear_map
+    target_counts = aimed_counts(air_cfg, 1240.0)
     from robothumb.plant import round_half_away
     flex_air = round_half_away(linear_map(
         target_counts, calib.enc_h_min, calib.enc_h_max,
