@@ -460,23 +460,16 @@ def test_layout_bounded_by_midi_note_range(n_keys, code, tmp_path, capsys):
 @pytest.mark.parametrize("data,message", [
     (b"enc_h_min = -163\nenc_h_max = 3686 \xff\n", "anchors.txt:2: 'utf-8' codec can't decode"),
     (b"enc_h_min = -163\n\nenc_h_min = -100\n", "anchors.txt:3: enc_h_min given twice"),
-], ids=["undecodable", "duplicate"])
+    # appended to the four anchors, it was ignored: exit 0
+    (b"enc_h_min = 791\nenc_h_max = -796\nenc_hover = 0\nenc_pressed = 558\nenc_pressd = 9\n",
+     "anchors.txt:5: unknown name enc_pressd"),
+], ids=["undecodable", "duplicate", "unknown-name"])
 def test_malformed_anchor_file_exits_2(data, message, workdir, tmp_path, capsys):
     anchors = tmp_path / "anchors.txt"
     anchors.write_bytes(data)
     assert run("calibrate", "--trace", workdir / "calibration_trace.csv",
                "--anchors", anchors, "--out", tmp_path) == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "calibration.txt").exists()
-
-
-def test_unknown_anchor_name_exits_2(workdir, tmp_path, capsys):
-    """enc_pressd = 9 appended to anchors.txt was ignored, exit 0."""
-    anchors = tmp_path / "anchors.txt"
-    anchors.write_text((workdir / "anchors.txt").read_text() + "enc_pressd = 9\n")
-    assert run("calibrate", "--trace", workdir / "calibration_trace.csv",
-               "--anchors", anchors, "--out", tmp_path) == 2
-    assert f"{anchors}:5: unknown name enc_pressd" in capsys.readouterr().err
     assert not (tmp_path / "calibration.txt").exists()
 
 
