@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import (CalibrationIncompleteError, ConfigurationError,
-                     DegenerateCalibrationError)
+                     DegenerateCalibrationError, require)
 from .plant import (MotorAxis, counts_per_output_rev, encoder_counts, round_half_away,
                     round_half_away_column)
 from .kinematics import FingerGeometry, theta_for_key
@@ -66,18 +66,11 @@ class ControlParams:
     z_refractory_ms: float = 250.0  # ignore further crossings for one press cycle
 
     def __post_init__(self):
-        if self.kp_h <= 0:
-            raise ConfigurationError("kp_h must be positive")
-        if self.v_cap <= 0:
-            raise ConfigurationError("v_cap must be positive")
-        if self.kv_z <= 0:
-            raise ConfigurationError("kv_z must be positive")
+        require(self, "positive", "kp_h", "v_cap", "kv_z")
         if not 0 < self.v_floor <= self.v_cap:
             raise ConfigurationError("v_floor must be in (0, v_cap]")
-        if self.z_threshold <= 0:
-            raise ConfigurationError("z_threshold must be positive")
-        if self.z_refractory_ms < 0:
-            raise ConfigurationError("z_refractory_ms must be non-negative")
+        require(self, "positive", "z_threshold")
+        require(self, "non-negative", "z_refractory_ms")
 
 
 def linear_map(s, s_min: float, s_max: float, p_min: float, p_max: float):

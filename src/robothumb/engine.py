@@ -56,7 +56,7 @@ import numpy as np
 
 from . import control, kinematics, plant
 from .control import CalibrationSet, ControlParams
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, require
 from .piano import Key, KeyEvent, MIDI_A0, key_at, note_name
 from .sensors import SAMPLE_DTYPE, SensorTrace, blocks, check_adc_codes, fixed_point_rows
 
@@ -84,9 +84,7 @@ class LatencyConfig:
     mech_motion: float = 50.0  # budgeted allowance for the mechanical sweep
 
     def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ConfigurationError(f"{f.name} must be non-negative")
+        require(self, "non-negative", *(f.name for f in fields(self)))
 
     @property
     def sensor_path(self) -> float:
@@ -115,14 +113,11 @@ class SimulationConfig:
     settle_tail_ms: float = 200.0  # extra time simulated past the last sample
 
     def __post_init__(self):
-        if self.timestep <= 0:
-            raise ConfigurationError("timestep must be positive")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be non-negative")
+        require(self, "positive", "timestep")
+        require(self, "non-negative", "seed")
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be {' or '.join(MODES)}")
-        if self.settle_tail_ms < 0:
-            raise ConfigurationError("settle_tail_ms must be non-negative")
+        require(self, "non-negative", "settle_tail_ms")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,15 @@
-"""Exception hierarchy shared by all simulator modules."""
+"""Exception hierarchy shared by all simulator modules, and the field rules
+that every config section checks its numeric fields by.
+
+``require`` spells each rule once: "positive", "non-negative" and "finite".
+NaN fails all three; infinity passes the two sign rules.
+"""
+
+import math
+
+# rule -> test of one value, False for NaN
+_FIELD_RULES = {"positive": lambda x: x > 0, "non-negative": lambda x: x >= 0,
+               "finite": math.isfinite}
 
 
 class RobothumbError(Exception):
@@ -10,6 +21,15 @@ class ConfigurationError(RobothumbError):
 
     The message always names the offending key.
     """
+
+
+def require(obj, rule: str, *names: str) -> None:
+    """Raise ``ConfigurationError`` for the first of the fields ``names`` of
+    ``obj`` whose value fails ``rule``, naming that field."""
+    test = _FIELD_RULES[rule]
+    for name in names:
+        if not test(getattr(obj, name)):
+            raise ConfigurationError(f"{name} must be {rule}")
 
 
 class InputError(RobothumbError):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, InputError, ReachError, TravelRangeError
+from .errors import ConfigurationError, InputError, ReachError, TravelRangeError, require
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,12 @@ class FingerGeometry:
     theta_v_max: float = 30.0   # deg, deepest press angle
 
     def __post_init__(self):
-        for name in ("l0_knuckle", "l1_proximal", "l2_distal"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+        require(self, "positive", "l0_knuckle", "l1_proximal", "l2_distal")
         if not 0 < self.bend_angle <= 90:
             raise ConfigurationError("bend_angle must be in (0, 90]")
         if not 0 < self.theta_v_max - self.theta_v_min <= 120:
             raise ConfigurationError("theta_v_max - theta_v_min must be in (0, 120]")
+        require(self, "positive", "theta_h_range")
 
 
 @dataclass(frozen=True)
@@ -62,12 +61,11 @@ class MountPose:
     mass_g: float = 310.0               # declared bill-of-materials mass
 
     def __post_init__(self):
-        if self.base_z <= 0:
-            raise ConfigurationError("base_z must be positive")
-        if self.press_overtravel_deg < 0:
-            raise ConfigurationError("press_overtravel_deg must be non-negative")
-        if self.mass_g <= 0:
-            raise ConfigurationError("mass_g must be positive")
+        require(self, "positive", "base_z")
+        require(self, "non-negative", "press_overtravel_deg")
+        require(self, "positive", "mass_g")
+        require(self, "finite", "base_x", "heading", "depth", "pinkie_reach_x",
+                "reach_near_x", "reach_far_x")
 
 
 def radial_extension(theta_v, geometry: FingerGeometry, xp=math):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require
 
 PITCH_CLASSES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 _BLACK_PITCH_CLASSES = frozenset((1, 3, 6, 8, 10))  # C# D# F# G# A#
@@ -65,11 +65,10 @@ class KeyboardLayout:
     def __post_init__(self):
         if not 1 <= self.n_keys <= 128 - MIDI_A0:  # MIDI notes end at 127
             raise ConfigurationError(f"n_keys must be in [1, {128 - MIDI_A0}]")
-        for name in ("white_width", "black_width", "key_travel", "press_force"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+        require(self, "positive", "white_width", "black_width", "key_travel", "press_force")
         if not self.white_width > self.black_width:
             raise ConfigurationError("white_width must exceed black_width")
+        require(self, "finite", "black_zone_depth", "origin_x")
 
         keys = []
         white_by_ordinal = []

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, require
 
 
 def round_half_away(x: float) -> int:
@@ -52,19 +52,13 @@ class MotorAxis:
     nominal_torque: float = 0.010  # N*m, motor side
 
     def __post_init__(self):
-        if self.gear_ratio < 1:
+        if not self.gear_ratio >= 1:
             raise ConfigurationError("gear_ratio must be >= 1")
-        if self.encoder_cpr <= 0:
-            raise ConfigurationError("encoder_cpr must be positive")
+        require(self, "positive", "encoder_cpr")
         if self.quadrature not in (1, 2, 4):
             raise ConfigurationError("quadrature must be 1, 2 or 4")
-        if self.v_max <= 0:
-            raise ConfigurationError("v_max must be positive")
-        if self.a_max <= 0:
-            raise ConfigurationError("a_max must be positive")
-        if self.nominal_torque <= 0:
-            raise ConfigurationError("nominal_torque must be positive")
-        if counts_per_output_rev(self) > MAX_COUNTS_PER_REV:
+        require(self, "positive", "v_max", "a_max", "nominal_torque")
+        if not counts_per_output_rev(self) <= MAX_COUNTS_PER_REV:
             # beyond it a float angle cannot name every count, and the
             # encoder count column would no longer be exact
             raise ConfigurationError(

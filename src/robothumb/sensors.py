@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, TraceFormatError
+from .errors import ConfigurationError, InputError, TraceFormatError, require
 from .plant import round_half_away
 
 TRACE_HEADER = ("t_ms", "flex_adc", "acc_y_adc", "acc_z_adc", "label")
@@ -188,18 +188,14 @@ class SensorConfig:
     accel_zero_g_bias: float = 1.5  # V at 0 g
 
     def __post_init__(self):
-        if self.flex_r_flat <= 0:
-            raise ConfigurationError("flex_r_flat must be positive")
+        require(self, "positive", "flex_r_flat")
         if not self.flex_r_bent > self.flex_r_flat:
             raise ConfigurationError("flex_r_bent must exceed flex_r_flat")
-        for name in ("flex_angle_range", "divider_vcc", "divider_r_fixed"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+        require(self, "positive", "flex_angle_range", "divider_vcc", "divider_r_fixed")
         if not 8 <= self.adc_bits <= 16:
             raise ConfigurationError("adc_bits must be in [8, 16]")
-        for name in ("adc_v_ref", "accel_sensitivity"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+        require(self, "positive", "adc_v_ref", "accel_sensitivity")
+        require(self, "finite", "accel_zero_g_bias")
 
     @property
     def full_scale(self) -> int:

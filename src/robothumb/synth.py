@@ -94,13 +94,19 @@ def flex_code_for_key(cfg: GlobalConfig, key: Key, anchors: dict) -> int:
     return round_half_away(value)
 
 
-def _row_count(span_ms: float, period: float) -> int:
-    """Rows of ``span_ms`` of trace at one row per ``period`` ms; a trace
-    needing more rows than a run may take steps is rejected."""
+def _row_count(span_ms: float, period: float, least: int = 2) -> int:
+    """Rows of ``span_ms`` of trace at one row per ``period`` ms. A span
+    needing more rows than a run may take steps is rejected, and so is a
+    span left fewer than ``least`` rows: a trace is read back only from two
+    rows on, and a calibration segment needs one."""
     if not span_ms / period <= MAX_STEPS:
         raise InputError(f"{span_ms} ms of trace at a timestep of {period} ms "
                          f"needs more than {MAX_STEPS} rows")
-    return int(round(span_ms / period))
+    rows = int(round(span_ms / period))
+    if rows < least:
+        raise InputError(f"{span_ms} ms of trace at a timestep of {period} ms "
+                         f"makes {rows} row(s), fewer than {least}")
+    return rows
 
 
 def _build_trace(cfg: GlobalConfig, codes: np.ndarray, labels) -> SensorTrace:
@@ -129,7 +135,7 @@ def calibration_trace(cfg: GlobalConfig) -> SensorTrace:
     ]
     period = cfg.simulation.timestep
     _row_count(len(segments) * (CAL_SEGMENT_MS + CAL_GAP_MS), period)  # bound first
-    seg_n = int(round(CAL_SEGMENT_MS / period))
+    seg_n = _row_count(CAL_SEGMENT_MS, period, 1)
     gap_n = int(round(CAL_GAP_MS / period))
     codes, labels = [], []
     for label, pose in segments:
@@ -167,7 +173,8 @@ def _press_codes(cfg: GlobalConfig, flex_target: int, speed: float,
     _, z_pulse = accel_codes(cfg, 0.0, speed * CAL_LIFT_DYN_G)
     period = cfg.simulation.timestep
     pulse = _pulse_ms(speed)
-    phase = np.arange(_row_count(span_ms, period)) * period - LEAD_MS
+    # a span with a press cycle needs the two rows a trace is read back from
+    phase = np.arange(_row_count(span_ms, period, 2 if repeat else 0)) * period - LEAD_MS
     in_cycle = np.where((phase >= 0) & (phase < repeat * PRESS_CYCLE_MS),
                         phase % PRESS_CYCLE_MS, np.inf)  # inf: outside every cycle
     lifted = (in_cycle < pulse) | ((PRESS_HOLD_MS <= in_cycle)

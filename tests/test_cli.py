@@ -541,6 +541,47 @@ def test_timestep_too_fine_for_trace_exits_2(scenario, tmp_path, capsys):
     assert "needs more than 10000000 rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("timestep,scenario,message", [
+    (400, ["calibration"], "200.0 ms of trace at a timestep of 400.0 ms makes 0 row(s)"),
+    (2000, ["press", "--key", 46],
+     "1600.0 ms of trace at a timestep of 2000.0 ms makes 1 row(s)"),
+], ids=["calibration-400", "press-2000"])
+def test_timestep_too_coarse_for_trace_exits_2(timestep, scenario, message, tmp_path,
+                                               capsys):
+    """A header-only calibration trace and a 1-row press trace were written
+    with exit 0; calibrate and simulate then refused them."""
+    config = tmp_path / "coarse.ini"
+    config.write_text(f"[simulation]\ntimestep = {timestep}\n")
+    assert run("synth", *scenario, "--config", config, "--out", tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_coarsest_spans_the_synth_accepts_read_back(tmp_path):
+    """A calibration segment of one row and a press trace of two rows still
+    calibrate and simulate."""
+    config = tmp_path / "coarse.ini"
+    config.write_text("[simulation]\ntimestep = 300\n")
+    assert run("synth", "calibration", "--config", config, "--out", tmp_path) == 0
+    assert run("calibrate", "--config", config, "--trace", tmp_path / "calibration_trace.csv",
+               "--anchors", tmp_path / "anchors.txt", "--out", tmp_path) == 0
+    config.write_text("[simulation]\ntimestep = 1000\n")
+    assert run("synth", "press", "--key", 46, "--config", config, "--out", tmp_path) == 0
+    assert run("simulate", "--config", config, "--trace", tmp_path / "press_trace.csv",
+               "--calibration", tmp_path / "calibration.txt", "--out", tmp_path) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-360"])
+def test_non_positive_theta_h_range_exits_2(value, tmp_path, capsys):
+    """Loaded, then blamed the anchor in synth and passed analyze budget."""
+    config = tmp_path / "range.ini"
+    config.write_text(f"[geometry]\ntheta_h_range = {value}\n")
+    for argv in (("synth", "calibration"), ("analyze", "budget")):
+        assert run(*argv, "--config", config, "--out", tmp_path) == 2
+        assert "[geometry] theta_h_range must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_trace_span_beyond_step_limit_exits_2(workdir, tmp_path, capsys):
     trace = tmp_path / "far.csv"
     trace.write_text("t_ms,flex_adc,acc_y_adc,acc_z_adc,label\n"

@@ -1,10 +1,11 @@
 import dataclasses
 import functools
+import math
 import re
 
 import pytest
 
-from robothumb.config import default_config, load_config
+from robothumb.config import _SECTIONS, default_config, load_config
 from robothumb.errors import ConfigurationError
 
 
@@ -230,6 +231,7 @@ BROKEN = {
     "sensors.adc_v_ref": "0", "sensors.accel_sensitivity": "0",
     "geometry.l0_knuckle": "0", "geometry.l1_proximal": "0",
     "geometry.l2_distal": "0", "geometry.bend_angle": "0",
+    "geometry.theta_h_range": "0",
     "geometry.theta_v_min": "40", "geometry.theta_v_max": "-100",
     "mount.base_z": "0", "mount.press_overtravel_deg": "-1", "mount.mass_g": "0",
     "axes.gear_ratio": "0", "axes.encoder_cpr": "0", "axes.quadrature": "3",
@@ -253,3 +255,65 @@ def test_each_constraint_error_names_its_key(name, tmp_path):
         load_config(key_file(tmp_path, name, BROKEN[name]))
     message = str(info.value)
     assert message.startswith(f"[{section}] ") and key in message
+
+
+
+# section.key of every numeric field of every config section, from the section
+# classes, so a numeric field added without a rule fails below
+NUMERIC_FIELDS = [f"{section}.{f.name}" for section, cls in _SECTIONS.items()
+                  for f in dataclasses.fields(cls)
+                  if f.init and type(f.default) in (int, float)]
+POSITIVE = ("layout.white_width", "layout.black_width", "layout.key_travel",
+            "layout.press_force", "sensors.flex_r_flat", "sensors.flex_angle_range",
+            "sensors.divider_vcc", "sensors.divider_r_fixed", "sensors.adc_v_ref",
+            "sensors.accel_sensitivity", "geometry.l0_knuckle", "geometry.l1_proximal",
+            "geometry.l2_distal", "geometry.theta_h_range", "mount.base_z", "mount.mass_g",
+            "axes.encoder_cpr", "axes.v_max", "axes.a_max", "axes.nominal_torque",
+            "control.kp_h", "control.v_cap", "control.kv_z", "control.z_threshold",
+            "simulation.timestep")
+NON_NEGATIVE = ("mount.press_overtravel_deg", "control.z_refractory_ms",
+                "latency.sensor_sample", "latency.adc_transport", "latency.compute",
+                "latency.command_transport", "latency.controller_process",
+                "latency.mech_motion", "simulation.seed", "simulation.settle_tail_ms")
+FINITE = ("layout.black_zone_depth", "layout.origin_x", "sensors.accel_zero_g_bias",
+          "mount.base_x", "mount.heading", "mount.depth", "mount.pinkie_reach_x",
+          "mount.reach_near_x", "mount.reach_far_x")
+
+
+def build_error(name, value) -> str:
+    """The message of the ConfigurationError that building the section of
+    ``name`` (section.key) with that field set to ``value`` raises."""
+    section, key = name.split(".")
+    with pytest.raises(ConfigurationError) as info:
+        _SECTIONS[section](**{key: value})
+    return str(info.value)
+
+
+def test_numeric_fields_are_the_config_keys_but_mode():
+    assert len(NUMERIC_FIELDS) == 53
+    assert set(NUMERIC_FIELDS) == set(KEY_TABLE) - {"simulation.mode"}
+    assert set(POSITIVE + NON_NEGATIVE + FINITE) <= set(NUMERIC_FIELDS)
+
+
+@pytest.mark.parametrize("name", NUMERIC_FIELDS)
+def test_nan_is_refused_by_every_numeric_field(name):
+    """41 of these fields accepted NaN when their section was built from Python."""
+    key = name.split(".")[1]
+    assert re.search(rf"\b{key}\b", build_error(name, math.nan))
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("name", POSITIVE)
+def test_positive_field_refuses_zero_and_below(name, value):
+    assert build_error(name, value) == f"{name.split('.')[1]} must be positive"
+
+
+@pytest.mark.parametrize("name", NON_NEGATIVE)
+def test_non_negative_field_refuses_below_zero(name):
+    assert build_error(name, -1) == f"{name.split('.')[1]} must be non-negative"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("name", FINITE)
+def test_finite_field_refuses_infinity(name, value):
+    assert build_error(name, value) == f"{name.split('.')[1]} must be finite"
