@@ -191,27 +191,68 @@ def _binned(parts, n_bins: int, where: str = "") -> tuple[float, int]:
     norm must be within ``DIRECTION_NORM_TOL`` of 1; the error, prefixed by
     ``where``, gives the largest deviation in the whole set, so every block
     is read."""
-    z_edges, cells, offsets = sphere_partition(n_bins)
+    cell_indices = _cell_lookup(n_bins)
     occupied = np.zeros(n_bins, dtype=bool)
     count = 0
     worst = 0.0
     for block in parts:
         count += len(block)
         # np.maximum keeps a NaN deviation, which the checks below reject
-        worst = np.maximum(worst, np.abs(np.linalg.norm(block, axis=1) - 1.0).max())
-        if not worst <= DIRECTION_NORM_TOL:  # no use binning: the set is refused
-            continue
-        z = np.clip(block[:, 2], -1.0, 1.0)
-        ring = np.clip(np.searchsorted(z_edges, z, side="right") - 1, 0, len(cells) - 1)
-        phi = np.arctan2(block[:, 1], block[:, 0])  # [-pi, pi]
-        frac = (phi + math.pi) / (2.0 * math.pi)
-        col = np.minimum((frac * cells[ring]).astype(int), cells[ring] - 1)
-        occupied[offsets[ring] + col] = True
+        worst = np.maximum(worst, _norm_deviation(block))
+        if worst <= DIRECTION_NORM_TOL:  # else no use binning: the set is refused
+            occupied[cell_indices(block)] = True
     if count == 0:
         raise InputError(f"{where}direction set is empty")
     if not worst <= DIRECTION_NORM_TOL:  # NaN fails too
         raise InputError(f"{where}direction norms deviate from 1 by up to {float(worst):.3e}")
     return np.count_nonzero(occupied) * FULL_SPHERE / n_bins, count
+
+
+def _norm_deviation(block: np.ndarray) -> float:
+    """The largest ``|norm - 1|`` of the rows of an (n, 3) block, NaN if any
+    row's is; the squares are summed in ``np.linalg.norm``'s order, so the
+    figure is the same to the bit."""
+    s = block * block
+    return np.abs(np.sqrt(s[:, 0] + s[:, 1] + s[:, 2]) - 1.0).max()
+
+
+# cells of the uniform grid in z on which _cell_lookup tabulates the rings
+RING_GRID = 2**15
+
+
+def _cell_lookup(n_bins: int):
+    """The function that gives, for an (n, 3) block of unit rows, the index
+    of each row's cell in ``sphere_partition(n_bins)``, ring after ring.
+
+    A row's ring is the last one whose lower edge is at or below its z, z
+    clipped to [-1, 1]; z = 1 is in the last ring. A table over a uniform
+    grid of ``RING_GRID`` cells in z bounds each row's ring from below, and
+    ``spread`` passes step it up one ring while its z reaches the next edge:
+    exactly the ring that a binary search of the edges gives. The rounding of
+    a z to its grid cell can miss by one cell, so each cell's bound and
+    spread are taken over its two neighbours as well.
+    """
+    z_edges, cells, offsets = sphere_partition(n_bins)
+    last = len(cells) - 1
+    grid = np.arange(-1, RING_GRID + 3) * (2.0 / RING_GRID) - 1.0  # exact in float64
+    # the ring at the lower edge of each grid cell from -1 to RING_GRID + 2
+    at = np.clip(np.searchsorted(z_edges, grid, side="right") - 1, 0, last)
+    # cell RING_GRID holds z = 1 alone; 2 bytes a cell at MAX_BINS
+    table = at[:RING_GRID + 1].astype(np.min_scalar_type(last))
+    spread = int((at[3:] - at[:RING_GRID + 1]).max())
+    above = np.append(z_edges[1:-1], np.inf)  # upper edges; z = 1 stays in the last ring
+
+    def cell_indices(block: np.ndarray) -> np.ndarray:
+        z = np.clip(block[:, 2], -1.0, 1.0)
+        ring = table[((z + 1.0) * (RING_GRID / 2)).astype(np.intp)].astype(np.intp)
+        for _ in range(spread):
+            ring += z >= above[ring]
+        n = cells[ring]
+        phi = np.arctan2(block[:, 1], block[:, 0])  # [-pi, pi]
+        col = np.minimum(((phi + math.pi) / (2.0 * math.pi) * n).astype(int), n - 1)
+        return offsets[ring] + col
+
+    return cell_indices
 
 
 def check_band_limits(azimuth_span: float, elev_min: float,

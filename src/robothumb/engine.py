@@ -149,7 +149,7 @@ class EventLog:
 
 def midi_velocity(angular_speed: float, v_cap: float) -> int:
     """Map a press-axis speed (deg/s) to MIDI velocity 1..127."""
-    if angular_speed < 0:
+    if not angular_speed >= 0:
         raise InputError("angular_speed must be non-negative")
     return min(max(plant.round_half_away(127.0 * angular_speed / v_cap), 1), 127)
 

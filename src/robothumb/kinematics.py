@@ -128,7 +128,7 @@ def press_angle(travel: float, geometry: FingerGeometry) -> float:
     d(tv) collapses to R*sin(tv + phi), so the press angle has the closed
     form asin((d(0) + travel)/R) - phi on the rising branch.
     """
-    if travel < 0:
+    if not travel >= 0:
         raise InputError("travel must be non-negative")
     if travel == 0:
         return 0.0
@@ -152,7 +152,7 @@ def press_angle(travel: float, geometry: FingerGeometry) -> float:
 
 def required_torque(force: float, theta_v: float, geometry: FingerGeometry) -> float:
     """Torque (N*m) about the press axis to exert ``force`` N at the tip."""
-    if force < 0:
+    if not force >= 0:
         raise InputError("force must be non-negative")
     tv = math.radians(theta_v)
     bend = math.radians(geometry.bend_angle)

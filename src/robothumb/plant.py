@@ -80,9 +80,9 @@ def axis_step(state: tuple, setpoint: int, velocity_limit: float, dt: float,
     """Advance ``state``, ``(angle, velocity, encoder_count)``, by ``dt`` ms
     toward ``setpoint`` counts at profile velocity ``velocity_limit``; an
     idle step, already at rest on the setpoint, returns ``state`` itself."""
-    if dt <= 0:
+    if not dt > 0:
         raise InputError("dt must be positive")
-    if velocity_limit < 0:
+    if not velocity_limit >= 0:
         raise InputError("velocity_limit must be non-negative")
     angle, velocity, _ = state
     target = setpoint * 360.0 / counts_per_output_rev(axis)
@@ -201,6 +201,6 @@ def run_axis(angles, velocities, runs, limits, dt: float, axis: MotorAxis,
 
 def torque_margin(required: float, axis: MotorAxis) -> float:
     """Ratio of geared-up nominal torque to the required output torque."""
-    if required <= 0:
+    if not required > 0:
         raise InputError("required torque must be positive")
     return axis.nominal_torque * axis.gear_ratio / required

@@ -269,7 +269,7 @@ def flex_resistance(bend_angle: float, cfg: SensorConfig) -> float:
 
 def divider_voltage(r_flex: float, cfg: SensorConfig) -> float:
     """Buffered divider output (V); strictly decreasing in r_flex."""
-    if r_flex <= 0:
+    if not r_flex > 0:
         raise InputError("r_flex must be positive")
     return cfg.divider_vcc * cfg.divider_r_fixed / (r_flex + cfg.divider_r_fixed)
 
@@ -298,7 +298,7 @@ def accel_output(foot_pitch: float, dyn_accel: float,
     Y reads the gravity projection on the foot's long axis, Z reads the
     vertical gravity component plus any dynamic acceleration.
     """
-    if abs(foot_pitch) > 90:
+    if not abs(foot_pitch) <= 90:
         raise InputError(f"foot_pitch {foot_pitch} outside [-90, 90]")
     pitch = math.radians(foot_pitch)
     v_y = cfg.accel_zero_g_bias + cfg.accel_sensitivity * math.sin(pitch)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from robothumb import default_config, synth
-from robothumb.analysis import (MAX_BINS, BudgetReport, budget_check, latency_stats,
+from robothumb.analysis import (MAX_BINS, RING_GRID, BudgetReport, _cell_lookup,
+                                _norm_deviation, budget_check, latency_stats,
                                 range_increase, reachable_keys, solid_angle,
                                 sphere_partition, workspace_from_limits)
 from robothumb.errors import InputError, ReachError
@@ -55,6 +56,44 @@ def test_partition_bounds_bin_count():
     for n_bins in (MAX_BINS + 1, 10**12):
         with pytest.raises(InputError, match=f"n_bins must be in \\[100, {MAX_BINS}\\]"):
             sphere_partition(n_bins)
+
+
+def searched_cells(block, n_bins):
+    """The cell of each row of ``block`` with its ring found by a binary
+    search of the ring edges."""
+    z_edges, cells, offsets = sphere_partition(n_bins)
+    z = np.clip(block[:, 2], -1.0, 1.0)
+    ring = np.clip(np.searchsorted(z_edges, z, side="right") - 1, 0, len(cells) - 1)
+    frac = (np.arctan2(block[:, 1], block[:, 0]) + math.pi) / (2.0 * math.pi)
+    return offsets[ring] + np.minimum((frac * cells[ring]).astype(int), cells[ring] - 1)
+
+
+@pytest.mark.parametrize("n_bins", [100, 10**4, 10**5, 10**6, 10**7, MAX_BINS])
+def test_ring_table_finds_the_ring_a_search_finds(n_bins):
+    """Rings own disjoint runs of cells, so equal cells mean equal rings: at
+    every ring edge, every grid cell edge, the floats beside each, the poles
+    and uniform z."""
+    z_edges = sphere_partition(n_bins)[0]
+    grid = np.arange(RING_GRID + 1) * (2.0 / RING_GRID) - 1.0
+    rng = np.random.default_rng(n_bins % 1_000_003)
+    z = np.concatenate((z_edges, grid, [-1.0, 1.0], rng.uniform(-1.0, 1.0, 100_000)))
+    z = np.concatenate((z, np.nextafter(z, -2.0), np.nextafter(z, 2.0)))
+    phi = rng.uniform(-math.pi, math.pi, len(z))
+    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    block = np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+    np.testing.assert_array_equal(_cell_lookup(n_bins)(block), searched_cells(block, n_bins))
+
+
+def test_norm_deviation_is_that_of_linalg_norm_to_the_bit():
+    rng = np.random.default_rng(25)
+    for scale in (1e-12, 1e-9, 1e-3, 1.0):
+        good = sphere_uniform(10_000, 7) * (1.0 + rng.normal(0.0, scale, (10_000, 1)))
+        for bad in (None, math.nan, math.inf, -math.inf):
+            block = good.copy()
+            if bad is not None:
+                block[rng.integers(len(block)), rng.integers(3)] = bad
+            expected = np.abs(np.linalg.norm(block, axis=1) - 1.0).max()
+            np.testing.assert_array_equal(_norm_deviation(block), expected)
 
 
 def test_solid_angle_full_sphere():

@@ -5,8 +5,9 @@ import re
 
 import pytest
 
+from robothumb import engine, kinematics, plant, sensors
 from robothumb.config import _SECTIONS, default_config, load_config
-from robothumb.errors import ConfigurationError
+from robothumb.errors import ConfigurationError, InputError
 
 
 def write(tmp_path, text):
@@ -317,3 +318,24 @@ def test_non_negative_field_refuses_below_zero(name):
 @pytest.mark.parametrize("name", FINITE)
 def test_finite_field_refuses_infinity(name, value):
     assert build_error(name, value) == f"{name.split('.')[1]} must be finite"
+
+
+NAN = math.nan
+CFG = default_config()
+NAN_ARGUMENTS = {
+    "midi_velocity": lambda: engine.midi_velocity(NAN, 400.0),
+    "axis_step.dt": lambda: plant.axis_step((0.0, 0.0, 0), 10, 100.0, NAN, CFG.axis),
+    "axis_step.velocity_limit": lambda: plant.axis_step((0.0, 0.0, 0), 10, NAN, 1.0, CFG.axis),
+    "torque_margin": lambda: plant.torque_margin(NAN, CFG.axis),
+    "press_angle": lambda: kinematics.press_angle(NAN, CFG.geometry),
+    "required_torque": lambda: kinematics.required_torque(NAN, 0.0, CFG.geometry),
+    "divider_voltage": lambda: sensors.divider_voltage(NAN, CFG.sensors),
+    "accel_output": lambda: sensors.accel_output(NAN, 0.0, CFG.sensors),
+}
+
+
+@pytest.mark.parametrize("call", NAN_ARGUMENTS.values(), ids=NAN_ARGUMENTS)
+def test_nan_argument_is_refused_by_library_checks(call):
+    """Each of these once ended in a bare ValueError or returned NaN."""
+    with pytest.raises(InputError):
+        call()
