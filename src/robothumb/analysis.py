@@ -320,7 +320,7 @@ def latency_stats(delays_ms) -> LatencyStats:
     mean = sum(delays) / len(delays)
     variance = sum((d - mean) ** 2 for d in delays) / len(delays)
     return LatencyStats(mean=mean, stddev=math.sqrt(variance), max=max(delays),
-                        count=len(delays), over_budget=mean > LATENCY_BUDGET_MS)
+                        count=len(delays), over_budget=not mean <= LATENCY_BUDGET_MS)
 
 
 @dataclass(frozen=True)

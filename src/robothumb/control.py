@@ -103,7 +103,7 @@ def calibrate_from_trace(trace: SensorTrace, anchors: dict) -> CalibrationSet:
     labels = np.array(trace.labels, dtype=object)  # compared as Python str
     means = {}
     for label, column in LABEL_COLUMNS.items():
-        codes = trace.samples[column][labels == label].tolist()
+        codes = trace.samples[column][labels == label].tolist() if trace.labels else []
         if not codes:
             raise CalibrationIncompleteError(label)
         means[label] = round_half_away(sum(codes) / len(codes))  # exact integer sum

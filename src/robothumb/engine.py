@@ -24,22 +24,32 @@ foot bump that presses nothing is never charged to a later key.
 
 The two axes are separate pipelines that meet only at the fingertip: the
 flex sensor steers the horizontal axis, the foot accelerometer drives the
-vertical axis. A run works on columns, one entry per step:
+vertical axis. A run works on columns, one entry per step, one block of
+``sensors.BLOCK_ROWS`` steps at a time:
 
-1. The control laws map the trace's ADC code columns once, and numpy turns
-   the sample times into each axis's command schedule: the sample applied
-   over each step and the runs of steps under one setpoint, as ``array``s.
-2. ``plant.run_axis`` steps each axis through its schedule in one scalar
-   loop, writing angles and velocities into buffers allocated beforehand;
-   the horizontal loop adds the feedback on its own encoder count.
-3. Encoder counts and fingertip positions follow from the angle columns,
-   and the key-on and key-off crossings from the fingertip height column.
-   Only those crossings are visited one by one, to look up the key, the
-   velocity and the intention they are charged to.
+1. The control laws map the ADC codes of the samples the block applies, and
+   numpy turns their times into each axis's command schedule over the
+   block: the sample applied over each step and the runs of steps under one
+   setpoint, as ``array``s.
+2. ``plant.run_axis`` resumes each axis from its state after the previous
+   block and steps it through the block's schedule in one scalar loop,
+   writing angles, and the vertical velocities, into buffers allocated for
+   the block; the horizontal loop adds the feedback on its own encoder
+   count, read from the state each command was sent from.
+3. Encoder counts and fingertip positions follow from the angle columns
+   into the block's rows of the step log, and the key-on and key-off
+   crossings from the fingertip height column. Only those crossings are
+   visited one by one, to look up the key, the velocity and the intention
+   they are charged to.
 
-The step log keeps the columns as one structured array. Both execution
-modes produce byte-identical logs: they differ only in step 2, which runs
-inline or as two whole-axis tasks on two threads.
+A block hands the next one only: how many samples are due, each axis's
+angle and velocity, the horizontal angles of the states later commands are
+sent from (a window of about the command path plus one sample period, or
+the settle tail after the last sample), the last tip height, the key held
+down and the intentions used up. So beyond the trace, the step log (one
+structured array) and the events, a run holds one block's columns. Both
+execution modes produce byte-identical logs: they differ only in step 2,
+which runs inline or as two axis tasks on two threads per block.
 """
 
 from __future__ import annotations
@@ -58,7 +68,8 @@ from . import control, kinematics, plant
 from .control import CalibrationSet, ControlParams
 from .errors import ConfigurationError, InputError, require
 from .piano import Key, KeyEvent, MIDI_A0, key_at, note_name
-from .sensors import SAMPLE_DTYPE, SensorTrace, blocks, check_adc_codes, fixed_point_rows
+from .sensors import (BLOCK_ROWS, SensorTrace, blocks, check_adc_codes,
+                      fixed_point_rows)
 
 MODES = ("deterministic", "concurrent")  # execution modes; see the module docstring
 # a run, or a synthesized trace, of more steps is rejected before any
@@ -126,7 +137,7 @@ class LatencyRecord:
     action_t: float     # ms, key-on emission
 
     def __post_init__(self):
-        if self.action_t < self.intention_t:
+        if not self.action_t >= self.intention_t:  # NaN fails too
             raise InputError("action_t must not precede intention_t")
 
     @property
@@ -174,19 +185,48 @@ def intention_detect(trace: SensorTrace, calib: CalibrationSet,
     return out
 
 
-def _axis_buffers(n_steps: int) -> tuple[array, array]:
-    """Zeroed angle and velocity buffers: the drive-enable state, then one
-    entry per step."""
-    zeros = array("d", [0.0]) * (n_steps + 1)
-    return zeros, array("d", zeros)
-
-
-def _runs(step_setpoints: np.ndarray):
+def _runs(step_setpoints: np.ndarray, first: int):
     """``(first, stop, setpoint)`` of each run of steps under one setpoint from
-    three ``array('q')``; ``step_setpoints[k - 1]`` is the setpoint over step k."""
-    first = np.flatnonzero(np.diff(step_setpoints, prepend=step_setpoints[:1] + 1)) + 1
-    stop = np.append(first[1:], len(step_setpoints) + 1)
-    return zip(*(array("q", c.tobytes()) for c in (first, stop, step_setpoints[first - 1])))
+    three ``array('q')``; ``step_setpoints[j]`` is the setpoint over the step
+    at buffer index ``first + j``."""
+    at = np.flatnonzero(np.diff(step_setpoints, prepend=step_setpoints[:1] + 1))
+    stop = np.append(at[1:], len(step_setpoints)) + first
+    return zip(*(array("q", c.tobytes()) for c in (at + first, stop, step_setpoints[at])))
+
+
+def _steps_before(x: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+    """For each time in ``x``, how many of the step end times ``k * dt``, k =
+    1 .. ``n_steps``, lie below it: ``searchsorted`` of ``x`` in that column,
+    without the column. ``floor(x / dt)`` never counts fewer, as a time above
+    the rounded product ``k * dt`` divides to at least k; where rounding makes
+    it count more, the loop takes them back on the same products."""
+    count = np.clip(np.floor(x / dt), 0, n_steps).astype(np.int64)
+    while (down := (count > 0) & (count * dt >= x)).any():
+        count -= down
+    return count
+
+
+def _run_tasks(tasks, concurrent: bool) -> list:
+    """Each task's result, the tasks called inline or each on its own
+    thread; the first failure on a thread is raised again here."""
+    if not concurrent:
+        return [task() for task in tasks]
+    results, errors = [None] * len(tasks), []
+
+    def work(i):
+        try:
+            results[i] = tasks[i]()
+        except Exception as exc:
+            errors.append(exc)
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(len(tasks))]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def run(trace: SensorTrace, calibration: CalibrationSet,
@@ -218,93 +258,105 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
             f"simulating to t={end_t} ms in steps of {dt} ms needs more than "
             f"{MAX_STEPS} steps")
     n_steps = int(math.ceil(end_t / dt))
-
-    # the command schedule, one entry per step: the last sample whose
-    # command is due by the step's end time acts over the whole step; -1 (no
-    # sample yet) reads the sentinel appended to each per-sample column
-    step_t = np.arange(1, n_steps + 1) * dt
-    applied = np.searchsorted(times + lat.data_path, step_t, "right") - 1
-    # buffer index of the state a sample's command is sent from: the state
-    # before the step its sensor path completes in
-    sent_from = np.searchsorted(step_t, times + lat.sensor_path)
-    # the control laws map float columns to stdlib arrays, here viewed by numpy
-    flex, acc_y, acc_z = (samples[name].astype(float) for name in SAMPLE_DTYPE.names[1:])
-    setpoints_h, setpoints_v, limits_v = (
-        np.append(np.frombuffer(c, c.typecode), 0) for c in (
-            control.horizontal_update(flex, calibration),
-            *control.vertical_update(acc_y, acc_z, calibration, params)))
-
-    angles_h, velocities_h = _axis_buffers(n_steps)
-    angles_v, velocities_v = _axis_buffers(n_steps)
-    tasks = (
-        functools.partial(plant.run_axis, angles_h, velocities_h,
-                          _runs(setpoints_h[applied]),
-                          array("q", np.append(sent_from, 0)[applied].tobytes()), dt,
-                          config.axis, (params.kp_h, params.v_cap)),
-        functools.partial(plant.run_axis, angles_v, velocities_v, _runs(setpoints_v[applied]),
-                          array("d", limits_v[applied].tobytes()), dt, config.axis))
-    if sim.mode == "concurrent":
-        errors = []  # what the workers raised; the first is raised again here
-
-        def work(task):
-            try:
-                task()
-            except Exception as exc:
-                errors.append(exc)
-
-        workers = [threading.Thread(target=work, args=(task,)) for task in tasks]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        if errors:
-            raise errors[0]
-    else:
-        for task in tasks:
-            task()
-    # the per-sample columns and the schedules go before the step log is built
-    del flex, acc_y, acc_z, setpoints_h, setpoints_v, limits_v, applied, sent_from, tasks
-
-    theta_h = np.frombuffer(angles_h)[1:]
-    theta_v = np.frombuffer(angles_v)[1:]
-    tip_x, tip_z = kinematics.keyline_position(mount.heading + theta_h, theta_v,
-                                               geometry, mount, np)
     log.steps = np.empty(n_steps, STEP_DTYPE)
-    log.steps["t"] = step_t
-    log.steps["theta_h_counts"] = plant.encoder_count_column(theta_h, config.axis)
-    log.steps["theta_v_counts"] = plant.encoder_count_column(theta_v, config.axis)
-    log.steps["tip_x"] = tip_x
-    log.steps["tip_z"] = tip_z
 
-    # key-on and key-off crossings of the full-press height
     press_height = -layout.key_travel  # tip z of a fully pressed key
-    hover_z = mount.base_z - kinematics.press_drop(0.0, geometry)  # drive enable
-    prev_tip_z = np.concatenate(([hover_z], tip_z[:-1]))
-    down = (prev_tip_z > press_height) & (press_height >= tip_z)
-    up = (tip_z > press_height) & (press_height >= prev_tip_z)
-    at = np.flatnonzero(down | up)
+    # what one block hands the next: the samples due by its last step, the
+    # horizontal angles of states ``window_at`` .. ``start`` (the states later
+    # commands are sent from), each axis's state, the last tip height, the
+    # key held down and the intentions used up
+    due = 0
+    window_at, window = 0, array("d", [0.0])
+    state_h = state_v = (0.0, 0.0)  # drive enable
+    prev_tip_z = mount.base_z - kinematics.press_drop(0.0, geometry)
     pressed: Key | None = None
     ii = 0  # intentions before this index are used up
-    for t, is_down, x, speed in zip(step_t[at].tolist(), down[at].tolist(),
-                                    tip_x[at].tolist(),
-                                    np.abs(np.frombuffer(velocities_v)[at + 1]).tolist()):
-        if pressed is None and is_down:
-            # a press, on a key or in the air, uses up every intention so
-            # far; a key-on is charged to the latest one not yet used
-            upto = bisect.bisect_right(log.intentions, t)
-            key = key_at(x, mount.depth, layout)
-            if key is None:
-                log.air_presses.append(t)
-            else:
-                velocity = midi_velocity(speed, params.v_cap)
-                log.events.append(KeyEvent(t, "on", key.index, velocity))
-                pressed = key
-                if upto > ii:
-                    log.latencies.append(LatencyRecord(log.intentions[upto - 1], t))
-            ii = upto
-        elif pressed is not None and not is_down:
-            log.events.append(KeyEvent(t, "off", pressed.index))
-            pressed = None
+    for start in range(0, n_steps, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n_steps)
+        step_t = np.arange(start + 1, stop + 1) * dt
+        # samples lo .. hi - 1 hold every sample applied over the block: the
+        # last one due before it and those falling due in it, and perhaps a
+        # few more that a rounded search lets in
+        lo = max(due - 1, 0)
+        hi = int(np.searchsorted(times, step_t[-1] - lat.data_path, "right"))
+        while hi < len(times) and times[hi] + lat.data_path <= step_t[-1]:
+            hi += 1
+        block = samples[lo:hi]
+        # the command schedule: the last sample whose command is due by the
+        # step's end time acts over the whole step; -1 (no sample yet) reads
+        # the sentinel appended to each per-sample column
+        applied = np.searchsorted(block["t"] + lat.data_path, step_t, "right") - 1
+        due = lo + int(applied[-1]) + 1
+        # the state a sample's command is sent from: the state before the
+        # step its sensor path completes in. A step with no sample yet reads
+        # the window's first state; like every state before the first
+        # command, it is the drive-enable state.
+        sent = np.append(_steps_before(block["t"] + lat.sensor_path, dt, n_steps),
+                         0)[applied] - window_at
+        np.maximum(sent, 0, out=sent)
+        # the control laws map float columns to stdlib arrays, here viewed by numpy
+        setpoints_h, setpoints_v, limits_v = (
+            np.append(np.frombuffer(c, c.typecode), 0)[applied] for c in (
+                control.horizontal_update(block["flex_adc"].astype(float), calibration),
+                *control.vertical_update(block["acc_y_adc"].astype(float),
+                                         block["acc_z_adc"].astype(float),
+                                         calibration, params)))
+
+        first_h = len(window)  # the buffer index of the block's first step
+        angles_h = window + array("d", [0.0]) * (stop - start)
+        angles_v = array("d", [state_v[0]]) * (stop - start + 1)
+        velocities_v = array("d", [state_v[1]]) * (stop - start + 1)
+        state_h, state_v = _run_tasks((
+            functools.partial(plant.run_axis, angles_h, None, _runs(setpoints_h, first_h),
+                              array("q", [0]) * (first_h - 1) + array("q", sent.tobytes()),
+                              dt, config.axis,
+                              (params.kp_h, params.v_cap), state_h),
+            functools.partial(plant.run_axis, angles_v, velocities_v, _runs(setpoints_v, 1),
+                              array("d", limits_v.tobytes()), dt, config.axis,
+                              state=state_v)), sim.mode == "concurrent")
+        # keep the states the next block's commands can be sent from: none
+        # before this block's last send, and before the first command none
+        keep = window_at + int(sent[-1]) if applied[-1] >= 0 else stop
+        window = angles_h[keep - window_at:]
+        window_at = keep
+
+        theta_h = np.frombuffer(angles_h)[first_h:]
+        theta_v = np.frombuffer(angles_v)[1:]
+        tip_x, tip_z = kinematics.keyline_position(mount.heading + theta_h, theta_v,
+                                                   geometry, mount, np)
+        rows = log.steps[start:stop]
+        rows["t"] = step_t
+        rows["theta_h_counts"] = plant.encoder_count_column(theta_h, config.axis)
+        rows["theta_v_counts"] = plant.encoder_count_column(theta_v, config.axis)
+        rows["tip_x"] = tip_x
+        rows["tip_z"] = tip_z
+
+        # key-on and key-off crossings of the full-press height
+        before = np.concatenate(([prev_tip_z], tip_z[:-1]))
+        down = (before > press_height) & (press_height >= tip_z)
+        up = (tip_z > press_height) & (press_height >= before)
+        prev_tip_z = tip_z[-1]
+        at = np.flatnonzero(down | up)
+        for t, is_down, x, speed in zip(step_t[at].tolist(), down[at].tolist(),
+                                        tip_x[at].tolist(),
+                                        np.abs(np.frombuffer(velocities_v)[at + 1]).tolist()):
+            if pressed is None and is_down:
+                # a press, on a key or in the air, uses up every intention so
+                # far; a key-on is charged to the latest one not yet used
+                upto = bisect.bisect_right(log.intentions, t)
+                key = key_at(x, mount.depth, layout)
+                if key is None:
+                    log.air_presses.append(t)
+                else:
+                    velocity = midi_velocity(speed, params.v_cap)
+                    log.events.append(KeyEvent(t, "on", key.index, velocity))
+                    pressed = key
+                    if upto > ii:
+                        log.latencies.append(LatencyRecord(log.intentions[upto - 1], t))
+                ii = upto
+            elif pressed is not None and not is_down:
+                log.events.append(KeyEvent(t, "off", pressed.index))
+                pressed = None
 
     if pressed is not None:
         # trace ended mid-press: release so on/off stay balanced

@@ -8,10 +8,10 @@ step). Angles are output-side degrees; the encoder count is kept
 consistent with the angle after every update.
 
 ``axis_step`` advances one ``(angle, velocity, encoder_count)`` state by one
-step. ``run_axis`` is the same step fused into one loop over a whole
-command schedule: it writes angles and velocities into preallocated buffers
-and leaves the encoder counts to ``encoder_count_column``, which derives
-them from the angles afterwards.
+step. ``run_axis`` is the same step fused into one loop over a command
+schedule, resumed from a given state: it writes angles and velocities into
+preallocated buffers and leaves the encoder counts to
+``encoder_count_column``, which derives them from the angles afterwards.
 
 ``encoder_counts`` is the package's one rule from an angle to a count, and
 ``round_half_away`` its one rounding rule, which the ADC, the calibration
@@ -114,29 +114,36 @@ def encoder_count_column(angles: np.ndarray, axis: MotorAxis) -> np.ndarray:
 
 
 def run_axis(angles, velocities, runs, limits, dt: float, axis: MotorAxis,
-             feedback: tuple[float, float] | None = None) -> None:
-    """Step an axis from its drive-enable state through a command schedule.
+             feedback: tuple[float, float] | None = None,
+             state: tuple[float, float] = (0.0, 0.0)) -> tuple[float, float]:
+    """Step an axis from ``state``, ``(angle, velocity)``, through a command
+    schedule and return its state after the last step; the default is the
+    drive-enable state.
 
-    The state after step k is what chaining ``axis_step`` from
-    ``(angles[0], velocities[0])`` gives; its angle and velocity go to
-    ``angles[k]`` and ``velocities[k]``, ``array('d')`` buffers one longer
-    than the number of steps. ``runs`` yields ``(first, stop, setpoint)``
-    for each run of steps ``first .. stop - 1`` under one setpoint, in step
-    order from 1. ``limits[k - 1]`` is the profile velocity over step k;
-    with ``feedback = (kp, v_cap)``, both positive, it is instead the buffer
-    index of the state the step's command was sent from, below k and never
-    decreasing with k, and the velocity is ``min(kp * |setpoint -
-    encoder_count|, v_cap)`` with that state's count.
+    The state after step k is what chaining ``axis_step`` from ``state``
+    gives; its angle goes to ``angles[k]`` and, unless ``velocities`` is
+    None, its velocity to ``velocities[k]``, in ``array('d')`` buffers.
+    ``runs`` yields ``(first, stop, setpoint)`` for each run of steps
+    ``first .. stop - 1`` under one setpoint, in step order, the first run
+    starting at the step after ``state``. ``limits[k - 1]`` is the profile
+    velocity over step k; with ``feedback = (kp, v_cap)``, both positive, it
+    is instead the buffer index of the state the step's command was sent
+    from, below k and never decreasing with k, and the velocity is ``min(kp
+    * |setpoint - encoder_count|, v_cap)`` with that state's count. The
+    entries of ``angles`` below the first step hold the angles of the states
+    before it that those indices name, ``state`` last.
 
     The loop only writes into the buffers it is given, so it grows no
     container wherever it runs. Once the axis rests on its setpoint it
     holds that state, with no arithmetic, until the setpoint changes. A
-    feedback axis can also stop short of its setpoint, up to half a count
-    away, once the sent count equals the setpoint. It holds that state in
-    the same way from step k on when, at step k, its velocity is zero, the
-    profile velocity from send state ``s = limits[k - 1]`` is exactly zero
-    and the angle has not changed over states s .. k - 1: every later send
-    of the run then reads that same angle, so no later step moves the axis.
+    feedback axis can also stop off its setpoint, once the count of the
+    state a command was sent from equals the setpoint. A stop in motion
+    lasts until a later send reads where the axis stopped; it holds that
+    state in the same way from step k on when, at step k, its velocity is
+    zero, the profile velocity from send state ``s = limits[k - 1]`` is
+    exactly zero and the angle has not changed over states s .. k - 1:
+    every later send of the run then reads that same angle, so no later step
+    moves the axis. That held stop is at most half a count off the setpoint.
     """
     cpr = counts_per_output_rev(axis)
     dt_s = dt / 1000.0
@@ -145,7 +152,7 @@ def run_axis(angles, velocities, runs, limits, dt: float, axis: MotorAxis,
     v_max = axis.v_max
     kp, v_cap = feedback if feedback is not None else (None, None)
     sqrt, copysign, floor = math.sqrt, math.copysign, math.floor
-    angle, velocity = angles[0], velocities[0]
+    angle, velocity = state
     # ``b if b < a else a`` is min(a, b) and ``b if b > a else a`` is
     # max(a, b), NaN included, without the call
     for first, stop, setpoint in runs:
@@ -191,12 +198,15 @@ def run_axis(angles, velocities, runs, limits, dt: float, axis: MotorAxis,
                 else:
                     angle += move
             angles[k] = angle
-            velocities[k] = velocity
+            if velocities is not None:
+                velocities[k] = velocity
         else:
             continue
         # the loop broke at step k to hold the state to the end of the run
         angles[k:stop] = array("d", [angle]) * (stop - k)
-        velocities[k:stop] = array("d", [velocity]) * (stop - k)
+        if velocities is not None:
+            velocities[k:stop] = array("d", [velocity]) * (stop - k)
+    return angle, velocity
 
 
 def torque_margin(required: float, axis: MotorAxis) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import os
 import stat
@@ -208,9 +209,11 @@ class SensorTrace:
 
     ``samples`` holds one ``SAMPLE_DTYPE`` record per reading: the time
     ``t`` (ms, float64) and the three ADC codes (int64); ``labels`` holds
-    each reading's calibration segment tag, empty outside calibration.
-    The array is read-only once the trace is checked. Compare traces
-    column by column: ``==`` on arrays is element-wise.
+    each reading's calibration segment tag, empty outside calibration, or
+    is itself empty when no reading carries a tag, so that an unlabelled
+    trace keeps no per-reading container. The array is read-only once the
+    trace is checked. Compare traces column by column: ``==`` on arrays is
+    element-wise.
     """
 
     samples: np.ndarray
@@ -227,10 +230,11 @@ class SensorTrace:
                 samples[name] = codes
             except OverflowError as exc:
                 raise InputError(f"{name}: an ADC code does not fit int64") from exc
-        return cls(samples, tuple(labels), float(sample_period))
+        labels = tuple(labels)
+        return cls(samples, labels if any(labels) else (), float(sample_period))
 
     def __post_init__(self):
-        if len(self.labels) != len(self.samples):
+        if self.labels and len(self.labels) != len(self.samples):
             raise TraceFormatError("trace needs one label per sample")
         for label in set(self.labels):
             if not LABEL_FORBIDDEN.isdisjoint(label):
@@ -314,9 +318,12 @@ def save_trace(trace: SensorTrace, path) -> None:
     spells them as ``_time_text`` does) goes through ``fixed_point_rows``, its
     labels spliced in before each CRLF; any other block is formatted row by row."""
     scratch = {}
+    # an unlabelled trace writes an empty label on each row
+    label_blocks = (blocks(trace.labels) if trace.labels
+                    else itertools.repeat(("",) * BLOCK_ROWS))
     with open(path, "wb") as f:
         f.write(_HEADER_LINE)
-        for block, labels in zip(blocks(trace.samples), blocks(trace.labels)):
+        for block, labels in zip(blocks(trace.samples), label_blocks):
             t = block["t"]
             if (t == np.rint(t)).all() and t.max() < 10.0**TRACE_DIGITS:
                 text = fixed_point_rows([block[name] for name in SAMPLE_DTYPE.names],
@@ -412,7 +419,8 @@ def _read_writer_layout(f) -> SensorTrace:
         filled = rows.stop
     if not 2 <= filled == n:  # under two rows
         raise OtherLayout
-    return SensorTrace(samples, tuple(labels or ("",) * n), float(np.diff(samples["t"][:2])[0]))
+    return SensorTrace(samples, tuple(labels) if labels else (),
+                       float(np.diff(samples["t"][:2])[0]))
 
 
 def _parse_trace(data: bytes) -> SensorTrace:

@@ -209,7 +209,7 @@ def press_trace(cfg: GlobalConfig, key_index: int, speed=0.5, repeat: int = 1,
         # np.rint rounds half to even, as round() did on each scalar draw
         jitter = np.rint(rng.normal(0.0, flex_noise, len(rows)))
         rows[:, 0] = np.clip(flex_target + jitter, 0, cfg.sensors.full_scale)
-    return _build_trace(cfg, rows, ("",) * len(rows))
+    return _build_trace(cfg, rows, ())
 
 
 def scale_trace(cfg: GlobalConfig, key_indices, speed=0.5) -> SensorTrace:
@@ -229,7 +229,7 @@ def scale_trace(cfg: GlobalConfig, key_indices, speed=0.5) -> SensorTrace:
     # no cycles: the thumb holds the last key through the quiet tail
     blocks.append(_press_codes(cfg, flex_target, s, 0, TAIL_MS))
     rows = np.concatenate(blocks)
-    return _build_trace(cfg, rows, ("",) * len(rows))
+    return _build_trace(cfg, rows, ())
 
 
 class DirectionSweep:

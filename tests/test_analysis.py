@@ -225,6 +225,13 @@ def test_latency_stats_cases():
         latency_stats([])
 
 
+def test_nan_latency_is_over_budget_as_budget_check_reads_it():
+    """A NaN mean once read as within budget in ``latency_stats`` while
+    ``budget_check`` failed it."""
+    assert latency_stats([math.nan]).over_budget
+    assert not budget_check(default_config(), math.nan).latency_pass
+
+
 def test_latency_stats_permutation_invariant():
     a = latency_stats([70.0, 95.0, 85.0, 60.0])
     b = latency_stats([95.0, 60.0, 85.0, 70.0])

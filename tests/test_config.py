@@ -331,6 +331,7 @@ NAN_ARGUMENTS = {
     "required_torque": lambda: kinematics.required_torque(NAN, 0.0, CFG.geometry),
     "divider_voltage": lambda: sensors.divider_voltage(NAN, CFG.sensors),
     "accel_output": lambda: sensors.accel_output(NAN, 0.0, CFG.sensors),
+    "LatencyRecord": lambda: engine.LatencyRecord(NAN, 5.0),
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robothumb import engine, plant, synth
+from robothumb import control, engine, kinematics, plant, synth
 from robothumb.analysis import save_directions
+from robothumb.config import default_config
 from robothumb.control import calibrate_from_trace
 from robothumb.engine import (MAX_STEPS, STEP_DTYPE, EventLog, LatencyConfig,
                               LatencyRecord, SimulationConfig, intention_detect,
@@ -233,10 +235,11 @@ def test_concurrent_mode_raises_what_an_axis_raised(cfg, calib, monkeypatch):
     """An axis task that fails on its worker fails the run."""
     real = plant.run_axis
 
-    def run_axis(angles, velocities, runs, limits, dt, axis, feedback=None):
+    def run_axis(angles, velocities, runs, limits, dt, axis, feedback=None,
+                 state=(0.0, 0.0)):
         if feedback is None:  # the vertical axis
             raise RuntimeError("vertical axis fault")
-        real(angles, velocities, runs, limits, dt, axis, feedback)
+        return real(angles, velocities, runs, limits, dt, axis, feedback, state)
 
     monkeypatch.setattr(plant, "run_axis", run_axis)
     concurrent = dataclasses.replace(
@@ -284,6 +287,104 @@ def test_forced_release_at_end_of_trace(cfg, calib):
     kinds = [e.kind for e in log.events]
     assert kinds == ["on", "off"]
     assert log.events[1].t == log.steps["t"][-1]  # released at simulation end
+
+
+def held_stall_trace(cfg):
+    """The thumb holds one flex code, then the next: the horizontal axis ends
+    the second move stalled off target and holds there to the trace's end."""
+    y_down, z_rest = synth.accel_codes(cfg, 0.0, 0.0)
+    flex = [2104] * 400 + [2105] * 600
+    n = len(flex)
+    return SensorTrace.from_columns(np.arange(n) * 1.0, flex, [y_down] * n, [z_rest] * n,
+                                    (), 1.0)
+
+
+def with_simulation(cfg, **changes):
+    return dataclasses.replace(cfg, simulation=dataclasses.replace(cfg.simulation, **changes))
+
+
+@functools.cache
+def block_edge_case(name):
+    """``(config, calibration, trace, log)`` of one block-edge case, the log
+    from a run of the default block length."""
+    cfg = default_config()
+    if name == "rear_scale_concurrent":
+        cfg = with_simulation(dataclasses.replace(
+            cfg, mount=dataclasses.replace(cfg.mount, depth=60.0)), mode="concurrent")
+    elif name == "timestep_10":
+        cfg = with_simulation(cfg, timestep=10.0)
+    elif name == "timestep_0.7":
+        # float rounding puts some samples' due times on the other side of a
+        # block's last step from where a search on the sample times finds them
+        cfg = with_simulation(cfg, timestep=0.7)
+    calib = calibrate_from_trace(synth.calibration_trace(cfg), synth.anchors_from_config(cfg))
+    if name == "press_10_noisy":
+        trace = synth.press_trace(cfg, 46, repeat=10, flex_noise=2.0, seed=3)
+    elif name == "rear_scale_concurrent":
+        trace = synth.scale_trace(cfg, [45, 43, 47])  # black, white, black
+    elif name in ("timestep_10", "timestep_0.7"):
+        trace = synth.press_trace(cfg, 46, repeat=3, flex_noise=2.0)
+    elif name == "held_stall":
+        trace = held_stall_trace(cfg)
+    else:  # "ends_mid_press": cut right after the press lands
+        full = synth.press_trace(cfg, 46)
+        trace = SensorTrace(full.samples[:int(synth.LEAD_MS + 150)], (), 1.0)
+    return cfg, calib, trace, run(trace, calib, cfg)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+@pytest.mark.parametrize("case", ["press_10_noisy", "rear_scale_concurrent",
+                                  "timestep_10", "timestep_0.7", "held_stall",
+                                  "ends_mid_press"])
+def test_block_length_leaves_the_log_unchanged(case, block_rows, monkeypatch):
+    """A run carries each axis's state, the send window, the tip height, the
+    key held down and the intentions used up from block to block, so its
+    log is the one run of the default length gives, the step log column by
+    column."""
+    cfg, calib, trace, expected = block_edge_case(case)
+    assert len(expected.steps) <= engine.BLOCK_ROWS  # one default block
+    monkeypatch.setattr(engine, "BLOCK_ROWS", block_rows)
+    assert_logs_equal(run(trace, calib, cfg), expected)
+
+
+def test_block_edge_cases_hold_what_they_name():
+    _, _, _, log = block_edge_case("press_10_noisy")
+    assert len(log.latencies) == 10
+    _, _, _, log = block_edge_case("rear_scale_concurrent")
+    assert [e.key_index for e in log.events if e.kind == "on"] == [45, 43, 47]
+    cfg, _, trace, log = block_edge_case("timestep_10")
+    # a command is sent two steps or more before it is applied
+    assert cfg.simulation.latency.command_path >= 2 * cfg.simulation.timestep
+    assert len(log.latencies) == 3
+    cfg, _, trace, log = block_edge_case("timestep_0.7")
+    data_path = cfg.simulation.latency.data_path
+    t, last = trace.samples["t"], log.steps["t"][6::7]  # each 7-step block's last
+    assert (np.searchsorted(t + data_path, last, "right")
+            > np.searchsorted(t, last - data_path, "right")).any()
+    assert len(log.latencies) == 3
+    cfg, calib, trace, log = block_edge_case("held_stall")
+    setpoint = control.horizontal_update(np.array([2105.0]), calib)[0]
+    on_target, _ = kinematics.keyline_position(
+        np.array([cfg.mount.heading + setpoint * 360.0 / plant.counts_per_output_rev(cfg.axis)]),
+        np.zeros(1), cfg.geometry, cfg.mount, np)
+    tip_x = log.steps["tip_x"]
+    held = len(tip_x) - np.flatnonzero(tip_x != tip_x[-1])[-1] - 1  # steps at the last x
+    assert held > 500 and tip_x[-1] != on_target[0]
+    assert (log.steps["theta_h_counts"][-held:] == setpoint).all()
+    _, _, _, log = block_edge_case("ends_mid_press")
+    assert [e.kind for e in log.events] == ["on", "off"]
+    assert log.events[1].t == log.steps["t"][-1]
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.3, 0.7, 1 / 3, 1.0, 10.0])
+def test_steps_before_is_a_search_of_the_step_end_times(dt):
+    """On every step end time, the floats beside it and times past either
+    end of the run, the count is what ``searchsorted`` finds in the column."""
+    n = 5_000
+    ends = np.arange(1, n + 1) * dt
+    x = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+                        ends + 0.5 * dt, [0.0, -1.0, ends[-1] * 2, np.inf]])
+    assert (engine._steps_before(x, dt, n) == np.searchsorted(ends, x)).all()
 
 
 def test_step_log_matches_timestep(cfg, calib):

@@ -235,8 +235,13 @@ def assert_run_axis_equals_chained_axis_step(schedule):
     n = runs[-1][1] - 1
     angles = array("d", [angle]) * (n + 1)
     velocities = array("d", [velocity]) * (n + 1)
-    run_axis(angles, velocities, iter(runs), sent if feedback else limits,
-             dt, axis, feedback)
+    end = run_axis(angles, velocities, iter(runs), sent if feedback else limits,
+                   dt, axis, feedback, (angle, velocity))
+    # without a velocity buffer the angles and the end state are the same
+    angles_only = array("d", [angle]) * (n + 1)
+    assert bits(run_axis(angles_only, None, iter(runs), sent if feedback else limits,
+                         dt, axis, feedback, (angle, velocity))) == bits(end)
+    assert bits(angles_only) == bits(angles)
 
     states = [(angle, velocity, encoder_counts(angle, axis))]
     for first, stop, setpoint in runs:
@@ -249,6 +254,7 @@ def assert_run_axis_equals_chained_axis_step(schedule):
             states.append(axis_step(states[-1], setpoint, limit, dt, axis))
     assert bits(angles) == bits([a for a, _, _ in states])
     assert bits(velocities) == bits([v for _, v, _ in states])
+    assert bits(end) == bits(states[-1][:2])
     assert encoder_count_column(np.frombuffer(angles), axis).tolist() == [
         c for _, _, c in states]
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from robothumb.errors import InputError, TraceFormatError
+from robothumb import synth
+from robothumb.config import default_config
+from robothumb.control import calibrate_from_trace
+from robothumb.errors import CalibrationIncompleteError, InputError, TraceFormatError
 from robothumb.sensors import (SensorConfig, SensorTrace,
                                accel_output, adc_quantize, divider_voltage,
                                flex_resistance, load_trace, save_trace)
@@ -126,6 +129,39 @@ def test_trace_csv_round_trip(tmp_path):
     assert (loaded.labels, loaded.sample_period) == (trace.labels, trace.sample_period)
     save_trace(loaded, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def test_read_back_press_trace_holds_no_labels(tmp_path):
+    """An unlabelled trace keeps no per-sample labels, written or read back
+    by either reader, and each row it writes ends in an empty label; one
+    label per sample or none is all a trace accepts."""
+    cfg = default_config()
+    trace = synth.press_trace(cfg, 46, repeat=2)
+    assert trace.labels == ()
+    path = tmp_path / "press_trace.csv"
+    save_trace(trace, path)
+    rows = path.read_bytes().split(b"\r\n")[1:-1]
+    assert len(rows) == len(trace.samples) and all(row.endswith(b",") for row in rows)
+    lf = tmp_path / "lf.csv"  # leaves the writer's layout: the text parser
+    lf.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    for loaded in (load_trace(path), load_trace(lf)):
+        assert loaded.labels == ()
+        assert loaded.samples.tobytes() == trace.samples.tobytes()
+    with pytest.raises(CalibrationIncompleteError, match="flex_min missing"):
+        calibrate_from_trace(trace, synth.anchors_from_config(cfg))
+    with pytest.raises(TraceFormatError, match="one label per sample"):
+        SensorTrace(trace.samples, ("",) * 3, 1.0)
+
+
+def test_calibration_trace_round_trips_its_labels(tmp_path):
+    cfg = default_config()
+    trace = synth.calibration_trace(cfg)
+    path = tmp_path / "calibration_trace.csv"
+    save_trace(trace, path)
+    loaded = load_trace(path)
+    assert len(loaded.labels) == len(loaded.samples) and loaded.labels == trace.labels
+    anchors = synth.anchors_from_config(cfg)
+    assert calibrate_from_trace(loaded, anchors) == calibrate_from_trace(trace, anchors)
 
 
 def test_load_trace_rejects_bad_header(tmp_path):

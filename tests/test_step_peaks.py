@@ -1,0 +1,19 @@
+import runpy
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "step_peaks.py"
+
+
+def test_prints_a_peak_after_each_step_of_a_tiny_flow(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool adds its own entries
+    tool = runpy.run_path(str(TOOL))
+    assert tool["main"](["press_session", "--size", "tiny", "--workdir", str(tmp_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    flow = tool["workloads"].build_flow("press_session", 0, "tiny", tmp_path)
+    assert [" ".join(row.split()[:2]) for row in rows] == [
+        " ".join(argv[:2]) for argv in flow.steps]
+    rss = [float(row.split()[2]) for row in rows]
+    peaks = [float(row.split()[3]) for row in rows]
+    assert rss == sorted(rss) and min(peaks) > 0
+    assert (tmp_path / "latency_report.txt").exists()
