@@ -92,8 +92,9 @@ def _synth_calibration(args, cfg: GlobalConfig) -> None:
     out = _out_dir(args)
     trace_path = out / "calibration_trace.csv"
     anchors_path = out / "anchors.txt"
+    anchors = synth.anchors_from_config(cfg)  # a refused mount writes no file
     save_trace(synth.calibration_trace(cfg), trace_path)
-    write_kv_file(synth.anchors_from_config(cfg), anchors_path)
+    write_kv_file(anchors, anchors_path)
     print(f"wrote {trace_path}")
     print(f"wrote {anchors_path}")
 

@@ -10,6 +10,10 @@ faster lift presses harder. Both laws map whole columns to ``array`` columns.
 ``aimed_counts`` is the package's one aim, from a key-line position to
 horizontal counts by the one count rule ``plant.encoder_counts``; synth's
 anchors and presses and the reach test of ``analysis`` all take it.
+
+``POSES`` names the six calibration poses once, each trace label with the
+column it anchors and the ``CalibrationSet`` field it fills; one rule,
+``whole_values``, reads the encoder anchors and a calibration file.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ from .plant import (MotorAxis, counts_per_output_rev, encoder_counts, round_half
 from .kinematics import FingerGeometry, theta_for_key
 from .sensors import SensorTrace
 
-# trace labels consumed by calibrate_from_trace, each with the column it anchors
-LABEL_COLUMNS = {"flex_min": "flex_adc", "flex_max": "flex_adc",
-                 "foot_down": "acc_y_adc", "foot_up": "acc_y_adc",
-                 "z_rest": "acc_z_adc", "z_active": "acc_z_adc"}
+# the six calibration poses: trace label -> (the column its samples anchor,
+# the CalibrationSet field that holds their mean code)
+POSES = {"flex_min": ("flex_adc", "flex_min"), "flex_max": ("flex_adc", "flex_max"),
+         "foot_down": ("acc_y_adc", "y_min"), "foot_up": ("acc_y_adc", "y_max"),
+         "z_rest": ("acc_z_adc", "z_min"), "z_active": ("acc_z_adc", "z_max")}
 # encoder anchors supplied alongside the trace
 ANCHOR_NAMES = ("enc_h_min", "enc_h_max", "enc_hover", "enc_pressed")
 
@@ -102,27 +107,12 @@ def calibrate_from_trace(trace: SensorTrace, anchors: dict) -> CalibrationSet:
     """
     labels = np.array(trace.labels, dtype=object)  # compared as Python str
     means = {}
-    for label, column in LABEL_COLUMNS.items():
+    for label, (column, field) in POSES.items():
         codes = trace.samples[column][labels == label].tolist() if trace.labels else []
         if not codes:
             raise CalibrationIncompleteError(label)
-        means[label] = round_half_away(sum(codes) / len(codes))  # exact integer sum
-    for name in ANCHOR_NAMES:
-        if name not in anchors:
-            raise CalibrationIncompleteError(name)
-
-    return CalibrationSet(
-        flex_min=means["flex_min"],
-        flex_max=means["flex_max"],
-        enc_h_min=whole_number(anchors, "enc_h_min"),
-        enc_h_max=whole_number(anchors, "enc_h_max"),
-        y_min=means["foot_down"],
-        y_max=means["foot_up"],
-        z_min=means["z_rest"],
-        z_max=means["z_active"],
-        enc_hover=whole_number(anchors, "enc_hover"),
-        enc_pressed=whole_number(anchors, "enc_pressed"),
-    )
+        means[field] = round_half_away(sum(codes) / len(codes))  # exact integer sum
+    return CalibrationSet(**means, **whole_values(anchors, ANCHOR_NAMES))
 
 
 def validate_anchor_ranges(anchors: dict, geometry: FingerGeometry,
@@ -144,7 +134,7 @@ def validate_calibration_ranges(calib: CalibrationSet, config: "GlobalConfig") -
     """Check that a calibration's sensor anchors are codes of the configured
     ADC and its encoder anchors fit inside the joint ranges."""
     full_scale = config.sensors.full_scale
-    for name in ("flex_min", "flex_max", "y_min", "y_max", "z_min", "z_max"):
+    for _, name in POSES.values():
         code = getattr(calib, name)
         if not 0 <= code <= full_scale:
             raise ConfigurationError(f"{name} = {code} outside the ADC range [0, {full_scale}]")
@@ -186,19 +176,23 @@ def save_calibration(calib: CalibrationSet, path) -> None:
 
 def load_calibration(path) -> CalibrationSet:
     names = [f.name for f in fields(CalibrationSet)]
-    values = read_kv_file(path, names)
+    return CalibrationSet(**whole_values(read_kv_file(path, names), names))
+
+
+def whole_values(values: dict, names) -> dict:
+    """``values`` of each of ``names`` as an int, by name: every name must be
+    present before any is converted, and NaN, infinities and fractions are
+    rejected."""
     for name in names:
         if name not in values:
             raise CalibrationIncompleteError(name)
-    return CalibrationSet(**{name: whole_number(values, name) for name in names})
-
-
-def whole_number(values: dict, name: str) -> int:
-    """``values[name]`` as an int; rejects NaN, infinities and fractions."""
-    value = float(values[name])
-    if not value.is_integer():
-        raise ConfigurationError(f"{name} = {value} is not a whole number")
-    return int(value)
+    whole = {}
+    for name in names:
+        value = float(values[name])
+        if not value.is_integer():
+            raise ConfigurationError(f"{name} = {value} is not a whole number")
+        whole[name] = int(value)
+    return whole
 
 
 def read_kv_file(path, names=None) -> dict:

@@ -39,10 +39,6 @@ class InputError(RobothumbError):
 class ReachError(RobothumbError):
     """A requested key-line position is outside the finger's reach."""
 
-    def __init__(self, message: str, max_reachable_x: float | None = None):
-        super().__init__(message)
-        self.max_reachable_x = max_reachable_x
-
 
 class TravelRangeError(RobothumbError):
     """A requested press travel cannot be produced within the joint range."""
@@ -53,7 +49,6 @@ class CalibrationIncompleteError(RobothumbError):
 
     def __init__(self, name: str):
         super().__init__(f"{name} missing")
-        self.name = name
 
 
 class DegenerateCalibrationError(RobothumbError):

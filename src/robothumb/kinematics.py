@@ -117,8 +117,7 @@ def theta_for_key(key_center_x: float, mount: MountPose,
     if abs(dx) > r:
         raise ReachError(
             f"key at x={key_center_x} mm is beyond reach; max reachable "
-            f"x={mount.base_x + r:.2f} mm",
-            max_reachable_x=mount.base_x + r)
+            f"x={mount.base_x + r:.2f} mm")
     return math.degrees(math.acos(dx / r))
 
 

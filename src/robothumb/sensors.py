@@ -207,22 +207,22 @@ class SensorConfig:
 class SensorTrace:
     """Time-ordered, uniformly sampled sensor readings, stored as columns.
 
-    ``samples`` holds one ``SAMPLE_DTYPE`` record per reading: the time
-    ``t`` (ms, float64) and the three ADC codes (int64); ``labels`` holds
-    each reading's calibration segment tag, empty outside calibration, or
-    is itself empty when no reading carries a tag, so that an unlabelled
-    trace keeps no per-reading container. The array is read-only once the
-    trace is checked. Compare traces column by column: ``==`` on arrays is
+    A trace is its samples plus labels. ``samples`` holds one
+    ``SAMPLE_DTYPE`` record per reading: the time ``t`` (ms, float64) and the
+    three ADC codes (int64); ``labels`` holds each reading's calibration
+    segment tag, empty outside calibration, or is itself empty when no
+    reading carries a tag, so that an unlabelled trace keeps no per-reading
+    container. The sampling period is the first spacing of the times, and
+    every other spacing lies within 1% of it. The array is read-only once
+    the trace is checked. Compare traces column by column: ``==`` on arrays is
     element-wise.
     """
 
     samples: np.ndarray
     labels: tuple[str, ...]
-    sample_period: float  # ms
 
     @classmethod
-    def from_columns(cls, t, flex_adc, acc_y_adc, acc_z_adc, labels,
-                     sample_period: float) -> "SensorTrace":
+    def from_columns(cls, t, flex_adc, acc_y_adc, acc_z_adc, labels) -> "SensorTrace":
         samples = np.empty(len(t), SAMPLE_DTYPE)
         samples["t"] = t
         for name, codes in zip(SAMPLE_DTYPE.names[1:], (flex_adc, acc_y_adc, acc_z_adc)):
@@ -231,7 +231,7 @@ class SensorTrace:
             except OverflowError as exc:
                 raise InputError(f"{name}: an ADC code does not fit int64") from exc
         labels = tuple(labels)
-        return cls(samples, labels if any(labels) else (), float(sample_period))
+        return cls(samples, labels if any(labels) else ())
 
     def __post_init__(self):
         if self.labels and len(self.labels) != len(self.samples):
@@ -240,8 +240,6 @@ class SensorTrace:
             if not LABEL_FORBIDDEN.isdisjoint(label):
                 raise TraceFormatError(
                     f"label {label!r} contains a comma, quote or line break")
-        if self.sample_period <= 0:
-            raise TraceFormatError("sample_period must be positive")
         t = self.samples["t"]
         bad = ~np.isfinite(t)
         if bad.any():
@@ -251,15 +249,13 @@ class SensorTrace:
         dt = np.diff(t)
         if (dt <= 0).any():
             raise TraceFormatError("sample timestamps must be strictly increasing")
-        dt -= self.sample_period  # in place: the spacings' deviations
-        off = np.abs(dt, out=dt) > 0.01 * self.sample_period
+        period = float(dt[0]) if len(dt) else 0.0  # ms, the first spacing
+        dt -= period  # in place: the spacings' deviations
+        off = np.abs(dt, out=dt) > 0.01 * period
         if off.any():
             raise TraceFormatError(
                 f"sample spacing {np.diff(t)[off][0]} ms deviates more than 1% from "
-                f"period {self.sample_period} ms")
-        # after the timestamps, which name the fault in a period derived from them
-        if not math.isfinite(self.sample_period):
-            raise TraceFormatError(f"sample_period {self.sample_period} is not finite")
+                f"period {period} ms")
         self.samples.flags.writeable = False
 
 
@@ -419,8 +415,7 @@ def _read_writer_layout(f) -> SensorTrace:
         filled = rows.stop
     if not 2 <= filled == n:  # under two rows
         raise OtherLayout
-    return SensorTrace(samples, tuple(labels) if labels else (),
-                       float(np.diff(samples["t"][:2])[0]))
+    return SensorTrace(samples, tuple(labels) if labels else ())
 
 
 def _parse_trace(data: bytes) -> SensorTrace:
@@ -446,7 +441,7 @@ def _parse_trace(data: bytes) -> SensorTrace:
                 labels.append(fields[4])
     except ValueError as exc:
         raise TraceFormatError(f"line {lineno}: {exc}") from None
-    return SensorTrace.from_columns(t, flex, acc_y, acc_z, labels, t[1] - t[0])
+    return SensorTrace.from_columns(t, flex, acc_y, acc_z, labels)
 
 
 class _Codes(dict):

@@ -32,6 +32,7 @@ FOOT_UP_PITCH_DEG = 25.0   # held dorsiflexion while a key is down
 CAL_LIFT_DYN_G = 1.0       # reference lift acceleration saved as the Z maximum
 Z_PULSE_MS = 80.0          # acceleration pulse of a full-speed lift/drop
 PRESS_HOLD_MS = 200.0      # foot-up time per press
+Z_GAP_MS = 40.0            # least Z rest between a lift pulse and its landing pulse
 PRESS_CYCLE_MS = 400.0     # lift-to-lift spacing
 LEAD_MS = 900.0            # settle time before the first press
 TAIL_MS = 300.0            # trailing quiet time
@@ -111,9 +112,8 @@ def _row_count(span_ms: float, period: float, least: int = 2) -> int:
 
 def _build_trace(cfg: GlobalConfig, codes: np.ndarray, labels) -> SensorTrace:
     """A trace of (flex, y, z) code rows, one every timestep from t = 0."""
-    period = cfg.simulation.timestep
-    t = np.arange(len(codes)) * period  # the same floats as i * period
-    return SensorTrace.from_columns(t, *codes.T, labels, period)
+    t = np.arange(len(codes)) * cfg.simulation.timestep  # the same floats as i * timestep
+    return SensorTrace.from_columns(t, *codes.T, labels)
 
 
 def calibration_trace(cfg: GlobalConfig) -> SensorTrace:
@@ -155,8 +155,9 @@ def _press_speed(speed) -> float:
 
 
 def _pulse_ms(speed: float) -> float:
-    # a slower lift accelerates more gently but for longer
-    return min(Z_PULSE_MS / speed, PRESS_HOLD_MS)
+    # a slower lift accelerates more gently but for longer; Z falls back to
+    # rest before the landing pulse, so every lift is a fresh crossing
+    return min(Z_PULSE_MS / speed, PRESS_HOLD_MS - Z_GAP_MS)
 
 
 def _press_codes(cfg: GlobalConfig, flex_target: int, speed: float,

@@ -75,6 +75,18 @@ def test_max_speed_press_hits_velocity_cap(workdir):
     assert ons and all(r.endswith(",127") for r in ons)
 
 
+@pytest.mark.parametrize("speed", ["0.33", "0.35", "0.4", "0.45", "0.5", "0.6", "0.8", "1"])
+def test_every_press_is_detected_at_each_speed(speed, workdir, tmp_path, capsys):
+    """From speed 0.4 down the lift and landing Z pulses abutted, so Z never
+    fell back to rest and 10 presses gave one latency record."""
+    assert run("synth", "press", "--key", 46, "--repeat", 10, "--speed", speed,
+               "--out", tmp_path) == 0
+    capsys.readouterr()
+    assert run("simulate", "--trace", tmp_path / "press_trace.csv",
+               "--calibration", workdir / "calibration.txt", "--out", tmp_path) == 0
+    assert "events: 20  latency records: 10  air presses: 0" in capsys.readouterr().out
+
+
 def test_black_key_press_with_rear_depth_fixture(workdir, tmp_path):
     """A black key (index 40, C#4) needs a sweep that reaches it and the
     hand shifted into the rear zone; one press yields one on/off pair."""
@@ -310,6 +322,24 @@ def test_pressed_anchor_beyond_the_joint_range_exits_2(scenario, tmp_path, capsy
     assert not (tmp_path / "anchors.txt").exists()
 
 
+@pytest.mark.parametrize("argv,config,message", [
+    (("press", "--key", 46, "--repeat", 0), None, "repeat must be >= 1"),
+    (("press", "--key", 88), None, "key index 88 outside the keyboard"),
+    (("scale", "--keys", "44,88"), None, "key index 88 outside the keyboard"),
+    (("calibration",), "[mount]\nbase_z = 10\n",
+     "mount base_z puts the hovering tip below the keys"),
+], ids=["repeat-0", "press-key-88", "scale-key-88", "base-z-10"])
+def test_synth_input_outside_its_domain_exits_2(argv, config, message, tmp_path, capsys):
+    """Each refusal writes no file; the low mount once left a calibration
+    trace behind."""
+    if config is not None:
+        (tmp_path / "config.ini").write_text(config)
+        argv += ("--config", tmp_path / "config.ini")
+    assert run("synth", *argv, "--out", tmp_path / "out") == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*"))
+
+
 def test_verbose_only_on_simulate(workdir, tmp_path, capsys):
     assert run("synth", "calibration", "--verbose", "--out", tmp_path) == 1
     assert run("synth", "press", "--key", 46, "--out", tmp_path) == 0
@@ -327,11 +357,13 @@ def test_verbose_only_on_simulate(workdir, tmp_path, capsys):
 @pytest.mark.parametrize("text,message", [
     (b"x,y,z\nnan,0,0\n", "dirs.csv: direction norms deviate from 1 by up to nan"),
     (b"x,y,z\n1,0,0\n1,0\n", "dirs.csv: the number of columns changed"),
+    (b"x,y,z\n1,0\n0,1\n", "dirs.csv: expected 3 columns x,y,z"),
     (b"x,y,z\nabc,0,0\n", "dirs.csv: could not convert string 'abc'"),
     (b"x,y,z\n", "dirs.csv: direction set is empty"),
     (b"1,0,0\n0,1,0\n", "dirs.csv: first line must be the header x,y,z"),
     (b"x,y,z\n\xff,0,0\n", "dirs.csv: 'utf-8' codec can't decode"),
-], ids=["nan", "ragged", "non-numeric", "header-only", "no-header", "undecodable"])
+], ids=["nan", "ragged", "non-numeric", "header-only", "no-header", "undecodable",
+        "two-columns"])
 def test_malformed_direction_csv_exits_2(text, message, tmp_path, capsys):
     dirs = tmp_path / "dirs.csv"
     dirs.write_bytes(text)
@@ -373,6 +405,28 @@ def test_malformed_latency_row_exits_2(what, row, message, tmp_path, capsys):
     assert run("analyze", *what, "--latency", latency, "--out", tmp_path) == 2
     assert f"{latency}: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*_report.txt"))
+
+
+def test_latency_file_with_another_header_exits_2(tmp_path, capsys):
+    latency = tmp_path / "latency.csv"
+    latency.write_text("intention_ms,delay_ms\n900.000,85.000\n")
+    assert run("analyze", "latency", "--latency", latency, "--out", tmp_path) == 2
+    assert f"{latency}: not a latency log" in capsys.readouterr().err
+    assert not (tmp_path / "latency_report.txt").exists()
+
+
+def test_blank_line_between_latency_rows_is_skipped(tmp_path):
+    rows = ["intention_ms,action_ms,delay_ms\n", "900.000,985.000,85.000\n",
+            "1300.000,1390.000,90.000\n"]
+    (tmp_path / "plain.csv").write_text("".join(rows))
+    (tmp_path / "blank.csv").write_text("".join(rows[:2]) + "\n" + rows[2])
+    reports = []
+    for name in ("plain", "blank"):
+        assert run("analyze", "latency", "--latency", tmp_path / f"{name}.csv",
+                   "--out", tmp_path / name) == 0
+        reports.append((tmp_path / name / "latency_report.txt").read_text())
+    assert reports[0] == reports[1]
+    assert "count = 2\n" in reports[1]
 
 
 def test_undecodable_latency_file_exits_2(tmp_path, capsys):
@@ -482,6 +536,16 @@ def test_unknown_calibration_name_exits_2(workdir, tmp_path, capsys):
     assert not (tmp_path / "range_report.txt").exists()
 
 
+def test_calibration_missing_a_name_exits_2(workdir, tmp_path, capsys):
+    calibration = tmp_path / "calibration.txt"
+    calibration.write_text("".join(
+        line for line in (workdir / "calibration.txt").read_text().splitlines(True)
+        if not line.startswith("enc_pressed ")))
+    assert run("analyze", "range", "--calibration", calibration, "--out", tmp_path) == 2
+    assert "error: enc_pressed missing\n" in capsys.readouterr().err
+    assert not (tmp_path / "range_report.txt").exists()
+
+
 def test_calibration_trace_code_beyond_the_adc_range_exits_2(workdir, tmp_path, capsys):
     """flex_min rows of 7482 and -2518 on a 12-bit ADC keep the segment mean
     a valid code; calibrate wrote calibration.txt, exit 0."""
@@ -507,6 +571,16 @@ def test_trace_error_names_the_file(workdir, tmp_path, capsys):
     assert run("simulate", "--trace", trace, "--calibration", workdir / "calibration.txt",
                "--out", tmp_path) == 2
     assert f"error: {trace}: line 3: expected 5 columns" in capsys.readouterr().err
+
+
+def test_negative_trace_timestamp_exits_2(workdir, tmp_path, capsys):
+    trace = tmp_path / "negative.csv"
+    trace.write_text("t_ms,flex_adc,acc_y_adc,acc_z_adc,label\n"
+                     "-1,2000,1229,1474,\n0,2000,1229,1474,\n")
+    assert run("simulate", "--trace", trace, "--calibration", workdir / "calibration.txt",
+               "--out", tmp_path) == 2
+    assert f"error: {trace}: sample timestamps must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "events.csv").exists()
 
 
 def test_calibrate_prints_the_calibration_file(workdir, tmp_path, capsys):

@@ -1,12 +1,13 @@
 import random
 from array import array
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from robothumb.config import default_config
-from robothumb.control import (CalibrationSet, ControlParams,
+from robothumb.control import (ANCHOR_NAMES, POSES, CalibrationSet, ControlParams,
                                calibrate_from_trace, horizontal_update,
                                linear_map, load_calibration, save_calibration,
                                validate_calibration_ranges, vertical_update)
@@ -28,7 +29,7 @@ def make_trace(rows):
     """rows: (flex, y, z, label) tuples at 1 ms spacing."""
     flex, acc_y, acc_z, labels = zip(*rows)
     return SensorTrace.from_columns([float(i) for i in range(len(rows))],
-                                    flex, acc_y, acc_z, labels, 1.0)
+                                    flex, acc_y, acc_z, labels)
 
 
 def full_calibration_rows(flex_values=(1000, 1002)):
@@ -76,14 +77,43 @@ def test_calibrate_means_and_rounding():
 
 def test_calibrate_missing_label_names_it():
     rows = [r for r in full_calibration_rows() if r[3] != "foot_up"]
-    with pytest.raises(CalibrationIncompleteError, match="foot_up"):
+    with pytest.raises(CalibrationIncompleteError, match="^foot_up missing$"):
         calibrate_from_trace(make_trace(rows), ANCHORS)
 
 
 def test_calibrate_missing_anchor_names_it():
     anchors = {k: v for k, v in ANCHORS.items() if k != "enc_pressed"}
-    with pytest.raises(CalibrationIncompleteError, match="enc_pressed"):
+    with pytest.raises(CalibrationIncompleteError, match="^enc_pressed missing$"):
         calibrate_from_trace(make_trace(full_calibration_rows()), anchors)
+    # every anchor is looked for before any is read as a whole number
+    with pytest.raises(CalibrationIncompleteError, match="^enc_pressed missing$"):
+        calibrate_from_trace(make_trace(full_calibration_rows()), {**anchors, "enc_h_min": 0.5})
+
+
+def test_poses_and_anchors_name_each_calibration_field_once():
+    assert sorted([field for _, field in POSES.values()] + list(ANCHOR_NAMES)) == sorted(
+        f.name for f in fields(CalibrationSet))
+
+
+def test_calibrate_fractional_anchor_names_the_first():
+    anchors = {**ANCHORS, "enc_hover": 0.5, "enc_pressed": 558.5}
+    with pytest.raises(ConfigurationError, match=r"^enc_hover = 0\.5 is not a whole number$"):
+        calibrate_from_trace(make_trace(full_calibration_rows()), anchors)
+
+
+@pytest.mark.parametrize("drop,error,message", [
+    ("enc_pressed", CalibrationIncompleteError, r"^enc_pressed missing$"),
+    (None, ConfigurationError, r"^flex_min = 2482\.5 is not a whole number$"),
+], ids=["missing-name", "fractional"])
+def test_calibration_file_fault_names_its_entry(drop, error, message, tmp_path):
+    """flex_min and z_max are fractional: a missing name is found first."""
+    path = tmp_path / "calibration.txt"
+    save_calibration(CAL, path)
+    lines = [line + ".5" if line.startswith(("flex_min", "z_max")) else line
+             for line in path.read_text().splitlines() if not line.startswith(f"{drop} ")]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error, match=message):
+        load_calibration(path)
 
 
 def test_calibrate_single_samples_identity():
@@ -221,6 +251,13 @@ def test_validate_calibration_ranges():
                               enc_pressed=9000)  # ~198 deg, past the joint stop
     with pytest.raises(ConfigurationError, match="enc_pressed"):
         validate_calibration_ranges(too_deep, default_config())
+
+
+@pytest.mark.parametrize("field", [field for _, field in POSES.values()])
+def test_validate_calibration_ranges_checks_each_sensor_anchor(field):
+    bad = replace(CAL, **{field: 4096})
+    with pytest.raises(ConfigurationError, match=f"{field} = 4096 outside the ADC range"):
+        validate_calibration_ranges(bad, default_config())
 
 
 def test_control_params_validation():

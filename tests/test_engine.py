@@ -20,10 +20,10 @@ from robothumb.plant import MotorAxis
 from robothumb.sensors import BLOCK_ROWS, SensorTrace
 
 
-def make_trace(rows, period=1.0):
+def make_trace(rows):
     flex, acc_y, acc_z = zip(*rows)
-    return SensorTrace.from_columns([i * period for i in range(len(rows))],
-                                    flex, acc_y, acc_z, [""] * len(rows), period)
+    return SensorTrace.from_columns([float(i) for i in range(len(rows))],
+                                    flex, acc_y, acc_z, [""] * len(rows))
 
 
 def press_fixture(cfg, key_index=46, speed=0.5, repeat=1):
@@ -87,7 +87,7 @@ def test_intention_detect_refractory_and_rearm(cfg, calib):
 
 
 def test_empty_trace_empty_log(cfg, calib):
-    log = run(SensorTrace.from_columns([], [], [], [], [], 1.0), calib, cfg)
+    log = run(SensorTrace.from_columns([], [], [], [], []), calib, cfg)
     assert log.events == [] and log.latencies == []
     assert len(log.steps) == 0 and log.steps.dtype == STEP_DTYPE
 
@@ -132,7 +132,7 @@ def test_key_on_charged_to_latest_intention(cfg, calib):
     _, z_bump = synth.accel_codes(cfg, 0.0, 0.5)
     samples = press.samples.copy()
     samples["acc_z_adc"][(50.0 <= samples["t"]) & (samples["t"] < 130.0)] = z_bump
-    log = run(SensorTrace(samples, press.labels, 1.0), calib, cfg)
+    log = run(SensorTrace(samples, press.labels), calib, cfg)
     assert log.intentions == [50.0, synth.LEAD_MS]
     assert log.air_presses == []
     [record] = log.latencies
@@ -158,7 +158,7 @@ def test_press_free_z_bumps_keep_latency_records(cfg, calib, scale_run, data):
     edges = [0.0]
     for t_up in log.intentions:
         edges += [t_up - cfg.control.z_refractory_ms, t_up + synth.PRESS_CYCLE_MS]
-    edges.append(float(t[-1]) + trace.sample_period)
+    edges.append(float(t[-1]) + cfg.simulation.timestep)
     quiet = list(zip(edges[0::2], edges[1::2]))  # [lo, hi) spans in ms
     samples = trace.samples.copy()
     for _ in range(data.draw(st.integers(1, 4))):
@@ -167,7 +167,7 @@ def test_press_free_z_bumps_keep_latency_records(cfg, calib, scale_run, data):
         end = data.draw(st.integers(start + 1, int(hi)))
         z = data.draw(st.integers(0, cfg.sensors.full_scale))
         samples["acc_z_adc"][(t >= start) & (t < end)] = z
-    bumped = run(SensorTrace(samples, trace.labels, trace.sample_period), calib, cfg)
+    bumped = run(SensorTrace(samples, trace.labels), calib, cfg)
     assert bumped.latencies == log.latencies
     assert bumped.air_presses == []
 
@@ -282,7 +282,7 @@ def test_forced_release_at_end_of_trace(cfg, calib):
     full = press_fixture(cfg, repeat=1)
     # truncate right after the press lands, before the foot drops
     cut = int(synth.LEAD_MS + 150)
-    truncated = SensorTrace(full.samples[:cut], full.labels[:cut], 1.0)
+    truncated = SensorTrace(full.samples[:cut], full.labels[:cut])
     log = run(truncated, calib, cfg)
     kinds = [e.kind for e in log.events]
     assert kinds == ["on", "off"]
@@ -295,8 +295,7 @@ def held_stall_trace(cfg):
     y_down, z_rest = synth.accel_codes(cfg, 0.0, 0.0)
     flex = [2104] * 400 + [2105] * 600
     n = len(flex)
-    return SensorTrace.from_columns(np.arange(n) * 1.0, flex, [y_down] * n, [z_rest] * n,
-                                    (), 1.0)
+    return SensorTrace.from_columns(np.arange(n) * 1.0, flex, [y_down] * n, [z_rest] * n, ())
 
 
 def with_simulation(cfg, **changes):
@@ -328,7 +327,7 @@ def block_edge_case(name):
         trace = held_stall_trace(cfg)
     else:  # "ends_mid_press": cut right after the press lands
         full = synth.press_trace(cfg, 46)
-        trace = SensorTrace(full.samples[:int(synth.LEAD_MS + 150)], (), 1.0)
+        trace = SensorTrace(full.samples[:int(synth.LEAD_MS + 150)], ())
     return cfg, calib, trace, run(trace, calib, cfg)
 
 
@@ -400,7 +399,7 @@ def test_sparse_trace_runs_every_step_of_its_span(cfg, calib):
     """Two samples 100 s apart: the run still spans the whole gap, one
     step per timestep, to the last sample plus data path and settle tail."""
     trace = SensorTrace.from_columns([0.0, 100000.0], [2000] * 2, [1229] * 2,
-                                     [calib.z_min] * 2, ["", ""], 100000.0)
+                                     [calib.z_min] * 2, ["", ""])
     log = run(trace, calib, cfg)
     assert len(log.steps) == 100235
     assert log.steps["t"][-1] == 100235.0
@@ -409,15 +408,14 @@ def test_sparse_trace_runs_every_step_of_its_span(cfg, calib):
 def test_span_beyond_step_limit_rejected(cfg, calib, monkeypatch):
     """One sample at t = 1e12 ms would need 10**12 steps; it is rejected
     before any per-step column is allocated."""
-    far = SensorTrace.from_columns([1e12], [2000], [1229], [calib.z_min], [""], 1.0)
+    far = SensorTrace.from_columns([1e12], [2000], [1229], [calib.z_min], [""])
     with pytest.raises(InputError, match=f"more than {MAX_STEPS} steps"):
         run(far, calib, cfg)
     # at a small limit, a span of exactly the limit runs and one step more fails
     monkeypatch.setattr(engine, "MAX_STEPS", 1000)
     tail = cfg.simulation.latency.data_path + cfg.simulation.settle_tail_ms
     for t_last, steps in ((1000.0 - tail, 1000), (1001.0 - tail, None)):
-        trace = SensorTrace.from_columns([t_last], [2000], [1229], [calib.z_min],
-                                         [""], 1.0)
+        trace = SensorTrace.from_columns([t_last], [2000], [1229], [calib.z_min], [""])
         if steps is None:
             with pytest.raises(InputError, match="more than 1000 steps"):
                 run(trace, calib, cfg)

@@ -87,10 +87,10 @@ def test_outputs_bit_deterministic():
     assert first == second
 
 
-def make_trace(t, period=1.0, labels=None):
+def make_trace(t, labels=None):
     n = len(t)
     return SensorTrace.from_columns(t, [2000] * n, [1229] * n, [1474] * n,
-                                    labels or [""] * n, period)
+                                    labels or [""] * n)
 
 
 def test_trace_rejects_non_monotone_timestamps():
@@ -106,16 +106,13 @@ def test_trace_rejects_non_finite_timestamps(bad):
         make_trace([bad])
 
 
-@pytest.mark.parametrize("period", [math.nan, math.inf, 0.0, -1.0])
-def test_trace_rejects_bad_sample_period(period):
-    # irregular timestamps, which a NaN or inf period lets past the spacing check
-    with pytest.raises(TraceFormatError, match="sample_period"):
-        make_trace([0.0, 1.0, 7.0], period)
-
-
 def test_trace_rejects_irregular_spacing():
-    with pytest.raises(TraceFormatError):
+    """The period is the first spacing; the message names both."""
+    with pytest.raises(TraceFormatError) as err:
         make_trace([0.0, 1.0, 2.5])
+    assert str(err.value) == "sample spacing 1.5 ms deviates more than 1% from period 1.0 ms"
+    with pytest.raises(TraceFormatError, match="spacing 1.0 ms .* from period 2.0 ms"):
+        make_trace([0.0, 2.0, 3.0])
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -126,7 +123,7 @@ def test_trace_csv_round_trip(tmp_path):
     loaded = load_trace(path)
     assert np.array_equal(loaded.samples, trace.samples)
     assert loaded.samples.dtype == trace.samples.dtype
-    assert (loaded.labels, loaded.sample_period) == (trace.labels, trace.sample_period)
+    assert loaded.labels == trace.labels
     save_trace(loaded, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
@@ -150,7 +147,7 @@ def test_read_back_press_trace_holds_no_labels(tmp_path):
     with pytest.raises(CalibrationIncompleteError, match="flex_min missing"):
         calibrate_from_trace(trace, synth.anchors_from_config(cfg))
     with pytest.raises(TraceFormatError, match="one label per sample"):
-        SensorTrace(trace.samples, ("",) * 3, 1.0)
+        SensorTrace(trace.samples, ("",) * 3)
 
 
 def test_calibration_trace_round_trips_its_labels(tmp_path):

@@ -96,7 +96,7 @@ def trace_columns(draw):
     for _ in range(3):  # a few codes repeated, mixed with arbitrary ones
         pool = draw(st.lists(INT64 | st.sampled_from(EDGE_CODES), min_size=1, max_size=4))
         codes.append(draw(st.lists(st.sampled_from(pool) | INT64, min_size=n, max_size=n)))
-    return (t, *codes, draw(st.lists(LABELS, min_size=n, max_size=n)), period)
+    return (t, *codes, draw(st.lists(LABELS, min_size=n, max_size=n)))
 
 
 @settings(deadline=None)
@@ -104,14 +104,13 @@ def trace_columns(draw):
 def test_save_trace_matches_csv_writer(tmp_path_factory, columns):
     """Labels that csv.writer leaves unquoted are written as it writes them;
     a trace with a label it would quote cannot be built."""
-    *rows, period = columns
-    if not all(map(unquoted, rows[4])):
+    if not all(map(unquoted, columns[4])):
         with pytest.raises(TraceFormatError, match="comma, quote or line break"):
-            SensorTrace.from_columns(*rows, period)
+            SensorTrace.from_columns(*columns)
         return
     path = tmp_path_factory.getbasetemp() / "property.csv"
-    save_trace(SensorTrace.from_columns(*rows, period), path)
-    assert path.read_bytes().decode("utf-8") == csv_writer_text(*rows)
+    save_trace(SensorTrace.from_columns(*columns), path)
+    assert path.read_bytes().decode("utf-8") == csv_writer_text(*columns)
 
 
 def assert_same_text(text, expected):
@@ -131,7 +130,7 @@ def test_save_trace_matches_csv_writer_at_block_edges(n, tmp_path):
     rows = [[i * 1.0 for i in range(n)], rng.integers(0, 16, n).tolist(),
             rng.choice(EDGE_CODES, n).tolist(), rng.integers(1, 3, n).tolist(),
             rng.choice(["", "flex_min", " z_rest "], n).tolist()]
-    save_trace(SensorTrace.from_columns(*rows, 1.0), tmp_path / "trace.csv")
+    save_trace(SensorTrace.from_columns(*rows), tmp_path / "trace.csv")
     text = (tmp_path / "trace.csv").read_bytes().decode("utf-8")
     assert_same_text(text, csv_writer_text(*rows))
 
@@ -147,7 +146,7 @@ def test_save_trace_one_block_out_of_fixed_point_range(column, value, tmp_path):
     rows = dict(zip(TRACE_HEADER, [[float(i) for i in range(n)],
                                    *rng.integers(0, 4_096, (3, n)).tolist(), [""] * n]))
     rows[column][BLOCK_ROWS] = value
-    save_trace(SensorTrace.from_columns(*rows.values(), 1.0), tmp_path / "trace.csv")
+    save_trace(SensorTrace.from_columns(*rows.values()), tmp_path / "trace.csv")
     text = (tmp_path / "trace.csv").read_bytes().decode("utf-8")
     assert_same_text(text, csv_writer_text(*rows.values()))
 
@@ -160,13 +159,13 @@ def test_save_trace_one_block_out_of_fixed_point_range(column, value, tmp_path):
 def test_save_trace_spells_times_as_csv_writer(t, tmp_path):
     n = len(t)
     rows = [t, [0] * n, [0] * n, [0] * n, [""] * n]
-    save_trace(SensorTrace.from_columns(*rows, t[1] - t[0]), tmp_path / "trace.csv")
+    save_trace(SensorTrace.from_columns(*rows), tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes().decode("utf-8") == csv_writer_text(*rows)
 
 
 def times_trace(t) -> SensorTrace:
     n = len(t)
-    return SensorTrace.from_columns(t, [0] * n, [0] * n, [0] * n, [""] * n, t[1] - t[0])
+    return SensorTrace.from_columns(t, [0] * n, [0] * n, [0] * n, [""] * n)
 
 
 @settings(deadline=None)
@@ -272,7 +271,6 @@ def test_loader_parses_each_spelling_of_a_code_with_int(tmp_path):
 def test_loader_parses_time_with_float(tmp_path):
     trace = load_text(tmp_path, f"{HEADER}\n1e3,1,2,3,\n 1001.0 ,1,2,3,\n")
     assert columns_of(trace)[0] == [1000.0, 1001.0]
-    assert trace.sample_period == 1.0
 
 
 @pytest.mark.parametrize("row,message", [
@@ -291,7 +289,7 @@ def test_loader_rejects_codes_beyond_int64(code, tmp_path):
     with pytest.raises(TraceFormatError, match="line 3: ADC code does not fit int64"):
         load_text(tmp_path, f"{HEADER}\n0,1,2,3,\n1,1,{code},3,\n")
     with pytest.raises(InputError, match="acc_y_adc: an ADC code does not fit int64"):
-        SensorTrace.from_columns([0.0, 1.0], [1, 1], [2, code], [3, 3], ["", ""], 1.0)
+        SensorTrace.from_columns([0.0, 1.0], [1, 1], [2, code], [3, 3], ["", ""])
 
 
 @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
@@ -332,7 +330,7 @@ def reference_load(path) -> SensorTrace:
                 except ValueError as exc:
                     raise TraceFormatError(f"line {lineno}: {exc}") from None
             raise
-        return SensorTrace.from_columns(t, *codes, labels, t[1] - t[0])
+        return SensorTrace.from_columns(t, *codes, labels)
     except (UnicodeDecodeError, TraceFormatError) as exc:
         raise TraceFormatError(f"{path}: {exc}") from None
 
@@ -380,7 +378,6 @@ def assert_same_trace(got, expected):
     for name in SAMPLE_DTYPE.names[1:]:
         assert np.array_equal(got.samples[name], expected.samples[name]), name
     assert got.labels == expected.labels
-    assert got.sample_period.hex() == expected.sample_period.hex()
 
 
 TIME_STARTS = (st.sampled_from([0.0, -0.0, 7.0, 999_990.0, 1e6, 1e6 + 1, 1e12])
@@ -409,8 +406,8 @@ def test_saved_traces_load_as_reference(tmp_path_factory, n, start, step, digits
         pool = rng.integers(low, 10**d, 4 if pooled else n)
         codes.append(rng.choice(pool, n))
     try:
-        trace = SensorTrace.from_columns(t, *codes, rng.choice(labels, n).tolist(), step)
-    except TraceFormatError:  # times too coarse for the step make no trace
+        trace = SensorTrace.from_columns(t, *codes, rng.choice(labels, n).tolist())
+    except TraceFormatError:  # times too coarse to space evenly make no trace
         assume(False)
     path = tmp_path_factory.getbasetemp() / "saved.csv"
     save_trace(trace, path)
@@ -548,7 +545,7 @@ def test_labelled_file_of_three_chunks_loads_in_the_layout(tmp_path, monkeypatch
     labels += ["z_rest"] * 8
     n = len(labels)
     trace = SensorTrace.from_columns(np.arange(n, dtype=float), np.arange(n) % 4096,
-                                     [1229] * n, [1474] * n, labels, 1.0)
+                                     [1229] * n, [1474] * n, labels)
     path = tmp_path / "trace.csv"
     save_trace(trace, path)
     assert path.stat().st_size > 3 * sensors.TRACE_CHUNK
