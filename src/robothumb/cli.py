@@ -64,11 +64,7 @@ SWEEP_SHAPE_FLAGS = {
 
 
 def _load_config(args) -> GlobalConfig:
-    cfg = load_config(args.config) if args.config else default_config()
-    if args.seed is None:
-        return cfg
-    return dataclasses.replace(
-        cfg, simulation=dataclasses.replace(cfg.simulation, seed=args.seed))
+    return load_config(args.config) if args.config else default_config()
 
 
 def _out_dir(args) -> Path:
@@ -103,7 +99,7 @@ def _synth_press(args, cfg: GlobalConfig) -> None:
     out = _out_dir(args)
     trace = synth.press_trace(cfg, args.key, speed=args.speed,
                               repeat=args.repeat, flex_noise=args.flex_noise,
-                              seed=cfg.simulation.seed)
+                              seed=args.seed)
     path = out / "press_trace.csv"
     save_trace(trace, path)
     print(f"wrote {path}")
@@ -111,7 +107,7 @@ def _synth_press(args, cfg: GlobalConfig) -> None:
 
 def _synth_scale(args, cfg: GlobalConfig) -> None:
     out = _out_dir(args)
-    if args.keys:
+    if args.keys is not None:
         keys = _key_indices(args.keys)
     else:
         anchors = synth.anchors_from_config(cfg)
@@ -136,7 +132,7 @@ def _synth_sweep(args, cfg: GlobalConfig) -> None:
     make = synth.band_sweep if args.shape == "band" else synth.cap_sweep
     given = {dest: getattr(args, dest) for _, dest, _ in SWEEP_SHAPE_FLAGS[args.shape]
              if hasattr(args, dest)}
-    sweep = make(args.samples, seed=cfg.simulation.seed, **given)
+    sweep = make(args.samples, seed=args.seed, **given)
     path = out / f"{args.shape}_directions.csv"
     analysis.save_directions(sweep, path)  # drawn block by block as it is written
     print(f"wrote {path}")
@@ -156,12 +152,9 @@ def _calibrate(args, cfg: GlobalConfig) -> None:
 
 
 def _simulate(args, cfg: GlobalConfig) -> None:
-    if args.mode:
-        cfg = dataclasses.replace(
-            cfg, simulation=dataclasses.replace(cfg.simulation, mode=args.mode))
     trace = load_trace(args.trace)
     calib = load_calibration(args.calibration)
-    log = engine.run(trace, calib, cfg)
+    log = engine.run(trace, calib, cfg, concurrent=args.mode == "concurrent")
     out = _out_dir(args)
     paths = [out / "events.csv", out / "steps.csv", out / "latency.csv"]
     engine.write_event_csv(log, paths[0])
@@ -236,7 +229,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="robothumb", description="Robotic thumb piano pipeline simulator")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="configuration file (defaults built in)")
-    common.add_argument("--seed", type=int, help="override the configured seed")
     common.add_argument("--out", default=".", help="output directory")
 
     def command(group, name, func, text, check=None):
@@ -260,6 +252,8 @@ def build_parser() -> _Parser:
         p.add_argument("--speed", default="0.5", help="press speed in (0, 1] or 'max'")
     p_sweep = command(scenarios, "sweep", _synth_sweep, "uniform direction set",
                       check=_sweep_flag_error)
+    for p in (p_press, p_sweep):
+        p.add_argument("--seed", type=int, default=0, help="random seed (0)")
     p_sweep.add_argument("--shape", choices=sorted(SWEEP_SHAPE_FLAGS), default="band")
     p_sweep.add_argument("--samples", type=int, default=600_000)
     for shape, flags in SWEEP_SHAPE_FLAGS.items():
@@ -275,8 +269,8 @@ def build_parser() -> _Parser:
     p_sim = command(sub, "simulate", _simulate, "run a trace through the full pipeline")
     p_sim.add_argument("--trace", required=True)
     p_sim.add_argument("--calibration", required=True)
-    p_sim.add_argument("--mode", choices=engine.MODES,
-                       help="override the configured execution mode")
+    p_sim.add_argument("--mode", choices=engine.MODES, default="deterministic",
+                       help="execution mode (deterministic)")
     p_sim.add_argument("--midi", action="store_true", help="also write a MIDI file")
     p_sim.add_argument("--verbose", action="store_true",
                        help="also print one line per key event")

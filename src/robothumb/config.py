@@ -57,7 +57,7 @@ _SECTIONS = {
     "simulation": SimulationConfig,
 }
 # a key's parser follows the type of its field's default
-_PARSERS = {float: _finite_float, int: int, str: str}
+_PARSERS = {float: _finite_float, int: int}
 
 
 def _section_keys(section: str) -> dict:

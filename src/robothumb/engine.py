@@ -47,9 +47,10 @@ angle and velocity, the horizontal angles of the states later commands are
 sent from (a window of about the command path plus one sample period, or
 the settle tail after the last sample), the last tip height, the key held
 down and the intentions used up. So beyond the trace, the step log (one
-structured array) and the events, a run holds one block's columns. Both
-execution modes produce byte-identical logs: they differ only in step 2,
-which runs inline or as two axis tasks on two threads per block.
+structured array) and the events, a run holds one block's columns. The
+two execution modes, chosen by ``run``'s ``concurrent`` argument, produce
+byte-identical logs: they differ only in step 2, which runs inline or as
+two axis tasks on two threads per block.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import numpy as np
 
 from . import control, kinematics, plant
 from .control import CalibrationSet, ControlParams
-from .errors import ConfigurationError, InputError, require
+from .errors import InputError, require
 from .piano import Key, KeyEvent, MIDI_A0, key_at, note_name
 from .sensors import (BLOCK_ROWS, SensorTrace, blocks, check_adc_codes,
                       fixed_point_rows)
@@ -117,17 +118,12 @@ class LatencyConfig:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    timestep: float = 1.0        # ms
-    seed: int = 0
-    mode: str = "deterministic"  # one of MODES
+    timestep: float = 1.0  # ms
     latency: LatencyConfig = field(default_factory=LatencyConfig)
     settle_tail_ms: float = 200.0  # extra time simulated past the last sample
 
     def __post_init__(self):
         require(self, "positive", "timestep")
-        require(self, "non-negative", "seed")
-        if self.mode not in MODES:
-            raise ConfigurationError(f"mode must be {' or '.join(MODES)}")
         require(self, "non-negative", "settle_tail_ms")
 
 
@@ -194,18 +190,6 @@ def _runs(step_setpoints: np.ndarray, first: int):
     return zip(*(array("q", c.tobytes()) for c in (at + first, stop, step_setpoints[at])))
 
 
-def _steps_before(x: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
-    """For each time in ``x``, how many of the step end times ``k * dt``, k =
-    1 .. ``n_steps``, lie below it: ``searchsorted`` of ``x`` in that column,
-    without the column. ``floor(x / dt)`` never counts fewer, as a time above
-    the rounded product ``k * dt`` divides to at least k; where rounding makes
-    it count more, the loop takes them back on the same products."""
-    count = np.clip(np.floor(x / dt), 0, n_steps).astype(np.int64)
-    while (down := (count > 0) & (count * dt >= x)).any():
-        count -= down
-    return count
-
-
 def _run_tasks(tasks, concurrent: bool) -> list:
     """Each task's result, the tasks called inline or each on its own
     thread; the first failure on a thread is raised again here."""
@@ -229,12 +213,13 @@ def _run_tasks(tasks, concurrent: bool) -> list:
     return results
 
 
-def run(trace: SensorTrace, calibration: CalibrationSet,
-        config: "GlobalConfig") -> EventLog:
+def run(trace: SensorTrace, calibration: CalibrationSet, config: "GlobalConfig",
+        concurrent: bool = False) -> EventLog:
     """Simulate a full trace; returns the event log.
 
-    Deterministic for fixed inputs: identical trace, calibration and
-    configuration produce identical logs in either execution mode.
+    ``concurrent`` steps the two axes of each block on two threads instead
+    of inline. Deterministic for fixed inputs: identical trace, calibration
+    and configuration produce identical logs in either execution mode.
     """
     control.validate_calibration_ranges(calibration, config)
     check_adc_codes(trace, config.sensors)
@@ -273,7 +258,10 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
     ii = 0  # intentions before this index are used up
     for start in range(0, n_steps, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n_steps)
-        step_t = np.arange(start + 1, stop + 1) * dt
+        # the end time of each step from the window's first state on; how many
+        # lie below a time is the window index of the state before its step
+        ends = np.arange(window_at + 1, stop + 1) * dt
+        step_t = ends[start - window_at:]
         # samples lo .. hi - 1 hold every sample applied over the block: the
         # last one due before it and those falling due in it, and perhaps a
         # few more that a rounded search lets in
@@ -291,9 +279,7 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
         # step its sensor path completes in. A step with no sample yet reads
         # the window's first state; like every state before the first
         # command, it is the drive-enable state.
-        sent = np.append(_steps_before(block["t"] + lat.sensor_path, dt, n_steps),
-                         0)[applied] - window_at
-        np.maximum(sent, 0, out=sent)
+        sent = np.append(np.searchsorted(ends, block["t"] + lat.sensor_path), 0)[applied]
         # the control laws map float columns to stdlib arrays, here viewed by numpy
         setpoints_h, setpoints_v, limits_v = (
             np.append(np.frombuffer(c, c.typecode), 0)[applied] for c in (
@@ -313,7 +299,7 @@ def run(trace: SensorTrace, calibration: CalibrationSet,
                               (params.kp_h, params.v_cap), state_h),
             functools.partial(plant.run_axis, angles_v, velocities_v, _runs(setpoints_v, 1),
                               array("d", limits_v.tobytes()), dt, config.axis,
-                              state=state_v)), sim.mode == "concurrent")
+                              state=state_v)), concurrent)
         # keep the states the next block's commands can be sent from: none
         # before this block's last send, and before the first command none
         keep = window_at + int(sent[-1]) if applied[-1] >= 0 else stop

@@ -199,6 +199,8 @@ def press_trace(cfg: GlobalConfig, key_index: int, speed=0.5, repeat: int = 1,
         raise InputError("repeat must be >= 1")
     if not 0.0 <= flex_noise < math.inf:  # also False for NaN
         raise InputError(f"flex noise sigma {flex_noise} must be finite and >= 0")
+    if not seed >= 0:  # numpy's generators take no negative seed
+        raise InputError("seed must be non-negative")
     s = _press_speed(speed)
     flex_target = flex_code_for_key(cfg, cfg.layout.keys[key_index],
                                     anchors_from_config(cfg))
@@ -248,6 +250,8 @@ class DirectionSweep:
                  seed: int):
         if not 1 <= samples <= MAX_DIRECTIONS:
             raise InputError(f"samples must be in [1, {MAX_DIRECTIONS}]")
+        if not seed >= 0:
+            raise InputError("seed must be non-negative")
         self.samples = samples
         self.z_low, self.z_high, self.phi_half = z_low, z_high, phi_half
         self.seed = seed

@@ -8,6 +8,8 @@ import pytest
 from robothumb import cli, synth
 from robothumb.analysis import save_directions
 from robothumb.cli import main
+from robothumb.config import default_config
+from robothumb.errors import InputError
 from robothumb.sensors import BLOCK_ROWS
 
 # the benchmark's flows and tracer, each run from its file without importing
@@ -140,15 +142,25 @@ def test_scale_without_keys_walks_the_rear_mount_sweep(tmp_path):
 
 
 def test_configured_seed_drives_synth_noise(tmp_path):
-    config = tmp_path / "seed.ini"
-    config.write_text("[simulation]\nseed = 7\n")
+    """The seed is set by the --seed flag of the command that draws."""
     noisy = ("synth", "press", "--key", 46, "--flex-noise", 2)
-    assert run(*noisy, "--config", config, "--out", tmp_path / "config") == 0
-    assert run(*noisy, "--seed", 7, "--out", tmp_path / "flag") == 0
+    assert run(*noisy, "--seed", 7, "--out", tmp_path / "first") == 0
+    assert run(*noisy, "--seed", 7, "--out", tmp_path / "again") == 0
     assert run(*noisy, "--out", tmp_path / "default") == 0
-    by_config = (tmp_path / "config/press_trace.csv").read_bytes()
-    assert by_config == (tmp_path / "flag/press_trace.csv").read_bytes()
-    assert by_config != (tmp_path / "default/press_trace.csv").read_bytes()
+    seeded = (tmp_path / "first/press_trace.csv").read_bytes()
+    assert seeded == (tmp_path / "again/press_trace.csv").read_bytes()
+    assert seeded != (tmp_path / "default/press_trace.csv").read_bytes()
+
+
+@pytest.mark.parametrize("key", ["seed = 7", "mode = concurrent"])
+def test_simulation_key_of_a_flag_exits_2(key, tmp_path, capsys):
+    """The seed and the execution mode are flags of the commands that read
+    them, not config keys."""
+    config = tmp_path / "sim.ini"
+    config.write_text(f"[simulation]\n{key}\n")
+    assert run("synth", "press", "--key", 46, "--config", config, "--out", tmp_path) == 2
+    assert f"unknown config key simulation.{key.split()[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "press_trace.csv").exists()
 
 
 def test_workspace_subcommand(workdir, capsys):
@@ -442,6 +454,18 @@ def test_scale_key_token_not_an_index_exits_2(tmp_path, capsys):
     assert not (tmp_path / "scale_trace.csv").exists()
 
 
+def test_scale_of_empty_keys_exits_2(tmp_path, capsys):
+    """--keys "" played the default keys and exited 0."""
+    assert run("synth", "scale", "--keys", "", "--out", tmp_path) == 2
+    assert "--keys: '' is not a key index" in capsys.readouterr().err
+    assert not (tmp_path / "scale_trace.csv").exists()
+
+
+def test_scale_of_no_keys_is_refused_by_the_library():
+    with pytest.raises(InputError, match="scale needs at least one key"):
+        synth.scale_trace(default_config(), [])
+
+
 @pytest.mark.parametrize("args", [
     ("--elev-min", "nan"), ("--elev-max", "nan"), ("--azimuth", "nan"),
     ("--elev-min", 10, "--elev-max", 0), ("--azimuth", 361),
@@ -592,18 +616,23 @@ def test_calibrate_prints_the_calibration_file(workdir, tmp_path, capsys):
         "a6e6a48eb21080812d2b2fcecbdbd0f0a7ebd730eac1483f0c33b32195539326")
 
 
-@pytest.mark.parametrize("how", ["config", "flag"])
-def test_negative_seed_exits_2(how, tmp_path, capsys):
-    args = ["synth", "press", "--key", 46, "--flex-noise", 2, "--out", tmp_path]
-    if how == "config":
-        config = tmp_path / "seed.ini"
-        config.write_text("[simulation]\nseed = -1\n")
-        args += ["--config", config]
-    else:
-        args += ["--seed", -1]
-    assert run(*args) == 2
+@pytest.mark.parametrize("scenario", [("press", "--key", 46, "--flex-noise", 2),
+                                      ("sweep", "--samples", 10)], ids=["press", "sweep"])
+def test_negative_seed_exits_2(scenario, tmp_path, capsys):
+    assert run("synth", *scenario, "--seed", -1, "--out", tmp_path) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
-    assert not (tmp_path / "press_trace.csv").exists()
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: synth.press_trace(default_config(), 46, seed=-1),
+    lambda: synth.band_sweep(10, seed=-1),
+    lambda: synth.cap_sweep(10, seed=-1),
+], ids=["press_trace", "band_sweep", "cap_sweep"])
+def test_negative_seed_is_refused_by_the_library(call):
+    """numpy's generators raised a bare ValueError on a negative seed."""
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        call()
 
 
 @pytest.mark.parametrize("scenario", [["press", "--key", 46], ["calibration"],
@@ -686,7 +715,10 @@ LATENCY_CSV = "intention_ms,action_ms,delay_ms\n900.000,985.000,85.000\n"
     ("synth", "sweep", "--samples", 10, "--key", 3),
     ("analyze", "latency", "--latency", "{latency}", "--dirs", "x"),
     ("analyze", "range", "--calibration", "{calibration}", "--bins", 7),
-], ids=["calibration-samples", "scale-repeat", "sweep-key", "latency-dirs", "range-bins"])
+    ("simulate", "--trace", "{latency}", "--calibration", "{calibration}", "--seed", 5),
+    ("analyze", "budget", "--seed", -1),
+], ids=["calibration-samples", "scale-repeat", "sweep-key", "latency-dirs", "range-bins",
+        "simulate-seed", "budget-seed"])
 def test_flag_not_read_by_the_command_exits_1(argv, workdir, tmp_path, capsys):
     """Each scenario and subject accepted every flag of its command and ignored
     the ones it does not read."""

@@ -84,9 +84,6 @@ depth = 60.0
 mass_g = 290.0
 [latency]
 mech_motion = 40.0
-[simulation]
-mode = concurrent
-seed = 7
 """
     cfg = load_config(write(tmp_path, text))
     assert cfg.layout.n_keys == 61
@@ -95,8 +92,6 @@ seed = 7
     assert cfg.mount.mass_g == 290.0
     assert cfg.simulation.latency.mech_motion == 40.0
     assert cfg.simulation.latency.total == 75.0
-    assert cfg.simulation.mode == "concurrent"
-    assert cfg.simulation.seed == 7
 
 
 # section.key -> (value written, path of the attribute it sets, value it holds);
@@ -153,8 +148,6 @@ KEY_TABLE = {
     "latency.controller_process": ("3", "simulation.latency.controller_process", 3.0),
     "latency.mech_motion": ("40", "simulation.latency.mech_motion", 40.0),
     "simulation.timestep": ("0.5", "simulation.timestep", 0.5),
-    "simulation.seed": ("7", "simulation.seed", 7),
-    "simulation.mode": ("concurrent", "simulation.mode", "concurrent"),
     "simulation.settle_tail_ms": ("150", "simulation.settle_tail_ms", 150.0),
 }
 # field names that are not keys in their section (or in any other)
@@ -176,8 +169,8 @@ def replace_at(obj, path, value):
     return dataclasses.replace(obj, **{head: value})
 
 
-def test_key_table_has_54_keys_in_8_sections():
-    assert len(KEY_TABLE) == 54
+def test_key_table_has_52_keys_in_8_sections():
+    assert len(KEY_TABLE) == 52
     assert len({name.split(".")[0] for name in KEY_TABLE}) == 8
 
 
@@ -194,9 +187,6 @@ def test_each_key_sets_its_field_alone(name, tmp_path):
 @pytest.mark.parametrize("name", list(KEY_TABLE))
 def test_each_key_parser(name, tmp_path):
     value = KEY_TABLE[name][2]
-    if isinstance(value, str):
-        assert load_config(key_file(tmp_path, name, "deterministic")) == default_config()
-        return
     bad = "1.5" if isinstance(value, int) else "inf"
     with pytest.raises(ConfigurationError,
                        match=re.escape(f"config key {name}: cannot parse '{bad}'")):
@@ -243,8 +233,7 @@ BROKEN = {
     "latency.sensor_sample": "-1", "latency.adc_transport": "-1",
     "latency.compute": "-1", "latency.command_transport": "-1",
     "latency.controller_process": "-1", "latency.mech_motion": "-1",
-    "simulation.timestep": "0", "simulation.seed": "-1",
-    "simulation.mode": "fast", "simulation.settle_tail_ms": "-1",
+    "simulation.timestep": "0", "simulation.settle_tail_ms": "-1",
 }
 
 
@@ -275,7 +264,7 @@ POSITIVE = ("layout.white_width", "layout.black_width", "layout.key_travel",
 NON_NEGATIVE = ("mount.press_overtravel_deg", "control.z_refractory_ms",
                 "latency.sensor_sample", "latency.adc_transport", "latency.compute",
                 "latency.command_transport", "latency.controller_process",
-                "latency.mech_motion", "simulation.seed", "simulation.settle_tail_ms")
+                "latency.mech_motion", "simulation.settle_tail_ms")
 FINITE = ("layout.black_zone_depth", "layout.origin_x", "sensors.accel_zero_g_bias",
           "mount.base_x", "mount.heading", "mount.depth", "mount.pinkie_reach_x",
           "mount.reach_near_x", "mount.reach_far_x")
@@ -290,9 +279,9 @@ def build_error(name, value) -> str:
     return str(info.value)
 
 
-def test_numeric_fields_are_the_config_keys_but_mode():
-    assert len(NUMERIC_FIELDS) == 53
-    assert set(NUMERIC_FIELDS) == set(KEY_TABLE) - {"simulation.mode"}
+def test_every_config_key_is_numeric():
+    assert len(NUMERIC_FIELDS) == 52
+    assert set(NUMERIC_FIELDS) == set(KEY_TABLE)
     assert set(POSITIVE + NON_NEGATIVE + FINITE) <= set(NUMERIC_FIELDS)
 
 

@@ -218,13 +218,10 @@ def test_determinism_and_mode_equivalence(cfg, calib):
     cases = [(cfg, calib, press_fixture(cfg, repeat=2)),
              (rear, rear_calib, synth.scale_trace(rear, list(range(43, 49))))]
     for run_cfg, run_calib, trace in cases:
-        concurrent = dataclasses.replace(
-            run_cfg, simulation=dataclasses.replace(run_cfg.simulation,
-                                                    mode="concurrent"))
         log_a = run(trace, run_calib, run_cfg)
         log_b = run(trace, run_calib, run_cfg)
-        log_c = run(trace, run_calib, concurrent)
-        log_d = run(trace, run_calib, concurrent)
+        log_c = run(trace, run_calib, run_cfg, concurrent=True)
+        log_d = run(trace, run_calib, run_cfg, concurrent=True)
         for log in (log_b, log_c, log_d):
             assert_logs_equal(log, log_a)
     on_keys = {e.key_index for e in log_a.events if e.kind == "on"}
@@ -242,10 +239,8 @@ def test_concurrent_mode_raises_what_an_axis_raised(cfg, calib, monkeypatch):
         return real(angles, velocities, runs, limits, dt, axis, feedback, state)
 
     monkeypatch.setattr(plant, "run_axis", run_axis)
-    concurrent = dataclasses.replace(
-        cfg, simulation=dataclasses.replace(cfg.simulation, mode="concurrent"))
     with pytest.raises(RuntimeError, match="vertical axis fault"):
-        run(press_fixture(cfg), calib, concurrent)
+        run(press_fixture(cfg), calib, cfg, concurrent=True)
 
 
 def test_air_press_logged_not_emitted(cfg):
@@ -302,14 +297,17 @@ def with_simulation(cfg, **changes):
     return dataclasses.replace(cfg, simulation=dataclasses.replace(cfg.simulation, **changes))
 
 
+def is_concurrent(case):
+    return case.endswith("_concurrent")
+
+
 @functools.cache
 def block_edge_case(name):
     """``(config, calibration, trace, log)`` of one block-edge case, the log
     from a run of the default block length."""
     cfg = default_config()
     if name == "rear_scale_concurrent":
-        cfg = with_simulation(dataclasses.replace(
-            cfg, mount=dataclasses.replace(cfg.mount, depth=60.0)), mode="concurrent")
+        cfg = dataclasses.replace(cfg, mount=dataclasses.replace(cfg.mount, depth=60.0))
     elif name == "timestep_10":
         cfg = with_simulation(cfg, timestep=10.0)
     elif name == "timestep_0.7":
@@ -328,7 +326,7 @@ def block_edge_case(name):
     else:  # "ends_mid_press": cut right after the press lands
         full = synth.press_trace(cfg, 46)
         trace = SensorTrace(full.samples[:int(synth.LEAD_MS + 150)], ())
-    return cfg, calib, trace, run(trace, calib, cfg)
+    return cfg, calib, trace, run(trace, calib, cfg, concurrent=is_concurrent(name))
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 64])
@@ -343,7 +341,7 @@ def test_block_length_leaves_the_log_unchanged(case, block_rows, monkeypatch):
     cfg, calib, trace, expected = block_edge_case(case)
     assert len(expected.steps) <= engine.BLOCK_ROWS  # one default block
     monkeypatch.setattr(engine, "BLOCK_ROWS", block_rows)
-    assert_logs_equal(run(trace, calib, cfg), expected)
+    assert_logs_equal(run(trace, calib, cfg, concurrent=is_concurrent(case)), expected)
 
 
 def test_block_edge_cases_hold_what_they_name():
@@ -373,17 +371,6 @@ def test_block_edge_cases_hold_what_they_name():
     _, _, _, log = block_edge_case("ends_mid_press")
     assert [e.kind for e in log.events] == ["on", "off"]
     assert log.events[1].t == log.steps["t"][-1]
-
-
-@pytest.mark.parametrize("dt", [0.1, 0.3, 0.7, 1 / 3, 1.0, 10.0])
-def test_steps_before_is_a_search_of_the_step_end_times(dt):
-    """On every step end time, the floats beside it and times past either
-    end of the run, the count is what ``searchsorted`` finds in the column."""
-    n = 5_000
-    ends = np.arange(1, n + 1) * dt
-    x = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
-                        ends + 0.5 * dt, [0.0, -1.0, ends[-1] * 2, np.inf]])
-    assert (engine._steps_before(x, dt, n) == np.searchsorted(ends, x)).all()
 
 
 def test_step_log_matches_timestep(cfg, calib):
@@ -589,8 +576,3 @@ def test_latency_record_invariant():
 def test_simulation_config_validation():
     with pytest.raises(ConfigurationError):
         SimulationConfig(timestep=0.0)
-    with pytest.raises(ConfigurationError):
-        SimulationConfig(mode="parallel")
-    with pytest.raises(ConfigurationError, match="seed must be non-negative"):
-        SimulationConfig(seed=-1)
-    assert SimulationConfig(seed=0).seed == 0
