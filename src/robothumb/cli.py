@@ -97,11 +97,11 @@ def _synth_calibration(args, cfg: GlobalConfig) -> None:
 
 def _synth_press(args, cfg: GlobalConfig) -> None:
     out = _out_dir(args)
-    trace = synth.press_trace(cfg, args.key, speed=args.speed,
-                              repeat=args.repeat, flex_noise=args.flex_noise,
-                              seed=args.seed)
+    blocks = synth.press_blocks(cfg, args.key, speed=args.speed,
+                                repeat=args.repeat, flex_noise=args.flex_noise,
+                                seed=args.seed)
     path = out / "press_trace.csv"
-    save_trace(trace, path)
+    save_trace(blocks, path)  # drawn block by block as it is written
     print(f"wrote {path}")
 
 
@@ -114,7 +114,7 @@ def _synth_scale(args, cfg: GlobalConfig) -> None:
         reachable = analysis.reachable_keys(cfg, anchors["enc_h_min"], anchors["enc_h_max"])
         keys = [k.index for k in reachable if k.color == "white"]
     path = out / "scale_trace.csv"
-    save_trace(synth.scale_trace(cfg, keys, speed=args.speed), path)
+    save_trace(synth.scale_blocks(cfg, keys, speed=args.speed), path)
     print(f"wrote {path}")
 
 
@@ -155,6 +155,7 @@ def _simulate(args, cfg: GlobalConfig) -> None:
     trace = load_trace(args.trace)
     calib = load_calibration(args.calibration)
     log = engine.run(trace, calib, cfg, concurrent=args.mode == "concurrent")
+    del trace  # the writers read the log only
     out = _out_dir(args)
     paths = [out / "events.csv", out / "steps.csv", out / "latency.csv"]
     engine.write_event_csv(log, paths[0])

@@ -46,11 +46,12 @@ A block hands the next one only: how many samples are due, each axis's
 angle and velocity, the horizontal angles of the states later commands are
 sent from (a window of about the command path plus one sample period, or
 the settle tail after the last sample), the last tip height, the key held
-down and the intentions used up. So beyond the trace, the step log (one
-structured array) and the events, a run holds one block's columns. The
-two execution modes, chosen by ``run``'s ``concurrent`` argument, produce
-byte-identical logs: they differ only in step 2, which runs inline or as
-two axis tasks on two threads per block.
+down and the intentions used up. Each block is stepped by a function of
+its own, so its columns are freed before the next block makes its own. So
+beyond the trace, the step log (one structured array) and the events, a run
+holds one block's columns. The two execution modes, chosen by ``run``'s
+``concurrent`` argument, produce byte-identical logs: they differ only in
+step 2, which runs inline or as two axis tasks on two threads per block.
 """
 
 from __future__ import annotations
@@ -256,8 +257,11 @@ def run(trace: SensorTrace, calibration: CalibrationSet, config: "GlobalConfig",
     prev_tip_z = mount.base_z - kinematics.press_drop(0.0, geometry)
     pressed: Key | None = None
     ii = 0  # intentions before this index are used up
-    for start in range(0, n_steps, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n_steps)
+
+    # a block's columns are locals of this function, so they are freed
+    # before the next block allocates its own
+    def step_block(start: int, stop: int) -> None:
+        nonlocal due, window_at, window, state_h, state_v, prev_tip_z, pressed, ii
         # the end time of each step from the window's first state on; how many
         # lie below a time is the window index of the state before its step
         ends = np.arange(window_at + 1, stop + 1) * dt
@@ -344,6 +348,8 @@ def run(trace: SensorTrace, calibration: CalibrationSet, config: "GlobalConfig",
                 log.events.append(KeyEvent(t, "off", pressed.index))
                 pressed = None
 
+    for start in range(0, n_steps, BLOCK_ROWS):
+        step_block(start, min(start + BLOCK_ROWS, n_steps))
     if pressed is not None:
         # trace ended mid-press: release so on/off stay balanced
         log.events.append(KeyEvent(n_steps * dt, "off", pressed.index))

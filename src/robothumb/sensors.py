@@ -306,33 +306,41 @@ def accel_output(foot_pitch: float, dyn_accel: float,
     return v_y, v_z
 
 
-def save_trace(trace: SensorTrace, path) -> None:
+def save_trace(traces, path) -> None:
     """Write ``TRACE_HEADER`` and one CRLF-terminated row per sample: the time
     by ``_time_text``, the codes by ``%d``, then the label. Labels carry no
     comma, quote or line break, so the text is what ``csv.writer`` writes.
+    ``traces`` is a ``SensorTrace``, or an iterable of the ``SensorTrace``
+    blocks of one trace in order, such as ``synth.press_blocks`` draws, each
+    written as it comes, so that the whole trace is never held.
     A block whose times are whole and below 10**``TRACE_DIGITS`` (``"%.0f"``
     spells them as ``_time_text`` does) goes through ``fixed_point_rows``, its
     labels spliced in before each CRLF; any other block is formatted row by row."""
     scratch = {}
-    # an unlabelled trace writes an empty label on each row
-    label_blocks = (blocks(trace.labels) if trace.labels
-                    else itertools.repeat(("",) * BLOCK_ROWS))
     with open(path, "wb") as f:
         f.write(_HEADER_LINE)
-        for block, labels in zip(blocks(trace.samples), label_blocks):
-            t = block["t"]
-            if (t == np.rint(t)).all() and t.max() < 10.0**TRACE_DIGITS:
-                text = fixed_point_rows([block[name] for name in SAMPLE_DTYPE.names],
-                                        (0, 0, 0, 0), (b",", b",", b",", b",\r\n"), scratch)
-                if any(labels):
-                    text = b"".join(map(b"%s%s\r\n".__mod__,
-                                        zip(text.tobytes().split(b"\r\n"),
-                                            map(str.encode, labels))))
-            else:
-                text = "".join("%s,%d,%d,%d,%s\r\n" % (_time_text(ms), flex, acc_y, acc_z, label)
-                               for (ms, flex, acc_y, acc_z), label in zip(block.tolist(), labels)
-                               ).encode()
-            f.write(text)
+        for trace in [traces] if isinstance(traces, SensorTrace) else traces:
+            # an unlabelled trace writes an empty label on each row
+            label_blocks = (blocks(trace.labels) if trace.labels
+                            else itertools.repeat(("",) * BLOCK_ROWS))
+            for block, labels in zip(blocks(trace.samples), label_blocks):
+                f.write(_block_text(block, labels, scratch))
+
+
+def _block_text(block: np.ndarray, labels, scratch: dict):
+    """The text of one block of at most ``BLOCK_ROWS`` samples and their labels."""
+    t = block["t"]
+    if (t == np.rint(t)).all() and t.max() < 10.0**TRACE_DIGITS:
+        text = fixed_point_rows([block[name] for name in SAMPLE_DTYPE.names],
+                                (0, 0, 0, 0), (b",", b",", b",", b",\r\n"), scratch)
+        if any(labels):
+            text = b"".join(map(b"%s%s\r\n".__mod__,
+                                zip(text.tobytes().split(b"\r\n"),
+                                    map(str.encode, labels))))
+        return text
+    return "".join("%s,%d,%d,%d,%s\r\n" % (_time_text(ms), flex, acc_y, acc_z, label)
+                   for (ms, flex, acc_y, acc_z), label in zip(block.tolist(), labels)
+                   ).encode()
 
 
 def load_trace(path) -> SensorTrace:

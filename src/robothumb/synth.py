@@ -6,9 +6,12 @@ snap: the Y direction channel steps while Z carries an acceleration pulse
 for the duration of the lift), a scale run across several keys, and
 direction-set sweeps for workspace analysis. Everything derives from the
 configuration so the synthesized codes and the calibration produced from
-them agree by construction. The horizontal anchors and every press are aimed
-by ``control.aimed_counts``; the pressed anchor is ``plant.encoder_counts``
-of its angle, the one count rule.
+them agree by construction. The horizontal anchors and every press are
+aimed by ``control.aimed_counts``; the pressed anchor is
+``plant.encoder_counts`` of its angle, the one count rule. Press and scale
+traces, like direction sweeps, are drawn one ``BLOCK_ROWS`` block at a time
+(``press_blocks``, ``scale_blocks``), so that writing one never holds it
+whole; ``press_trace`` and ``scale_trace`` join those blocks into one trace.
 """
 
 from __future__ import annotations
@@ -110,12 +113,6 @@ def _row_count(span_ms: float, period: float, least: int = 2) -> int:
     return rows
 
 
-def _build_trace(cfg: GlobalConfig, codes: np.ndarray, labels) -> SensorTrace:
-    """A trace of (flex, y, z) code rows, one every timestep from t = 0."""
-    t = np.arange(len(codes)) * cfg.simulation.timestep  # the same floats as i * timestep
-    return SensorTrace.from_columns(t, *codes.T, labels)
-
-
 def calibration_trace(cfg: GlobalConfig) -> SensorTrace:
     """Labeled segments covering every calibration anchor, one per pose."""
     flex_straight = flex_code(cfg, 0.0)
@@ -141,7 +138,9 @@ def calibration_trace(cfg: GlobalConfig) -> SensorTrace:
     for label, pose in segments:
         codes += [pose] * seg_n + [rest] * gap_n
         labels += [label] * seg_n + [""] * gap_n
-    return _build_trace(cfg, np.array(codes, dtype=np.int64).reshape(-1, 3), labels)
+    codes = np.array(codes, dtype=np.int64).reshape(-1, 3)
+    t = np.arange(len(codes)) * period  # the same floats as i * timestep
+    return SensorTrace.from_columns(t, *codes.T, labels)
 
 
 def _press_speed(speed) -> float:
@@ -160,38 +159,59 @@ def _pulse_ms(speed: float) -> float:
     return min(Z_PULSE_MS / speed, PRESS_HOLD_MS - Z_GAP_MS)
 
 
-def _press_codes(cfg: GlobalConfig, flex_target: int, speed: float,
-                 repeat: int, span_ms: float) -> np.ndarray:
-    """``span_ms`` of (flex, y, z) code rows: rest for LEAD_MS, ``repeat``
-    press cycles, then rest.
+def _code_blocks(cfg: GlobalConfig, segments, speed: float, flex_noise: float = 0.0,
+                 seed: int = 0):
+    """The trace of ``segments`` one ``BLOCK_ROWS`` block at a time, each a
+    ``SensorTrace``; row ``i`` of the whole lies at ``i * timestep``.
 
-    Each cycle lifts the foot (Y steps up, Z pulses for the lift duration),
-    holds, then drops it (Y steps down with a matching landing pulse) while
-    the thumb holds ``flex_target``.
+    Segment ``(flex_target, repeat, rows)`` is ``rows`` rows: rest for
+    LEAD_MS, ``repeat`` press cycles, then rest, while the thumb holds
+    ``flex_target``. Each cycle lifts the foot (Y steps up, Z pulses for the
+    lift duration), holds, then drops it (Y steps down with a matching
+    landing pulse). ``flex_noise`` jitters each flex code by a normal draw of
+    one generator seeded with ``seed``, drawn block after block in row order,
+    which is the stream of one draw of every row.
     """
     y_down, z_rest = accel_codes(cfg, 0.0, 0.0)
     y_up, _ = accel_codes(cfg, FOOT_UP_PITCH_DEG, 0.0)
     _, z_pulse = accel_codes(cfg, 0.0, speed * CAL_LIFT_DYN_G)
     period = cfg.simulation.timestep
     pulse = _pulse_ms(speed)
-    # a span with a press cycle needs the two rows a trace is read back from
-    phase = np.arange(_row_count(span_ms, period, 2 if repeat else 0)) * period - LEAD_MS
-    in_cycle = np.where((phase >= 0) & (phase < repeat * PRESS_CYCLE_MS),
-                        phase % PRESS_CYCLE_MS, np.inf)  # inf: outside every cycle
-    lifted = (in_cycle < pulse) | ((PRESS_HOLD_MS <= in_cycle)
-                                   & (in_cycle < PRESS_HOLD_MS + pulse))
-    rows = np.empty((len(phase), 3), dtype=np.int64)
-    rows[:, 0] = flex_target
-    rows[:, 1] = np.where(in_cycle < PRESS_HOLD_MS, y_up, y_down)
-    rows[:, 2] = np.where(lifted, z_pulse, z_rest)
-    return rows
+    targets, repeats, counts = (np.array(c, np.int64) for c in zip(*segments))
+    firsts = np.cumsum(counts) - counts  # each segment's first row
+    total = int(counts.sum())
+    # a noise-free trace makes no generator: the first one imports numpy.random
+    rng = np.random.default_rng(seed) if flex_noise > 0 else None
+    for start in range(0, total, BLOCK_ROWS):
+        i = np.arange(start, min(start + BLOCK_ROWS, total))
+        segment = np.searchsorted(firsts, i, "right") - 1  # past empty segments
+        phase = (i - firsts[segment]) * period - LEAD_MS
+        in_cycle = np.where((phase >= 0) & (phase < repeats[segment] * PRESS_CYCLE_MS),
+                            phase % PRESS_CYCLE_MS, np.inf)  # inf: outside every cycle
+        lifted = (in_cycle < pulse) | ((PRESS_HOLD_MS <= in_cycle)
+                                       & (in_cycle < PRESS_HOLD_MS + pulse))
+        flex = targets[segment]
+        if rng is not None:
+            # np.rint rounds half to even, as round() did on each scalar draw
+            jitter = np.rint(rng.normal(0.0, flex_noise, len(i)))
+            flex = np.clip(flex + jitter, 0, cfg.sensors.full_scale)
+        yield SensorTrace.from_columns(i * period, flex,
+                                       np.where(in_cycle < PRESS_HOLD_MS, y_up, y_down),
+                                       np.where(lifted, z_pulse, z_rest), ())
 
 
-def press_trace(cfg: GlobalConfig, key_index: int, speed=0.5, repeat: int = 1,
-                flex_noise: float = 0.0, seed: int = 0) -> SensorTrace:
+def _joined(traces) -> SensorTrace:
+    """One unlabelled trace of the rows of ``traces``, in order."""
+    return SensorTrace(np.concatenate([trace.samples for trace in traces]), ())
+
+
+def press_blocks(cfg: GlobalConfig, key_index: int, speed=0.5, repeat: int = 1,
+                 flex_noise: float = 0.0, seed: int = 0):
     """Repeated presses of one key: thumb holds the target, the foot snaps.
 
     ``speed`` scales the lift acceleration and with it the press dynamics.
+    Every argument is checked here; the iterator returned draws the trace
+    one ``BLOCK_ROWS`` block at a time, for ``sensors.save_trace``.
     """
     if not 0 <= key_index < cfg.layout.n_keys:
         raise InputError(f"key index {key_index} outside the keyboard")
@@ -204,35 +224,40 @@ def press_trace(cfg: GlobalConfig, key_index: int, speed=0.5, repeat: int = 1,
     s = _press_speed(speed)
     flex_target = flex_code_for_key(cfg, cfg.layout.keys[key_index],
                                     anchors_from_config(cfg))
-    rows = _press_codes(cfg, flex_target, s, repeat,
-                        LEAD_MS + repeat * PRESS_CYCLE_MS + TAIL_MS)
-
-    if flex_noise > 0:
-        rng = np.random.default_rng(seed)
-        # np.rint rounds half to even, as round() did on each scalar draw
-        jitter = np.rint(rng.normal(0.0, flex_noise, len(rows)))
-        rows[:, 0] = np.clip(flex_target + jitter, 0, cfg.sensors.full_scale)
-    return _build_trace(cfg, rows, ())
+    rows = _row_count(LEAD_MS + repeat * PRESS_CYCLE_MS + TAIL_MS, cfg.simulation.timestep)
+    return _code_blocks(cfg, [(flex_target, repeat, rows)], s, flex_noise, seed)
 
 
-def scale_trace(cfg: GlobalConfig, key_indices, speed=0.5) -> SensorTrace:
-    """One press per key in sequence, with settle time between retargets."""
+def press_trace(*args, **kwargs) -> SensorTrace:
+    """``press_blocks``' rows in one trace."""
+    return _joined(press_blocks(*args, **kwargs))
+
+
+def scale_blocks(cfg: GlobalConfig, key_indices, speed=0.5):
+    """One press per key in sequence, with settle time between retargets.
+    Every argument is checked here; the iterator returned draws the trace
+    one ``BLOCK_ROWS`` block at a time, for ``sensors.save_trace``."""
     if not key_indices:
         raise InputError("scale needs at least one key")
     s = _press_speed(speed)
     anchors = anchors_from_config(cfg)
+    period = cfg.simulation.timestep
     _row_count(len(key_indices) * (LEAD_MS + PRESS_CYCLE_MS) + TAIL_MS,
-               cfg.simulation.timestep)  # bound the whole scale first
-    blocks = []
+               period)  # bound the whole scale first
+    segments = []
     for key_index in key_indices:
         if not 0 <= key_index < cfg.layout.n_keys:
             raise InputError(f"key index {key_index} outside the keyboard")
         flex_target = flex_code_for_key(cfg, cfg.layout.keys[key_index], anchors)
-        blocks.append(_press_codes(cfg, flex_target, s, 1, LEAD_MS + PRESS_CYCLE_MS))
+        segments.append((flex_target, 1, _row_count(LEAD_MS + PRESS_CYCLE_MS, period)))
     # no cycles: the thumb holds the last key through the quiet tail
-    blocks.append(_press_codes(cfg, flex_target, s, 0, TAIL_MS))
-    rows = np.concatenate(blocks)
-    return _build_trace(cfg, rows, ())
+    segments.append((flex_target, 0, _row_count(TAIL_MS, period, 0)))
+    return _code_blocks(cfg, segments, s)
+
+
+def scale_trace(*args, **kwargs) -> SensorTrace:
+    """``scale_blocks``' rows in one trace."""
+    return _joined(scale_blocks(*args, **kwargs))
 
 
 class DirectionSweep:

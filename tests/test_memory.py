@@ -1,6 +1,7 @@
 """Memory guards: reading a trace and running it hold about their own
-columns, and binning a direction file about its occupancy array and a few
-chunks, as ``tracemalloc`` counts allocations."""
+columns, drawing a trace holds one block of it, and binning a direction
+file holds about its occupancy array and a few chunks, as ``tracemalloc``
+counts allocations."""
 
 import functools
 import tracemalloc
@@ -9,15 +10,20 @@ import pytest
 
 from robothumb import engine, synth
 from robothumb.analysis import UNIT_ROW_BYTES, file_solid_angle, save_directions
+from robothumb.cli import main
 from robothumb.config import default_config
-from robothumb.control import calibrate_from_trace
-from robothumb.sensors import BLOCK_ROWS, load_trace, save_trace
+from robothumb.control import calibrate_from_trace, save_calibration
+from robothumb.sensors import BLOCK_ROWS, SAMPLE_DTYPE, load_trace, save_trace
 
 # tracemalloc peak over the columns' own bytes: the reader holds the samples,
 # the labels and one chunk's parse; the engine its step log and one block's
 # axis buffers, control columns, schedules and fingertip columns
 LOAD_PEAK_OVER_SAMPLES = 2.0
 RUN_PEAK_OVER_STEPS = 1.5
+# what a run holds past its step log at 100 presses: one block's columns and
+# the run's events; ``simulate`` holds no more than that beside the trace
+# it reads, and its writers hold less
+RUN_PEAK_OVER_STEP_LOG = 1.1 * 2**20
 # tracemalloc peak of binning a direction file, in chunks read, over its
 # one-byte-a-cell occupancy array: the chunk buffer, one chunk's parse and
 # the binning of its block, whose temporaries are gone before the next parse
@@ -63,6 +69,35 @@ def test_engine_run_holds_one_block_beyond_its_step_log(press_run):
     (*_, short, short_peak), (*_, long, long_peak) = press_run(50), press_run(486)
     growth = (long_peak - long.steps.nbytes) - (short_peak - short.steps.nbytes)
     assert growth < BLOCK_ROWS * engine.STEP_DTYPE.itemsize
+
+
+def test_engine_run_at_100_presses_holds_about_one_block_over_its_step_log(press_run):
+    *_, log, run_peak = press_run(100)
+    assert run_peak - log.steps.nbytes <= RUN_PEAK_OVER_STEP_LOG
+
+
+def test_cli_simulate_holds_its_trace_step_log_and_one_block(press_run, calib, tmp_path):
+    """The peak is the run's: the writers come after the trace is released."""
+    trace, _, log, _ = press_run(100)
+    save_trace(trace, tmp_path / "press.csv")
+    save_calibration(calib, tmp_path / "calibration.txt")
+    rc, peak = traced_peak(main, ["simulate", "--trace", str(tmp_path / "press.csv"),
+                                  "--calibration", str(tmp_path / "calibration.txt"),
+                                  "--out", str(tmp_path)])
+    assert rc == 0
+    assert peak < trace.samples.nbytes + log.steps.nbytes + RUN_PEAK_OVER_STEP_LOG
+
+
+def test_cli_synth_press_holds_one_block_of_trace_rows(tmp_path):
+    """From 50 to 486 presses (20,400 to 195,600 rows) the peak of drawing
+    and writing a noisy press trace grows by less than one block of rows."""
+    def synth_press(repeat):
+        return traced_peak(main, ["synth", "press", "--key", "46", "--repeat", str(repeat),
+                                  "--flex-noise", "2", "--out", str(tmp_path)])
+    synth_press(1)  # the parser and the digit table are built once
+    (short_rc, short_peak), (long_rc, long_peak) = synth_press(50), synth_press(486)
+    assert short_rc == long_rc == 0
+    assert long_peak - short_peak < BLOCK_ROWS * SAMPLE_DTYPE.itemsize
 
 
 @pytest.fixture(scope="module")

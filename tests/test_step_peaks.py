@@ -2,6 +2,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "step_peaks.py"
 
 
@@ -17,3 +19,16 @@ def test_prints_a_peak_after_each_step_of_a_tiny_flow(tmp_path, capsys, monkeypa
     peaks = [float(row.split()[3]) for row in rows]
     assert rss == sorted(rss) and min(peaks) > 0
     assert (tmp_path / "latency_report.txt").exists()
+
+
+def test_repeat_sets_the_press_count_of_press_session(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = runpy.run_path(str(TOOL))
+    sizes = {size: dict(p) for size, p in tool["workloads"].SIZES.items()}
+    argv = ["press_session", "--size", "tiny", "--repeat", "2", "--workdir", str(tmp_path)]
+    assert tool["main"](argv) == 0
+    assert capsys.readouterr().out.startswith("press_session, seed 0, size tiny, 2 presses;")
+    assert "count = 2" in (tmp_path / "latency_report.txt").read_text()
+    assert tool["workloads"].SIZES == sizes  # the table the benchmark reads is unchanged
+    with pytest.raises(SystemExit):
+        tool["main"](["workspace_sweep", "--size", "tiny", "--repeat", "2"])

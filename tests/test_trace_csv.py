@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from robothumb import default_config, sensors, synth
 from robothumb.cli import main
+from robothumb.config import load_config
 from robothumb.errors import InputError, RobothumbError, TraceFormatError
 from robothumb.sensors import (BLOCK_ROWS, SAMPLE_DTYPE, TRACE_HEADER, SensorTrace,
                                load_trace, save_trace)
@@ -222,6 +223,78 @@ def test_trace_samples_counts_data_rows(tmp_path):
         save_trace(trace, path)
         assert len(trace.samples) == data_rows(path) > 0, name
         assert len(load_trace(path).samples) == data_rows(path), name
+
+
+def press_columns(cfg, flex_target, speed, repeat, rows):
+    """(flex, y, z) code columns of ``rows`` rows: rest for ``LEAD_MS``,
+    ``repeat`` press cycles, then rest; the formula of the whole-trace
+    synthesis that block-wise drawing replaced, kept here as the reference."""
+    y_down, z_rest = synth.accel_codes(cfg, 0.0, 0.0)
+    y_up, _ = synth.accel_codes(cfg, synth.FOOT_UP_PITCH_DEG, 0.0)
+    _, z_pulse = synth.accel_codes(cfg, 0.0, speed * synth.CAL_LIFT_DYN_G)
+    pulse = synth._pulse_ms(speed)
+    phase = np.arange(rows) * cfg.simulation.timestep - synth.LEAD_MS
+    in_cycle = np.where((phase >= 0) & (phase < repeat * synth.PRESS_CYCLE_MS),
+                        phase % synth.PRESS_CYCLE_MS, np.inf)
+    lifted = (in_cycle < pulse) | ((synth.PRESS_HOLD_MS <= in_cycle)
+                                   & (in_cycle < synth.PRESS_HOLD_MS + pulse))
+    return [np.full(rows, flex_target), np.where(in_cycle < synth.PRESS_HOLD_MS, y_up, y_down),
+            np.where(lifted, z_pulse, z_rest)]
+
+
+def reference_bytes(cfg, columns, path) -> bytes:
+    """The text ``save_trace`` gives one whole trace of ``columns``, a row
+    every timestep from t = 0."""
+    t = np.arange(len(columns[0])) * cfg.simulation.timestep
+    save_trace(SensorTrace.from_columns(t, *columns, ()), path)
+    return path.read_bytes()
+
+
+# (timestep, presses, rows): 1 ms traces on both sides of one and of two
+# blocks, and traces of one press that end one row before, at and after a block
+BLOCK_EDGE_PRESSES = [(1.0, 17, 8_000), (1.0, 18, 8_400), (1.0, 37, 16_000),
+                      (1.0, 38, 16_400), (1600 / 8191, 1, 8191), (1600 / 8192, 1, 8192),
+                      (1600 / 8193, 1, 8193)]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 29])
+@pytest.mark.parametrize("timestep, repeat, rows", BLOCK_EDGE_PRESSES)
+def test_press_drawn_in_blocks_is_one_whole_draw(timestep, repeat, rows, seed, tmp_path):
+    """CLI ``synth press --flex-noise 2`` writes the bytes of one whole trace
+    whose flex jitter is one ``normal`` draw of every row, and so does
+    ``synth.press_trace``."""
+    (tmp_path / "config.ini").write_text(f"[simulation]\ntimestep = {timestep!r}\n")
+    cfg = load_config(tmp_path / "config.ini")
+    run("synth", "press", "--config", tmp_path / "config.ini", "--key", 46, "--repeat", repeat,
+        "--flex-noise", 2, "--seed", seed, "--out", tmp_path)
+    target = synth.flex_code_for_key(cfg, cfg.layout.keys[46], synth.anchors_from_config(cfg))
+    columns = press_columns(cfg, target, 0.5, repeat, rows)
+    jitter = np.rint(np.random.default_rng(seed).normal(0.0, 2.0, rows))
+    columns[0] = np.clip(target + jitter, 0, cfg.sensors.full_scale)
+    expected = reference_bytes(cfg, columns, tmp_path / "reference.csv")
+    assert (tmp_path / "press_trace.csv").read_bytes() == expected
+    save_trace(synth.press_trace(cfg, 46, repeat=repeat, flex_noise=2.0, seed=seed),
+               tmp_path / "library.csv")
+    assert (tmp_path / "library.csv").read_bytes() == expected
+
+
+def test_scale_drawn_in_blocks_is_the_concatenation_of_its_presses(tmp_path):
+    """CLI ``synth scale`` over 12 keys (15,900 rows, so two block edges)
+    writes one press segment per key and a quiet tail, concatenated whole."""
+    keys = [43, 44, 45, 46, 47, 48, 43, 45, 44, 46, 47, 48]
+    (tmp_path / "config.ini").write_text(REAR_CONFIG)
+    cfg = load_config(tmp_path / "config.ini")
+    run("synth", "scale", "--config", tmp_path / "config.ini",
+        "--keys", ",".join(map(str, keys)), "--out", tmp_path)
+    anchors = synth.anchors_from_config(cfg)
+    targets = [synth.flex_code_for_key(cfg, cfg.layout.keys[k], anchors) for k in keys]
+    segments = [press_columns(cfg, target, 0.5, 1, 1300) for target in targets]
+    segments.append(press_columns(cfg, targets[-1], 0.5, 0, 300))
+    columns = [np.concatenate(column) for column in zip(*segments)]
+    expected = reference_bytes(cfg, columns, tmp_path / "reference.csv")
+    assert (tmp_path / "scale_trace.csv").read_bytes() == expected
+    save_trace(synth.scale_trace(cfg, keys), tmp_path / "library.csv")
+    assert (tmp_path / "library.csv").read_bytes() == expected
 
 
 HEADER = ",".join(TRACE_HEADER)

@@ -11,7 +11,10 @@ tracing adds to the resident set. Standard library and robothumb only;
 ``perfbench`` is imported, not changed.
 
     python tools/step_peaks.py press_session [--seed 0] [--size full|tiny]
-        [--workdir DIR]
+        [--repeat N] [--workdir DIR]
+
+``--repeat N`` plays ``N`` presses in ``press_session`` in place of the
+size's count, to see how each step's memory grows with session length.
 
 Outputs and the CLI's own messages go to ``--workdir`` (default: a
 temporary directory, removed afterwards).
@@ -69,16 +72,26 @@ def main(argv: list[str]) -> int:
     parser.add_argument("workload", choices=workloads.WORKLOADS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--size", choices=tuple(workloads.SIZES), default="full")
+    parser.add_argument("--repeat", type=int, help="presses of press_session")
     parser.add_argument("--workdir", type=Path)
     args = parser.parse_args(argv)
+    if args.repeat is not None and args.workload != "press_session":
+        parser.error("--repeat applies to press_session only")
+    sizes = workloads.SIZES  # the flow reads its press count here; restored below
+    if args.repeat is not None:
+        workloads.SIZES = {**sizes, args.size: {**sizes[args.size], "presses": args.repeat}}
     with contextlib.ExitStack() as stack:
         workdir = args.workdir or Path(stack.enter_context(tempfile.TemporaryDirectory()))
         workdir.mkdir(parents=True, exist_ok=True)
-        flow = workloads.build_flow(args.workload, args.seed, args.size, workdir)
+        try:
+            flow = workloads.build_flow(args.workload, args.seed, args.size, workdir)
+        finally:
+            workloads.SIZES = sizes
         start = maxrss_mib()
         rss = run_flow(flow, workdir, traced=False)
         peaks = run_flow(flow, workdir, traced=True)
-    print(f"{args.workload}, seed {args.seed}, size {args.size}; "
+    count = f", {args.repeat} presses" if args.repeat is not None else ""
+    print(f"{args.workload}, seed {args.seed}, size {args.size}{count}; "
           f"ru_maxrss before the first step {start:.1f} MiB")
     print(f"{'step':<20} {'ru_maxrss_mib':>13} {'tracemalloc_peak_mib':>20}")
     for argv, after, peak in zip(flow.steps, rss, peaks):
