@@ -281,3 +281,56 @@ def test_run_axis_equals_chained_axis_step_with_strided_sends(schedule):
     """The same on feedback schedules whose axis stalls off target for long
     stretches, with sends held for many steps as a coarse trace holds them."""
     assert_run_axis_equals_chained_axis_step(schedule)
+
+
+@st.composite
+def noisy_schedules(draw):
+    """Feedback schedules as ``engine.run`` builds them from a 1 ms trace of a
+    noisy flex sensor at the default control parameters: nearly every run is
+    one step long with a setpoint within 3 counts of the last, and every
+    command is sent from the state 21 steps back. Now and then a run lasts
+    long enough for the axis to land and rest, or to stop off target and
+    hold that stop to the run's end.
+    """
+    aim = draw(st.sampled_from([0, 2, 40, -300]))
+    runs, k = [], 1
+    for length, jitter, shift in draw(st.lists(
+            st.tuples(st.just(1) | st.integers(1, 60), st.integers(-3, 3),
+                      st.just(0) | st.integers(-40, 40)),
+            min_size=1, max_size=60)):
+        aim += shift
+        runs.append((k, k + length, aim + jitter))
+        k += length
+    sent = [max(0, k - 21) for k in range(1, k)]
+    start = (draw(st.sampled_from([0.0, runs[0][2] * 360.0 / 16384.0])), 0.0)
+    return MotorAxis(), 1.0, runs, None, sent, start, (0.3, 400.0)
+
+
+# one-step runs within 3 counts of each other, each command sent 21 steps back
+NOISY_RUNS = [(k, k + 1, s) for k, s in enumerate(
+    [0, 2, -1, 3, 1, -3, 2, 0, -2, 1] * 6 + [3, 3, 2], start=1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(noisy_schedules())
+@example((MotorAxis(), 1.0, NOISY_RUNS, None,
+          [max(0, k - 21) for k in range(1, 64)], (0.0, 0.0), (0.3, 400.0)))
+# the axis lands on setpoint 1 over step 5 and rests to the run's end; a
+# one-step run follows the rest, then a rest on the setpoint it reaches
+@example((MotorAxis(), 1.0, [(1, 12, 1), (12, 13, 3), (13, 16, 3), (16, 17, 0)],
+          None, [max(0, k - 21) for k in range(1, 17)], (0.0, 0.0), (5.0, 400.0)))
+@example((MotorAxis(), 1.0, [(1, 8, 1), (8, 9, 3), (9, 12, 3), (12, 13, 0)],
+          [400.0] * 12, None, (0.0, 0.0), None))
+# the axis stops 0.22 counts short of setpoint 1 over step 58, and once the
+# sends read that stop the stall is held to the run boundary at step 100
+@example((MotorAxis(), 1.0, [(1, 100, 1), (100, 101, 3), (101, 104, 3), (104, 105, 0)],
+          None, [max(0, k - 21) for k in range(1, 105)], (0.0, 0.0), (0.3, 400.0)))
+# 0.3 counts off setpoint 0, at rest, sent from that state: the stall is held
+# over steps 1 .. 3 and ends at the run boundary, where setpoint 3 moves it
+@example((MotorAxis(), 1.0, [(1, 4, 0), (4, 6, 3)], None, [0] * 5,
+          (0.3 * 360.0 / 16384.0, 0.0), (0.3, 400.0)))
+def test_run_axis_equals_chained_axis_step_under_flex_noise(schedule):
+    """The same on schedules of a noisy horizontal axis: setpoints that change
+    on almost every step, rests and held stops that fill a run's tail, and
+    one-step runs right after them."""
+    assert_run_axis_equals_chained_axis_step(schedule)
