@@ -183,12 +183,13 @@ def _latency_stats(path) -> analysis.LatencyStats:
 def _analyze_workspace(args, cfg: GlobalConfig) -> None:
     out = _out_dir(args)
     estimate, count = analysis.file_solid_angle(args.dirs, args.bins)
+    # both sets are read before a result is printed, so a refused one prints none
+    ref = analysis.file_solid_angle(args.ref_dirs, args.bins)[0] if args.ref_dirs else None
     report = {"solid_angle_sr": round(estimate, 4), "n_bins": args.bins,
               "n_directions": count}
     print(f"solid angle: {estimate:.4f} sr over {count} directions "
           f"({args.bins} bins)")
-    if args.ref_dirs:
-        ref, _ = analysis.file_solid_angle(args.ref_dirs, args.bins)
+    if ref is not None:
         report["ref_solid_angle_sr"] = round(ref, 4)
         report["ratio"] = round(estimate / ref, 4)
         print(f"reference:   {ref:.4f} sr; ratio {estimate / ref:.3f}")

@@ -29,13 +29,15 @@ vertical axis. A run works on columns, one entry per step, one block of
 
 1. The control laws map the ADC codes of the samples the block applies, and
    numpy turns their times into each axis's command schedule over the
-   block: the sample applied over each step and the runs of steps under one
-   setpoint, as ``array``s.
+   block: the sample applied over each step, and the first step, setpoint
+   and target angle of each run of steps under one setpoint, as ``array``s.
 2. ``plant.run_axis`` resumes each axis from its state after the previous
-   block and steps it through the block's schedule in one scalar loop,
-   writing angles, and the vertical velocities, into buffers allocated for
-   the block; the horizontal loop adds the feedback on its own encoder
-   count, read from the state each command was sent from.
+   block and steps it through the block's schedule in one scalar loop over
+   steps, which reads a run's setpoint and target at its first step and
+   skips the steps the axis holds still. It writes angles, and the vertical
+   velocities, into buffers allocated for the block; the horizontal loop
+   adds the feedback on its own encoder count, read from the state each
+   command was sent from.
 3. Encoder counts and fingertip positions follow from the angle columns
    into the block's rows of the step log, and the key-on and key-off
    crossings from the fingertip height column. Only those crossings are
@@ -182,13 +184,16 @@ def intention_detect(trace: SensorTrace, calib: CalibrationSet,
     return out
 
 
-def _runs(step_setpoints: np.ndarray, first: int):
-    """``(first, stop, setpoint)`` of each run of steps under one setpoint from
-    three ``array('q')``; ``step_setpoints[j]`` is the setpoint over the step
-    at buffer index ``first + j``."""
+def _runs(step_setpoints: np.ndarray, first: int, axis: plant.MotorAxis) -> tuple:
+    """The run columns of ``plant.run_axis``'s schedule, built by numpy:
+    ``step_setpoints[j]`` is the setpoint over the step at buffer index
+    ``first + j``."""
     at = np.flatnonzero(np.diff(step_setpoints, prepend=step_setpoints[:1] + 1))
-    stop = np.append(at[1:], len(step_setpoints)) + first
-    return zip(*(array("q", c.tobytes()) for c in (at + first, stop, step_setpoints[at])))
+    firsts = np.append(at, len(step_setpoints)) + first
+    setpoints = step_setpoints[at]
+    targets = setpoints * 360.0 / plant.counts_per_output_rev(axis)
+    return (array("q", firsts.tobytes()), array("q", setpoints.tobytes()),
+            array("d", targets.tobytes()))
 
 
 def _run_tasks(tasks, concurrent: bool) -> list:
@@ -297,11 +302,13 @@ def run(trace: SensorTrace, calibration: CalibrationSet, config: "GlobalConfig",
         angles_v = array("d", [state_v[0]]) * (stop - start + 1)
         velocities_v = array("d", [state_v[1]]) * (stop - start + 1)
         state_h, state_v = _run_tasks((
-            functools.partial(plant.run_axis, angles_h, None, _runs(setpoints_h, first_h),
+            functools.partial(plant.run_axis, angles_h, None,
+                              _runs(setpoints_h, first_h, config.axis),
                               array("q", [0]) * (first_h - 1) + array("q", sent.tobytes()),
                               dt, config.axis,
                               (params.kp_h, params.v_cap), state_h),
-            functools.partial(plant.run_axis, angles_v, velocities_v, _runs(setpoints_v, 1),
+            functools.partial(plant.run_axis, angles_v, velocities_v,
+                              _runs(setpoints_v, 1, config.axis),
                               array("d", limits_v.tobytes()), dt, config.axis,
                               state=state_v)), concurrent)
         # keep the states the next block's commands can be sent from: none

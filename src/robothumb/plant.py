@@ -8,10 +8,12 @@ step). Angles are output-side degrees; the encoder count is kept
 consistent with the angle after every update.
 
 ``axis_step`` advances one ``(angle, velocity, encoder_count)`` state by one
-step. ``run_axis`` is the same step fused into one loop over a command
-schedule, resumed from a given state: it writes angles and velocities into
-preallocated buffers and leaves the encoder counts to
-``encoder_count_column``, which derives them from the angles afterwards.
+step. ``run_axis`` is the same step fused into one loop over the steps of a
+command schedule, resumed from a given state. The schedule is given as run
+columns: the first step, the setpoint and the target angle of each run of
+steps under one setpoint. It writes angles and velocities into preallocated
+buffers and leaves the encoder counts to ``encoder_count_column``, which
+derives them from the angles afterwards.
 
 ``encoder_counts`` is the package's one rule from an angle to a count, and
 ``round_half_away`` its one rounding rule, which the ADC, the calibration
@@ -123,9 +125,12 @@ def run_axis(angles, velocities, runs, limits, dt: float, axis: MotorAxis,
     The state after step k is what chaining ``axis_step`` from ``state``
     gives; its angle goes to ``angles[k]`` and, unless ``velocities`` is
     None, its velocity to ``velocities[k]``, in ``array('d')`` buffers.
-    ``runs`` yields ``(first, stop, setpoint)`` for each run of steps
-    ``first .. stop - 1`` under one setpoint, in step order, the first run
-    starting at the step after ``state``. ``limits[k - 1]`` is the profile
+    ``runs`` is the schedule as three run columns, one entry per run of steps
+    under one setpoint, in step order: ``runs[0][r]`` is the buffer index of
+    run r's first step, the first run's being the step after ``state``, and
+    holds one entry more, the index after the last step; ``runs[1][r]`` is
+    its setpoint in counts and ``runs[2][r]`` its target angle, ``setpoint *
+    360.0 / counts_per_output_rev(axis)``. ``limits[k - 1]`` is the profile
     velocity over step k; with ``feedback = (kp, v_cap)``, both positive, it
     is instead the buffer index of the state the step's command was sent
     from, below k and never decreasing with k, and the velocity is ``min(kp
@@ -134,16 +139,22 @@ def run_axis(angles, velocities, runs, limits, dt: float, axis: MotorAxis,
     before it that those indices name, ``state`` last.
 
     The loop only writes into the buffers it is given, so it grows no
-    container wherever it runs. Once the axis rests on its setpoint it
-    holds that state, with no arithmetic, until the setpoint changes. A
-    feedback axis can also stop off its setpoint, once the count of the
-    state a command was sent from equals the setpoint. A stop in motion
-    lasts until a later send reads where the axis stopped; it holds that
-    state in the same way from step k on when, at step k, its velocity is
+    container wherever it runs. It is one loop over steps, not one per run:
+    with a noisy flex sensor the horizontal setpoint changes on most steps,
+    and a loop per run would pay for a ``range`` on each of them. A run's
+    setpoint and target are read when its first step comes up, so a step in
+    a long run pays one integer comparison for the schedule. Once the axis
+    rests on its setpoint it holds that state, with no arithmetic, until the
+    setpoint changes: the loop fills the rest of the run at once and resumes
+    at the run's end, with no pass over the held steps, which are most of
+    the vertical axis's. A feedback axis can also stop off its setpoint, once
+    the count of the state a command was sent from equals the setpoint. A
+    stop in motion lasts until a later send reads where the axis stopped; it
+    is held in the same way from step k on when, at step k, its velocity is
     zero, the profile velocity from send state ``s = limits[k - 1]`` is
-    exactly zero and the angle has not changed over states s .. k - 1:
-    every later send of the run then reads that same angle, so no later step
-    moves the axis. That held stop is at most half a count off the setpoint.
+    exactly zero and the angle has not changed over states s .. k - 1: every
+    later send of the run then reads that same angle, so no later step moves
+    the axis. That held stop is at most half a count off the setpoint.
     """
     cpr = counts_per_output_rev(axis)
     dt_s = dt / 1000.0
@@ -153,11 +164,17 @@ def run_axis(angles, velocities, runs, limits, dt: float, axis: MotorAxis,
     kp, v_cap = feedback if feedback is not None else (None, None)
     sqrt, copysign, floor = math.sqrt, math.copysign, math.floor
     angle, velocity = state
+    firsts, setpoints, targets = runs
+    k, end = firsts[0], firsts[-1]
+    r, stop = 0, k  # run r starts at step ``stop``
     # ``b if b < a else a`` is min(a, b) and ``b if b > a else a`` is
     # max(a, b), NaN included, without the call
-    for first, stop, setpoint in runs:
-        target = setpoint * 360.0 / cpr
-        for k in range(first, stop):
+    while k < end:
+        for k in range(k, end):
+            if k == stop:
+                setpoint, target = setpoints[r], targets[r]
+                r += 1
+                stop = firsts[r]
             dist = target - angle
             if dist == 0.0:
                 if velocity == 0.0:  # at rest on the setpoint until it changes
@@ -201,11 +218,13 @@ def run_axis(angles, velocities, runs, limits, dt: float, axis: MotorAxis,
             if velocities is not None:
                 velocities[k] = velocity
         else:
-            continue
-        # the loop broke at step k to hold the state to the end of the run
+            break
+        # the loop broke at step k to hold the state to the end of the run,
+        # and resumes at the run's end
         angles[k:stop] = array("d", [angle]) * (stop - k)
         if velocities is not None:
             velocities[k:stop] = array("d", [velocity]) * (stop - k)
+        k = stop
     return angle, velocity
 
 

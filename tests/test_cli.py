@@ -396,6 +396,22 @@ def test_direction_norm_error_names_the_reference_file(tmp_path, capsys):
     assert not (tmp_path / "workspace_report.txt").exists()
 
 
+@pytest.mark.parametrize("ref", [b"", b"x,y,z\n", b"x,y,z\nnan,0,0\n", b"x,y,z\n1,0\n"],
+                         ids=["empty", "header-only", "nan", "two-columns"])
+def test_refused_reference_prints_no_result(ref, tmp_path, capsys):
+    """Both direction sets are read before the first set's solid angle is
+    printed, so a refused reference prints no result and writes no report."""
+    (tmp_path / "one.csv").write_text("x,y,z\n1,0,0\n")
+    (tmp_path / "ref.csv").write_bytes(ref)
+    assert run("analyze", "workspace", "--dirs", tmp_path / "one.csv",
+               "--ref-dirs", tmp_path / "ref.csv", "--bins", 1000,
+               "--out", tmp_path) == 2
+    captured = capsys.readouterr()
+    assert "solid angle" not in captured.out
+    assert f"{tmp_path / 'ref.csv'}: " in captured.err
+    assert not (tmp_path / "workspace_report.txt").exists()
+
+
 def test_bins_beyond_limit_exit_2_before_allocating(tmp_path, capsys):
     """10**12 bins once ended in numpy's out-of-memory traceback."""
     (tmp_path / "dirs.csv").write_text("x,y,z\n1,0,0\n0,1,0\n")

@@ -10,6 +10,8 @@ from robothumb.plant import (MAX_COUNTS_PER_REV, MotorAxis, axis_step,
                              counts_per_output_rev, encoder_count_column,
                              encoder_counts, run_axis, torque_margin)
 
+from axis_runs import run_columns
+
 AXIS = MotorAxis()
 REST = (0.0, 0.0, 0)  # (angle, velocity, encoder_count) at drive enable
 
@@ -235,11 +237,12 @@ def assert_run_axis_equals_chained_axis_step(schedule):
     n = runs[-1][1] - 1
     angles = array("d", [angle]) * (n + 1)
     velocities = array("d", [velocity]) * (n + 1)
-    end = run_axis(angles, velocities, iter(runs), sent if feedback else limits,
+    columns = run_columns(runs, axis)
+    end = run_axis(angles, velocities, columns, sent if feedback else limits,
                    dt, axis, feedback, (angle, velocity))
     # without a velocity buffer the angles and the end state are the same
     angles_only = array("d", [angle]) * (n + 1)
-    assert bits(run_axis(angles_only, None, iter(runs), sent if feedback else limits,
+    assert bits(run_axis(angles_only, None, columns, sent if feedback else limits,
                          dt, axis, feedback, (angle, velocity))) == bits(end)
     assert bits(angles_only) == bits(angles)
 
