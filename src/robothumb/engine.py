@@ -29,15 +29,18 @@ vertical axis. A run works on columns, one entry per step, one block of
 
 1. The control laws map the ADC codes of the samples the block applies, and
    numpy turns their times into each axis's command schedule over the
-   block: the sample applied over each step, and the first step, setpoint
-   and target angle of each run of steps under one setpoint, as ``array``s.
+   block, as numpy columns with one entry per step: the setpoint of the
+   sample applied over the step, with the vertical profile velocity, or
+   for the horizontal axis the buffer index of the state the command was
+   sent from.
 2. ``plant.run_axis`` resumes each axis from its state after the previous
    block and steps it through the block's schedule in one scalar loop over
    steps, which reads a run's setpoint and target at its first step and
    skips the steps the axis holds still. It writes angles, and the vertical
-   velocities, into buffers allocated for the block; the horizontal loop
-   adds the feedback on its own encoder count, read from the state each
-   command was sent from.
+   velocities, into buffers allocated for the block: the vertical ones
+   hold the block's steps, the horizontal one holds the states commands
+   are sent from before them too, for the feedback on its own encoder
+   count.
 3. Encoder counts and fingertip positions follow from the angle columns
    into the block's rows of the step log, and the key-on and key-off
    crossings from the fingertip height column. Only those crossings are
@@ -184,18 +187,6 @@ def intention_detect(trace: SensorTrace, calib: CalibrationSet,
     return out
 
 
-def _runs(step_setpoints: np.ndarray, first: int, axis: plant.MotorAxis) -> tuple:
-    """The run columns of ``plant.run_axis``'s schedule, built by numpy:
-    ``step_setpoints[j]`` is the setpoint over the step at buffer index
-    ``first + j``."""
-    at = np.flatnonzero(np.diff(step_setpoints, prepend=step_setpoints[:1] + 1))
-    firsts = np.append(at, len(step_setpoints)) + first
-    setpoints = step_setpoints[at]
-    targets = setpoints * 360.0 / plant.counts_per_output_rev(axis)
-    return (array("q", firsts.tobytes()), array("q", setpoints.tobytes()),
-            array("d", targets.tobytes()))
-
-
 def _run_tasks(tasks, concurrent: bool) -> list:
     """Each task's result, the tasks called inline or each on its own
     thread; the first failure on a thread is raised again here."""
@@ -235,9 +226,7 @@ def run(trace: SensorTrace, calibration: CalibrationSet, config: "GlobalConfig",
     sim = config.simulation
     lat = sim.latency
     params = config.control
-    geometry = config.geometry
     mount = config.mount
-    layout = config.layout
     dt = sim.timestep
 
     log = EventLog(intentions=intention_detect(trace, calibration, params))
@@ -251,7 +240,7 @@ def run(trace: SensorTrace, calibration: CalibrationSet, config: "GlobalConfig",
     n_steps = int(math.ceil(end_t / dt))
     log.steps = np.empty(n_steps, STEP_DTYPE)
 
-    press_height = -layout.key_travel  # tip z of a fully pressed key
+    press_height = -config.layout.key_travel  # tip z of a fully pressed key
     # what one block hands the next: the samples due by its last step, the
     # horizontal angles of states ``window_at`` .. ``start`` (the states later
     # commands are sent from), each axis's state, the last tip height, the
@@ -259,7 +248,7 @@ def run(trace: SensorTrace, calibration: CalibrationSet, config: "GlobalConfig",
     due = 0
     window_at, window = 0, array("d", [0.0])
     state_h = state_v = (0.0, 0.0)  # drive enable
-    prev_tip_z = mount.base_z - kinematics.press_drop(0.0, geometry)
+    prev_tip_z = mount.base_z - kinematics.press_drop(0.0, config.geometry)
     pressed: Key | None = None
     ii = 0  # intentions before this index are used up
 
@@ -297,30 +286,23 @@ def run(trace: SensorTrace, calibration: CalibrationSet, config: "GlobalConfig",
                                          block["acc_z_adc"].astype(float),
                                          calibration, params)))
 
-        first_h = len(window)  # the buffer index of the block's first step
-        angles_h = window + array("d", [0.0]) * (stop - start)
-        angles_v = array("d", [state_v[0]]) * (stop - start + 1)
-        velocities_v = array("d", [state_v[1]]) * (stop - start + 1)
+        zeros = array("d", [0.0]) * (stop - start)  # one entry per step of the block
+        angles_h, angles_v, velocities_v = window + zeros, zeros, array("d", zeros)
         state_h, state_v = _run_tasks((
-            functools.partial(plant.run_axis, angles_h, None,
-                              _runs(setpoints_h, first_h, config.axis),
-                              array("q", [0]) * (first_h - 1) + array("q", sent.tobytes()),
-                              dt, config.axis,
-                              (params.kp_h, params.v_cap), state_h),
-            functools.partial(plant.run_axis, angles_v, velocities_v,
-                              _runs(setpoints_v, 1, config.axis),
-                              array("d", limits_v.tobytes()), dt, config.axis,
-                              state=state_v)), concurrent)
+            functools.partial(plant.run_axis, angles_h, None, setpoints_h, None, dt,
+                              config.axis, (params.kp_h, params.v_cap, sent), state_h),
+            functools.partial(plant.run_axis, angles_v, velocities_v, setpoints_v,
+                              limits_v, dt, config.axis, state=state_v)), concurrent)
         # keep the states the next block's commands can be sent from: none
         # before this block's last send, and before the first command none
         keep = window_at + int(sent[-1]) if applied[-1] >= 0 else stop
         window = angles_h[keep - window_at:]
         window_at = keep
 
-        theta_h = np.frombuffer(angles_h)[first_h:]
-        theta_v = np.frombuffer(angles_v)[1:]
+        theta_h = np.frombuffer(angles_h)[start - stop:]  # the block's steps
+        theta_v = np.frombuffer(angles_v)
         tip_x, tip_z = kinematics.keyline_position(mount.heading + theta_h, theta_v,
-                                                   geometry, mount, np)
+                                                   config.geometry, mount, np)
         rows = log.steps[start:stop]
         rows["t"] = step_t
         rows["theta_h_counts"] = plant.encoder_count_column(theta_h, config.axis)
@@ -336,12 +318,12 @@ def run(trace: SensorTrace, calibration: CalibrationSet, config: "GlobalConfig",
         at = np.flatnonzero(down | up)
         for t, is_down, x, speed in zip(step_t[at].tolist(), down[at].tolist(),
                                         tip_x[at].tolist(),
-                                        np.abs(np.frombuffer(velocities_v)[at + 1]).tolist()):
+                                        np.abs(np.frombuffer(velocities_v)[at]).tolist()):
             if pressed is None and is_down:
                 # a press, on a key or in the air, uses up every intention so
                 # far; a key-on is charged to the latest one not yet used
                 upto = bisect.bisect_right(log.intentions, t)
-                key = key_at(x, mount.depth, layout)
+                key = key_at(x, mount.depth, config.layout)
                 if key is None:
                     log.air_presses.append(t)
                 else:

@@ -9,11 +9,11 @@ consistent with the angle after every update.
 
 ``axis_step`` advances one ``(angle, velocity, encoder_count)`` state by one
 step. ``run_axis`` is the same step fused into one loop over the steps of a
-command schedule, resumed from a given state. The schedule is given as run
-columns: the first step, the setpoint and the target angle of each run of
-steps under one setpoint. It writes angles and velocities into preallocated
-buffers and leaves the encoder counts to ``encoder_count_column``, which
-derives them from the angles afterwards.
+block, resumed from a given state. The block's schedule is given as numpy
+columns with one entry per step: the setpoint, and the profile velocity or
+the state the command was sent from. It writes angles and velocities into
+preallocated buffers and leaves the encoder counts to
+``encoder_count_column``, which derives them from the angles afterwards.
 
 ``encoder_counts`` is the package's one rule from an angle to a count, and
 ``round_half_away`` its one rounding rule, which the ADC, the calibration
@@ -115,56 +115,68 @@ def encoder_count_column(angles: np.ndarray, axis: MotorAxis) -> np.ndarray:
     return round_half_away_column(angles * counts_per_output_rev(axis) / 360.0)
 
 
-def run_axis(angles, velocities, runs, limits, dt: float, axis: MotorAxis,
-             feedback: tuple[float, float] | None = None,
+def run_axis(angles, velocities, setpoints, limits, dt: float, axis: MotorAxis,
+             feedback: tuple | None = None,
              state: tuple[float, float] = (0.0, 0.0)) -> tuple[float, float]:
-    """Step an axis from ``state``, ``(angle, velocity)``, through a command
-    schedule and return its state after the last step; the default is the
+    """Step an axis from ``state``, ``(angle, velocity)``, through one block of
+    steps and return its state after the last step; the default is the
     drive-enable state.
 
-    The state after step k is what chaining ``axis_step`` from ``state``
-    gives; its angle goes to ``angles[k]`` and, unless ``velocities`` is
-    None, its velocity to ``velocities[k]``, in ``array('d')`` buffers.
-    ``runs`` is the schedule as three run columns, one entry per run of steps
-    under one setpoint, in step order: ``runs[0][r]`` is the buffer index of
-    run r's first step, the first run's being the step after ``state``, and
-    holds one entry more, the index after the last step; ``runs[1][r]`` is
-    its setpoint in counts and ``runs[2][r]`` its target angle, ``setpoint *
-    360.0 / counts_per_output_rev(axis)``. ``limits[k - 1]`` is the profile
-    velocity over step k; with ``feedback = (kp, v_cap)``, both positive, it
-    is instead the buffer index of the state the step's command was sent
-    from, below k and never decreasing with k, and the velocity is ``min(kp
-    * |setpoint - encoder_count|, v_cap)`` with that state's count. The
-    entries of ``angles`` below the first step hold the angles of the states
-    before it that those indices name, ``state`` last.
+    The block's steps are the last ``len(setpoints)`` entries of ``angles``,
+    an ``array('d')`` buffer; call the first one's index ``first``. The state
+    after the step at buffer index k is what chaining ``axis_step`` from
+    ``state`` gives; its angle goes to ``angles[k]`` and, unless
+    ``velocities`` is None, its velocity to ``velocities[k]``, in a buffer as
+    long. The schedule is given as numpy columns with one entry per step, the
+    step at index k being entry ``k - first``: ``setpoints`` holds its
+    setpoint in counts and ``limits`` its profile velocity. With ``feedback =
+    (kp, v_cap, sent)``, kp and v_cap positive, ``limits`` is not read:
+    ``sent`` holds the buffer index of the state the step's command was sent
+    from, below k and never decreasing with k, and the velocity is ``min(kp *
+    |setpoint - encoder_count|, v_cap)`` with that state's count. The entries
+    of ``angles`` below ``first`` hold the angles of the states before the
+    block that those indices name, ``state`` last.
 
     The loop only writes into the buffers it is given, so it grows no
-    container wherever it runs. It is one loop over steps, not one per run:
-    with a noisy flex sensor the horizontal setpoint changes on most steps,
-    and a loop per run would pay for a ``range`` on each of them. A run's
-    setpoint and target are read when its first step comes up, so a step in
-    a long run pays one integer comparison for the schedule. Once the axis
-    rests on its setpoint it holds that state, with no arithmetic, until the
-    setpoint changes: the loop fills the rest of the run at once and resumes
-    at the run's end, with no pass over the held steps, which are most of
-    the vertical axis's. A feedback axis can also stop off its setpoint, once
-    the count of the state a command was sent from equals the setpoint. A
-    stop in motion lasts until a later send reads where the axis stopped; it
-    is held in the same way from step k on when, at step k, its velocity is
-    zero, the profile velocity from send state ``s = limits[k - 1]`` is
-    exactly zero and the angle has not changed over states s .. k - 1: every
-    later send of the run then reads that same angle, so no later step moves
-    the axis. That held stop is at most half a count off the setpoint.
+    container wherever it runs. It first builds the runs of steps under one
+    setpoint with numpy: the buffer index of each run's first step, its
+    setpoint and its target angle, ``setpoint * 360.0 /
+    counts_per_output_rev(axis)``. It is then one loop over steps, not one
+    per run: with a noisy flex sensor the horizontal setpoint changes on most
+    steps, and a loop per run would pay for a ``range`` on each of them. A
+    run's setpoint and target are read when its first step comes up, so a
+    step in a long run pays one integer comparison for the schedule. Once the
+    axis rests on its setpoint it holds that state, with no arithmetic, until
+    the setpoint changes: the loop fills the rest of the run at once and
+    resumes at the run's end, with no pass over the held steps, which are
+    most of the vertical axis's. A feedback axis can also stop off its
+    setpoint, once the count of the state a command was sent from equals the
+    setpoint. A stop in motion lasts until a later send reads where the axis
+    stopped; it is held in the same way from step k on when, at step k, its
+    velocity is zero, the profile velocity from send state s is exactly zero
+    and the angle has not changed over states s .. k - 1: every later send of
+    the run then reads that same angle, so no later step moves the axis. That
+    held stop is at most half a count off the setpoint.
     """
     cpr = counts_per_output_rev(axis)
     dt_s = dt / 1000.0
     two_a_max = 2.0 * axis.a_max
     max_delta = axis.a_max * dt_s
     v_max = axis.v_max
-    kp, v_cap = feedback if feedback is not None else (None, None)
+    first = len(angles) - len(setpoints)  # the buffer index of the first step
+    at = np.flatnonzero(np.diff(setpoints, prepend=setpoints[:1] + 1))
+    firsts = array("q", (np.append(at, len(setpoints)) + first).tobytes())
+    targets = array("d", (setpoints[at] * 360.0 / cpr).tobytes())
+    setpoints = array("q", setpoints[at].tobytes())
+    # the other per-step column, padded so that a step's entry is read at
+    # its buffer index
+    if feedback is None:
+        kp, limits = None, array("d", bytes(8 * first) + limits.tobytes())
+    else:
+        kp, v_cap, sent = feedback
+        sent = array("q", bytes(8 * first) + sent.tobytes())
     sqrt, copysign, floor = math.sqrt, math.copysign, math.floor
     angle, velocity = state
-    firsts, setpoints, targets = runs
     k, end = firsts[0], firsts[-1]
     r, stop = 0, k  # run r starts at step ``stop``
     # ``b if b < a else a`` is min(a, b) and ``b if b > a else a`` is
@@ -182,18 +194,18 @@ def run_axis(angles, velocities, runs, limits, dt: float, axis: MotorAxis,
                 velocity = 0.0
             else:
                 if kp is None:
-                    limit = limits[k - 1]
+                    limit = limits[k]
                 else:
-                    sent = limits[k - 1]
-                    x = angles[sent] * cpr / 360.0
+                    s = sent[k]
+                    x = angles[s] * cpr / 360.0
                     count = floor(x + 0.5) if x >= 0 else -floor(-x + 0.5)
                     limit = kp * abs(setpoint - count)
                     if v_cap < limit:
                         limit = v_cap
                     # the window's first angle alone rules out most stops
                     # that follow a move, without building the slice
-                    if (limit == 0.0 and velocity == 0.0 and angles[sent] == angle
-                            and angles[sent:k].count(angle) == k - sent):
+                    if (limit == 0.0 and velocity == 0.0 and angles[s] == angle
+                            and angles[s:k].count(angle) == k - s):
                         # stalled off target until the setpoint changes
                         velocity = copysign(0.0, dist)
                         break

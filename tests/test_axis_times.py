@@ -1,7 +1,9 @@
 import runpy
 import sys
+from array import array
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from robothumb import plant
@@ -35,3 +37,19 @@ def test_refuses_a_workload_without_an_engine_run_and_a_zero_repeat(monkeypatch)
     for argv in (["workspace_sweep"], ["press_session", "--repeat", "0"]):
         with pytest.raises(SystemExit):
             tool["main"](argv)
+
+
+def test_a_replay_must_write_the_recorded_velocities(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = runpy.run_path(str(TOOL))
+    args = (np.array([0, 100, 100]), np.full(3, 400.0), 1.0, plant.MotorAxis(), None,
+            (0.0, 0.0))
+    angles, velocities = array("d", [0.0]) * 3, array("d", [0.0]) * 3
+    call = {"angles": tool["copy"](angles), "velocities": tool["copy"](velocities),
+            "args": args}
+    plant.run_axis(angles, velocities, *args)
+    call["written"] = (angles, velocities)
+    assert tool["replay"]([call], 1) >= 0
+    velocities[1] += 1.0  # the angles still match
+    with pytest.raises(SystemExit, match="other angles or velocities"):
+        tool["replay"]([call], 1)

@@ -16,8 +16,6 @@ from robothumb.errors import (CalibrationIncompleteError, ConfigurationError,
 from robothumb.plant import MotorAxis, round_half_away, run_axis
 from robothumb.sensors import SensorTrace
 
-from axis_runs import run_columns
-
 PARAMS = ControlParams()
 
 CAL = CalibrationSet(flex_min=2482, flex_max=1780, enc_h_min=790, enc_h_max=-795,
@@ -137,8 +135,8 @@ def commanded_velocity(distance: int, params: ControlParams) -> float:
     the step's command is sent from the drive-enable state, buffer index 0."""
     axis = MotorAxis(a_max=1e12, v_max=1e9)
     angles, velocities = array("d", [0.0, 0.0]), array("d", [0.0, 0.0])
-    run_axis(angles, velocities, run_columns([(1, 2, distance)], axis), [0], 1.0, axis,
-             (params.kp_h, params.v_cap))
+    run_axis(angles, velocities, np.array([distance]), None, 1.0, axis,
+             (params.kp_h, params.v_cap, np.array([0])))
     return abs(velocities[1])
 
 

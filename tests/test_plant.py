@@ -1,3 +1,4 @@
+import math
 from array import array
 from fractions import Fraction
 
@@ -9,8 +10,6 @@ from robothumb.errors import ConfigurationError, InputError
 from robothumb.plant import (MAX_COUNTS_PER_REV, MotorAxis, axis_step,
                              counts_per_output_rev, encoder_count_column,
                              encoder_counts, run_axis, torque_margin)
-
-from axis_runs import run_columns
 
 AXIS = MotorAxis()
 REST = (0.0, 0.0, 0)  # (angle, velocity, encoder_count) at drive enable
@@ -162,32 +161,30 @@ def test_encoder_count_column_matches_scalar(angles):
 
 @st.composite
 def schedules(draw):
-    """An axis, a starting state and runs of steps under one setpoint.
+    """An axis, a starting state and a setpoint for each step, in stretches.
 
     Setpoints come from a few nearby values, so the axis lands and idles,
-    retargets mid-move and reverses; adjacent runs may share a setpoint.
-    Each step gets a profile velocity (0 stalls the axis) and, for the
-    feedback form, the earlier state its command was sent from.
+    retargets mid-move and reverses. Each step gets a profile velocity (0
+    stalls the axis) and, for the feedback form, the earlier state its
+    command was sent from.
     """
     axis = MotorAxis(gear_ratio=draw(st.sampled_from([1, 4, 16])),
                      v_max=draw(st.floats(50.0, 1000.0)),
                      a_max=draw(st.floats(1000.0, 1e6)))
     dt = draw(st.sampled_from([0.5, 1.0, 2.5]))
     targets = st.sampled_from([-40, -3, 0, 1, 2, 25, 300])
-    runs, k = [], 1
-    for length, setpoint in draw(st.lists(st.tuples(st.integers(1, 12), targets),
-                                          min_size=1, max_size=12)):
-        runs.append((k, k + length, setpoint))
-        k += length
-    n = k - 1
+    setpoints = [setpoint for length, setpoint in draw(st.lists(
+        st.tuples(st.integers(1, 12), targets), min_size=1, max_size=12))
+        for _ in range(length)]
+    n = len(setpoints)
     limits = draw(st.lists(st.floats(0.0, 500.0) | st.just(0.0), min_size=n, max_size=n))
     sent = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
-    sent = [min(j, k - 1) for k, j in enumerate(sorted(sent), start=1)]
+    sent = [min(j, k) for k, j in enumerate(sorted(sent))]
     start_setpoint = draw(targets)
     angle = draw(st.sampled_from([0.0, start_setpoint * 360.0 / counts_per_output_rev(axis)]))
     velocity = draw(st.sampled_from([0.0, -0.0, 35.0, -120.0]))
     feedback = draw(st.none() | st.tuples(st.floats(0.01, 5.0), st.floats(1.0, 400.0)))
-    return axis, dt, runs, limits, sent, (angle, velocity), feedback
+    return axis, dt, setpoints, limits, sent, (angle, velocity), feedback
 
 
 @st.composite
@@ -196,13 +193,13 @@ def strided_schedules(draw):
     slower than the timestep: each step's command is sent from a state a few
     steps back, and that state is held for ``period`` steps, then jumps.
 
-    Runs are up to 300 steps long and setpoints a few hundred counts
-    apart, so within one run the axis moves and stops short of its target
-    once the sent count equals the setpoint. Setpoints revisit a few values
-    and some runs are short, so a run can also retarget the axis onto a count
-    it left a few steps back: the send state's count is then the setpoint
-    while the axis is elsewhere, and it must move again once later sends see
-    where it stopped.
+    Setpoints hold for up to 300 steps and lie a few hundred counts apart,
+    so under one setpoint the axis moves and stops short of its target once
+    the sent count equals the setpoint. Setpoints revisit a few values and
+    some hold only briefly, so a new setpoint can also retarget the axis onto
+    a count it left a few steps back: the send state's count is then the
+    setpoint while the axis is elsewhere, and it must move again once later
+    sends see where it stopped.
     """
     axis = MotorAxis(gear_ratio=draw(st.sampled_from([1, 4, 16])),
                      a_max=draw(st.sampled_from([1000.0, 100000.0])))
@@ -210,21 +207,18 @@ def strided_schedules(draw):
     period = draw(st.integers(1, 40))
     lag = draw(st.integers(1, 30))
     phase = draw(st.integers(0, period - 1))
-    setpoints = st.sampled_from(
+    values = st.sampled_from(
         [0] + draw(st.lists(st.integers(-600, 600), min_size=1, max_size=3)))
     lengths = st.integers(1, 300) | st.integers(1, 30)
-    runs, k = [], 1
-    for length, setpoint in draw(st.lists(st.tuples(lengths, setpoints),
-                                          min_size=1, max_size=8)):
-        runs.append((k, k + length, setpoint))
-        k += length
+    setpoints = [setpoint for length, setpoint in draw(st.lists(
+        st.tuples(lengths, values), min_size=1, max_size=8)) for _ in range(length)]
     sent = [min(k - 1, max(0, (k - lag - phase) // period * period + phase))
-            for k in range(1, k)]
+            for k in range(1, len(setpoints) + 1)]
     start = (draw(st.sampled_from([0.0, -0.0])),
              draw(st.sampled_from([0.0, -0.0, 35.0, -120.0])))
     feedback = (draw(st.sampled_from([0.3, 0.01, 5.0]) | st.floats(0.01, 5.0)),
                 draw(st.sampled_from([400.0, 50.0, 1.0])))
-    return axis, dt, runs, None, sent, start, feedback
+    return axis, dt, setpoints, None, sent, start, feedback
 
 
 def bits(values) -> list[int]:
@@ -233,33 +227,42 @@ def bits(values) -> list[int]:
 
 
 def assert_run_axis_equals_chained_axis_step(schedule):
-    axis, dt, runs, limits, sent, (angle, velocity), feedback = schedule
-    n = runs[-1][1] - 1
-    angles = array("d", [angle]) * (n + 1)
-    velocities = array("d", [velocity]) * (n + 1)
-    columns = run_columns(runs, axis)
-    end = run_axis(angles, velocities, columns, sent if feedback else limits,
-                   dt, axis, feedback, (angle, velocity))
-    # without a velocity buffer the angles and the end state are the same
-    angles_only = array("d", [angle]) * (n + 1)
-    assert bits(run_axis(angles_only, None, columns, sent if feedback else limits,
-                         dt, axis, feedback, (angle, velocity))) == bits(end)
-    assert bits(angles_only) == bits(angles)
-
+    """Steps are numbered from 1 and states from 0, the starting state. The
+    buffers hold ``lead`` entries before step 1: none or the starting state
+    without feedback, as the engine's vertical buffers and a caller that
+    keeps its last state do; with feedback the starting state, or that and
+    an earlier state that no send reads, as the engine's horizontal buffer
+    holds the states its commands are sent from."""
+    axis, dt, setpoints, limits, sent, (angle, velocity), feedback = schedule
     states = [(angle, velocity, encoder_counts(angle, axis))]
-    for first, stop, setpoint in runs:
-        for k in range(first, stop):
-            if feedback is None:
-                limit = limits[k - 1]
-            else:
-                kp, v_cap = feedback
-                limit = min(kp * abs(setpoint - states[sent[k - 1]][2]), v_cap)
-            states.append(axis_step(states[-1], setpoint, limit, dt, axis))
-    assert bits(angles) == bits([a for a, _, _ in states])
-    assert bits(velocities) == bits([v for _, v, _ in states])
-    assert bits(end) == bits(states[-1][:2])
-    assert encoder_count_column(np.frombuffer(angles), axis).tolist() == [
-        c for _, _, c in states]
+    for i, setpoint in enumerate(setpoints):
+        if feedback is None:
+            limit = limits[i]
+        else:
+            kp, v_cap = feedback
+            limit = min(kp * abs(setpoint - states[sent[i]][2]), v_cap)
+        states.append(axis_step(states[-1], setpoint, limit, dt, axis))
+
+    columns = np.array(setpoints, np.int64), None if limits is None else np.array(limits)
+    for lead in (0, 1) if feedback is None else (1, 2):
+        before = [angle - 1.0, angle][2 - lead:]
+        # NaN marks an entry the loop does not write
+        angles = array("d", before + [math.nan] * len(setpoints))
+        velocities = array("d", [velocity] * lead + [math.nan] * len(setpoints))
+        sends = None if feedback is None else (
+            *feedback, np.array(sent, np.int64) + (lead - 1))
+        end = run_axis(angles, velocities, *columns, dt, axis, sends, (angle, velocity))
+        # without a velocity buffer the angles and the end state are the same
+        angles_only = array("d", before + [math.nan] * len(setpoints))
+        assert bits(run_axis(angles_only, None, *columns, dt, axis, sends,
+                             (angle, velocity))) == bits(end)
+        assert bits(angles_only) == bits(angles)
+
+        assert bits(angles) == bits(before + [a for a, _, _ in states[1:]])
+        assert bits(velocities) == bits([velocity] * lead + [v for _, v, _ in states[1:]])
+        assert bits(end) == bits(states[-1][:2])
+        assert encoder_count_column(np.frombuffer(angles)[lead:], axis).tolist() == [
+            c for _, _, c in states[1:]]
 
 
 @settings(max_examples=200, deadline=None)
@@ -274,12 +277,10 @@ def test_run_axis_equals_chained_axis_step(schedule):
 @given(strided_schedules())
 # the axis stops with limit 0 over step 2, but step 3 is sent from that
 # stopped state, whose count is 1, not 0: the axis must move back
-@example((MotorAxis(), 1.0, [(1, 2, 37), (2, 4, 0)], None, [0, 0, 2],
-          (0.0, 0.0), (0.3, 50.0)))
+@example((MotorAxis(), 1.0, [37, 0, 0], None, [0, 0, 2], (0.0, 0.0), (0.3, 50.0)))
 # the same stop, but step 3 is still sent from state 0: the axis moved
 # after that state, so it moves back over step 4
-@example((MotorAxis(), 1.0, [(1, 2, 37), (2, 5, 0)], None, [0, 0, 0, 3],
-          (0.0, 0.0), (0.3, 50.0)))
+@example((MotorAxis(), 1.0, [37, 0, 0, 0], None, [0, 0, 0, 3], (0.0, 0.0), (0.3, 50.0)))
 def test_run_axis_equals_chained_axis_step_with_strided_sends(schedule):
     """The same on feedback schedules whose axis stalls off target for long
     stretches, with sends held for many steps as a coarse trace holds them."""
@@ -289,51 +290,54 @@ def test_run_axis_equals_chained_axis_step_with_strided_sends(schedule):
 @st.composite
 def noisy_schedules(draw):
     """Feedback schedules as ``engine.run`` builds them from a 1 ms trace of a
-    noisy flex sensor at the default control parameters: nearly every run is
-    one step long with a setpoint within 3 counts of the last, and every
-    command is sent from the state 21 steps back. Now and then a run lasts
-    long enough for the axis to land and rest, or to stop off target and
-    hold that stop to the run's end.
+    noisy flex sensor at the default control parameters: the setpoint changes
+    on nearly every step, within 3 counts of the last, and every command is
+    sent from the state 21 steps back. Now and then a setpoint holds long
+    enough for the axis to land and rest, or to stop off target and hold that
+    stop until the setpoint changes.
     """
     aim = draw(st.sampled_from([0, 2, 40, -300]))
-    runs, k = [], 1
+    setpoints = []
     for length, jitter, shift in draw(st.lists(
             st.tuples(st.just(1) | st.integers(1, 60), st.integers(-3, 3),
                       st.just(0) | st.integers(-40, 40)),
             min_size=1, max_size=60)):
         aim += shift
-        runs.append((k, k + length, aim + jitter))
-        k += length
-    sent = [max(0, k - 21) for k in range(1, k)]
-    start = (draw(st.sampled_from([0.0, runs[0][2] * 360.0 / 16384.0])), 0.0)
-    return MotorAxis(), 1.0, runs, None, sent, start, (0.3, 400.0)
+        setpoints += [aim + jitter] * length
+    sent = [max(0, k - 21) for k in range(1, len(setpoints) + 1)]
+    start = (draw(st.sampled_from([0.0, setpoints[0] * 360.0 / 16384.0])), 0.0)
+    return MotorAxis(), 1.0, setpoints, None, sent, start, (0.3, 400.0)
 
 
-# one-step runs within 3 counts of each other, each command sent 21 steps back
-NOISY_RUNS = [(k, k + 1, s) for k, s in enumerate(
-    [0, 2, -1, 3, 1, -3, 2, 0, -2, 1] * 6 + [3, 3, 2], start=1)]
+def sent_21_back(n: int) -> list[int]:
+    """The send states of ``n`` steps, each 21 steps back, as at 1 ms."""
+    return [max(0, k - 21) for k in range(1, n + 1)]
+
+
+# a setpoint change on every step but one, within 3 counts of the last
+NOISY_SETPOINTS = [0, 2, -1, 3, 1, -3, 2, 0, -2, 1] * 6 + [3, 3, 2]
 
 
 @settings(max_examples=200, deadline=None)
 @given(noisy_schedules())
-@example((MotorAxis(), 1.0, NOISY_RUNS, None,
-          [max(0, k - 21) for k in range(1, 64)], (0.0, 0.0), (0.3, 400.0)))
-# the axis lands on setpoint 1 over step 5 and rests to the run's end; a
-# one-step run follows the rest, then a rest on the setpoint it reaches
-@example((MotorAxis(), 1.0, [(1, 12, 1), (12, 13, 3), (13, 16, 3), (16, 17, 0)],
-          None, [max(0, k - 21) for k in range(1, 17)], (0.0, 0.0), (5.0, 400.0)))
-@example((MotorAxis(), 1.0, [(1, 8, 1), (8, 9, 3), (9, 12, 3), (12, 13, 0)],
-          [400.0] * 12, None, (0.0, 0.0), None))
+@example((MotorAxis(), 1.0, NOISY_SETPOINTS, None, sent_21_back(63), (0.0, 0.0),
+          (0.3, 400.0)))
+# the axis lands on setpoint 1 over step 5 and rests until the setpoint
+# changes; setpoint 3 follows for four steps, on which it lands and rests
+@example((MotorAxis(), 1.0, [1] * 11 + [3] * 4 + [0], None, sent_21_back(16),
+          (0.0, 0.0), (5.0, 400.0)))
+@example((MotorAxis(), 1.0, [1] * 7 + [3] * 4 + [0], [400.0] * 12, None, (0.0, 0.0),
+          None))
 # the axis stops 0.22 counts short of setpoint 1 over step 58, and once the
-# sends read that stop the stall is held to the run boundary at step 100
-@example((MotorAxis(), 1.0, [(1, 100, 1), (100, 101, 3), (101, 104, 3), (104, 105, 0)],
-          None, [max(0, k - 21) for k in range(1, 105)], (0.0, 0.0), (0.3, 400.0)))
+# sends read that stop the stall is held until the setpoint changes at step 100
+@example((MotorAxis(), 1.0, [1] * 99 + [3] * 4 + [0], None, sent_21_back(104),
+          (0.0, 0.0), (0.3, 400.0)))
 # 0.3 counts off setpoint 0, at rest, sent from that state: the stall is held
-# over steps 1 .. 3 and ends at the run boundary, where setpoint 3 moves it
-@example((MotorAxis(), 1.0, [(1, 4, 0), (4, 6, 3)], None, [0] * 5,
+# over steps 1 .. 3 and ends where setpoint 3 moves it
+@example((MotorAxis(), 1.0, [0] * 3 + [3] * 2, None, [0] * 5,
           (0.3 * 360.0 / 16384.0, 0.0), (0.3, 400.0)))
 def test_run_axis_equals_chained_axis_step_under_flex_noise(schedule):
     """The same on schedules of a noisy horizontal axis: setpoints that change
-    on almost every step, rests and held stops that fill a run's tail, and
-    one-step runs right after them."""
+    on almost every step, rests and held stops that last until the setpoint
+    changes, and setpoint changes right after them."""
     assert_run_axis_equals_chained_axis_step(schedule)

@@ -3,12 +3,13 @@
 Runs the CLI steps that ``perfbench/workloads.build_flow`` gives for an
 engine workload, seed and size, through ``robothumb.cli.main`` in this
 process, up to its ``simulate`` step, and records each ``plant.run_axis``
-call that ``simulate`` makes: a copy of the buffers it is given and of the
-angles it writes. It then replays each axis's calls on fresh copies of those
-buffers, checks that the replay writes the same angles bit for bit, and
-prints per axis the calls, the steps stepped, the setpoint runs, the moving
-steps (steps whose angle differs from the angle before them) and the best
-time of ``--repeat`` replays. The engine's own timing hides ``run_axis``
+call that ``simulate`` makes: a copy of the buffers and columns it is given
+and of the angles and velocities it writes. It then replays each axis's
+calls on fresh copies of those buffers, checks that the replay writes the
+same angles and velocities bit for bit, and prints per axis the calls, the
+steps stepped, the setpoint runs (counted from the setpoint column), the
+moving steps (steps whose angle differs from the angle before them) and the
+best time of ``--repeat`` replays. The engine's own timing hides ``run_axis``
 inside ``engine.run``; this splits it out by axis. Standard library, numpy
 and robothumb only; ``perfbench`` is imported, not changed.
 
@@ -41,6 +42,16 @@ import workloads  # noqa: E402
 ENGINE_WORKLOADS = ("press_session", "retarget_concurrent")
 
 
+def copy(buffer):
+    """A copy of an ``array('d')`` buffer, or None."""
+    return None if buffer is None else array("d", buffer)
+
+
+def buffer_bytes(buffers) -> tuple:
+    """The bytes of each buffer of an ``(angles, velocities)`` pair."""
+    return tuple(None if b is None else b.tobytes() for b in buffers)
+
+
 def record_calls(flow, workdir: Path) -> list[dict]:
     """Run the flow through its ``simulate`` step; each ``run_axis`` call that
     step made, in call order."""
@@ -50,14 +61,15 @@ def record_calls(flow, workdir: Path) -> list[dict]:
     steps = steps[:[argv[0] for argv in steps].index("simulate") + 1]
     calls, real = [], plant.run_axis
 
-    def recorder(angles, velocities, runs, limits, dt, axis, feedback=None,
+    def recorder(angles, velocities, setpoints, limits, dt, axis, feedback=None,
                  state=(0.0, 0.0)):
-        runs = tuple(runs)
-        call = {"angles": array("d", angles),
-                "velocities": None if velocities is None else array("d", velocities),
-                "args": (runs, limits, dt, axis, feedback, state)}
-        end = real(angles, velocities, runs, limits, dt, axis, feedback, state)
-        call["written"] = array("d", angles)
+        if feedback is not None:
+            feedback = (*feedback[:2], np.array(feedback[2]))
+        call = {"angles": copy(angles), "velocities": copy(velocities),
+                "args": (np.array(setpoints), None if limits is None else np.array(limits),
+                         dt, axis, feedback, state)}
+        end = real(angles, velocities, *call["args"])
+        call["written"] = (copy(angles), copy(velocities))
         calls.append(call)  # one list append, safe from the axis threads
         return end
 
@@ -78,31 +90,29 @@ def record_calls(flow, workdir: Path) -> list[dict]:
 def replay(calls: list[dict], repeat: int) -> float:
     """Best time in seconds of ``repeat`` replays of ``calls``, each on fresh
     copies of the recorded buffers; every replay must write the recorded
-    angles."""
+    angles and velocities."""
     best = float("inf")
     for _ in range(repeat):
-        buffers = [(array("d", c["angles"]),
-                    None if c["velocities"] is None else array("d", c["velocities"]))
-                   for c in calls]
+        buffers = [(copy(c["angles"]), copy(c["velocities"])) for c in calls]
         start = time.perf_counter()
         for c, (angles, velocities) in zip(calls, buffers):
             plant.run_axis(angles, velocities, *c["args"])
         best = min(best, time.perf_counter() - start)
-        for c, (angles, _) in zip(calls, buffers):
-            if angles.tobytes() != c["written"].tobytes():
-                raise SystemExit("a replayed run_axis call wrote other angles")
+        for c, written in zip(calls, buffers):
+            if buffer_bytes(written) != buffer_bytes(c["written"]):
+                raise SystemExit("a replayed run_axis call wrote other angles or velocities")
     return best
 
 
 def axis_row(name: str, calls: list[dict], repeat: int) -> str:
     steps = runs = moving = 0
     for c in calls:
-        schedule = c["args"][0]
-        first = schedule[0][0]  # the first step of the call's schedule
-        steps += len(c["written"]) - first
-        # a schedule is run columns, or (first, stop, setpoint) tuples
-        runs += len(schedule) if isinstance(schedule[0], tuple) else len(schedule[1])
-        moving += np.count_nonzero(np.diff(np.frombuffer(c["written"])[first - 1:]))
+        setpoints, state = c["args"][0], c["args"][5]
+        steps += len(setpoints)
+        runs += np.count_nonzero(np.diff(setpoints)) + 1
+        # the block's steps are the last entries of the angle buffer
+        angles = np.frombuffer(c["written"][0])[len(c["written"][0]) - len(setpoints):]
+        moving += np.count_nonzero(np.diff(angles, prepend=state[0]))
     best_ms = replay(calls, repeat) * 1000.0
     return f"{name:<12} {len(calls):>6} {steps:>8} {runs:>8} {moving:>13} {best_ms:>9.2f}"
 
