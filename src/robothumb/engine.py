@@ -375,8 +375,10 @@ def write_latency_csv(log: EventLog, path) -> None:
 
 def read_latency_csv(path) -> list[LatencyRecord]:
     """Read a log written by ``write_latency_csv``. Each non-blank row must
-    hold three finite numbers, the action not before the intention; any
-    other row raises an ``InputError`` that names the file and line."""
+    hold three finite numbers, the action not before the intention and the
+    delay the action minus the intention, to within the writer's three
+    ``%.3f`` roundings (0.0005 ms each) and float error; any other row raises
+    an ``InputError`` that names the file and line."""
     records = []
     try:
         with open(path, encoding="utf-8") as f:
@@ -393,6 +395,11 @@ def read_latency_csv(path) -> list[LatencyRecord]:
                         raise ValueError(f"expected 3 columns, found {len(values)}")
                     if not all(map(math.isfinite, values)):
                         raise ValueError(f"{row!r} holds a non-finite value")
+                    intention, action, delay = values
+                    slack = 0.0015 + 4 * math.ulp(max(map(abs, values)))
+                    if not abs(delay - (action - intention)) <= slack:
+                        raise ValueError(f"delay {delay!r} is not action minus "
+                                         f"intention, {action - intention!r}")
                     records.append(LatencyRecord(values[0], values[1]))
                 except (ValueError, InputError) as exc:
                     raise InputError(f"line {lineno}: {exc}") from None

@@ -425,7 +425,8 @@ def test_bins_beyond_limit_exit_2_before_allocating(tmp_path, capsys):
     ("1,2", "line 3: expected 3 columns, found 2"),
     ("foo,2,3", "line 3: could not convert string to float: 'foo'"),
     ("nan,2,3", "line 3: 'nan,2,3' holds a non-finite value"),
-], ids=["short", "non-numeric", "nan"])
+    ("900,985,5", "line 3: delay 5.0 is not action minus intention, 85.0"),
+], ids=["short", "non-numeric", "nan", "delay"])
 @pytest.mark.parametrize("what", [("latency",), ("budget",)])
 def test_malformed_latency_row_exits_2(what, row, message, tmp_path, capsys):
     latency = tmp_path / "latency.csv"

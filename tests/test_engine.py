@@ -424,6 +424,40 @@ def test_csv_writers_round_trip(tmp_path, cfg, calib):
     assert [r.delay for r in records] == [r.delay for r in log.latencies]
 
 
+
+def test_latency_row_whose_delay_is_not_action_minus_intention_is_refused(tmp_path):
+    """The row 900,985,5 read as a delay of 85 ms."""
+    latency = tmp_path / "latency.csv"
+    latency.write_text("intention_ms,action_ms,delay_ms\n900,985,5\n")
+    with pytest.raises(InputError, match=f"^{latency}: line 2: delay 5.0 is not action "
+                                         "minus intention, 85.0$"):
+        engine.read_latency_csv(latency)
+    # three %.3f roundings explain at most 0.0015 ms, and no more is allowed
+    for delay, reads in (("85.0015", True), ("84.9985", True), ("85.0016", False),
+                         ("84.998", False)):
+        latency.write_text(f"intention_ms,action_ms,delay_ms\n900,985,{delay}\n")
+        if reads:
+            assert [r.delay for r in engine.read_latency_csv(latency)] == [85.0]
+        else:
+            with pytest.raises(InputError, match="line 2: delay"):
+                engine.read_latency_csv(latency)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e15, 1e15), st.floats(0.0, 1e15)), min_size=1,
+                max_size=20))
+def test_latency_log_reads_back_every_record_it_writes(tmp_path_factory, pairs):
+    """Whatever the writer's roundings of intention, action and delay, the
+    reader accepts the row, within 0.0005 ms of the record."""
+    log = EventLog(latencies=[LatencyRecord(i, i + d) for i, d in pairs])
+    latency = tmp_path_factory.mktemp("latency") / "latency.csv"
+    engine.write_latency_csv(log, latency)
+    for read, record in zip(engine.read_latency_csv(latency), log.latencies, strict=True):
+        for a, b in ((read.intention_t, record.intention_t),
+                     (read.action_t, record.action_t)):
+            assert abs(a - b) <= 0.0005 + math.ulp(b)
+
+
 STEP_HEADER = "t_ms,theta_h_counts,theta_v_counts,tip_x,tip_z\n"
 
 

@@ -10,6 +10,7 @@ import hashlib
 import pytest
 
 from robothumb.cli import main
+from robothumb.engine import read_latency_csv
 
 OUTPUTS = ("events.csv", "steps.csv", "latency.csv", "output.mid")
 
@@ -78,6 +79,9 @@ def test_outputs_match_golden_digests(name, mode, tmp_path):
     digests = {out: hashlib.sha256((tmp_path / "run" / out).read_bytes()).hexdigest()
                for out in OUTPUTS}
     assert digests == GOLDEN[name]
+    # the reader takes back every record of the latency log the run wrote
+    latency = tmp_path / "run" / "latency.csv"
+    assert len(read_latency_csv(latency)) == len(latency.read_text().splitlines()) - 1 > 0
 
 
 # steps.csv of the scale trace sampled every 25 ms and simulated in 1 ms
