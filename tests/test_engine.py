@@ -228,6 +228,36 @@ def test_determinism_and_mode_equivalence(cfg, calib):
     assert {45, 47} <= on_keys  # both black keys of the walk were pressed
 
 
+def keys_on(cfg, keys, **mount):
+    """The keys a scale over ``keys`` registers, after a calibration, with
+    the mount fields ``mount`` changed."""
+    cfg = dataclasses.replace(cfg, mount=dataclasses.replace(cfg.mount, **mount))
+    calib = calibrate_from_trace(synth.calibration_trace(cfg), synth.anchors_from_config(cfg))
+    log = run(synth.scale_trace(cfg, keys), calib, cfg)
+    return [e.key_index for e in log.events if e.kind == "on"]
+
+
+# ROADMAP item 1: the aim solves on the hover radius, and the key-on fires
+# lower down, where the tip has moved 5.4 mm toward the base. The fix moves
+# the press_session and retarget_concurrent digests of perfbench/goldens.json,
+# so it waits for a change that re-records them.
+AIMED_AT_HOVER = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: the aim at the hover radius misses at key-on")
+
+
+@AIMED_AT_HOVER
+@pytest.mark.parametrize("keys", [[48], [43, 44, 45, 46, 47, 48]], ids=["48", "43-48"])
+def test_scale_at_depth_60_registers_each_aimed_key(cfg, keys):
+    """Today key 48 registers as 47."""
+    assert keys_on(cfg, keys, depth=60.0) == keys
+
+
+@AIMED_AT_HOVER
+def test_key_46_at_base_x_580_and_depth_60_registers_as_46(cfg):
+    """Today it registers as 45."""
+    assert keys_on(cfg, [46], depth=60.0, base_x=580.0) == [46]
+
 def test_concurrent_mode_raises_what_an_axis_raised(cfg, calib, monkeypatch):
     """An axis task that fails on its worker fails the run."""
     real = plant.run_axis
