@@ -104,6 +104,12 @@ def key_at(x: float, depth: float, layout: KeyboardLayout) -> Key | None:
     Returns None when ``x`` falls outside the keyboard. In the rear zone
     (depth >= black_zone_depth) a black key wins when ``x`` lies inside its
     extent, otherwise the white key underneath is returned.
+
+    The engine passes the fixed ``mount.depth``, not the tip's own in/out
+    position: the key line is a projection. The tip's offset from the base
+    is r·sin(θ_world), which at the defaults, hovering, is 123.2 mm over key
+    43 and 101.6 mm over key 48, so it varies by 21.6 mm across the
+    reachable keys against a ``black_zone_depth`` of 50 mm.
     """
     rel = x - layout.origin_x
     if rel < 0 or rel >= layout.width:
