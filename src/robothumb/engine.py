@@ -400,7 +400,7 @@ def read_latency_csv(path) -> list[LatencyRecord]:
                     if not abs(delay - (action - intention)) <= slack:
                         raise ValueError(f"delay {delay!r} is not action minus "
                                          f"intention, {action - intention!r}")
-                    records.append(LatencyRecord(values[0], values[1]))
+                    records.append(LatencyRecord(intention, action))
                 except (ValueError, InputError) as exc:
                     raise InputError(f"line {lineno}: {exc}") from None
     except (UnicodeDecodeError, InputError) as exc:
