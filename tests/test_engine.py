@@ -262,11 +262,11 @@ def test_concurrent_mode_raises_what_an_axis_raised(cfg, calib, monkeypatch):
     """An axis task that fails on its worker fails the run."""
     real = plant.run_axis
 
-    def run_axis(angles, velocities, runs, limits, dt, axis, feedback=None,
+    def run_axis(angles, velocities, setpoints, limits, dt, axis, feedback=None,
                  state=(0.0, 0.0)):
         if feedback is None:  # the vertical axis
             raise RuntimeError("vertical axis fault")
-        return real(angles, velocities, runs, limits, dt, axis, feedback, state)
+        return real(angles, velocities, setpoints, limits, dt, axis, feedback, state)
 
     monkeypatch.setattr(plant, "run_axis", run_axis)
     with pytest.raises(RuntimeError, match="vertical axis fault"):
