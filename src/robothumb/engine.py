@@ -56,7 +56,9 @@ its own, so its columns are freed before the next block makes its own. So
 beyond the trace, the step log (one structured array) and the events, a run
 holds one block's columns. The two execution modes, chosen by ``run``'s
 ``concurrent`` argument, produce byte-identical logs: they differ only in
-step 2, which runs inline or as two axis tasks on two threads per block.
+step 2. The calling thread steps the horizontal axis in both; the vertical
+axis steps after it, or at the same time on one thread started for the
+block.
 """
 
 from __future__ import annotations
@@ -187,36 +189,38 @@ def intention_detect(trace: SensorTrace, calib: CalibrationSet,
     return out
 
 
-def _run_tasks(tasks, concurrent: bool) -> list:
-    """Each task's result, the tasks called inline or each on its own
-    thread; the first failure on a thread is raised again here."""
-    if not concurrent:
-        return [task() for task in tasks]
-    results, errors = [None] * len(tasks), []
+class _Worker(threading.Thread):
+    """Calls ``task`` on a thread of its own, started here; ``result`` waits
+    for it, then returns what the task returned or raises again what it
+    raised."""
 
-    def work(i):
+    def __init__(self, task):
+        super().__init__()
+        self.task, self.error = task, None
+        self.start()
+
+    def run(self):
         try:
-            results[i] = tasks[i]()
+            self.value = self.task()
         except Exception as exc:
-            errors.append(exc)
+            self.error = exc
 
-    workers = [threading.Thread(target=work, args=(i,)) for i in range(len(tasks))]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
-    if errors:
-        raise errors[0]
-    return results
+    def result(self):
+        self.join()
+        if self.error is not None:
+            raise self.error
+        return self.value
 
 
 def run(trace: SensorTrace, calibration: CalibrationSet, config: "GlobalConfig",
         concurrent: bool = False) -> EventLog:
     """Simulate a full trace; returns the event log.
 
-    ``concurrent`` steps the two axes of each block on two threads instead
-    of inline. Deterministic for fixed inputs: identical trace, calibration
-    and configuration produce identical logs in either execution mode.
+    ``concurrent`` steps each block's vertical axis on a thread of its own
+    while the calling thread steps the horizontal one; what that thread
+    raises, the run raises. Deterministic for fixed inputs: identical trace,
+    calibration and configuration produce identical logs in either
+    execution mode.
     """
     control.validate_calibration_ranges(calibration, config)
     check_adc_codes(trace, config.sensors)
@@ -288,11 +292,12 @@ def run(trace: SensorTrace, calibration: CalibrationSet, config: "GlobalConfig",
 
         zeros = array("d", [0.0]) * (stop - start)  # one entry per step of the block
         angles_h, angles_v, velocities_v = window + zeros, zeros, array("d", zeros)
-        state_h, state_v = _run_tasks((
-            functools.partial(plant.run_axis, angles_h, None, setpoints_h, None, dt,
-                              config.axis, (params.kp_h, params.v_cap, sent), state_h),
-            functools.partial(plant.run_axis, angles_v, velocities_v, setpoints_v,
-                              limits_v, dt, config.axis, state=state_v)), concurrent)
+        step_v = functools.partial(plant.run_axis, angles_v, velocities_v, setpoints_v,
+                                   limits_v, dt, config.axis, state=state_v)
+        vertical = _Worker(step_v) if concurrent else None
+        state_h = plant.run_axis(angles_h, None, setpoints_h, None, dt, config.axis,
+                                 (params.kp_h, params.v_cap, sent), state_h)
+        state_v = vertical.result() if concurrent else step_v()
         # keep the states the next block's commands can be sent from: none
         # before this block's last send, and before the first command none
         keep = window_at + int(sent[-1]) if applied[-1] >= 0 else stop

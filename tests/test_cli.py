@@ -691,6 +691,26 @@ def test_coarsest_spans_the_synth_accepts_read_back(tmp_path):
                "--calibration", tmp_path / "calibration.txt", "--out", tmp_path) == 0
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4: a timestep of 1000 ms plays 10 presses as 2")
+def test_coarse_timestep_plays_every_press_or_is_refused(workdir, tmp_path):
+    """Today ``synth press`` writes 5 rows for 10 presses, and ``simulate``
+    gives 2 key-ons and one latency record of 1,000 ms, with exit 0."""
+    config = tmp_path / "coarse.ini"
+    config.write_text("[simulation]\ntimestep = 1000\n")
+    rc = run("synth", "press", "--key", 46, "--repeat", 10, "--config", config,
+             "--out", tmp_path)
+    if rc == 2:
+        assert not list(tmp_path.glob("*.csv"))
+        return
+    assert rc == 0
+    assert run("simulate", "--config", config, "--trace", tmp_path / "press_trace.csv",
+               "--calibration", workdir / "calibration.txt", "--out", tmp_path) == 0
+    events = (tmp_path / "events.csv").read_text().splitlines()[1:]
+    latencies = (tmp_path / "latency.csv").read_text().splitlines()[1:]
+    assert (sum(",on," in row for row in events), len(latencies)) == (10, 10)
+
+
 @pytest.mark.parametrize("value", ["0", "-360"])
 def test_non_positive_theta_h_range_exits_2(value, tmp_path, capsys):
     """Loaded, then blamed the anchor in synth and passed analyze budget."""

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -229,12 +230,26 @@ def test_determinism_and_mode_equivalence(cfg, calib):
     assert {45, 47} <= on_keys  # both black keys of the walk were pressed
 
 
+def calibrated(cfg, **sections):
+    """``cfg`` with the fields ``sections[name]`` of each section ``name``
+    changed, and a calibration made with it."""
+    cfg = dataclasses.replace(cfg, **{name: dataclasses.replace(getattr(cfg, name), **changes)
+                                      for name, changes in sections.items()})
+    return cfg, calibrate_from_trace(synth.calibration_trace(cfg),
+                                     synth.anchors_from_config(cfg))
+
+
 def keys_on(cfg, keys, **mount):
     """The keys a scale over ``keys`` registers, after a calibration, with
     the mount fields ``mount`` changed."""
-    cfg = dataclasses.replace(cfg, mount=dataclasses.replace(cfg.mount, **mount))
-    calib = calibrate_from_trace(synth.calibration_trace(cfg), synth.anchors_from_config(cfg))
+    cfg, calib = calibrated(cfg, mount=mount)
     log = run(synth.scale_trace(cfg, keys), calib, cfg)
+    return [e.key_index for e in log.events if e.kind == "on"]
+
+
+def noisy_keys_on(cfg, calib, key, seed):
+    """The keys 10 presses of ``key`` register, with a flex noise of 2 codes."""
+    log = run(synth.press_trace(cfg, key, repeat=10, flex_noise=2.0, seed=seed), calib, cfg)
     return [e.key_index for e in log.events if e.kind == "on"]
 
 
@@ -260,6 +275,50 @@ def test_key_46_at_base_x_580_and_depth_60_registers_as_46(cfg):
     assert keys_on(cfg, [46], depth=60.0, base_x=580.0) == [46]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_noisy_presses_at_depth_0_register_each_reachable_white_key(cfg, seed):
+    cfg, calib = calibrated(cfg, mount={"depth": 0.0})
+    keys = [43, 44, 46, 48]
+    assert [noisy_keys_on(cfg, calib, key, seed) for key in keys] == [[key] * 10 for key in keys]
+
+
+@AIMED_AT_HOVER
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_noisy_presses_at_depth_60_register_each_reachable_key(cfg, seed):
+    """Today keys 43-47 register 10 of 10 times, and key 48 registers as 47
+    every time."""
+    cfg, calib = calibrated(cfg, mount={"depth": 60.0})
+    keys = list(range(43, 49))
+    assert [noisy_keys_on(cfg, calib, key, seed) for key in keys] == [[key] * 10 for key in keys]
+
+
+# ROADMAP item 3: a lift whose Z pulse stays below z_threshold gives no
+# intention, yet the Y step still presses the key. The pulse is too small
+# below speed 0.33 at the defaults, and at speed 0.5 with either config
+# change below. The fix rejects speeds below the floor that item 2 derives.
+UNSEEN_LIFT = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 3: a press whose lift is not detected still presses its key")
+
+
+@pytest.mark.parametrize("speed, sections", [
+    pytest.param(0.25, {}, marks=UNSEEN_LIFT, id="speed-0.25"),
+    pytest.param(0.30, {}, marks=UNSEEN_LIFT, id="speed-0.30"),
+    pytest.param(0.32, {}, marks=UNSEEN_LIFT, id="speed-0.32"),
+    pytest.param(0.33, {}, id="speed-0.33"),
+    pytest.param(0.4, {}, id="speed-0.4"),
+    pytest.param(0.5, {}, id="speed-0.5"),
+    pytest.param(0.5, {"sensors": {"adc_bits": 10}}, marks=UNSEEN_LIFT, id="adc_bits-10"),
+    pytest.param(0.5, {"control": {"z_threshold": 130}}, marks=UNSEEN_LIFT,
+                 id="z_threshold-130"),
+])
+def test_ten_presses_give_ten_key_ons_intentions_and_latency_records(cfg, speed, sections):
+    cfg, calib = calibrated(cfg, **sections)
+    log = run(press_fixture(cfg, speed=speed, repeat=10), calib, cfg)
+    assert ([e.kind for e in log.events].count("on"), len(log.intentions),
+            len(log.latencies)) == (10, 10, 10)
+
+
 def test_concurrent_mode_raises_what_an_axis_raised(cfg, calib, monkeypatch):
     """An axis task that fails on its worker fails the run."""
     real = plant.run_axis
@@ -273,6 +332,56 @@ def test_concurrent_mode_raises_what_an_axis_raised(cfg, calib, monkeypatch):
     monkeypatch.setattr(plant, "run_axis", run_axis)
     with pytest.raises(RuntimeError, match="vertical axis fault"):
         run(press_fixture(cfg), calib, cfg, concurrent=True)
+
+
+def test_concurrent_mode_raises_what_the_horizontal_axis_raised(cfg, calib, monkeypatch):
+    """The horizontal axis, failing on the calling thread while the vertical
+    axis steps on its worker, fails the run."""
+    real = plant.run_axis
+
+    def run_axis(angles, velocities, setpoints, limits, dt, axis, feedback=None,
+                 state=(0.0, 0.0)):
+        if feedback is not None:  # the horizontal axis
+            raise RuntimeError("horizontal axis fault")
+        return real(angles, velocities, setpoints, limits, dt, axis, feedback, state)
+
+    monkeypatch.setattr(plant, "run_axis", run_axis)
+    with pytest.raises(RuntimeError, match="horizontal axis fault"):
+        run(press_fixture(cfg), calib, cfg, concurrent=True)
+
+
+@pytest.mark.parametrize("concurrent", [False, True], ids=["deterministic", "concurrent"])
+def test_only_the_vertical_axis_steps_off_the_calling_thread(cfg, calib, concurrent,
+                                                             monkeypatch):
+    """Both modes step the horizontal axis on the calling thread, once per
+    block. Deterministic mode steps the vertical axis there too and starts no
+    thread; concurrent mode starts one thread per block, which steps that
+    block's vertical axis and nothing else."""
+    real, real_start = plant.run_axis, threading.Thread.start
+    stepped = {"h": [], "v": []}  # the thread each axis stepped a block on
+    started = []
+
+    def run_axis(angles, velocities, setpoints, limits, dt, axis, feedback=None,
+                 state=(0.0, 0.0)):
+        stepped["v" if feedback is None else "h"].append(threading.current_thread())
+        return real(angles, velocities, setpoints, limits, dt, axis, feedback, state)
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(plant, "run_axis", run_axis)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    log = run(press_fixture(cfg, repeat=30), calib, cfg, concurrent=concurrent)
+    n_blocks = -(-len(log.steps) // BLOCK_ROWS)
+    assert n_blocks >= 2
+    caller = threading.current_thread()
+    assert stepped["h"] == [caller] * n_blocks
+    if concurrent:
+        assert stepped["v"] == started and len(set(started)) == n_blocks
+        assert caller not in started
+    else:
+        assert stepped["v"] == [caller] * n_blocks and started == []
 
 
 def test_air_press_logged_not_emitted(cfg):
