@@ -105,7 +105,7 @@ def _unit_values(text: memoryview) -> np.ndarray:
     decimals = slots[:, 2:14] - ord("0")
     # where each sign byte would stand without the sign bytes before it: the
     # start of a value, and no two at one start
-    starts = signs - np.arange(len(signs))
+    starts = np.subtract(signs, np.arange(len(signs)), out=signs)
     if not ((slots[:, 1] == ord(".")).all()
             and (slots[:, 14].reshape(-1, 3) == _ROW_SEPARATORS).all()
             and whole.max() <= 9 and decimals.max() <= 9
@@ -113,14 +113,25 @@ def _unit_values(text: memoryview) -> np.ndarray:
             and (np.diff(starts) > 0).all()):
         raise OtherLayout
     # four decimals to a little-endian word, first in the low byte: pair the
-    # digits, then the pairs
+    # digits, then the pairs, in place; the chunk's sign-free copy and the
+    # scratch go before the next array is asked for
+    del slots
     words = decimals.view("<u4")
-    words = (words * 10 + (words >> 8)) & 0x00FF00FF
-    words = (words * 100 + (words >> 16)) & 0xFFFF
-    # counts of 1e-12 below 10**13 < 2**53 add up exactly in float64, and
-    # 1e12 is exact, so the quotient is the correctly rounded decimal
-    values = words @ np.array([1e8, 1e4, 1.0])
-    values += whole * 1e12
+    shifted = np.empty_like(words)
+    for shift, scale, mask in ((8, 10, 0x00FF00FF), (16, 100, 0xFFFF)):
+        np.right_shift(words, shift, out=shifted)
+        words *= scale
+        words += shifted
+        words &= mask
+    del shifted
+    # the count of 1e-12, by Horner's rule over the whole digit and the three
+    # words: each partial count is an integer below 10**13 < 2**53, so every
+    # step is exact in float64, and 1e12 is exact, so the quotient is the
+    # correctly rounded decimal
+    values = whole.astype(np.float64)
+    for column in words.T:
+        values *= 1e4
+        values += column
     values /= 1e12
     values[starts // UNIT_VALUE_BYTES] *= -1.0  # -0.000000000000 is -0.0
     return values.reshape(-1, 3)

@@ -169,6 +169,37 @@ def test_save_directions_matches_row_formatter_at_ties(tmp_path):
     assert written(dirs, tmp_path / "d.csv") == reference_text(dirs)
 
 
+def product_at(target: float) -> float | None:
+    """A float whose product with 10**12 rounds to ``target``, if one does."""
+    x = target / 1e12
+    for _ in range(4):
+        if x * 1e12 == target:
+            return x
+        x = math.nextafter(x, math.inf if x * 1e12 < target else 0.0)
+    return None
+
+
+def test_save_directions_matches_row_formatter_at_the_tie_window_edges(tmp_path):
+    """The writer asks ``%`` for a value whose product with 10**12 lies within
+    one ulp of its column's largest product from a rounding tie. With 1.0 at
+    the top of each column, that ulp is 2**-13: products one ulp from a tie
+    lie just inside the window, products two ulps from it just outside."""
+    ulp = np.spacing(1e12)
+    assert ulp == 2.0**-13
+    rng = np.random.default_rng(22)
+    inside, outside = [], []
+    for k in rng.integers(2**39, 10**12 - 1, 2_000).tolist():
+        for steps, kept in ((-1, inside), (1, inside), (-2, outside), (2, outside)):
+            x = product_at(k + 0.5 + steps * ulp)
+            if x is not None:
+                kept.append(x)
+    assert min(len(inside), len(outside)) > 1_000
+    values = np.concatenate((inside, outside, np.negative(inside), np.negative(outside)))
+    dirs = np.vstack(([1.0, 1.0, 1.0], values[:len(values) // 3 * 3].reshape(-1, 3)))
+    assert len(dirs) <= BLOCK_ROWS
+    assert written(dirs, tmp_path / "d.csv") == reference_text(dirs)
+
+
 # the largest value the fixed-point kernel spells to 12 decimals is just below
 # 2**44 / 10**12, about 17.59
 KERNEL_EDGE = 2.0**44 / 1e12

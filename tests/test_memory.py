@@ -25,9 +25,14 @@ RUN_PEAK_OVER_STEPS = 1.5
 # it reads, and its writers hold less
 RUN_PEAK_OVER_STEP_LOG = 1.1 * 2**20
 # tracemalloc peak of binning a direction file, in chunks read, over its
-# one-byte-a-cell occupancy array: the chunk buffer, one chunk's parse and
-# the binning of its block, whose temporaries are gone before the next parse
-BIN_PEAK_OVER_CHUNKS = 8
+# one-byte-a-cell occupancy array: the chunk buffer, the block last binned,
+# one chunk's parse, which pairs its digits in place once the chunk's
+# sign-free copy is gone, and the binning of its block
+BIN_PEAK_OVER_CHUNKS = 5
+# tracemalloc peak of writing a direction sweep, over one block's text of
+# 48-byte rows: the reused byte matrix and mask, the text of one block, the
+# block drawn and one column's counts at a time
+SAVE_PEAK_OVER_BLOCK_TEXT = 5
 
 
 def traced_peak(fn, *args):
@@ -112,3 +117,10 @@ def test_file_solid_angle_holds_its_occupancy_and_a_few_chunks(direction_file, n
     (_, count), peak = traced_peak(file_solid_angle, direction_file, n_bins)
     assert count == 12 * BLOCK_ROWS
     assert peak - n_bins < BIN_PEAK_OVER_CHUNKS * BLOCK_ROWS * UNIT_ROW_BYTES
+
+
+def test_save_directions_holds_one_block_of_text_and_one_column_of_counts(tmp_path):
+    save_directions(synth.band_sweep(1, seed=5), tmp_path / "warm.csv")  # numpy.random
+    _, peak = traced_peak(save_directions, synth.band_sweep(12 * BLOCK_ROWS, seed=5),
+                          tmp_path / "band_directions.csv")
+    assert peak < SAVE_PEAK_OVER_BLOCK_TEXT * BLOCK_ROWS * 48

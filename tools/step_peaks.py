@@ -3,11 +3,13 @@
 Runs the steps that ``perfbench/workloads.build_flow`` gives for a workload,
 seed and size, in order, through ``robothumb.cli.main`` in this process,
 twice: untraced, reading ``ru_maxrss`` (the process's peak resident set so
-far) after each step, then under ``tracemalloc``, reading each step's own
+far) after each step and the minor page faults the step took (its
+``ru_minflt`` delta), then under ``tracemalloc``, reading each step's own
 peak of memory allocated through Python. The first shows which step sets a
-flow's ``peak_rss_mb``; the second shows what each step holds at once,
-which a process-wide peak hides. The tracing pass runs second because
-tracing adds to the resident set. Standard library and robothumb only;
+flow's ``peak_rss_mb`` and which one keeps asking the kernel for fresh
+pages; the second shows what each step holds at once, which a process-wide
+peak hides. The tracing pass runs second because tracing adds to the
+resident set. Standard library and robothumb only;
 ``perfbench`` is imported, not changed.
 
     python tools/step_peaks.py press_session [--seed 0] [--size full|tiny]
@@ -41,15 +43,21 @@ def maxrss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def run_flow(flow, workdir: Path, traced: bool) -> list[float]:
-    """Run the flow's steps in ``workdir``; after each, ``ru_maxrss`` or,
-    when ``traced``, the step's ``tracemalloc`` peak, in MiB."""
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def run_flow(flow, workdir: Path, traced: bool) -> list:
+    """Run the flow's steps in ``workdir``; after each, ``ru_maxrss`` in MiB
+    and the step's minor page faults or, when ``traced``, the step's
+    ``tracemalloc`` peak in MiB."""
     for name, text in flow.inputs.items():
         (workdir / name).write_text(text)
     readings = []
     with open(workdir / "cli_output.txt", "w") as log, \
             contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
         for argv in flow.steps:
+            faults = minor_faults()
             if traced:
                 tracemalloc.start()
             try:
@@ -63,7 +71,7 @@ def run_flow(flow, workdir: Path, traced: bool) -> list[float]:
                 raise SystemExit(f"{' '.join(argv[:2])} exited {rc}; "
                                  f"see {workdir / 'cli_output.txt'}")
             if not traced:
-                readings.append(maxrss_mib())
+                readings.append((maxrss_mib(), minor_faults() - faults))
     return readings
 
 
@@ -88,14 +96,14 @@ def main(argv: list[str]) -> int:
         finally:
             workloads.SIZES = sizes
         start = maxrss_mib()
-        rss = run_flow(flow, workdir, traced=False)
+        untraced = run_flow(flow, workdir, traced=False)
         peaks = run_flow(flow, workdir, traced=True)
     count = f", {args.repeat} presses" if args.repeat is not None else ""
     print(f"{args.workload}, seed {args.seed}, size {args.size}{count}; "
           f"ru_maxrss before the first step {start:.1f} MiB")
-    print(f"{'step':<20} {'ru_maxrss_mib':>13} {'tracemalloc_peak_mib':>20}")
-    for argv, after, peak in zip(flow.steps, rss, peaks):
-        print(f"{' '.join(argv[:2]):<20} {after:>13.1f} {peak:>20.2f}")
+    print(f"{'step':<20} {'ru_maxrss_mib':>13} {'minor_faults':>12} {'tracemalloc_peak_mib':>20}")
+    for argv, (after, faults), peak in zip(flow.steps, untraced, peaks):
+        print(f"{' '.join(argv[:2]):<20} {after:>13.1f} {faults:>12} {peak:>20.2f}")
     return 0
 
 
