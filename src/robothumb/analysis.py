@@ -24,7 +24,8 @@ from .errors import InputError, ReachError
 from .kinematics import required_torque
 from .piano import Key
 from .plant import torque_margin
-from .sensors import BLOCK_ROWS, OtherLayout, blocks, fixed_point_rows, writer_rows
+from .sensors import (BLOCK_ROWS, OtherLayout, blocks, fixed_point_rows, scratch_array,
+                      writer_rows)
 
 FULL_SPHERE = 4.0 * math.pi
 LATENCY_BUDGET_MS = 80.0
@@ -86,54 +87,71 @@ def _unit_blocks(path):
     That layout is the header ``x,y,z`` and rows of three values
     ``-?d.dddddddddddd`` split by ``,``, each row ended by LF, read by
     ``writer_rows`` in chunks of about ``BLOCK_ROWS`` rows; it leaves a pipe
-    unread, for ``np.loadtxt`` to read once.
+    unread, for ``np.loadtxt`` to read once. Each block is a new array; the
+    parse's other arrays are kept in one ``scratch`` dict and reused, chunk
+    after chunk.
     """
+    scratch = {}
     with open(path, "rb") as f:
         for text in writer_rows(f, b"x,y,z\n", BLOCK_ROWS * UNIT_ROW_BYTES):
-            yield _unit_values(text)
+            yield _unit_values(text, scratch)
 
 
-def _unit_values(text: memoryview) -> np.ndarray:
+def _unit_values(text: memoryview, scratch: dict) -> np.ndarray:
     """The (k, 3) rows of whole rows of the unit layout; raises
-    ``OtherLayout`` if any byte does not fit the layout."""
-    signs = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("-"))
-    slots = np.frombuffer(text.tobytes().replace(b"-", b""), np.uint8)
-    if len(slots) % UNIT_ROW_BYTES:
-        raise OtherLayout
-    slots = slots.reshape(-1, UNIT_VALUE_BYTES)
-    whole = slots[:, 0] - ord("0")  # uint8: a byte below "0" wraps past 9
-    decimals = slots[:, 2:14] - ord("0")
+    ``OtherLayout`` if any byte does not fit the layout.
+
+    No copy of the text without its signs is made: the offset of each
+    value's first byte after its sign comes from the signs up to it, and the
+    text is read a column at a time, byte ``at`` of every value, at those
+    offsets plus ``at``."""
+    raw = np.frombuffer(text, np.uint8)
+    signs = np.flatnonzero(raw == ord("-"))
+    count, rest = divmod(len(raw) - len(signs), UNIT_VALUE_BYTES)
     # where each sign byte would stand without the sign bytes before it: the
     # start of a value, and no two at one start
     starts = np.subtract(signs, np.arange(len(signs)), out=signs)
-    if not ((slots[:, 1] == ord(".")).all()
-            and (slots[:, 14].reshape(-1, 3) == _ROW_SEPARATORS).all()
-            and whole.max() <= 9 and decimals.max() <= 9
-            and not (starts % UNIT_VALUE_BYTES).any()
-            and (np.diff(starts) > 0).all()):
+    if (rest or count % 3 or (starts % UNIT_VALUE_BYTES).any()
+            or not (np.diff(starts) > 0).all()):
         raise OtherLayout
-    # four decimals to a little-endian word, first in the low byte: pair the
-    # digits, then the pairs, in place; the chunk's sign-free copy and the
-    # scratch go before the next array is asked for
-    del slots
-    words = decimals.view("<u4")
-    shifted = np.empty_like(words)
-    for shift, scale, mask in ((8, 10, 0x00FF00FF), (16, 100, 0xFFFF)):
-        np.right_shift(words, shift, out=shifted)
-        words *= scale
-        words += shifted
-        words &= mask
-    del shifted
-    # the count of 1e-12, by Horner's rule over the whole digit and the three
-    # words: each partial count is an integer below 10**13 < 2**53, so every
-    # step is exact in float64, and 1e12 is exact, so the quotient is the
-    # correctly rounded decimal
-    values = whole.astype(np.float64)
-    for column in words.T:
-        values *= 1e4
-        values += column
+    negative = scratch_array(scratch, "negative", (count,), bool)
+    negative[:] = False
+    negative[starts // UNIT_VALUE_BYTES] = True
+    # the offset of value j's first byte after its sign: 15 j plus the signs
+    # up to its own, which is the running sum of 15 + sign, less 15
+    first = np.add(negative, UNIT_VALUE_BYTES,
+                   out=scratch_array(scratch, "first", (count,), np.intp))
+    np.cumsum(first, out=first)
+    first -= UNIT_VALUE_BYTES
+    column = scratch_array(scratch, "column", (count,), np.uint8)
+
+    def read(at):  # byte ``at`` of each value, its sign aside
+        # the offsets are in range once the signs pass: "clip" checks nothing
+        return np.take(raw[at:], first, out=column, mode="clip")
+
+    if not ((read(1) == ord(".")).all()
+            and (read(UNIT_VALUE_BYTES - 1).reshape(-1, 3) == _ROW_SEPARATORS).all()):
+        raise OtherLayout
+
+    def digits(at):  # the digit at byte ``at`` of each value, its sign aside
+        digit = np.subtract(read(at), ord("0"), out=column)  # uint8: below "0" wraps past 9
+        if digit.max() > 9:
+            raise OtherLayout
+        return digit
+
+    # the count of 1e-12, by Horner's rule over the whole digit and the
+    # decimals two at a time, a pair at most 99 in uint8: each partial count is
+    # an integer below 10**13 < 2**53, so every step is exact in float64, and
+    # 1e12 is exact, so the quotient is the correctly rounded decimal
+    values = digits(0).astype(np.float64)
+    pair = scratch_array(scratch, "pair", (count,), np.uint8)
+    for at in range(2, 2 + 12, 2):
+        np.multiply(digits(at), 10, out=pair)
+        pair += digits(at + 1)
+        values *= 100.0
+        values += pair
     values /= 1e12
-    values[starts // UNIT_VALUE_BYTES] *= -1.0  # -0.000000000000 is -0.0
+    np.negative(values, out=values, where=negative)  # -0.000000000000 is -0.0
     return values.reshape(-1, 3)
 
 
@@ -212,6 +230,7 @@ def _binned(parts, n_bins: int, where: str = "") -> tuple[float, int]:
         worst = np.maximum(worst, _norm_deviation(block))
         if worst <= DIRECTION_NORM_TOL:  # else no use binning: the set is refused
             occupied[cell_indices(block)] = True
+        del block  # before the next block is parsed
     if count == 0:
         raise InputError(f"{where}direction set is empty")
     if not worst <= DIRECTION_NORM_TOL:  # NaN fails too
@@ -223,8 +242,13 @@ def _norm_deviation(block: np.ndarray) -> float:
     """The largest ``|norm - 1|`` of the rows of an (n, 3) block, NaN if any
     row's is; the squares are summed in ``np.linalg.norm``'s order, so the
     figure is the same to the bit."""
-    s = block * block
-    return np.abs(np.sqrt(s[:, 0] + s[:, 1] + s[:, 2]) - 1.0).max()
+    norm = block[:, 0] * block[:, 0]
+    square = block[:, 1] * block[:, 1]
+    norm += square
+    norm += np.multiply(block[:, 2], block[:, 2], out=square)
+    np.sqrt(norm, out=norm)
+    norm -= 1.0
+    return np.abs(norm, out=norm).max()
 
 
 # cells of the uniform grid in z on which _cell_lookup tabulates the rings
@@ -255,13 +279,24 @@ def _cell_lookup(n_bins: int):
 
     def cell_indices(block: np.ndarray) -> np.ndarray:
         z = np.clip(block[:, 2], -1.0, 1.0)
-        ring = table[((z + 1.0) * (RING_GRID / 2)).astype(np.intp)].astype(np.intp)
+        grid_cell = z + 1.0
+        grid_cell *= RING_GRID / 2
+        ring = table[grid_cell.astype(np.intp)].astype(np.intp)
+        del grid_cell
         for _ in range(spread):
             ring += z >= above[ring]
-        n = cells[ring]
+        del z
         phi = np.arctan2(block[:, 1], block[:, 0])  # [-pi, pi]
-        col = np.minimum(((phi + math.pi) / (2.0 * math.pi) * n).astype(int), n - 1)
-        return offsets[ring] + col
+        phi += math.pi
+        phi /= 2.0 * math.pi
+        n = cells[ring]
+        phi *= n
+        col = phi.astype(int)
+        del phi
+        n -= 1
+        np.minimum(col, n, out=col)
+        col += offsets[ring]
+        return col
 
     return cell_indices
 

@@ -38,10 +38,11 @@ TRACE_HEADER = ("t_ms", "flex_adc", "acc_y_adc", "acc_z_adc", "label")
 SAMPLE_DTYPE = np.dtype([("t", np.float64), ("flex_adc", np.int64),
                          ("acc_y_adc", np.int64), ("acc_z_adc", np.int64)])
 LABEL_FORBIDDEN = frozenset(',"\r\n')  # characters csv.writer would quote
-# rows per block in the CSV writers and the direction loops: a block's
-# temporaries take about 1.7 MiB in the direction writer and 1.5 MiB in the
-# reader, and write as fast as larger ones; 65,536-row blocks raised the
-# peak memory of a 600k-row sweep by about 5 MiB
+# rows per block in the CSV writers and the direction loops: the direction
+# writer holds about 1.7 MiB at a block and binning a direction file about
+# 1.1 MiB at a chunk, each its buffers included, and blocks this size write
+# as fast as larger ones; 65,536-row blocks raised the peak memory of a
+# 600k-row sweep by about 5 MiB
 BLOCK_ROWS = 8_192
 # most digits of a whole time spelled as an integer and of a field in the
 # writer's layout: float() of a whole number below 10**15 is exact, and a
@@ -104,9 +105,9 @@ def fixed_point_rows(columns, decimals, ends, scratch: dict) -> np.ndarray:
     template = b"".join(b"-" + b"0" * width + b"." * (d > 0) + b"0" * d + end
                         for width, d, end in zip(widths, decimals, ends))
     shape = (len(columns[0]), len(template))
-    text = _buffer(scratch, "text", shape, np.uint8)
+    text = scratch_array(scratch, "text", shape, np.uint8)
     text[:] = np.frombuffer(template, np.uint8)
-    keep = _buffer(scratch, "keep", shape, bool)
+    keep = scratch_array(scratch, "keep", shape, bool)
     keep[:] = True
     at = 0  # the first column of the next field, its sign
     for column, d, width, end in zip(columns, decimals, widths, ends):
@@ -142,9 +143,9 @@ def _counts(column: np.ndarray, d: int) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-def _buffer(scratch: dict, name: str, shape, dtype) -> np.ndarray:
+def scratch_array(scratch: dict, name: str, shape, dtype) -> np.ndarray:
     """An array of ``shape``: a view of ``scratch[name]``, grown as needed."""
-    size = shape[0] * shape[1]
+    size = math.prod(shape)
     if name not in scratch or scratch[name].size < size:
         scratch[name] = np.empty(size, dtype)
     return scratch[name][:size].reshape(shape)

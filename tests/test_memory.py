@@ -25,10 +25,10 @@ RUN_PEAK_OVER_STEPS = 1.5
 # it reads, and its writers hold less
 RUN_PEAK_OVER_STEP_LOG = 1.1 * 2**20
 # tracemalloc peak of binning a direction file, in chunks read, over its
-# one-byte-a-cell occupancy array: the chunk buffer, the block last binned,
-# one chunk's parse, which pairs its digits in place once the chunk's
-# sign-free copy is gone, and the binning of its block
-BIN_PEAK_OVER_CHUNKS = 5
+# one-byte-a-cell occupancy array: the chunk buffer, the parse's reused
+# offsets, and one chunk's sign mask and block, or that block's binning; the
+# block before is gone, and no copy of the chunk is made
+BIN_PEAK_OVER_CHUNKS = 4
 # tracemalloc peak of writing a direction sweep, over one block's text of
 # 48-byte rows: the reused byte matrix and mask, the text of one block, the
 # block drawn and one column's counts at a time
