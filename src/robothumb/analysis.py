@@ -242,13 +242,8 @@ def _norm_deviation(block: np.ndarray) -> float:
     """The largest ``|norm - 1|`` of the rows of an (n, 3) block, NaN if any
     row's is; the squares are summed in ``np.linalg.norm``'s order, so the
     figure is the same to the bit."""
-    norm = block[:, 0] * block[:, 0]
-    square = block[:, 1] * block[:, 1]
-    norm += square
-    norm += np.multiply(block[:, 2], block[:, 2], out=square)
-    np.sqrt(norm, out=norm)
-    norm -= 1.0
-    return np.abs(norm, out=norm).max()
+    s = block * block
+    return np.abs(np.sqrt(s[:, 0] + s[:, 1] + s[:, 2]) - 1.0).max()
 
 
 # cells of the uniform grid in z on which _cell_lookup tabulates the rings
@@ -279,24 +274,13 @@ def _cell_lookup(n_bins: int):
 
     def cell_indices(block: np.ndarray) -> np.ndarray:
         z = np.clip(block[:, 2], -1.0, 1.0)
-        grid_cell = z + 1.0
-        grid_cell *= RING_GRID / 2
-        ring = table[grid_cell.astype(np.intp)].astype(np.intp)
-        del grid_cell
+        ring = table[((z + 1.0) * (RING_GRID / 2)).astype(np.intp)].astype(np.intp)
         for _ in range(spread):
             ring += z >= above[ring]
-        del z
-        phi = np.arctan2(block[:, 1], block[:, 0])  # [-pi, pi]
-        phi += math.pi
-        phi /= 2.0 * math.pi
         n = cells[ring]
-        phi *= n
-        col = phi.astype(int)
-        del phi
-        n -= 1
-        np.minimum(col, n, out=col)
-        col += offsets[ring]
-        return col
+        phi = np.arctan2(block[:, 1], block[:, 0])  # [-pi, pi]
+        col = np.minimum(((phi + math.pi) / (2.0 * math.pi) * n).astype(int), n - 1)
+        return offsets[ring] + col
 
     return cell_indices
 

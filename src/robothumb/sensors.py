@@ -91,12 +91,12 @@ def fixed_point_rows(columns, decimals, ends, scratch: dict) -> np.ndarray:
     widths = []  # per field: the digits of its widest whole part
     for column, d in zip(columns, decimals):
         if column.dtype.kind == "f":
-            top = np.abs(column).max()
+            top = np.maximum(-column.min(), column.max())  # NaN if any is
             with np.errstate(over="ignore"):  # an overflow to inf fails the check
                 if not top * 10.0**d < 2.0**44:  # NaN and inf fail too
                     return _row_text(columns, decimals, ends)
             # the rounding is monotonic: the largest magnitude has the largest count
-            top = _counts(np.array([top]), d)[0]
+            top = ("%.*f" % (d, top)).replace(".", "")
         elif -10**18 < column.min() and column.max() < 10**18:
             top = max(-column.min(), column.max())
         else:
