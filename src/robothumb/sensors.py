@@ -40,7 +40,7 @@ SAMPLE_DTYPE = np.dtype([("t", np.float64), ("flex_adc", np.int64),
 LABEL_FORBIDDEN = frozenset(',"\r\n')  # characters csv.writer would quote
 # rows per block in the CSV writers and the direction loops: the direction
 # writer holds about 1.7 MiB at a block and binning a direction file about
-# 1.1 MiB at a chunk, each its buffers included, and blocks this size write
+# 1.4 MiB at a chunk, each its buffers included, and blocks this size write
 # as fast as larger ones; 65,536-row blocks raised the peak memory of a
 # 600k-row sweep by about 5 MiB
 BLOCK_ROWS = 8_192
