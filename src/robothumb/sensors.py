@@ -39,7 +39,7 @@ SAMPLE_DTYPE = np.dtype([("t", np.float64), ("flex_adc", np.int64),
                          ("acc_y_adc", np.int64), ("acc_z_adc", np.int64)])
 LABEL_FORBIDDEN = frozenset(',"\r\n')  # characters csv.writer would quote
 # rows per block in the CSV writers and the direction loops: the direction
-# writer holds about 1.7 MiB at a block and binning a direction file about
+# writer holds about 2.0 MiB at a block and binning a direction file about
 # 1.4 MiB at a chunk, each its buffers included, and blocks this size write
 # as fast as larger ones; 65,536-row blocks raised the peak memory of a
 # 600k-row sweep by about 5 MiB
@@ -86,35 +86,40 @@ def fixed_point_rows(columns, decimals, ends, scratch: dict) -> np.ndarray:
     A writer passes one ``scratch`` dict with each of its blocks: the byte
     matrix and the mask are kept there and reused, so a file of many blocks
     does not ask the allocator for them block after block, and they go when
-    the writer drops the dict. Each field is spelled before the next one's
-    counts are taken, so a block holds one column's counts at a time."""
-    widths = []  # per field: the digits of its widest whole part
+    the writer drops the dict."""
+    fields = []  # per field: minus signs, whole and fractional counts, decimals, width
     for column, d in zip(columns, decimals):
         if column.dtype.kind == "f":
-            top = np.maximum(-column.min(), column.max())  # NaN if any is
             with np.errstate(over="ignore"):  # an overflow to inf fails the check
-                if not top * 10.0**d < 2.0**44:  # NaN and inf fail too
-                    return _row_text(columns, decimals, ends)
-            # the rounding is monotonic: the largest magnitude has the largest count
-            top = ("%.*f" % (d, top)).replace(".", "")
-        elif -10**18 < column.min() and column.max() < 10**18:
-            top = max(-column.min(), column.max())
+                scaled = np.abs(column) * 10.0**d
+            if not (scaled < 2.0**44).all():  # NaN and inf fail too
+                return _row_text(columns, decimals, ends)
+            # 10.0**d is exact for d up to 22 and the product is correctly
+            # rounded, so it lies within half an ulp of the exact one, and no
+            # ulp of the column exceeds that of its largest product: within
+            # that ulp of a rounding tie, the exact value decides: ask CPython
+            counts = np.rint(scaled)
+            window = 0.5 - np.spacing(scaled.max())
+            for i in np.flatnonzero(~(np.abs(scaled - counts) < window)).tolist():
+                counts[i] = int(("%.*f" % (d, abs(column[i]))).replace(".", ""))
+            counts = counts.astype(np.int64)
+        elif ((column > -10**18) & (column < 10**18)).all():
+            counts = np.abs(column)
         else:
             return _row_text(columns, decimals, ends)
-        widths.append(len(str(int(top) // 10**d)))
+        whole, fraction = np.divmod(counts, 10**d) if d else (counts, None)
+        fields.append((np.signbit(column), whole, fraction, d, len(str(int(whole.max())))))
     template = b"".join(b"-" + b"0" * width + b"." * (d > 0) + b"0" * d + end
-                        for width, d, end in zip(widths, decimals, ends))
+                        for (*_, d, width), end in zip(fields, ends))
     shape = (len(columns[0]), len(template))
     text = scratch_array(scratch, "text", shape, np.uint8)
     text[:] = np.frombuffer(template, np.uint8)
     keep = scratch_array(scratch, "keep", shape, bool)
     keep[:] = True
     at = 0  # the first column of the next field, its sign
-    for column, d, width, end in zip(columns, decimals, widths, ends):
-        keep[:, at] = np.signbit(column)  # "%f" signs -0.0 and tiny negatives
+    for (negative, whole, fraction, d, width), end in zip(fields, ends):
+        keep[:, at] = negative  # "%f" signs -0.0 and tiny negatives
         at += 1 + width  # past the integer digits
-        counts = _counts(column, d) if column.dtype.kind == "f" else np.abs(column)
-        whole, fraction = np.divmod(counts, 10**d) if d else (counts, None)
         _spell(text, whole, at, width)
         for k in range(1, width):  # the pad left of the leading digit
             keep[:, at - 1 - k] = whole >= 10**k
@@ -122,25 +127,6 @@ def fixed_point_rows(columns, decimals, ends, scratch: dict) -> np.ndarray:
             _spell(text, fraction, at + 1 + d, d)
         at += (d > 0) + d + len(end)
     return text[keep]  # bytes-like: a file writes it without a copy
-
-
-def _counts(column: np.ndarray, d: int) -> np.ndarray:
-    """The int64 count of ``10**-d`` that ``"%.{d}f"`` spells for each
-    ``|x|`` of a float64 column whose ``|x| * 10**d`` is below 2**44.
-
-    ``10.0**d`` is exact for ``d`` up to 22 and the product is correctly
-    rounded, so it lies within half an ulp of the exact product, and no ulp
-    of the column exceeds that of its largest product. A product more than
-    that ulp from a rounding tie rounds as the exact one does; one within
-    it is spelled by CPython from the exact value."""
-    scaled = np.abs(column)
-    scaled *= 10.0**d
-    counts = np.rint(scaled)
-    window = 0.5 - np.spacing(scaled.max())
-    scaled -= counts  # exact: the two lie within a factor of 2, or counts is 0
-    for i in np.flatnonzero(~(np.abs(scaled, out=scaled) < window)).tolist():
-        counts[i] = int(("%.*f" % (d, abs(column[i]))).replace(".", ""))
-    return counts.astype(np.int64)
 
 
 def scratch_array(scratch: dict, name: str, shape, dtype) -> np.ndarray:

@@ -31,8 +31,8 @@ RUN_PEAK_OVER_STEP_LOG = 1.1 * 2**20
 BIN_PEAK_OVER_CHUNKS = 4
 # tracemalloc peak of writing a direction sweep, over one block's text of
 # 48-byte rows: the reused byte matrix and mask, the text of one block, the
-# block drawn and one column's counts at a time
-SAVE_PEAK_OVER_BLOCK_TEXT = 5
+# block drawn and its three columns' signs, whole and fractional counts
+SAVE_PEAK_OVER_BLOCK_TEXT = 6
 
 
 def traced_peak(fn, *args):
@@ -119,7 +119,7 @@ def test_file_solid_angle_holds_its_occupancy_and_a_few_chunks(direction_file, n
     assert peak - n_bins < BIN_PEAK_OVER_CHUNKS * BLOCK_ROWS * UNIT_ROW_BYTES
 
 
-def test_save_directions_holds_one_block_of_text_and_one_column_of_counts(tmp_path):
+def test_save_directions_holds_a_few_blocks_of_text(tmp_path):
     save_directions(synth.band_sweep(1, seed=5), tmp_path / "warm.csv")  # numpy.random
     _, peak = traced_peak(save_directions, synth.band_sweep(12 * BLOCK_ROWS, seed=5),
                           tmp_path / "band_directions.csv")
